@@ -66,7 +66,6 @@ from repro.sim import (
     EnsembleResult,
     OutcomeThresholds,
     SimulationOptions,
-    run_ensemble,
 )
 from repro.api import Experiment, RunResult
 from repro.adaptive import (
@@ -110,7 +109,6 @@ __all__ = [
     "SimulationOptions",
     "OutcomeThresholds",
     "EnsembleResult",
-    "run_ensemble",
     # core
     "DistributionSpec",
     "OutcomeSpec",

@@ -431,8 +431,8 @@ class Experiment:
         chunk_size:
             Trials per parallel shard.
         backend:
-            Simulation-kernel backend (``"auto"`` / ``"python"`` /
-            ``"numpy"`` / ``"numba"``; see the ``backends`` column of
+            Simulation-kernel backend (``"auto"`` / ``"numpy"`` /
+            ``"numba"``; see the ``backends`` column of
             ``repro engines``).  ``"auto"`` picks the fastest available
             backend the engine supports; seeded results are bit-identical
             between the ``numpy`` and ``numba`` backends.  Overrides the

@@ -113,11 +113,12 @@ def _add_engine_arguments(parser: argparse.ArgumentParser, workers: bool = True)
     parser.add_argument(
         "--backend",
         default="auto",
-        choices=["auto", "python", "numpy", "numba"],
+        choices=["auto", "numpy", "numba"],
         help="simulation-kernel backend (default auto: fastest available the "
-             "engine supports; 'python' is the object-level template, 'numba' "
-             "JIT-compiles the kernels and falls back to numpy when numba is "
-             "not installed — see the backends column of 'repro engines')",
+             "engine supports; 'numba' JIT-compiles the kernels and falls back "
+             "to numpy when numba is not installed, and cannot run stopping "
+             "conditions without a clause encoding — see the backends column "
+             "of 'repro engines')",
     )
     parser.add_argument(
         "--tau-epsilon", type=float, default=None, metavar="EPS",

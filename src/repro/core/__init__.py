@@ -20,7 +20,7 @@ from repro.core.error_model import (
 )
 from repro.core.rates import STOCHASTIC_CATEGORIES, RateLadder, TierScheme
 from repro.core.report import design_report
-from repro.core.runtime import SettleResult, default_horizon, settle_module, settle_statistics
+from repro.core.runtime import SettleResult, default_horizon, settle_module
 from repro.core.spec import (
     AffineResponseSpec,
     DistributionSpec,
@@ -56,7 +56,6 @@ __all__ = [
     "SystemComposer",
     "SettleResult",
     "settle_module",
-    "settle_statistics",
     "default_horizon",
     "SynthesizedSystem",
     "SampledDistribution",

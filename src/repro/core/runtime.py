@@ -7,15 +7,13 @@ catalytic (the logarithm module's ``b → a + b``).  :func:`settle_module`
 simulates a module until it exhausts or until a time horizon generous enough
 for all its rounds to finish, and returns the settled quantities.
 
-:func:`settle_statistics` repeats that over Monte-Carlo trials.  It is now a
-deprecation shim over the fluent facade —
+Monte-Carlo repetition goes through the fluent facade —
 ``Experiment.from_module(module).program(inputs).simulate(...)`` — which runs
-the repetition through the batched / multiprocess ensemble machinery.
+it on the batched / multiprocess ensemble machinery.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -24,7 +22,7 @@ from repro.errors import SimulationError
 from repro.sim.base import SimulationOptions
 from repro.sim.ensemble import make_simulator
 
-__all__ = ["SettleResult", "settle_module", "settle_statistics", "default_horizon"]
+__all__ = ["SettleResult", "settle_module", "default_horizon"]
 
 
 @dataclass(frozen=True)
@@ -125,51 +123,3 @@ def settle_module(
         n_firings=int(trajectory.firing_counts.sum()),
         stop_reason=trajectory.stop_reason,
     )
-
-
-def settle_statistics(
-    module: FunctionalModule,
-    inputs: "Mapping[str, int] | None" = None,
-    n_trials: int = 20,
-    seed: "int | None" = None,
-    engine: str = "direct",
-    horizon: "float | None" = None,
-    output_role: str = "y",
-    workers: int = 1,
-    engine_options=None,
-) -> dict[str, float]:
-    """Deprecated: settle a module ``n_trials`` times and summarize one port.
-
-    Thin shim over the fluent facade::
-
-        Experiment.from_module(module, horizon=horizon).program(inputs) \\
-            .simulate(trials=n_trials, engine=engine, workers=workers, seed=seed) \\
-            .output_summary(output_role)
-
-    which returns the same dictionary (mean, std, min, max, n_trials, and the
-    ideal ``expected`` value when the module declares one).  All trials run
-    through the ensemble machinery — ``engine="batch-direct"`` settles them
-    as one vectorized batch, ``workers > 1`` shards them across processes.
-    """
-    warnings.warn(
-        "settle_statistics() is deprecated; use repro.api.Experiment.from_module(...)"
-        ".program(...).simulate(...).output_summary(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if n_trials <= 0:
-        raise SimulationError(f"n_trials must be positive, got {n_trials}")
-    from repro.api.experiment import Experiment
-
-    result = (
-        Experiment.from_module(module, horizon=horizon)
-        .program(dict(inputs or {}))
-        .simulate(
-            trials=n_trials,
-            engine=engine,
-            workers=workers,
-            seed=seed,
-            engine_options=engine_options,
-        )
-    )
-    return result.output_summary(output_role)

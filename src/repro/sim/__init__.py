@@ -7,11 +7,11 @@ finite-state-projection solver for exact distributions, stopping conditions,
 trajectory records, and Monte-Carlo ensemble runners (sequential, batched
 and multiprocess-sharded with Welford-merged statistics).
 
-The per-trial engines execute on a pluggable kernel-backend layer
+The exact engines execute on a pluggable kernel-backend layer
 (:mod:`repro.sim.kernels`): preallocated columnar buffers, chunked random
-blocks and compiled stopping plans, with a ``python`` template fallback, an
-always-available ``numpy`` reference backend and an optional, bit-identical
-``numba`` JIT backend — selected via ``SimulationOptions.backend`` /
+blocks and compiled stopping plans, with an always-available ``numpy``
+reference backend and an optional, bit-identical ``numba`` JIT backend —
+selected via ``SimulationOptions.backend`` /
 ``Experiment.simulate(backend=...)`` / the CLI ``--backend`` flag.
 """
 
@@ -30,7 +30,6 @@ from repro.sim.ensemble import (
     ParallelEnsembleRunner,
     engine_names,
     make_simulator,
-    run_ensemble,
 )
 from repro.sim.events import (
     AllCondition,
@@ -63,7 +62,7 @@ from repro.sim.fsp import (
 )
 from repro.sim.next_reaction import NextReactionSimulator
 from repro.sim.ode import OdeEngine, OdeIntegrator, OdeOptions, OdeResult, simulate_ode
-from repro.sim.priority_queue import ArrayHeap, IndexedPriorityQueue
+from repro.sim.priority_queue import ArrayHeap
 from repro.sim.registry import EngineInfo, EngineRegistry, register_engine, registry
 from repro.sim.propensity import CompiledNetwork, combinations, reaction_propensity
 from repro.sim.rng import derive_seed, make_rng, spawn_children, spawn_children_range
@@ -98,7 +97,6 @@ __all__ = [
     "combinations",
     "reaction_propensity",
     "ArrayHeap",
-    "IndexedPriorityQueue",
     "dependency_graph",
     "dependency_stats",
     "DependencyStats",
@@ -129,7 +127,6 @@ __all__ = [
     "EnsembleResult",
     "EnsembleRunner",
     "ParallelEnsembleRunner",
-    "run_ensemble",
     "make_simulator",
     "resolve_initial_counts",
     "RunningMoments",
@@ -139,11 +136,3 @@ __all__ = [
     "derive_seed",
 ]
 
-
-def __getattr__(name: str):
-    """Deprecated ``ENGINES``/``BATCH_ENGINES`` access, forwarded to the registry."""
-    if name in ("ENGINES", "BATCH_ENGINES"):
-        from repro.sim import ensemble
-
-        return getattr(ensemble, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,30 +2,21 @@
 
 The paper's experimental methodology is Monte-Carlo stochastic simulation —
 it cites Gillespie's SSA as [6] and the Gibson–Bruck next-reaction method as
-[7].  Every per-trial engine here (direct, first-reaction, next-reaction,
-tau-leaping) follows the same template: initialize counts from the network's
-initial state, repeatedly pick the next reaction event, apply it, record it,
-and check the stopping rules.
-
-:class:`StochasticSimulator` implements that template twice over:
-
-* the **kernel path** — when the engine declares an array kernel
-  (:attr:`kernel_name`) and the stopping condition compiles into a
-  :class:`~repro.sim.kernels.plan.StoppingPlan`, the whole firing loop runs
-  inside a pluggable :class:`~repro.sim.kernels.backend.KernelBackend`
-  (``numpy`` reference or optional ``numba`` JIT) over preallocated
-  columnar buffers and chunked random blocks;
-* the **python template** — the original object-level loop (engines
-  implement :meth:`_prepare` / :meth:`_next_event` / :meth:`_after_fire`),
-  kept as the ``backend="python"`` baseline and as the fallback for
-  stopping conditions that cannot be compiled (``PredicateCondition``,
-  ``AllCondition``, third-party subclasses).
+[7].  Every per-trial exact engine here (direct, first-reaction,
+next-reaction) runs the same way: resolve the starting counts, compile the
+stopping condition into a :class:`~repro.sim.kernels.plan.StoppingPlan`,
+check it once at t=0, and hand the whole firing loop to a pluggable
+:class:`~repro.sim.kernels.backend.KernelBackend` (``numpy`` reference or
+optional ``numba`` JIT), which runs the engine's kernel over preallocated
+columnar buffers and chunked random blocks.
 
 Backend selection flows through :attr:`SimulationOptions.backend`
 (``"auto"`` prefers the fastest available kernel backend the engine
 supports).  The batched engine (:mod:`repro.sim.batch`) replaces the
-per-event loop with lock-step vectorized steps but reuses the options and
-initial-state semantics defined here.
+per-event loop with a lock-step columnar sweep but reuses the options and
+initial-state semantics defined here; tau-leaping (:mod:`repro.sim
+.tau_leaping`) overrides :meth:`StochasticSimulator.run` with its own leap
+loop.
 """
 
 from __future__ import annotations
@@ -59,10 +50,10 @@ def resolve_initial_counts(
 
     ``None`` means the network's own initial state; otherwise ``initial_state``
     (a :class:`State` or ``{species: count}`` mapping) replaces it wholesale,
-    with unmentioned species defaulting to zero.  Shared by the per-trial
-    template (:meth:`StochasticSimulator.run`) and the batched engine
-    (:class:`repro.sim.batch.BatchDirectEngine`), so both validate species
-    membership identically.
+    with unmentioned species defaulting to zero.  Shared by every engine
+    (:meth:`StochasticSimulator.run`, the batched
+    :class:`repro.sim.batch.BatchDirectEngine` and tau-leaping), so all of
+    them validate species membership identically.
     """
     if initial_state is None:
         return compiled.initial_counts().astype(np.int64)
@@ -95,11 +86,11 @@ class SimulationOptions:
         Record every ``snapshot_stride``-th state when ``record_states`` is on.
     backend:
         Simulation-kernel backend: ``"auto"`` (default — the fastest
-        available backend the engine supports, falling back to the python
-        template when the stopping condition cannot be compiled),
-        ``"python"`` (object-level template), ``"numpy"`` (array-kernel
+        available backend the engine supports), ``"numpy"`` (array-kernel
         reference) or ``"numba"`` (JIT; auto-falls back to numpy when numba
-        is not installed).
+        is not installed).  A stopping condition with no clause encoding
+        runs on numpy only: ``auto`` resolves to numpy for it and an
+        explicit ``"numba"`` request raises.
     mega_batch:
         Columnar sweep width for batched engines: when set, the ensemble
         chunk schedule uses this as the chunk size, so each chunk advances
@@ -181,7 +172,7 @@ def merge_options(
 
 
 class StochasticSimulator:
-    """Template base class for exact stochastic simulation algorithms.
+    """Base class for exact per-trial stochastic simulation engines.
 
     Parameters
     ----------
@@ -196,10 +187,10 @@ class StochasticSimulator:
 
     #: human-readable algorithm name, overridden by engines
     method_name = "base"
-    #: kernel this engine dispatches to on the kernel backends (None = template only)
+    #: kernel this engine dispatches to (engines without one override :meth:`run`)
     kernel_name: "str | None" = None
     #: backends this engine supports (mirrored into the registry's EngineInfo)
-    supported_backends: tuple = ("python",)
+    supported_backends: tuple = ()
 
     def __init__(
         self,
@@ -223,27 +214,6 @@ class StochasticSimulator:
         """The underlying reaction network."""
         return self.compiled.network
 
-    # -- engine hooks ------------------------------------------------------------
-
-    def _prepare(self, counts: np.ndarray, rng: np.random.Generator) -> None:
-        """Called once per run before the first event (engines build caches here)."""
-
-    def _next_event(
-        self, time: float, counts: np.ndarray, rng: np.random.Generator
-    ) -> "tuple[float, int] | None":
-        """Return ``(waiting_time, reaction_index)`` for the next firing, or ``None``.
-
-        ``None`` means no reaction can fire any more (total propensity zero).
-        """
-        raise NotImplementedError
-
-    def _after_fire(
-        self, reaction_index: int, counts: np.ndarray, rng: np.random.Generator
-    ) -> None:
-        """Called after a firing has been applied (engines update caches here)."""
-
-    # -- kernel dispatch ---------------------------------------------------------
-
     def _stopping_plan(self, stopping: "StoppingCondition | None"):
         """Compile (and cache, per condition instance) the kernel stopping plan."""
         from repro.sim.kernels.plan import compile_stopping_plan
@@ -254,70 +224,6 @@ class StochasticSimulator:
         plan = compile_stopping_plan(stopping, self.compiled)
         self._plan_cache = (stopping, plan)
         return plan
-
-    def _resolve_backend(self, opts: SimulationOptions, plan):
-        """The kernel backend for this run, or ``None`` for the python template."""
-        from repro.sim.kernels.backend import resolve_run_backend
-
-        return resolve_run_backend(
-            requested=opts.backend,
-            kernel_name=self.kernel_name,
-            engine_backends=self.supported_backends,
-            plan=plan,
-            engine_name=self.method_name,
-        )
-
-    def _run_with_kernel(
-        self,
-        backend,
-        plan,
-        counts: np.ndarray,
-        opts: SimulationOptions,
-        rng: np.random.Generator,
-    ) -> Trajectory:
-        """Execute the whole firing loop on a kernel backend."""
-        from repro.sim.kernels.backend import KernelJob
-        from repro.sim.kernels.blocks import RandomBlocks
-        from repro.sim.kernels.buffers import TrajectoryBuffers
-
-        compiled = self.compiled
-        knet = compiled.kernel_network()
-        buffers = self._kernel_buffers
-        if buffers is None:
-            buffers = TrajectoryBuffers(compiled.n_species)
-            self._kernel_buffers = buffers
-        buffers.reset()
-        blocks = RandomBlocks(rng, initial=max(64, min(2 * knet.n_reactions, 4096)))
-        job = KernelJob(
-            knet=knet,
-            counts=counts,
-            plan=plan,
-            buffers=buffers,
-            blocks=blocks,
-            max_time=opts.max_time,
-            max_steps=opts.max_steps,
-            record_firings=opts.record_firings,
-            record_states=opts.record_states,
-            snapshot_stride=opts.snapshot_stride,
-        )
-        outcome = backend.run(self.kernel_name, job)
-        stop_reason, stop_detail = outcome.stop_reason(plan, self.method_name)
-        times, fired = buffers.finalize_events()
-        snapshot_times, snapshots = buffers.finalize_snapshots()
-        return Trajectory(
-            times=times,
-            reaction_indices=fired,
-            final_state=compiled.counts_to_state(counts),
-            final_time=float(outcome.final_time),
-            stop_reason=stop_reason,
-            stop_detail=stop_detail,
-            species_order=compiled.species,
-            snapshot_times=snapshot_times,
-            state_snapshots=snapshots,
-            firing_counts=outcome.firing_counts,
-        )
-
-    # -- template ----------------------------------------------------------------
 
     def run(
         self,
@@ -345,110 +251,70 @@ class StochasticSimulator:
             Random seed or generator for this run; defaults to the simulator's
             own stream.
         """
+        from repro.sim.kernels.backend import KernelJob, resolve_run_backend
+        from repro.sim.kernels.blocks import RandomBlocks
+        from repro.sim.kernels.buffers import TrajectoryBuffers
+
+        if self.kernel_name is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} declares no kernel; override run()"
+            )
         opts = merge_options(options, option_overrides)
         rng = self._default_rng if seed is None else make_rng(seed)
         compiled = self.compiled
         counts = resolve_initial_counts(compiled, initial_state)
-
-        firing_counts = np.zeros(compiled.n_reactions, dtype=np.int64)
-        times: list[float] = []
-        fired: list[int] = []
-        snapshot_times: list[float] = []
-        snapshots: list[np.ndarray] = []
-
         if stopping is not None:
             stopping.reset(compiled)
-
-        time = 0.0
-        stop_reason = StopReason.EXHAUSTED
-        stop_detail = ""
-
-        # A stopping condition may already hold at t=0 (e.g. threshold met initially).
-        if stopping is not None:
-            detail = stopping.check(time, counts, compiled, firing_counts)
-            if detail is not None:
-                stop_reason, stop_detail = StopReason.CONDITION, detail
-                return self._finish(
-                    times, fired, counts, time, stop_reason, stop_detail,
-                    firing_counts, snapshot_times, snapshots,
-                )
-
         plan = self._stopping_plan(stopping)
-        backend = self._resolve_backend(opts, plan)
-        if backend is not None:
-            return self._run_with_kernel(backend, plan, counts, opts, rng)
-
-        self._prepare(counts, rng)
-
-        steps = 0
-        while True:
-            event = self._next_event(time, counts, rng)
-            if event is None:
-                stop_reason = StopReason.EXHAUSTED
-                break
-            waiting_time, reaction_index = event
-            if not math.isfinite(waiting_time) or waiting_time < 0:
-                raise SimulationError(
-                    f"{self.method_name}: invalid waiting time {waiting_time!r}"
-                )
-            if time + waiting_time > opts.max_time:
-                time = opts.max_time
-                stop_reason = StopReason.MAX_TIME
-                break
-
-            time += waiting_time
-            compiled.apply(reaction_index, counts)
-            firing_counts[reaction_index] += 1
-            steps += 1
-            if opts.record_firings:
-                times.append(time)
-                fired.append(reaction_index)
-            if opts.record_states and steps % opts.snapshot_stride == 0:
-                snapshot_times.append(time)
-                snapshots.append(counts.copy())
-
-            self._after_fire(reaction_index, counts, rng)
-
-            if stopping is not None:
-                detail = stopping.check(time, counts, compiled, firing_counts)
-                if detail is not None:
-                    stop_reason, stop_detail = StopReason.CONDITION, detail
-                    break
-            if steps >= opts.max_steps:
-                stop_reason = StopReason.MAX_STEPS
-                break
-
-        return self._finish(
-            times, fired, counts, time, stop_reason, stop_detail,
-            firing_counts, snapshot_times, snapshots,
+        backend = resolve_run_backend(
+            opts.backend, self.supported_backends, plan, self.method_name
         )
 
-    def _finish(
-        self,
-        times: list[float],
-        fired: list[int],
-        counts: np.ndarray,
-        time: float,
-        stop_reason: str,
-        stop_detail: str,
-        firing_counts: np.ndarray,
-        snapshot_times: list[float],
-        snapshots: list[np.ndarray],
-    ) -> Trajectory:
-        compiled = self.compiled
+        knet = compiled.kernel_network()
+        buffers = self._kernel_buffers
+        if buffers is None:
+            buffers = TrajectoryBuffers(compiled.n_species)
+            self._kernel_buffers = buffers
+        buffers.reset()
+
+        # A stopping condition may already hold at t=0 (e.g. threshold met
+        # initially); the kernels only check after each firing.
+        firing_counts = np.zeros(compiled.n_reactions, dtype=np.int64)
+        detail = (
+            None if stopping is None
+            else stopping.check(0.0, counts, compiled, firing_counts)
+        )
+        if detail is not None:
+            stop_reason, stop_detail, final_time = StopReason.CONDITION, detail, 0.0
+        else:
+            blocks = RandomBlocks(rng, initial=max(64, min(2 * knet.n_reactions, 4096)))
+            job = KernelJob(
+                knet=knet,
+                counts=counts,
+                plan=plan,
+                buffers=buffers,
+                blocks=blocks,
+                max_time=opts.max_time,
+                max_steps=opts.max_steps,
+                record_firings=opts.record_firings,
+                record_states=opts.record_states,
+                snapshot_stride=opts.snapshot_stride,
+            )
+            outcome = backend.run(self.kernel_name, job)
+            stop_reason, stop_detail = outcome.stop_reason(plan, self.method_name)
+            final_time = float(outcome.final_time)
+            firing_counts = outcome.firing_counts
+        times, fired = buffers.finalize_events()
+        snapshot_times, snapshots = buffers.finalize_snapshots()
         return Trajectory(
-            times=np.array(times, dtype=float),
-            reaction_indices=np.array(fired, dtype=np.int64),
+            times=times,
+            reaction_indices=fired,
             final_state=compiled.counts_to_state(counts),
-            final_time=float(time),
+            final_time=final_time,
             stop_reason=stop_reason,
             stop_detail=stop_detail,
             species_order=compiled.species,
-            snapshot_times=np.array(snapshot_times, dtype=float),
-            state_snapshots=(
-                np.array(snapshots, dtype=np.int64)
-                if snapshots
-                else np.empty((0, compiled.n_species), dtype=np.int64)
-            ),
+            snapshot_times=snapshot_times,
+            state_snapshots=snapshots,
             firing_counts=firing_counts,
         )

@@ -6,22 +6,20 @@ ensemble embarrassingly data-parallel: instead of running one Python-level
 Gillespie loop per trial, :class:`BatchDirectEngine` advances all unfinished
 trials together, one reaction event per trial per step.
 
-When the stopping condition compiles into a kernel
-:class:`~repro.sim.kernels.plan.StoppingPlan` (every condition the paper's
-experiments use), the whole advance-until-stopped loop runs as one columnar
-sweep in the kernel layer (:mod:`repro.sim.kernels.batch`): propensity
-matrix rebuilds, exponential waits, CDF inversion, delta application, plan
-evaluation and active-set compaction over preallocated cross-trial buffers,
-consuming pre-drawn :class:`~repro.sim.kernels.blocks.RandomBlocks`.  The
-numpy reference sweep and the fused numba kernel consume the same stream in
-the same op order, so seeded batches are bit-identical across backends —
-and the buffers are reused across ``run_batch`` calls of the same width,
-which is what makes 10⁵–10⁶-trial mega-batches and the adaptive
-controller's doubling rounds allocation-free after the first round.
-
-Conditions that cannot be compiled fall back to the original interpreted
-lock-step loop (per-step generator draws, vectorized or per-row condition
-checks) — same dynamics, different random stream.
+The stopping condition compiles into a kernel
+:class:`~repro.sim.kernels.plan.StoppingPlan`, and the whole
+advance-until-stopped loop runs as one columnar sweep in the kernel layer
+(:mod:`repro.sim.kernels.batch`): propensity matrix rebuilds, exponential
+waits, CDF inversion, delta application, plan evaluation and active-set
+compaction over preallocated cross-trial buffers, consuming pre-drawn
+:class:`~repro.sim.kernels.blocks.RandomBlocks`.  The numpy reference sweep
+and the fused numba kernel consume the same stream in the same op order, so
+seeded batches are bit-identical across backends — and the buffers are
+reused across ``run_batch`` calls of the same width, which is what makes
+10⁵–10⁶-trial mega-batches and the adaptive controller's doubling rounds
+allocation-free after the first round.  A condition with no clause encoding
+(a callback plan) runs on the numpy sweep, which calls its ``check()`` for
+each active trial after every step.
 
 The per-trial random *sequences* differ from the sequential
 :class:`~repro.sim.direct.DirectMethodSimulator` (draws are interleaved
@@ -51,22 +49,17 @@ from repro.sim.kernels.backend import (
     STOP_CONDITION,
     STOP_MAX_STEPS,
     STOP_MAX_TIME,
+    resolve_run_backend,
 )
 from repro.sim.kernels.batch import (
     BatchBuffers,
     BatchSweepJob,
     batch_random_blocks,
+    callback_hits,
     plan_clause_hits,
 )
 from repro.sim.kernels.plan import compile_stopping_plan
-from repro.sim.events import (
-    AnyCondition,
-    CategoryFiringCondition,
-    FiringCountCondition,
-    OutcomeThresholds,
-    SpeciesThreshold,
-    StoppingCondition,
-)
+from repro.sim.events import StoppingCondition
 from repro.sim.propensity import CompiledNetwork
 from repro.sim.registry import register_engine
 from repro.sim.rng import make_rng
@@ -149,7 +142,7 @@ class BatchDirectEngine:
     """
 
     method_name = "batch-direct"
-    #: the batch loop is array-native; there is no object-level template here.
+    #: backends this engine supports (mirrored into the registry's EngineInfo)
     supported_backends = ("numpy", "numba")
 
     def __init__(
@@ -180,22 +173,6 @@ class BatchDirectEngine:
     def network(self) -> ReactionNetwork:
         """The underlying reaction network."""
         return self.compiled.network
-
-    # -- vectorized propensities --------------------------------------------------
-
-    def _matrix_backend(self, requested: str):
-        """The kernel backend evaluating the propensity matrix this run.
-
-        ``auto`` prefers the numba backend when numba is installed (the
-        matrix build is the only per-step Python-loop cost left in the batch
-        engine); the numpy reference is bit-identical, so backend choice
-        never changes seeded results.
-        """
-        from repro.sim.kernels.backend import resolve_matrix_backend
-
-        return resolve_matrix_backend(
-            requested, self.supported_backends, self.method_name
-        )
 
     # -- batched simulation --------------------------------------------------------
 
@@ -228,63 +205,56 @@ class BatchDirectEngine:
                 "or use a per-trial engine for full firing logs"
             )
         rng = self._default_rng if seed is None else make_rng(seed)
-        backend = self._matrix_backend(opts.backend)
         compiled = self.compiled
         start = resolve_initial_counts(compiled, initial_state)
-
         if stopping is not None:
             stopping.reset(compiled)
         plan = compile_stopping_plan(stopping, compiled)
-        if plan is not None:
-            # The hot path: the whole lock-step loop runs as one columnar
-            # sweep inside the kernel backend (numpy reference or fused
-            # numba kernel; bit-identical across the two).
-            return self._run_batch_sweep(n_trials, start, plan, opts, rng, backend)
-        # Generic fallback for conditions that cannot be compiled into a
-        # stopping plan: the interpreted lock-step loop below, with the
-        # condition evaluated per step (vectorized where possible).
-        return self._run_batch_generic(n_trials, start, stopping, opts, rng, backend)
+        backend = resolve_run_backend(
+            opts.backend, self.supported_backends, plan, self.method_name
+        )
 
-    def _run_batch_sweep(
-        self,
-        n_trials: int,
-        start: np.ndarray,
-        plan,
-        opts: SimulationOptions,
-        rng: np.random.Generator,
-        backend,
-    ) -> BatchResult:
-        """Run the batch as one columnar sweep over the preallocated buffers."""
-        compiled = self.compiled
-        knet = self._knet
         buffers = self._sweep_buffers
         buffers.ensure(n_trials, compiled.n_species, compiled.n_reactions)
         buffers.reset(n_trials, start)
 
         # t=0 stopping pre-pass (no randomness consumed; shared by both
         # backends, like the per-trial engines' Python-side t=0 check).
-        hits = plan_clause_hits(
-            plan, buffers.counts[:n_trials], buffers.firings[:n_trials]
-        )
-        hit0 = hits >= 0
-        if hit0.any():
-            buffers.stop_codes[:n_trials][hit0] = STOP_CONDITION
+        trials = np.arange(n_trials)
+        details = None
+        if plan.callback is not None:
+            details = np.full(n_trials, None, dtype=object)
+            hit0 = callback_hits(
+                plan.callback, buffers.counts, buffers.firings, buffers.times,
+                trials, details,
+            )
+        else:
+            hits = plan_clause_hits(
+                plan, buffers.counts[:n_trials], buffers.firings[:n_trials]
+            )
+            hit0 = hits >= 0
             buffers.clauses[:n_trials][hit0] = hits[hit0]
-        running = np.flatnonzero(~hit0)
+        buffers.stop_codes[:n_trials][hit0] = STOP_CONDITION
+        running = trials[~hit0]
         n_active = running.size
         buffers.active[:n_active] = running
 
-        job = BatchSweepJob(
-            knet=knet,
-            plan=plan,
-            buffers=buffers,
-            blocks=batch_random_blocks(rng, n_trials),
-            n_trials=n_trials,
-            n_active=n_active,
-            max_time=opts.max_time,
-            max_steps=opts.max_steps,
+        # The whole lock-step loop runs as one columnar sweep inside the
+        # kernel backend (numpy reference or fused numba kernel;
+        # bit-identical across the two).
+        backend.run_batch(
+            BatchSweepJob(
+                knet=self._knet,
+                plan=plan,
+                buffers=buffers,
+                blocks=batch_random_blocks(rng, n_trials),
+                n_trials=n_trials,
+                n_active=n_active,
+                max_time=opts.max_time,
+                max_steps=opts.max_steps,
+                details=details,
+            )
         )
-        backend.run_batch(job)
 
         # Package copies: the buffers are reused by the next run_batch call.
         codes = buffers.stop_codes[:n_trials]
@@ -295,129 +265,16 @@ class BatchDirectEngine:
         condition = codes == STOP_CONDITION
         if condition.any():
             stop_reasons[condition] = StopReason.CONDITION
-            labels = np.array(plan.labels, dtype=object)
-            stop_details[condition] = labels[buffers.clauses[:n_trials][condition]]
+            if details is not None:
+                stop_details[condition] = details[condition]
+            else:
+                labels = np.array(plan.labels, dtype=object)
+                stop_details[condition] = labels[buffers.clauses[:n_trials][condition]]
         return BatchResult(
             species=compiled.species,
             final_counts=buffers.counts[:n_trials].copy(),
             final_times=buffers.times[:n_trials].copy(),
             firing_counts=buffers.firings[:n_trials].copy(),
-            stop_reasons=stop_reasons,
-            stop_details=stop_details,
-        )
-
-    def _run_batch_generic(
-        self,
-        n_trials: int,
-        start: np.ndarray,
-        stopping: StoppingCondition,
-        opts: SimulationOptions,
-        rng: np.random.Generator,
-        backend,
-    ) -> BatchResult:
-        """The interpreted lock-step loop (generic-condition fallback).
-
-        Kept for stopping conditions that cannot be compiled into a
-        :class:`StoppingPlan` (predicates, all-of combinations, third-party
-        subclasses); its per-step randomness comes straight from the
-        generator, so seeded results for these conditions are unchanged
-        from earlier releases.
-        """
-        compiled = self.compiled
-        knet = self._knet
-        n_reactions = compiled.n_reactions
-        counts = np.tile(start, (n_trials, 1))
-        times = np.zeros(n_trials, dtype=float)
-        firings = np.zeros((n_trials, n_reactions), dtype=np.int64)
-        steps = np.zeros(n_trials, dtype=np.int64)
-        stop_reasons = np.full(n_trials, StopReason.EXHAUSTED, dtype=object)
-        stop_details = np.full(n_trials, "", dtype=object)
-        active = np.ones(n_trials, dtype=bool)
-
-        # Only uncompilable conditions reach this path (``stopping.reset``
-        # already ran in run_batch), so the checker is always present.
-        checker = _compile_stopping(stopping, compiled)
-        # A stopping condition may already hold at t=0 (threshold met initially).
-        details = checker(counts, firings, times)
-        hit = _decided_mask(details)
-        if hit.any():
-            stop_reasons[hit] = StopReason.CONDITION
-            stop_details[hit] = details[hit]
-            active[hit] = False
-
-        while active.any():
-            idx = np.flatnonzero(active)
-            propensities = backend.propensity_matrix(knet, counts[idx])
-            totals = propensities.sum(axis=1)
-
-            dead = totals <= 0.0
-            if dead.any():
-                # Nothing can fire any more in these trials: they exhaust as-is.
-                active[idx[dead]] = False
-                stop_reasons[idx[dead]] = StopReason.EXHAUSTED
-                keep = ~dead
-                idx = idx[keep]
-                if idx.size == 0:
-                    continue
-                propensities = propensities[keep]
-                totals = totals[keep]
-
-            waits = rng.standard_exponential(idx.size) / totals
-            new_times = times[idx] + waits
-            overtime = new_times > opts.max_time
-            if overtime.any():
-                # Mirror the sequential template: the event past the horizon
-                # never fires; the trial stops exactly at max_time.
-                over_idx = idx[overtime]
-                times[over_idx] = opts.max_time
-                stop_reasons[over_idx] = StopReason.MAX_TIME
-                active[over_idx] = False
-                keep = ~overtime
-                idx = idx[keep]
-                if idx.size == 0:
-                    continue
-                propensities = propensities[keep]
-                totals = totals[keep]
-                new_times = new_times[keep]
-
-            # Categorical reaction selection by inverting each row's CDF.
-            cdf = np.cumsum(propensities, axis=1)
-            thresholds = rng.random(idx.size) * totals
-            chosen = np.minimum(
-                (thresholds[:, None] >= cdf).sum(axis=1), n_reactions - 1
-            )
-            zero_picked = propensities[np.arange(idx.size), chosen] <= 0.0
-            if zero_picked.any():
-                # Floating point placed a threshold past the last positive
-                # entry (same fallback as the sequential direct method).
-                chosen[zero_picked] = np.argmax(propensities[zero_picked], axis=1)
-
-            times[idx] = new_times
-            counts[idx] += knet.delta_matrix[chosen]
-            firings[idx, chosen] += 1
-            steps[idx] += 1
-
-            if checker is not None:
-                details = checker(counts[idx], firings[idx], times[idx])
-                hit = _decided_mask(details)
-                if hit.any():
-                    hit_idx = idx[hit]
-                    stop_reasons[hit_idx] = StopReason.CONDITION
-                    stop_details[hit_idx] = details[hit]
-                    active[hit_idx] = False
-                    idx = idx[~hit]
-
-            capped = steps[idx] >= opts.max_steps
-            if capped.any():
-                cap_idx = idx[capped]
-                stop_reasons[cap_idx] = StopReason.MAX_STEPS
-                active[cap_idx] = False
-
-        return BatchResult(
-            species=compiled.species,
-            final_counts=counts,
-            final_times=times,
-            firing_counts=firings,
             stop_reasons=stop_reasons,
             stop_details=stop_details,
         )
@@ -446,125 +303,3 @@ class BatchDirectEngine:
             **option_overrides,
         )
         return batch.trajectory(0)
-
-
-# ---------------------------------------------------------------------------
-# vectorized stopping conditions
-# ---------------------------------------------------------------------------
-
-
-def _decided_mask(details: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows whose detail is not ``None``."""
-    return np.fromiter((d is not None for d in details), dtype=bool, count=len(details))
-
-
-def _blank(n: int) -> np.ndarray:
-    """An all-``None`` object vector of per-trial details."""
-    return np.full(n, None, dtype=object)
-
-
-def _compile_stopping(stopping: StoppingCondition, compiled: CompiledNetwork):
-    """Compile a stopping condition into a batched checker.
-
-    The checker maps ``(counts, firings, times)`` row-matrices for the
-    active trials to an object vector of detail strings (``None`` = keep
-    going).  The condition classes used by the paper's experiments
-    (thresholds and firing counts, plus ``AnyCondition`` combinations of
-    them) get fully vectorized mask implementations; anything else falls
-    back to calling the scalar ``check`` per row, which is still correct —
-    the dynamics stay batched — just slower.
-
-    ``stopping.reset(compiled)`` must have been called already (it resolves
-    the species/reaction indices the masks read).
-    """
-    vectorized = _vectorize_condition(stopping, compiled)
-    if vectorized is not None:
-        return vectorized
-
-    def generic(counts: np.ndarray, firings: np.ndarray, times: np.ndarray) -> np.ndarray:
-        details = _blank(counts.shape[0])
-        for row in range(counts.shape[0]):
-            details[row] = stopping.check(
-                float(times[row]), counts[row], compiled, firings[row]
-            )
-        return details
-
-    return generic
-
-
-def _vectorize_condition(condition: StoppingCondition, compiled: CompiledNetwork):
-    """Return a mask-based checker for known condition types, else ``None``."""
-    if isinstance(condition, SpeciesThreshold):
-        column = compiled.species_index()[condition.species]
-        threshold, greater = condition.threshold, condition.comparison == ">="
-        label = condition.label
-
-        def check_species(counts, firings, times):
-            values = counts[:, column]
-            mask = values >= threshold if greater else values <= threshold
-            details = _blank(counts.shape[0])
-            details[mask] = label
-            return details
-
-        return check_species
-
-    if isinstance(condition, OutcomeThresholds):
-        resolved = list(condition._resolved)
-
-        def check_outcomes(counts, firings, times):
-            details = _blank(counts.shape[0])
-            undecided = np.ones(counts.shape[0], dtype=bool)
-            # Insertion order matters: the first matching outcome wins,
-            # matching the scalar check()'s iteration order.
-            for label, column, level in resolved:
-                mask = undecided & (counts[:, column] >= level)
-                details[mask] = label
-                undecided &= ~mask
-            return details
-
-        return check_outcomes
-
-    if isinstance(condition, FiringCountCondition):
-        indices = np.array(condition.reaction_indices, dtype=np.int64)
-        count, label = condition.count, condition.label
-
-        def check_firing_total(counts, firings, times):
-            details = _blank(counts.shape[0])
-            details[firings[:, indices].sum(axis=1) >= count] = label
-            return details
-
-        return check_firing_total
-
-    if isinstance(condition, CategoryFiringCondition):
-        members = list(condition._members)
-        count = condition.count
-
-        def check_category(counts, firings, times):
-            details = _blank(counts.shape[0])
-            undecided = np.ones(counts.shape[0], dtype=bool)
-            for index, name in members:
-                mask = undecided & (firings[:, index] >= count)
-                details[mask] = name
-                undecided &= ~mask
-            return details
-
-        return check_category
-
-    if isinstance(condition, AnyCondition):
-        children = [_vectorize_condition(c, compiled) for c in condition.conditions]
-        if any(child is None for child in children):
-            return None
-
-        def check_any(counts, firings, times):
-            details = _blank(counts.shape[0])
-            undecided = np.ones(counts.shape[0], dtype=bool)
-            for child in children:
-                result = child(counts, firings, times)
-                mask = undecided & _decided_mask(result)
-                details[mask] = result[mask]
-                undecided &= ~mask
-            return details
-
-        return check_any
-
-    return None

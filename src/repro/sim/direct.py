@@ -5,7 +5,7 @@ exponential distribution with rate equal to the total propensity, and selects
 which reaction fires with probability proportional to its propensity
 (Gillespie 1977, cited as [6] in the paper).
 
-This implementation keeps the propensity vector incrementally up to date:
+The ``direct`` kernel keeps the propensity vector incrementally up to date:
 after a firing, only the propensities of reactions that share a species with
 the fired reaction are recomputed (using the dependency lists prepared by
 :class:`~repro.sim.propensity.CompiledNetwork`).  For the networks in this
@@ -13,8 +13,6 @@ paper (tens of reactions) that is the dominant cost of a run.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.sim.base import StochasticSimulator
 from repro.sim.registry import register_engine
@@ -30,64 +28,20 @@ __all__ = ["DirectMethodSimulator"]
 class DirectMethodSimulator(StochasticSimulator):
     """Exact SSA via Gillespie's direct method with incremental propensity updates.
 
-    The object-level ``_next_event`` / ``_after_fire`` hooks below implement
-    the ``python`` template backend; with compilable stopping conditions the
-    run dispatches to the ``direct`` kernel on the numpy/numba backends
-    instead (see :mod:`repro.sim.kernels`), which executes the same
-    algorithm — incremental dependent updates, full re-sum of the propensity
-    vector, CDF-inversion selection with the largest-propensity fallback —
-    over preallocated buffers and chunked random draws.
+    Runs the ``direct`` kernel on the numpy/numba backends (see
+    :mod:`repro.sim.kernels`): incremental dependent updates, a full re-sum
+    of the propensity vector after every firing, and CDF-inversion
+    selection with the largest-propensity fallback, over preallocated
+    buffers and chunked random draws.
+
+    The kernel re-sums the propensity vector rather than updating the total
+    incrementally: the synthesis method deliberately mixes rates that differ
+    by many orders of magnitude (γ² separations, tier ladders up to 10^18),
+    and an incrementally-maintained total accumulates floating-point drift
+    large enough to corrupt event selection once only slow reactions remain.
+    The vector is short, so the exact sum costs little.
     """
 
     method_name = "direct"
     kernel_name = "direct"
-    supported_backends = ("python", "numpy", "numba")
-
-    def _prepare(self, counts: np.ndarray, rng: np.random.Generator) -> None:
-        compiled = self.compiled
-        self._propensities = np.array(
-            [compiled.propensity(j, counts) for j in range(compiled.n_reactions)],
-            dtype=float,
-        )
-        self._total = float(self._propensities.sum())
-
-    def _next_event(self, time, counts, rng):
-        total = self._total
-        if total <= 0.0:
-            # Guard against accumulated floating-point drift: recompute once.
-            self._prepare(counts, rng)
-            total = self._total
-            if total <= 0.0:
-                return None
-        waiting_time = rng.exponential(1.0 / total)
-        # Select the firing reaction by inverting the propensity CDF.
-        threshold = rng.random() * total
-        cumulative = 0.0
-        propensities = self._propensities
-        chosen = propensities.shape[0] - 1
-        for j in range(propensities.shape[0]):
-            cumulative += propensities[j]
-            if threshold < cumulative:
-                chosen = j
-                break
-        if propensities[chosen] <= 0.0:
-            # Floating point placed the threshold past the last positive entry;
-            # fall back to the largest-propensity reaction (exceedingly rare).
-            chosen = int(np.argmax(propensities))
-            if propensities[chosen] <= 0.0:
-                return None
-        return waiting_time, chosen
-
-    def _after_fire(self, reaction_index, counts, rng):
-        compiled = self.compiled
-        propensities = self._propensities
-        for j in compiled.dependents[reaction_index]:
-            propensities[j] = compiled.propensity(j, counts)
-        # Re-sum the propensity vector rather than updating the total
-        # incrementally: the synthesis method deliberately mixes rates that
-        # differ by many orders of magnitude (γ² separations, tier ladders up
-        # to 10^18), and an incrementally-maintained total accumulates
-        # floating-point drift large enough to corrupt event selection once
-        # only slow reactions remain.  The vector is short, so the exact sum
-        # costs little.
-        self._total = float(propensities.sum())
+    supported_backends = ("numpy", "numba")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -50,7 +49,6 @@ __all__ = [
     "EnsembleResult",
     "EnsembleRunner",
     "ParallelEnsembleRunner",
-    "run_ensemble",
 ]
 
 
@@ -61,30 +59,6 @@ def engine_names() -> list[str]:
     default registry, kept because it predates the registry.
     """
     return registry.names()
-
-
-def __getattr__(name: str):
-    """Deprecated access to the removed ``ENGINES``/``BATCH_ENGINES`` dicts.
-
-    The hard-coded dictionaries were replaced by the capability-aware
-    :data:`repro.sim.registry.registry`; these views are rebuilt from it so
-    old ``from repro.sim.ensemble import ENGINES`` code keeps working.
-    """
-    if name == "ENGINES":
-        warnings.warn(
-            "repro.sim.ensemble.ENGINES is deprecated; use repro.sim.registry.registry",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {n: registry.get(n).cls for n in registry.per_trial_names()}
-    if name == "BATCH_ENGINES":
-        warnings.warn(
-            "repro.sim.ensemble.BATCH_ENGINES is deprecated; use repro.sim.registry.registry",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {n: registry.get(n).cls for n in registry.batched_names()}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def pool_context():
@@ -672,49 +646,3 @@ class ParallelEnsembleRunner(EnsembleRunner):
         with context.Pool(processes=processes) as pool:
             shards = pool.map(_ensemble_shard, payloads)
         return shards
-
-
-def run_ensemble(
-    network: "ReactionNetwork | CompiledNetwork",
-    n_trials: int,
-    stopping: "StoppingCondition | None" = None,
-    engine: str = "direct",
-    seed: "int | None" = None,
-    options: "SimulationOptions | None" = None,
-    outcome_classifier: "Callable[[Trajectory], str | None] | None" = None,
-    keep_trajectories: bool = False,
-    workers: int = 1,
-    engine_options=None,
-) -> EnsembleResult:
-    """Deprecated one-call ensemble wrapper (use :class:`repro.api.Experiment`).
-
-    Kept as a thin shim over the fluent facade::
-
-        Experiment.from_network(network, stopping=..., classifier=...) \\
-            .simulate(trials=..., engine=..., workers=..., seed=...)
-
-    It returns the facade result's underlying :class:`EnsembleResult`, so
-    seeded outputs are identical to what this function always produced.
-    """
-    warnings.warn(
-        "run_ensemble() is deprecated; use repro.api.Experiment.from_network(...)"
-        ".simulate(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api.experiment import Experiment
-
-    experiment = Experiment.from_network(
-        network, stopping=stopping, classifier=outcome_classifier
-    )
-    if options is not None:
-        experiment = experiment.with_options(options)
-    result = experiment.simulate(
-        trials=n_trials,
-        engine=engine,
-        seed=seed,
-        workers=workers,
-        engine_options=engine_options,
-        keep_trajectories=keep_trajectories,
-    )
-    return result.ensemble

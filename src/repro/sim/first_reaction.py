@@ -10,8 +10,6 @@ SSA-agreement tests and the A2 ablation benchmark).
 
 from __future__ import annotations
 
-import math
-
 from repro.sim.base import StochasticSimulator
 from repro.sim.registry import register_engine
 
@@ -24,24 +22,12 @@ __all__ = ["FirstReactionSimulator"]
     summary="Gillespie first-reaction method (reference cross-check)",
 )
 class FirstReactionSimulator(StochasticSimulator):
-    """Exact SSA via the first-reaction method (reference implementation)."""
+    """Exact SSA via the first-reaction method (reference implementation).
+
+    Runs the ``first-reaction`` kernel on the numpy/numba backends (see
+    :mod:`repro.sim.kernels`).
+    """
 
     method_name = "first-reaction"
     kernel_name = "first-reaction"
-    supported_backends = ("python", "numpy", "numba")
-
-    def _next_event(self, time, counts, rng):
-        compiled = self.compiled
-        best_time = math.inf
-        best_reaction = -1
-        for j in range(compiled.n_reactions):
-            propensity = compiled.propensity(j, counts)
-            if propensity <= 0.0:
-                continue
-            candidate = rng.exponential(1.0 / propensity)
-            if candidate < best_time:
-                best_time = candidate
-                best_reaction = j
-        if best_reaction < 0:
-            return None
-        return best_time, best_reaction
+    supported_backends = ("numpy", "numba")

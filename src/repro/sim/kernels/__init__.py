@@ -1,8 +1,9 @@
 """Pluggable simulation-kernel backends.
 
 This package is the array-level execution layer under the SSA engines: the
-per-algorithm firing loops (*kernels*) extracted from
-:class:`~repro.sim.base.StochasticSimulator`, operating on
+per-algorithm firing loops (*kernels*) that
+:class:`~repro.sim.base.StochasticSimulator` and the batched engine run,
+operating on
 
 * :class:`KernelNetwork` — the reaction structure flattened to padded
   ndarrays (plus Python-native views for the interpreted backend);
@@ -11,11 +12,11 @@ per-algorithm firing loops (*kernels*) extracted from
 * :class:`RandomBlocks` — chunked, compacting pre-draws from the run's
   :class:`numpy.random.Generator`;
 * :class:`StoppingPlan` — stopping conditions compiled to clause tables
-  checkable without Python dispatch.
+  checkable without Python dispatch (or, for conditions with no clause
+  encoding, a callback the numpy kernels call after each event).
 
-Backends: ``python`` (the original object-level template — fallback and
-baseline), ``numpy`` (always-available reference), ``numba`` (optional JIT,
-lazily imported, auto-falling back to numpy; bit-identical to it).  See
+Backends: ``numpy`` (always-available reference) and ``numba`` (optional
+JIT, lazily imported, auto-falling back to numpy; bit-identical to it).  See
 ``docs/architecture.md`` ("Kernel & backend layer") for the buffer
 lifecycle and the determinism contract.
 """
@@ -33,7 +34,6 @@ from repro.sim.kernels.backend import (
     available_backends,
     get_backend,
     numba_available,
-    resolve_matrix_backend,
     resolve_run_backend,
     validate_backend_request,
 )
@@ -55,7 +55,6 @@ __all__ = [
     "compile_stopping_plan",
     "get_backend",
     "numba_available",
-    "resolve_matrix_backend",
     "resolve_run_backend",
     "validate_backend_request",
     "STOP_CONDITION",

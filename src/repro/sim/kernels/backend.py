@@ -9,11 +9,6 @@ consumes pre-drawn randomness from :class:`~repro.sim.kernels.blocks
 
 A *backend* supplies the kernels:
 
-``python``
-    Not a :class:`KernelBackend` at all — the name selects the original
-    object-level template in :class:`~repro.sim.base.StochasticSimulator`
-    (kept both as the fallback for conditions that cannot be compiled into a
-    plan and as the PR-3 performance baseline).
 ``numpy``
     The reference implementation (:mod:`.numpy_backend`): interpreted loops
     over Python-native views with numpy buffers; always available.
@@ -24,10 +19,10 @@ A *backend* supplies the kernels:
     :class:`RandomBlocks` stream with an identical operation order, so their
     seeded outputs are bit-identical.
 
-Backend resolution (``resolve_run_backend``) turns a requested name —
+Backend resolution (:func:`resolve_run_backend`) turns a requested name —
 usually ``"auto"`` from :attr:`SimulationOptions.backend` — plus the
-engine's declared support into the backend object to use (or ``None`` for
-the python template).
+engine's declared support and the run's stopping plan into the backend
+object to use, for per-trial and batched engines alike.
 """
 
 from __future__ import annotations
@@ -53,7 +48,6 @@ __all__ = [
     "numba_available",
     "get_backend",
     "resolve_run_backend",
-    "resolve_matrix_backend",
     "validate_backend_request",
     "STOP_EXHAUSTED",
     "STOP_MAX_TIME",
@@ -63,7 +57,7 @@ __all__ = [
 ]
 
 #: Every selectable backend name, in increasing preference order for "auto".
-BACKEND_NAMES = ("python", "numpy", "numba")
+BACKEND_NAMES = ("numpy", "numba")
 
 # Kernel stop codes (shared by every backend implementation).
 STOP_EXHAUSTED = 0
@@ -102,13 +96,18 @@ class KernelJob:
 
 @dataclass
 class KernelOutcome:
-    """What a kernel reports back: why it stopped and the run totals."""
+    """What a kernel reports back: why it stopped and the run totals.
+
+    A condition stop carries either the satisfied clause's index or, for a
+    callback plan, the detail string the callback returned.
+    """
 
     stop_code: int
     clause_index: int
     final_time: float
     steps: int
     firing_counts: np.ndarray
+    detail: "str | None" = None
 
     def stop_reason(self, plan: StoppingPlan, method_name: str) -> "tuple[str, str]":
         """Map the stop code to ``(StopReason, stop_detail)``."""
@@ -117,24 +116,22 @@ class KernelOutcome:
                 f"{method_name}: invalid (non-finite) waiting time in kernel loop"
             )
         reason = _STOP_REASONS[self.stop_code]
-        detail = plan.labels[self.clause_index] if self.stop_code == STOP_CONDITION else ""
-        return reason, detail
+        if self.stop_code != STOP_CONDITION:
+            return reason, ""
+        if self.detail is not None:
+            return reason, self.detail
+        return reason, plan.labels[self.clause_index]
 
 
 class KernelBackend:
     """Base class for kernel providers.
 
-    Subclasses set :attr:`name`, implement :meth:`run` for each kernel name
-    in :attr:`kernel_names`, and provide :meth:`propensity_matrix` (used by
-    the batched engine and tau-leaping).
+    Subclasses set :attr:`name` and implement :meth:`run` for the per-trial
+    kernels (``"direct"``, ``"first-reaction"``, ``"next-reaction"``) and
+    :meth:`run_batch` for the ``batch-direct`` sweep.
     """
 
     name: str = "abstract"
-    #: kernel names this backend implements ("direct", "first-reaction", ...).
-    kernel_names: frozenset = frozenset()
-
-    def supports(self, kernel_name: str) -> bool:
-        return kernel_name in self.kernel_names
 
     def run(self, kernel_name: str, job: KernelJob) -> KernelOutcome:
         raise NotImplementedError
@@ -148,10 +145,6 @@ class KernelBackend:
         :mod:`repro.sim.kernels.batch`, so seeded batches are bit-identical
         across backends.
         """
-        raise NotImplementedError
-
-    def propensity_matrix(self, knet: KernelNetwork, counts: np.ndarray) -> np.ndarray:
-        """Propensities of every reaction for every count row."""
         raise NotImplementedError
 
 
@@ -188,20 +181,18 @@ def numba_available() -> bool:
 
 def available_backends() -> tuple[str, ...]:
     """The backend names usable right now (``numba`` only if importable)."""
-    names = ["python", "numpy"]
+    names = ["numpy"]
     if numba_available():
         names.append("numba")
     return tuple(names)
 
 
-def get_backend(name: str) -> "KernelBackend | None":
-    """Resolve a backend name to its object (``python`` resolves to ``None``).
+def get_backend(name: str) -> KernelBackend:
+    """Resolve a backend name to its object.
 
     Requesting ``numba`` in an environment without numba warns and returns
     the numpy backend — the documented auto-fallback.
     """
-    if name == "python":
-        return None
     if name == "numpy":
         return _load_numpy()
     if name == "numba":
@@ -240,70 +231,31 @@ def validate_backend_request(
 
 def resolve_run_backend(
     requested: str,
-    kernel_name: "str | None",
-    engine_backends: tuple,
-    plan: "StoppingPlan | None",
+    engine_backends: "tuple[str, ...]",
+    plan: StoppingPlan,
     engine_name: str,
-) -> "KernelBackend | None":
-    """Pick the backend for one run; ``None`` means the python template.
-
-    ``auto`` prefers the fastest available backend the engine supports but
-    silently falls back to the python template when the stopping condition
-    could not be compiled (``plan is None``).  An explicit ``numpy`` /
-    ``numba`` request with an uncompilable condition is an error instead —
-    silently degrading an explicit request would misreport what ran.
-    """
-    validate_backend_request(requested, engine_backends, engine_name)
-    if requested == "python" or kernel_name is None:
-        if requested in ("numpy", "numba"):
-            raise SimulationError(
-                f"engine {engine_name!r} has no array kernel; use backend='python'"
-            )
-        return None
-    if requested == "auto":
-        if plan is None:
-            return None
-        if "numba" in engine_backends and numba_available():
-            backend = _load_numba()
-            if backend is not None and backend.supports(kernel_name):
-                return backend
-        if "numpy" in engine_backends:
-            backend = _load_numpy()
-            if backend.supports(kernel_name):
-                return backend
-        return None
-    # explicit numpy / numba request
-    if plan is None:
-        raise SimulationError(
-            f"backend {requested!r} cannot run this stopping condition "
-            "(it is not compilable into a kernel stopping plan); "
-            "use backend='python' or a plan-compatible condition "
-            "(species/outcome thresholds, firing counts, any-of combinations)"
-        )
-    backend = get_backend(requested)
-    if not backend.supports(kernel_name):
-        raise SimulationError(
-            f"backend {backend.name!r} does not implement the {kernel_name!r} kernel"
-        )
-    return backend
-
-
-def resolve_matrix_backend(
-    requested: str, engine_backends: "tuple[str, ...]", engine_name: str
 ) -> KernelBackend:
-    """Backend whose :meth:`~KernelBackend.propensity_matrix` should be used.
+    """Pick the kernel backend for one run of a per-trial or batched engine.
 
-    For the array-native engines (batch-direct) there is no python template:
-    ``auto`` resolves to numba when available, else numpy, and explicit
-    requests are validated against the engine's declared backends (with the
-    usual numba→numpy fallback when numba is not installed).
+    ``auto`` prefers numba when it is installed and the engine declares it,
+    else numpy.  A callback plan (a stopping condition with no clause
+    encoding) runs only on numpy: ``auto`` resolves to numpy for it, and an
+    explicit ``numba`` request raises — silently degrading an explicit
+    request would misreport what ran.
     """
     validate_backend_request(requested, engine_backends, engine_name)
+    if plan.callback is not None:
+        if requested == "numba":
+            raise SimulationError(
+                f"{engine_name}: backend 'numba' cannot run this stopping "
+                "condition (it has no clause encoding, and only the numpy "
+                "kernels can call its check()); use backend='numpy' or 'auto', "
+                "or a clause-encodable condition (species/outcome thresholds, "
+                "firing counts, any-of combinations)"
+            )
+        return _load_numpy()
     if requested == "auto":
         if "numba" in engine_backends and numba_available():
-            backend = _load_numba()
-            if backend is not None:
-                return backend
+            return _load_numba()
         return _load_numpy()
-    backend = get_backend(requested)
-    return backend if backend is not None else _load_numpy()
+    return get_backend(requested)

@@ -19,7 +19,10 @@ this package:
   and evaluating the compiled :class:`~repro.sim.kernels.plan.StoppingPlan`
   as vectorized masks;
 * :func:`plan_clause_hits` — the vectorized clause-table check shared by the
-  t=0 pre-pass and the reference sweep.
+  t=0 pre-pass and the reference sweep;
+* :func:`callback_hits` — the per-row check of a callback plan (a stopping
+  condition with no clause encoding), run by the t=0 pre-pass and the numpy
+  sweep only; backend resolution never hands the numba sweep such a plan.
 
 Determinism contract (mirrored by the numba batch kernel)
 ---------------------------------------------------------
@@ -45,7 +48,8 @@ order, so a seeded batch is bit-identical across numpy and numba:
    same largest-propensity fallback as the per-trial kernels;
 6. the stopping plan is evaluated first-satisfied-clause-wins, then the
    ``max_steps`` guard — condition beats the step cap on ties, exactly like
-   the per-trial kernels.
+   the per-trial kernels.  (A callback plan is evaluated per active row in
+   the same place; only the numpy sweep runs callback plans.)
 
 Any arithmetic change here must be mirrored in the ``batch-direct`` step of
 :mod:`repro.sim.kernels.numba_backend`.
@@ -65,6 +69,7 @@ __all__ = [
     "BatchBuffers",
     "BatchSweepJob",
     "batch_random_blocks",
+    "callback_hits",
     "plan_clause_hits",
     "run_batch_sweep",
 ]
@@ -141,7 +146,8 @@ class BatchSweepJob:
     The buffers carry the results out (stop codes, clause indices, final
     counts/times/firings in their first ``n_trials`` rows); ``n_active`` is
     the number of still-running trials listed in ``buffers.active`` after
-    the shared t=0 stopping pre-pass.
+    the shared t=0 stopping pre-pass.  For a callback plan, ``details`` (an
+    object array of ``n_trials``) receives each condition stop's detail.
     """
 
     knet: KernelNetwork
@@ -152,6 +158,7 @@ class BatchSweepJob:
     n_active: int
     max_time: float
     max_steps: int
+    details: "np.ndarray | None" = None
 
 
 def batch_random_blocks(rng: np.random.Generator, n_trials: int) -> RandomBlocks:
@@ -203,6 +210,25 @@ def plan_clause_hits(
     return hits
 
 
+def callback_hits(
+    callback, counts: np.ndarray, firings: np.ndarray, times: np.ndarray,
+    rows: np.ndarray, details: np.ndarray,
+) -> np.ndarray:
+    """Mask over ``rows`` of the trials whose callback-plan check fires.
+
+    Calls ``callback(time, counts, firing_counts)`` once per listed trial, in
+    ``rows`` order, on views of that trial's buffer rows; each returned
+    detail string is stored in ``details[trial]``.
+    """
+    hit = np.zeros(rows.size, dtype=bool)
+    for r, t in enumerate(rows.tolist()):
+        detail = callback(float(times[t]), counts[t], firings[t])
+        if detail is not None:
+            hit[r] = True
+            details[t] = detail
+    return hit
+
+
 def run_batch_sweep(job: BatchSweepJob) -> None:
     """Advance every active trial to its stop: the numpy reference sweep.
 
@@ -226,6 +252,7 @@ def run_batch_sweep(job: BatchSweepJob) -> None:
     clauses = buffers.clauses
     active = buffers.active
     n_clauses = plan.n_clauses
+    callback = plan.callback
     delta_matrix = knet.delta_matrix
 
     # Stop codes (values shared with backend.py; imported locally to avoid a
@@ -320,6 +347,11 @@ def run_batch_sweep(job: BatchSweepJob) -> None:
                 hit_idx = idx[hit_mask]
                 stop_codes[hit_idx] = STOP_CONDITION
                 clauses[hit_idx] = hits[hit_mask]
+                idx = idx[~hit_mask]
+        elif callback is not None:
+            hit_mask = callback_hits(callback, counts, firings, times, idx, job.details)
+            if hit_mask.any():
+                stop_codes[idx[hit_mask]] = STOP_CONDITION
                 idx = idx[~hit_mask]
 
         capped = steps[idx] >= max_steps

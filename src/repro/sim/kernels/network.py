@@ -1,8 +1,8 @@
 """Dense, kernel-ready view of a compiled reaction network.
 
 :class:`~repro.sim.propensity.CompiledNetwork` stores its reaction structure
-as ragged Python tuples — ideal for the object-level template engines, but
-useless to an array-level kernel (and unusable from a JIT-compiled one).
+as ragged Python tuples — fine for scalar propensity evaluation, but useless
+to an array-level kernel (and unusable from a JIT-compiled one).
 :class:`KernelNetwork` flattens that structure into fixed-shape, padded
 ``int64``/``float64`` ndarrays once per network:
 
@@ -189,10 +189,9 @@ class KernelNetwork:
         """Propensities of every reaction for every count row.
 
         ``counts`` has shape ``(k, n_species)``; the result has shape
-        ``(k, n_reactions)``.  This is the reference implementation shared by
-        the batched engine and tau-leaping; the numba backend JIT-compiles an
-        elementwise equivalent with an identical operation order, so the two
-        agree bit for bit.
+        ``(k, n_reactions)``.  This is the numpy batch sweep's propensity
+        rebuild; the numba batch kernel computes an elementwise equivalent
+        with an identical operation order, so the two agree bit for bit.
         """
         k = counts.shape[0]
         matrix = np.empty((k, self.n_reactions), dtype=np.float64)

@@ -19,6 +19,8 @@ Bit-identity contract: every arithmetic expression here mirrors
 left to right, propensities use exact integer combinatorics), and both
 backends consume the same :class:`RandomBlocks` stream — so a seeded run is
 bit-identical across the two backends.  Keep the two modules in lockstep.
+Only clause plans reach these kernels: backend resolution keeps callback
+plans (conditions with no clause encoding) on numpy.
 
 One caveat vs. the numpy backend: combinatorial factors are computed in
 ``int64`` here (the numpy backend uses Python's unbounded ints), so
@@ -40,7 +42,6 @@ from repro.sim.kernels.backend import (
     KernelJob,
     KernelOutcome,
 )
-from repro.sim.kernels.network import KernelNetwork
 from repro.sim.kernels.numpy_backend import _propensity
 
 __all__ = ["NumbaKernelBackend", "load_numba_backend"]
@@ -527,8 +528,8 @@ def _build_kernels(numba):
         status = BATCH_DONE
 
         while n_active > 0:
-            # Propensity rows (elementwise float op order matches the numpy
-            # propensity_matrix) + totals + dead-trial compaction.
+            # Propensity rows (elementwise float op order matches
+            # KernelNetwork.propensity_matrix) + totals + dead-trial compaction.
             write = 0
             for r in range(n_active):
                 t = active[r]
@@ -643,35 +644,11 @@ def _build_kernels(numba):
         state_i[3] = n_active  # refill `need` hint for the wrapper
         return status
 
-    @njit
-    def propensity_matrix(rates, r_species, r_coeffs, counts, out):
-        k = counts.shape[0]
-        nr = rates.shape[0]
-        mr = r_species.shape[1]
-        for j in range(nr):
-            for row in range(k):
-                v = rates[j]
-                for kk in range(mr):
-                    s = r_species[j, kk]
-                    if s < 0:
-                        break
-                    n = r_coeffs[j, kk]
-                    c = float(counts[row, s])
-                    if n == 1:
-                        v *= c
-                    elif n == 2:
-                        v *= c * (c - 1.0) * 0.5
-                    else:
-                        for i in range(n):
-                            v *= (c - i) / (i + 1.0)
-                out[row, j] = v
-
     return {
         "direct": direct_step,
         "first-reaction": first_reaction_step,
         "next-reaction": next_reaction_step,
         "batch-direct": batch_direct_step,
-        "propensity_matrix": propensity_matrix,
     }
 
 
@@ -688,7 +665,6 @@ class NumbaKernelBackend(KernelBackend):
     """JIT backend: step kernels driven by a thin refill/grow wrapper."""
 
     name = "numba"
-    kernel_names = frozenset({"direct", "first-reaction", "next-reaction"})
 
     def __init__(self, kernels: dict) -> None:
         self._kernels = kernels
@@ -873,11 +849,3 @@ class NumbaKernelBackend(KernelBackend):
                 state[2] = 0
             else:
                 break
-
-    def propensity_matrix(self, knet: KernelNetwork, counts: np.ndarray) -> np.ndarray:
-        out = np.empty((counts.shape[0], knet.n_reactions), dtype=np.float64)
-        self._kernels["propensity_matrix"](
-            knet.rates, knet.reactant_species, knet.reactant_coeffs,
-            np.ascontiguousarray(counts, dtype=np.int64), out,
-        )
-        return out

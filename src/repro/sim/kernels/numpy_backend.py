@@ -8,7 +8,9 @@ from pre-drawn :class:`~repro.sim.kernels.blocks.RandomBlocks` and events
 land in the preallocated columnar
 :class:`~repro.sim.kernels.buffers.TrajectoryBuffers`.  Stopping conditions
 are evaluated as compiled :class:`~repro.sim.kernels.plan.StoppingPlan`
-clause tables — no Python object dispatch survives inside the loop.
+clause tables — no Python object dispatch survives inside the loop — except
+for callback plans (conditions with no clause encoding), whose callback is
+called after each event in a branch clause plans never enter.
 
 This backend is the *reference* for the optional numba backend: both consume
 the same random blocks with the same operation order (sums and CDF scans
@@ -34,17 +36,11 @@ from repro.sim.kernels.backend import (
     KernelJob,
     KernelOutcome,
 )
-from repro.sim.kernels.network import KernelNetwork
 from repro.sim.priority_queue import ArrayHeap
 
 __all__ = ["NumpyKernelBackend"]
 
 _INF = math.inf
-
-#: Queue class the next-reaction kernel instantiates.  Module-level so the
-#: equivalence tests can swap in the object-level IndexedPriorityQueue and
-#: assert seeded runs are bit-identical across the two implementations.
-_NEXT_REACTION_QUEUE = ArrayHeap
 
 
 def _propensity(rates, reactants, counts, j) -> float:
@@ -89,6 +85,13 @@ def _check_plan(plan_rows, counts, firing_counts) -> int:
     return -1
 
 
+def _callback_detail(callback, time, counts, firing_counts) -> "str | None":
+    """A callback plan's check, given ndarray copies of the list-held state."""
+    return callback(
+        time, np.array(counts, dtype=np.int64), np.array(firing_counts, dtype=np.int64)
+    )
+
+
 def _run_direct(job: KernelJob) -> KernelOutcome:
     """Gillespie direct method over preallocated buffers and random blocks."""
     knet = job.knet
@@ -104,6 +107,7 @@ def _run_direct(job: KernelJob) -> KernelOutcome:
     firing_counts = [0] * nr
     plan_rows = job.plan.py_clauses()
     n_clauses = len(plan_rows)
+    callback = job.plan.callback
     max_time = job.max_time
     max_steps = job.max_steps
     record_firings = job.record_firings
@@ -133,6 +137,7 @@ def _run_direct(job: KernelJob) -> KernelOutcome:
     steps = 0
     stop = STOP_EXHAUSTED
     clause = -1
+    detail = None
 
     while True:
         if total <= 0.0:
@@ -272,6 +277,11 @@ def _run_direct(job: KernelJob) -> KernelOutcome:
                 stop = STOP_CONDITION
                 clause = hit
                 break
+        elif callback is not None:
+            detail = _callback_detail(callback, time, counts, firing_counts)
+            if detail is not None:
+                stop = STOP_CONDITION
+                break
         if steps >= max_steps:
             stop = STOP_MAX_STEPS
             break
@@ -285,6 +295,7 @@ def _run_direct(job: KernelJob) -> KernelOutcome:
         final_time=time,
         steps=steps,
         firing_counts=np.array(firing_counts, dtype=np.int64),
+        detail=detail,
     )
 
 
@@ -301,6 +312,7 @@ def _run_first_reaction(job: KernelJob) -> KernelOutcome:
     firing_counts = [0] * nr
     plan_rows = job.plan.py_clauses()
     n_clauses = len(plan_rows)
+    callback = job.plan.callback
     max_time = job.max_time
     max_steps = job.max_steps
     record_firings = job.record_firings
@@ -326,6 +338,7 @@ def _run_first_reaction(job: KernelJob) -> KernelOutcome:
     steps = 0
     stop = STOP_EXHAUSTED
     clause = -1
+    detail = None
 
     while True:
         npos = 0
@@ -402,6 +415,11 @@ def _run_first_reaction(job: KernelJob) -> KernelOutcome:
                 stop = STOP_CONDITION
                 clause = hit
                 break
+        elif callback is not None:
+            detail = _callback_detail(callback, time, counts, firing_counts)
+            if detail is not None:
+                stop = STOP_CONDITION
+                break
         if steps >= max_steps:
             stop = STOP_MAX_STEPS
             break
@@ -415,6 +433,7 @@ def _run_first_reaction(job: KernelJob) -> KernelOutcome:
         final_time=time,
         steps=steps,
         firing_counts=np.array(firing_counts, dtype=np.int64),
+        detail=detail,
     )
 
 
@@ -424,10 +443,7 @@ def _run_next_reaction(job: KernelJob) -> KernelOutcome:
     The queue is the :class:`~repro.sim.priority_queue.ArrayHeap` — three
     contiguous ndarrays with sift-up/sift-down as index arithmetic, the
     same layout the numba kernel mutates directly — driven here through its
-    method API.  It implements the identical algorithm as the object-level
-    :class:`IndexedPriorityQueue`, so seeded results are unchanged from the
-    list-backed version (the equivalence tests swap the two via
-    ``_NEXT_REACTION_QUEUE``).
+    method API.
     """
     knet = job.knet
     views = knet.py_views()
@@ -440,6 +456,7 @@ def _run_next_reaction(job: KernelJob) -> KernelOutcome:
     firing_counts = [0] * nr
     plan_rows = job.plan.py_clauses()
     n_clauses = len(plan_rows)
+    callback = job.plan.callback
     max_time = job.max_time
     max_steps = job.max_steps
     record_firings = job.record_firings
@@ -473,12 +490,13 @@ def _run_next_reaction(job: KernelJob) -> KernelOutcome:
             exp_pos += 1
         else:
             tentative[j] = _INF
-    queue = _NEXT_REACTION_QUEUE(tentative)
+    queue = ArrayHeap(tentative)
 
     time = 0.0
     steps = 0
     stop = STOP_EXHAUSTED
     clause = -1
+    detail = None
 
     while True:
         if exp_len - exp_pos < nr:  # worst case: one fresh draw per dependent
@@ -555,6 +573,11 @@ def _run_next_reaction(job: KernelJob) -> KernelOutcome:
                 stop = STOP_CONDITION
                 clause = hit
                 break
+        elif callback is not None:
+            detail = _callback_detail(callback, time, counts, firing_counts)
+            if detail is not None:
+                stop = STOP_CONDITION
+                break
         if steps >= max_steps:
             stop = STOP_MAX_STEPS
             break
@@ -568,6 +591,7 @@ def _run_next_reaction(job: KernelJob) -> KernelOutcome:
         final_time=time,
         steps=steps,
         firing_counts=np.array(firing_counts, dtype=np.int64),
+        detail=detail,
     )
 
 
@@ -582,7 +606,6 @@ class NumpyKernelBackend(KernelBackend):
     """Always-available reference backend (interpreted, list-tuned loops)."""
 
     name = "numpy"
-    kernel_names = frozenset(_KERNELS)
 
     def run(self, kernel_name: str, job: KernelJob) -> KernelOutcome:
         return _KERNELS[kernel_name](job)
@@ -591,6 +614,3 @@ class NumpyKernelBackend(KernelBackend):
         from repro.sim.kernels.batch import run_batch_sweep
 
         run_batch_sweep(job)
-
-    def propensity_matrix(self, knet: KernelNetwork, counts: np.ndarray) -> np.ndarray:
-        return knet.propensity_matrix(counts)

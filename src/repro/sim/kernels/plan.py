@@ -1,11 +1,11 @@
-"""Compiling stopping conditions into kernel-checkable clause tables.
+"""Compiling stopping conditions into kernel-checkable stopping plans.
 
-The template engines call :meth:`StoppingCondition.check` — a Python method
-— after every firing.  A kernel cannot afford (and a JIT-compiled kernel
-cannot express) that call, so the condition object is compiled *once per
-run* into a :class:`StoppingPlan`: an ordered table of primitive clauses
-over the count vector and the per-reaction firing totals, checked inline by
-the kernels with a handful of scalar comparisons.
+A stopping condition is a Python object whose :meth:`StoppingCondition.check`
+a kernel cannot afford to call after every firing (and a JIT-compiled kernel
+cannot express at all), so the condition is compiled *once per run* into a
+:class:`StoppingPlan`: an ordered table of primitive clauses over the count
+vector and the per-reaction firing totals, checked inline by the kernels
+with a handful of scalar comparisons.
 
 Clause kinds (checked in order; the first satisfied clause wins, exactly
 matching the scalar ``check`` iteration order):
@@ -24,15 +24,19 @@ experiments use — :class:`~repro.sim.events.SpeciesThreshold`,
 :class:`~repro.sim.events.OutcomeThresholds`,
 :class:`~repro.sim.events.FiringCountCondition`,
 :class:`~repro.sim.events.CategoryFiringCondition` and
-:class:`~repro.sim.events.AnyCondition` combinations of them — and returns
-``None`` for anything else (``PredicateCondition``, ``AllCondition``,
-third-party subclasses), which routes the run to the object-level
-``python`` backend instead.
+:class:`~repro.sim.events.AnyCondition` combinations of them.  Anything
+else (``PredicateCondition``, ``AllCondition``, subclasses that override
+``check()``) compiles to a *callback plan*: no clauses, one
+:attr:`StoppingPlan.callback` that calls the condition's own ``check()``
+with ndarrays.  The numpy kernels evaluate it after each event (the sweep:
+for each active row); the numba kernels cannot, so backend resolution
+never hands them a callback plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -56,7 +60,12 @@ KIND_FIRING_ONE = 3
 
 @dataclass
 class StoppingPlan:
-    """An ordered clause table plus the label reported per clause."""
+    """An ordered clause table plus the label reported per clause.
+
+    ``callback`` is set only on plans for conditions with no clause
+    encoding (whose clause table is then empty):
+    ``callback(time, counts, firing_counts) -> detail | None``.
+    """
 
     kinds: np.ndarray       # int64 (n_clauses,)
     targets: np.ndarray     # int64 (n_clauses,) species column or reaction index
@@ -64,6 +73,7 @@ class StoppingPlan:
     member_ptr: np.ndarray  # int64 (n_clauses + 1,) CSR pointers (kind 2 only)
     member_idx: np.ndarray  # int64 (nnz,) reaction indices for kind-2 clauses
     labels: tuple[str, ...]
+    callback: "Callable[[float, np.ndarray, np.ndarray], str | None] | None" = None
     _py: "tuple | None" = field(default=None, repr=False)
 
     @property
@@ -105,7 +115,7 @@ def _clauses_for(
     Matches on *exact* type, not ``isinstance``: a user subclass may
     override ``check()`` with different semantics, and compiling it to the
     base class's clause table would silently change behavior — subclasses
-    must fall back to the object-level template instead.
+    get a callback plan instead.  ``None`` means no clause encoding.
     """
     if type(condition) is SpeciesThreshold:
         if condition._index is None:
@@ -154,19 +164,25 @@ def _clauses_for(
 
 def compile_stopping_plan(
     stopping: "StoppingCondition | None", compiled: CompiledNetwork
-) -> "StoppingPlan | None":
-    """Compile ``stopping`` into a :class:`StoppingPlan`, or ``None``.
+) -> StoppingPlan:
+    """Compile ``stopping`` into a :class:`StoppingPlan`.
 
-    ``None`` (no condition) compiles to the empty plan; an *unsupported*
-    condition returns ``None``, signalling the caller to use the object-level
-    ``python`` backend.  The condition must already be usable against
+    ``None`` (no condition) compiles to the empty plan; a condition with no
+    clause encoding compiles to a callback plan whose callback calls
+    ``stopping.check``.  The condition must already be usable against
     ``compiled`` (``reset`` is invoked on demand for index resolution).
     """
     if stopping is None:
         return StoppingPlan.empty()
     rows = _clauses_for(stopping, compiled)
     if rows is None:
-        return None
+        plan = StoppingPlan.empty()
+
+        def callback(time, counts, firing_counts):
+            return stopping.check(time, counts, compiled, firing_counts)
+
+        plan.callback = callback
+        return plan
     kinds = np.array([r[0] for r in rows], dtype=np.int64)
     targets = np.array([r[1] for r in rows], dtype=np.int64)
     levels = np.array([r[2] for r in rows], dtype=np.int64)

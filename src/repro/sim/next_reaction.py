@@ -13,12 +13,7 @@ and (b) for the SSA-engine ablation benchmark (experiment A2 in DESIGN.md).
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from repro.sim.base import StochasticSimulator
-from repro.sim.priority_queue import IndexedPriorityQueue
 from repro.sim.registry import register_engine
 
 __all__ = ["NextReactionSimulator"]
@@ -32,66 +27,13 @@ __all__ = ["NextReactionSimulator"]
 class NextReactionSimulator(StochasticSimulator):
     """Exact SSA via the Gibson–Bruck next-reaction method.
 
-    The ``python`` template drives :class:`IndexedPriorityQueue`; the array
-    kernels drive the ndarray-backed :class:`~repro.sim.priority_queue
-    .ArrayHeap` instead — same heapify/sift algorithm, so the ``numpy``
-    kernel's seeded results are unchanged, and the ``numba`` kernel runs
-    identical sift arithmetic on the same three arrays inside jitted code
-    (bit-identical to numpy).
+    Runs the ``next-reaction`` kernel over the ndarray-backed
+    :class:`~repro.sim.priority_queue.ArrayHeap`: the numpy kernel drives it
+    through its method API, and the ``numba`` kernel runs identical sift
+    arithmetic on the same three arrays inside jitted code (bit-identical
+    to numpy).
     """
 
     method_name = "next-reaction"
     kernel_name = "next-reaction"
-    supported_backends = ("python", "numpy", "numba")
-
-    def _prepare(self, counts: np.ndarray, rng: np.random.Generator) -> None:
-        compiled = self.compiled
-        n = compiled.n_reactions
-        self._propensities = np.zeros(n, dtype=float)
-        tentative = []
-        for j in range(n):
-            propensity = compiled.propensity(j, counts)
-            self._propensities[j] = propensity
-            if propensity > 0.0:
-                tentative.append(rng.exponential(1.0 / propensity))
-            else:
-                tentative.append(math.inf)
-        self._queue = IndexedPriorityQueue(tentative)
-        self._pending_time = 0.0
-
-    def _next_event(self, time, counts, rng):
-        reaction, absolute_time = self._queue.min()
-        if not math.isfinite(absolute_time):
-            return None
-        self._pending_time = absolute_time
-        waiting_time = absolute_time - time
-        if waiting_time < 0.0:
-            # Numerical round-off can make the stored absolute time lag the
-            # accumulated time by a few ulps; clamp to zero.
-            waiting_time = 0.0
-        return waiting_time, reaction
-
-    def _after_fire(self, reaction_index, counts, rng):
-        compiled = self.compiled
-        now = self._pending_time
-        propensities = self._propensities
-        queue = self._queue
-        for j in compiled.dependents[reaction_index]:
-            old_propensity = propensities[j]
-            new_propensity = compiled.propensity(j, counts)
-            propensities[j] = new_propensity
-            if j == reaction_index:
-                if new_propensity > 0.0:
-                    queue.update(j, now + rng.exponential(1.0 / new_propensity))
-                else:
-                    queue.update(j, math.inf)
-                continue
-            if new_propensity <= 0.0:
-                queue.update(j, math.inf)
-            elif old_propensity > 0.0 and math.isfinite(queue.key(j)):
-                # Re-scale the remaining waiting time (exactness-preserving reuse).
-                remaining = queue.key(j) - now
-                queue.update(j, now + remaining * (old_propensity / new_propensity))
-            else:
-                # Reaction just became possible: draw a fresh exponential.
-                queue.update(j, now + rng.exponential(1.0 / new_propensity))
+    supported_backends = ("numpy", "numba")

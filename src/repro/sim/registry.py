@@ -79,8 +79,8 @@ class EngineInfo:
         :meth:`repro.api.Experiment.simulate` dispatches such engines to
         their distribution solver rather than a Monte-Carlo runner.
     backends:
-        Kernel backends the engine supports (``"python"`` object template,
-        ``"numpy"`` array kernels, ``"numba"`` JIT) — the values accepted by
+        Kernel backends the engine supports (``"numpy"`` array kernels,
+        ``"numba"`` JIT) — the values accepted by
         ``SimulationOptions.backend`` / ``Experiment.simulate(backend=...)``
         / the CLI ``--backend`` flag.  Empty for engines the backend layer
         does not apply to (``ode``, ``fsp``).
@@ -102,7 +102,7 @@ class EngineInfo:
     supports_events: bool = True
     deterministic: bool = False
     computes_distribution: bool = False
-    backends: tuple = ("python",)
+    backends: tuple = ()
     options_type: "type | None" = None
     options_param: "str | None" = None
     summary: str = ""
@@ -187,8 +187,7 @@ class EngineRegistry:
         """Class decorator registering an engine under ``name``.
 
         ``backends`` defaults to the class's ``supported_backends`` attribute
-        (the convention the kernel-backed engines follow), falling back to
-        the python template alone.
+        (the convention the kernel-backed engines follow), else none.
         """
 
         def decorator(cls: type) -> type:
@@ -199,7 +198,7 @@ class EngineRegistry:
                 )
             resolved_backends = backends
             if resolved_backends is None:
-                resolved_backends = getattr(cls, "supported_backends", ("python",))
+                resolved_backends = getattr(cls, "supported_backends", ())
             self._engines[name] = EngineInfo(
                 name=name,
                 cls=cls,

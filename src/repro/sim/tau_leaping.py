@@ -21,9 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.base import SimulationOptions, StochasticSimulator, merge_options
-from repro.sim.direct import DirectMethodSimulator
+from repro.sim.base import (
+    SimulationOptions,
+    StochasticSimulator,
+    merge_options,
+    resolve_initial_counts,
+)
 from repro.sim.events import StoppingCondition
+from repro.sim.kernels.backend import validate_backend_request
 from repro.sim.registry import register_engine
 from repro.sim.rng import make_rng
 from repro.sim.trajectory import StopReason, Trajectory
@@ -66,23 +71,22 @@ class TauLeapingSimulator(StochasticSimulator):
     """Approximate accelerated simulation via explicit tau-leaping.
 
     The public interface matches the exact engines (:meth:`run` with stopping
-    conditions), but note that stopping conditions are only checked at leap
-    boundaries, so threshold crossings are detected with a delay of up to one
-    leap.
+    conditions, checked at t=0 like theirs), but note that stopping
+    conditions are only checked at leap boundaries, so threshold crossings
+    are detected with a delay of up to one leap.
     """
 
     method_name = "tau-leaping"
-    # The leap loop is already array-vectorized internally (it evaluates whole
-    # propensity vectors via the kernel layer's dense arrays); the per-event
-    # kernel backends do not apply to it.
-    supported_backends = ("python",)
+    # The leap loop is already array-vectorized internally (it applies whole
+    # leaps via the kernel layer's dense delta matrix); the per-event kernel
+    # backends do not apply to it.
+    supported_backends = ()
 
     def __init__(self, network, seed=None, leap_options: "TauLeapOptions | None" = None):
         super().__init__(network, seed=seed)
         self.leap_options = leap_options or TauLeapOptions()
 
-    # The leaping control flow does not fit the one-firing-at-a-time template,
-    # so this engine overrides run() entirely.
+    # The leaping control flow has no kernel, so this engine overrides run().
     def run(
         self,
         initial_state=None,
@@ -92,21 +96,11 @@ class TauLeapingSimulator(StochasticSimulator):
         **option_overrides,
     ) -> Trajectory:
         opts = merge_options(options, option_overrides)
-        if opts.backend not in ("auto", "python"):
-            from repro.sim.kernels.backend import validate_backend_request
-
-            validate_backend_request(opts.backend, self.supported_backends, self.method_name)
+        validate_backend_request(opts.backend, self.supported_backends, self.method_name)
         rng = self._default_rng if seed is None else make_rng(seed)
         compiled = self.compiled
         knet = compiled.kernel_network()
-
-        if initial_state is None:
-            counts = compiled.initial_counts().astype(np.int64)
-        else:
-            from repro.crn.state import State
-
-            state = initial_state if isinstance(initial_state, State) else State(initial_state)
-            counts = state.to_vector(compiled.species).astype(np.int64)
+        counts = resolve_initial_counts(compiled, initial_state)
 
         firing_counts = np.zeros(compiled.n_reactions, dtype=np.int64)
         snapshot_times: list[float] = []
@@ -118,15 +112,20 @@ class TauLeapingSimulator(StochasticSimulator):
         steps = 0
         stop_reason = StopReason.EXHAUSTED
         stop_detail = ""
-        exact_helper = DirectMethodSimulator(compiled, seed=rng)
+        # A stopping condition may already hold at t=0 (threshold met
+        # initially); every exit below other than the condition breaks.
+        detail = None
+        if stopping is not None:
+            detail = stopping.check(time, counts, compiled, firing_counts)
+            if detail is not None:
+                stop_reason, stop_detail = StopReason.CONDITION, detail
 
-        while True:
+        while detail is None:
             # NOTE: stays on the exact-integer propensity path (not the
-            # kernel layer's float evaluator): tau-leaping has only the
-            # ``python`` backend, whose seeded trajectories are the
-            # documented reproduction pin for archived runs — an ulp-level
-            # change in a propensity perturbs the Poisson draws and
-            # diverges the whole trajectory.
+            # kernel layer's float evaluator): seeded tau-leaping
+            # trajectories are pinned, and an ulp-level change in a
+            # propensity perturbs the Poisson draws and diverges the whole
+            # trajectory.
             propensities = compiled.all_propensities(counts)
             total = float(propensities.sum())
             if total <= 0.0:
@@ -137,8 +136,8 @@ class TauLeapingSimulator(StochasticSimulator):
             expected_exact_step = 1.0 / total
             if tau < self.leap_options.exact_step_multiplier * expected_exact_step:
                 # Too small to be worth leaping: take a handful of exact steps.
-                time, counts, firing_counts, stopped = self._exact_steps(
-                    exact_helper, time, counts, firing_counts, stopping, opts, rng
+                time, stopped = self._exact_steps(
+                    time, counts, firing_counts, stopping, opts, rng
                 )
                 if stopped is not None:
                     stop_reason, stop_detail = stopped
@@ -154,8 +153,8 @@ class TauLeapingSimulator(StochasticSimulator):
                 if np.any(new_counts < 0):
                     # Leap overshot a reactant pool: halve tau by retrying with
                     # exact steps this round (simple and robust).
-                    time, counts, firing_counts, stopped = self._exact_steps(
-                        exact_helper, time, counts, firing_counts, stopping, opts, rng
+                    time, stopped = self._exact_steps(
+                        time, counts, firing_counts, stopping, opts, rng
                     )
                     if stopped is not None:
                         stop_reason, stop_detail = stopped
@@ -233,24 +232,41 @@ class TauLeapingSimulator(StochasticSimulator):
         return tau
 
     def _exact_steps(
-        self, helper, time, counts, firing_counts, stopping, opts, rng, n_steps: int = 20
+        self, time, counts, firing_counts, stopping, opts, rng, n_steps: int = 20
     ):
-        """Advance with a few exact SSA firings (used when leaping is unsafe)."""
+        """Advance with a few exact direct-method firings (used when leaping is unsafe).
+
+        Mutates ``counts`` / ``firing_counts`` in place and returns
+        ``(time, stopped)``, where ``stopped`` is a ``(StopReason, detail)``
+        pair or ``None``.  Each step recomputes the propensity vector, then
+        draws ``exponential(1/total)`` and ``random() * total`` from ``rng``
+        and inverts the propensity CDF (largest-propensity fallback).
+        """
         compiled = self.compiled
-        helper._prepare(counts, rng)
         for _ in range(n_steps):
-            event = helper._next_event(time, counts, rng)
-            if event is None:
-                return time, counts, firing_counts, (StopReason.EXHAUSTED, "")
-            waiting_time, j = event
+            propensities = compiled.all_propensities(counts)
+            total = float(propensities.sum())
+            if total <= 0.0:
+                return time, (StopReason.EXHAUSTED, "")
+            waiting_time = rng.exponential(1.0 / total)
+            threshold = rng.random() * total
+            chosen = min(
+                int(np.searchsorted(np.cumsum(propensities), threshold, side="right")),
+                len(propensities) - 1,
+            )
+            if propensities[chosen] <= 0.0:
+                # Floating point placed the threshold past the last positive
+                # entry; fall back to the largest-propensity reaction.
+                chosen = int(np.argmax(propensities))
+                if propensities[chosen] <= 0.0:
+                    return time, (StopReason.EXHAUSTED, "")
             if time + waiting_time > opts.max_time:
-                return opts.max_time, counts, firing_counts, (StopReason.MAX_TIME, "")
+                return opts.max_time, (StopReason.MAX_TIME, "")
             time += waiting_time
-            compiled.apply(j, counts)
-            firing_counts[j] += 1
-            helper._after_fire(j, counts, rng)
+            compiled.apply(chosen, counts)
+            firing_counts[chosen] += 1
             if stopping is not None:
                 detail = stopping.check(time, counts, compiled, firing_counts)
                 if detail is not None:
-                    return time, counts, firing_counts, (StopReason.CONDITION, detail)
-        return time, counts, firing_counts, None
+                    return time, (StopReason.CONDITION, detail)
+        return time, None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Experiment
 from repro.crn import parse_network
 from repro.errors import EnsembleError, SimulationError
 from repro.sim import (
@@ -18,7 +19,6 @@ from repro.sim import (
     SpeciesThreshold,
     StopReason,
     make_simulator,
-    run_ensemble,
 )
 
 
@@ -63,10 +63,9 @@ class TestBatchDirectEngine:
         expected = {"A": 0.7, "B": 0.3}
         counts = {}
         for engine in ("direct", "batch-direct"):
-            result = run_ensemble(
-                two_outcome_network, n, stopping=two_outcome_condition,
-                engine=engine, seed=101,
-            )
+            result = Experiment.from_network(
+                two_outcome_network, stopping=two_outcome_condition
+            ).simulate(trials=n, engine=engine, seed=101).ensemble
             assert sum(result.outcome_counts.values()) == n
             assert result.decided_fraction() == 1.0
             assert chi_squared(result.outcome_counts, expected, n) < 10.83
@@ -80,14 +79,11 @@ class TestBatchDirectEngine:
         assert stat < 10.83
 
     def test_reproducible_with_seed(self, two_outcome_network, two_outcome_condition):
-        r1 = run_ensemble(
-            two_outcome_network, 200, stopping=two_outcome_condition,
-            engine="batch-direct", seed=5,
+        experiment = Experiment.from_network(
+            two_outcome_network, stopping=two_outcome_condition
         )
-        r2 = run_ensemble(
-            two_outcome_network, 200, stopping=two_outcome_condition,
-            engine="batch-direct", seed=5,
-        )
+        r1 = experiment.simulate(trials=200, engine="batch-direct", seed=5).ensemble
+        r2 = experiment.simulate(trials=200, engine="batch-direct", seed=5).ensemble
         assert r1.outcome_counts == r2.outcome_counts
         np.testing.assert_array_equal(r1.final_counts, r2.final_counts)
         np.testing.assert_array_equal(r1.final_times, r2.final_times)
@@ -146,8 +142,8 @@ class TestBatchDirectEngine:
                 5, options=SimulationOptions(record_firings=False, record_states=True)
             )
 
-    def test_generic_stopping_fallback(self, two_outcome_network):
-        """Conditions without a vectorized form fall back to per-trial checks."""
+    def test_callback_condition_on_numpy_sweep(self, two_outcome_network):
+        """Conditions with no clause encoding are checked per active row by the sweep."""
         from repro.sim import PredicateCondition
 
         stopping = PredicateCondition(
@@ -155,7 +151,9 @@ class TestBatchDirectEngine:
         )
         engine = BatchDirectEngine(two_outcome_network)
         batch = engine.run_batch(20, stopping=stopping, seed=9)
+        assert engine._sweep_buffers.allocations == 1
         assert all(reason == StopReason.CONDITION for reason in batch.stop_reasons)
+        assert all(detail == "done" for detail in batch.stop_details)
         np.testing.assert_array_equal(batch.firing_counts.sum(axis=1), 10)
 
     def test_initial_state_override(self, two_outcome_network, two_outcome_condition):
@@ -237,10 +235,10 @@ class TestParallelEnsembleRunner:
         with pytest.raises(EnsembleError):
             EnsembleRunner(two_outcome_network, engine="no-such-engine")
 
-    def test_run_ensemble_workers_shortcut(self, two_outcome_network, two_outcome_condition):
-        result = run_ensemble(
-            two_outcome_network, 150, stopping=two_outcome_condition, seed=25, workers=2
-        )
+    def test_experiment_workers_shortcut(self, two_outcome_network, two_outcome_condition):
+        result = Experiment.from_network(
+            two_outcome_network, stopping=two_outcome_condition
+        ).simulate(trials=150, seed=25, workers=2).ensemble
         assert result.n_trials == 150
         assert sum(result.outcome_counts.values()) == 150
 

@@ -69,7 +69,7 @@ class TestSweepMechanics:
         assert set(batch.stop_details) <= {"A", "B"}
         assert all(reason == StopReason.CONDITION for reason in batch.stop_reasons)
 
-    def test_generic_condition_skips_sweep_buffers(self, race_network):
+    def test_callback_condition_uses_sweep_buffers(self, race_network):
         from repro.sim.events import PredicateCondition
 
         engine = BatchDirectEngine(race_network, seed=1)
@@ -77,8 +77,12 @@ class TestSweepMechanics:
             lambda time, state: "pred" if state.get("wa", 0) >= 1 else None
         )
         batch = engine.run_batch(16, stopping=condition)
-        assert engine._sweep_buffers.allocations == 0  # interpreted fallback
+        assert engine._sweep_buffers.allocations == 1  # the numpy sweep ran it
         assert batch.n_trials == 16
+        column = [species.name for species in batch.species].index("wa")
+        won = batch.final_counts[:, column] == 1
+        assert list(batch.stop_details[won]) == ["pred"] * int(won.sum())
+        assert all(reason == StopReason.EXHAUSTED for reason in batch.stop_reasons[~won])
 
     def test_exhaustion_stop(self, race_network):
         engine = BatchDirectEngine(race_network, seed=2)

@@ -55,11 +55,11 @@ class TestCampaignConstruction:
             "grid",
             experiment,
             engines=("direct",),
-            backends=("python", "numpy"),
+            backends=("auto", "numpy"),
             seeds=(1, 2, 3),
         )
         assert len(campaign.cells) == 6
-        assert campaign.cells[0].name == "engine=direct/backend=python/seed=1"
+        assert campaign.cells[0].name == "engine=direct/backend=auto/seed=1"
 
     def test_grid_with_programs(self):
         base = Experiment.from_distribution({"a": 0.5, "b": 0.5}, gamma=50)

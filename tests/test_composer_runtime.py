@@ -110,11 +110,12 @@ class TestRuntime:
         module = linear_module(alpha=1, beta=4)
         assert settle_module(module, {"x": 3}, seed=1).output("y") == 12
 
-    def test_settle_statistics_validation(self):
-        from repro.core import settle_statistics
+    def test_module_ensemble_validation(self):
+        from repro.api import Experiment
 
-        with pytest.raises(SimulationError):
-            settle_statistics(linear_module(), {"x": 1}, n_trials=0)
+        experiment = Experiment.from_module(linear_module()).program({"x": 1})
+        with pytest.raises(SimulationError, match="n_trials must be positive"):
+            experiment.simulate(trials=0)
 
     def test_settle_result_contains_diagnostics(self):
         result = settle_module(linear_module(), {"x": 2}, seed=2)

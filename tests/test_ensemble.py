@@ -5,14 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Experiment
 from repro.crn import parse_network
 from repro.errors import EnsembleError
 from repro.sim import (
     EnsembleResult,
     EnsembleRunner,
     OutcomeThresholds,
-    run_ensemble,
 )
+
+
+def _simulate(network, n_trials, stopping=None, **simulate_kwargs) -> EnsembleResult:
+    """One ensemble through the facade (what every caller of the runner uses)."""
+    experiment = Experiment.from_network(network, stopping=stopping)
+    return experiment.simulate(trials=n_trials, **simulate_kwargs).ensemble
 
 
 @pytest.fixture
@@ -35,7 +41,7 @@ def decision_condition():
 
 class TestEnsembleRunner:
     def test_outcome_distribution(self, decision_network, decision_condition):
-        result = run_ensemble(
+        result = _simulate(
             decision_network, 800, stopping=decision_condition, seed=1
         )
         distribution = result.outcome_distribution()
@@ -44,24 +50,24 @@ class TestEnsembleRunner:
         assert result.decided_fraction() == 1.0
 
     def test_outcome_counts_sum_to_trials(self, decision_network, decision_condition):
-        result = run_ensemble(decision_network, 100, stopping=decision_condition, seed=2)
+        result = _simulate(decision_network, 100, stopping=decision_condition, seed=2)
         assert sum(result.outcome_counts.values()) == result.n_trials == 100
 
     def test_reproducible_with_seed(self, decision_network, decision_condition):
-        r1 = run_ensemble(decision_network, 100, stopping=decision_condition, seed=5)
-        r2 = run_ensemble(decision_network, 100, stopping=decision_condition, seed=5)
+        r1 = _simulate(decision_network, 100, stopping=decision_condition, seed=5)
+        r2 = _simulate(decision_network, 100, stopping=decision_condition, seed=5)
         assert r1.outcome_counts == r2.outcome_counts
         np.testing.assert_array_equal(r1.final_counts, r2.final_counts)
 
     def test_different_seeds_differ(self, decision_network, decision_condition):
-        r1 = run_ensemble(decision_network, 200, stopping=decision_condition, seed=5)
-        r2 = run_ensemble(decision_network, 200, stopping=decision_condition, seed=6)
+        r1 = _simulate(decision_network, 200, stopping=decision_condition, seed=5)
+        r2 = _simulate(decision_network, 200, stopping=decision_condition, seed=6)
         assert r1.outcome_counts != r2.outcome_counts or not np.array_equal(
             r1.final_times, r2.final_times
         )
 
     def test_undecided_without_condition(self, decision_network):
-        result = run_ensemble(decision_network, 20, seed=3)
+        result = _simulate(decision_network, 20, seed=3)
         assert result.outcome_counts == {EnsembleResult.UNDECIDED: 20}
         assert result.decided_fraction() == 0.0
         assert result.outcome_distribution() == {}
@@ -78,7 +84,7 @@ class TestEnsembleRunner:
         assert set(result.outcome_counts) <= {"big", "small"}
 
     def test_species_statistics(self, decision_network, decision_condition):
-        result = run_ensemble(decision_network, 200, stopping=decision_condition, seed=7)
+        result = _simulate(decision_network, 200, stopping=decision_condition, seed=7)
         assert 0.6 < result.mean_final("wa") < 0.8            # wins 70% of races
         assert result.std_final("wa") > 0
         histogram = result.final_histogram("wa")
@@ -88,34 +94,34 @@ class TestEnsembleRunner:
         )
 
     def test_unknown_species_raises(self, decision_network, decision_condition):
-        result = run_ensemble(decision_network, 10, stopping=decision_condition, seed=8)
+        result = _simulate(decision_network, 10, stopping=decision_condition, seed=8)
         with pytest.raises(EnsembleError):
             result.mean_final("nope")
 
     def test_keep_trajectories(self, decision_network, decision_condition):
-        result = run_ensemble(
+        result = _simulate(
             decision_network, 5, stopping=decision_condition, seed=9, keep_trajectories=True
         )
         assert len(result.trajectories) == 5
 
     def test_trials_validation(self, decision_network):
         with pytest.raises(EnsembleError):
-            run_ensemble(decision_network, 0)
+            _simulate(decision_network, 0)
 
     def test_engine_selection(self, decision_network, decision_condition):
-        result = run_ensemble(
+        result = _simulate(
             decision_network, 200, stopping=decision_condition, seed=10, engine="next-reaction"
         )
         assert result.outcome_distribution()["A"] == pytest.approx(0.7, abs=0.08)
 
     def test_initial_state_override(self, decision_network, decision_condition):
-        result = run_ensemble(decision_network, 200, stopping=decision_condition, seed=11)
+        result = _simulate(decision_network, 200, stopping=decision_condition, seed=11)
         runner = EnsembleRunner(decision_network, stopping=decision_condition)
         flipped = runner.run(200, seed=11, initial_state={"ea": 30, "eb": 70})
         assert flipped.outcome_distribution()["A"] < result.outcome_distribution()["A"]
 
     def test_summary_text(self, decision_network, decision_condition):
-        result = run_ensemble(decision_network, 50, stopping=decision_condition, seed=12)
+        result = _simulate(decision_network, 50, stopping=decision_condition, seed=12)
         text = result.summary()
         assert "Ensemble of 50 trials" in text
         assert "A" in text and "B" in text

@@ -156,22 +156,40 @@ class TestCombinators:
 class TestStoppingEdgeCasesEndToEnd:
     """Integration edge cases: t=0 triggers, final-firing triggers, and
     stop_detail propagation into Trajectory / EnsembleResult — exercised on
-    the python template, the kernel backends, and the batched engine."""
+    the per-trial kernels, tau-leaping and the batched engine."""
 
-    PER_TRIAL_BACKENDS = ("python", "numpy")
+    PER_TRIAL_ENGINES = ("direct", "first-reaction", "next-reaction", "tau-leaping")
 
-    @pytest.mark.parametrize("backend", PER_TRIAL_BACKENDS)
-    def test_condition_already_true_at_t0(self, backend):
+    @pytest.mark.parametrize("engine", PER_TRIAL_ENGINES)
+    @pytest.mark.parametrize(
+        "condition,detail",
+        [
+            (SpeciesThreshold("x", 5), "x>=5"),
+            (SpeciesThreshold("x", 25, comparison="<="), "x<=25"),
+        ],
+    )
+    def test_condition_already_true_at_t0(self, engine, condition, detail):
         from repro.crn import parse_network
         from repro.sim import StopReason, make_simulator
 
         net = parse_network("x ->{1} 0\ninit: x = 5")
-        trajectory = make_simulator(net, engine="direct", seed=1).run(
-            stopping=SpeciesThreshold("x", 5), backend=backend
-        )
+        trajectory = make_simulator(net, engine=engine, seed=1).run(stopping=condition)
         assert trajectory.stop_reason == StopReason.CONDITION
-        assert trajectory.stop_detail == "x>=5"
-        assert trajectory.n_firings == 0 and trajectory.final_time == 0.0
+        assert trajectory.stop_detail == detail
+        assert trajectory.firing_counts.sum() == 0 and trajectory.final_time == 0.0
+        assert trajectory.final_count("x") == 5
+
+    @pytest.mark.parametrize("engine", [*PER_TRIAL_ENGINES, "batch-direct"])
+    def test_unknown_initial_species_rejected(self, engine):
+        from repro.crn import parse_network
+        from repro.errors import SimulationError
+        from repro.sim import make_simulator
+
+        net = parse_network("x ->{1} 0\ninit: x = 5")
+        with pytest.raises(SimulationError, match="typo"):
+            make_simulator(net, engine=engine, seed=1).run(
+                initial_state={"typo": 5}, record_firings=False
+            )
 
     def test_condition_already_true_at_t0_batched(self):
         from repro.crn import parse_network
@@ -186,8 +204,7 @@ class TestStoppingEdgeCasesEndToEnd:
         assert batch.firing_counts.sum() == 0
         assert np.all(batch.final_times == 0.0)
 
-    @pytest.mark.parametrize("backend", PER_TRIAL_BACKENDS)
-    def test_condition_triggering_on_the_final_firing(self, backend):
+    def test_condition_triggering_on_the_final_firing(self):
         # Every molecule decays; the <=0 threshold becomes true exactly on
         # the last possible firing — the run must stop on CONDITION, not
         # EXHAUSTED, with the full event count.
@@ -197,7 +214,7 @@ class TestStoppingEdgeCasesEndToEnd:
         net = parse_network("x ->{1} 0\ninit: x = 5")
         trajectory = make_simulator(net, engine="direct", seed=3).run(
             stopping=SpeciesThreshold("x", 0, comparison="<=", label="gone"),
-            backend=backend,
+            backend="numpy",
         )
         assert trajectory.stop_reason == StopReason.CONDITION
         assert trajectory.stop_detail == "gone"
@@ -216,8 +233,7 @@ class TestStoppingEdgeCasesEndToEnd:
         assert all(detail == "gone" for detail in batch.stop_details)
         assert np.all(batch.firing_counts.sum(axis=1) == 5)
 
-    @pytest.mark.parametrize("backend", PER_TRIAL_BACKENDS)
-    def test_stop_detail_propagates_into_ensemble_outcomes(self, backend):
+    def test_stop_detail_propagates_into_ensemble_outcomes(self):
         # The default ensemble classifier labels trials by stop_detail; the
         # outcome thresholds' label must therefore flow end to end.
         from repro.api import Experiment
@@ -233,7 +249,7 @@ class TestStoppingEdgeCasesEndToEnd:
         )
         stopping = OutcomeThresholds({"one": ("d1", 2), "two": ("d2", 2)})
         result = Experiment.from_network(net, stopping=stopping).simulate(
-            trials=60, seed=9, backend=backend
+            trials=60, seed=9, backend="numpy"
         )
         counts = result.ensemble.outcome_counts
         assert set(counts) <= {"one", "two"}

@@ -19,8 +19,8 @@ from repro.core import (
     synthesize_distribution,
     verify_by_sampling,
 )
+from repro.api import Experiment
 from repro.crn import network_from_json, network_to_json
-from repro.sim import run_ensemble
 
 
 class TestExample1EndToEnd:
@@ -42,13 +42,11 @@ class TestExample1EndToEnd:
     def test_outcome_exclusivity(self):
         """Each trial produces exactly one outcome type (mutual exclusion)."""
         system = synthesize_distribution({"1": 0.5, "2": 0.5}, gamma=1e3, scale=60)
-        result = run_ensemble(
+        result = Experiment.from_network(
             system.network,
-            200,
             stopping=system.stopping_condition(working_firings=5),
-            seed=4,
-            outcome_classifier=system.classify_outcome,
-        )
+            classifier=system.classify_outcome,
+        ).simulate(trials=200, seed=4).ensemble
         # every trial decided
         assert result.decided_fraction() == 1.0
         # and the losing output is essentially absent in the final states
@@ -88,13 +86,11 @@ class TestFullPipelineRoundTrip:
         text = network_to_json(system.network)
         rebuilt = network_from_json(text)
         assert rebuilt == system.network
-        result = run_ensemble(
+        result = Experiment.from_network(
             rebuilt,
-            300,
             stopping=system.stopping_condition(),
-            seed=11,
-            outcome_classifier=system.classify_outcome,
-        )
+            classifier=system.classify_outcome,
+        ).simulate(trials=300, seed=11).ensemble
         assert result.outcome_distribution()["b"] == pytest.approx(0.7, abs=0.07)
 
     def test_engines_agree_on_synthesized_system(self):

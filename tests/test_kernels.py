@@ -1,12 +1,12 @@
 """Tests for the pluggable simulation-kernel backend layer.
 
 Covers the kernel building blocks (buffers, random blocks, stopping plans,
-dense network views), backend resolution policy (auto preference, python
-fallback, explicit-request errors, numba auto-fallback), run mechanics of
-every kernel on every available backend, bit-level determinism (same seed,
-worker invariance, numpy↔numba identity when numba is installed), and the
-satellite fixes around ``SimulationOptions`` (validation + strict override
-merging).
+dense network views), backend resolution policy (auto preference, callback
+plans pinned to numpy, explicit-request errors, numba auto-fallback), run
+mechanics of every kernel on every available backend, bit-level determinism
+(same seed, worker invariance, numpy↔numba identity when numba is
+installed), and the satellite fixes around ``SimulationOptions`` (validation
++ strict override merging).
 """
 
 from __future__ import annotations
@@ -213,15 +213,16 @@ def test_race_probabilities_on_kernel_path(engine, backend):
 class TestBackendResolution:
     def test_available_backends(self):
         names = available_backends()
-        assert "python" in names and "numpy" in names
+        assert names[0] == "numpy" and "python" not in names
         assert ("numba" in names) == numba_available()
 
     def test_registry_records_backends(self):
-        assert registry.get("direct").backends == ("python", "numpy", "numba")
-        assert registry.get("next-reaction").backends == ("python", "numpy", "numba")
-        assert registry.get("batch-direct").backends == ("numpy", "numba")
-        assert registry.get("ode").backends == ()
-        assert registry.get("fsp").backends == ()
+        for engine in ("direct", "first-reaction", "next-reaction", "batch-direct"):
+            assert registry.get(engine).backends == ("numpy", "numba")
+            assert registry.get(engine).capabilities()["backends"] == "numpy,numba"
+        for engine in ("tau-leaping", "ode", "fsp"):
+            assert registry.get(engine).backends == ()
+            assert registry.get(engine).capabilities()["backends"] == "-"
 
     def test_unknown_backend_rejected_at_options(self):
         with pytest.raises(SimulationError, match="unknown kernel backend"):
@@ -232,27 +233,33 @@ class TestBackendResolution:
         with pytest.raises(SimulationError, match="does not support backend"):
             simulator.run(backend="numpy")
 
-    def test_batch_engine_rejects_python_backend(self):
-        with pytest.raises(SimulationError, match="does not support backend"):
+    @pytest.mark.parametrize("engine", ["direct", "batch-direct", "tau-leaping"])
+    def test_python_backend_rejected(self, engine):
+        with pytest.raises(SimulationError, match="unknown kernel backend 'python'"):
+            make_simulator(_death(), engine=engine, seed=1).run(
+                backend="python", record_firings=False
+            )
+        with pytest.raises(SimulationError, match="unknown kernel backend 'python'"):
             EnsembleRunner(
                 _death(),
-                engine="batch-direct",
+                engine=engine,
                 options=SimulationOptions(record_firings=False, backend="python"),
             )
 
-    def test_uncompilable_condition_falls_back_on_auto(self):
+    def test_callback_condition_runs_on_auto(self):
         condition = PredicateCondition(lambda t, state: "done" if state["x"] <= 15 else None)
         trajectory = make_simulator(_death(), engine="direct", seed=2).run(
             stopping=condition
         )
         assert trajectory.stop_reason == StopReason.CONDITION
         assert trajectory.stop_detail == "done"
+        assert trajectory.final_count("x") == 15
 
-    def test_uncompilable_condition_rejected_on_explicit_kernel_backend(self):
+    def test_callback_condition_rejected_on_explicit_numba(self):
         condition = PredicateCondition(lambda t, state: None)
         simulator = make_simulator(_death(), engine="direct", seed=2)
         with pytest.raises(SimulationError, match="stopping condition"):
-            simulator.run(stopping=condition, backend="numpy")
+            simulator.run(stopping=condition, backend="numba")
 
     def test_next_reaction_declares_numba(self):
         # The array-heap port gave next-reaction a numba kernel; requesting it
@@ -360,22 +367,30 @@ class TestStoppingPlan:
         )
         assert plan.labels == ("b>=9", "f")
 
-    def test_uncompilable_conditions_return_none(self, compiled):
-        assert compile_stopping_plan(PredicateCondition(lambda t, s: None), compiled) is None
-        assert (
-            compile_stopping_plan(
-                AllCondition([SpeciesThreshold("b", 9), SpeciesThreshold("a", 1)]),
-                compiled,
-            )
-            is None
+    def test_clause_plans_carry_no_callback(self, compiled):
+        assert compile_stopping_plan(None, compiled).callback is None
+        assert compile_stopping_plan(SpeciesThreshold("b", 8), compiled).callback is None
+
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            PredicateCondition(lambda t, s: "hit" if s["a"] == 10 else None),
+            AllCondition([SpeciesThreshold("b", 5), SpeciesThreshold("a", 10)]),
+            AnyCondition(
+                [SpeciesThreshold("b", 99), PredicateCondition(lambda t, s: "hit")]
+            ),
+        ],
+        ids=["predicate", "all", "any-with-predicate"],
+    )
+    def test_unencodable_conditions_compile_to_callback_plans(self, compiled, condition):
+        plan = compile_stopping_plan(condition, compiled)
+        assert plan is not None and plan.n_clauses == 0
+        counts = compiled.initial_counts()
+        firings = np.zeros(compiled.n_reactions, dtype=np.int64)
+        assert plan.callback(0.0, counts, firings) == condition.check(
+            0.0, counts, compiled, firings
         )
-        assert (
-            compile_stopping_plan(
-                AnyCondition([SpeciesThreshold("b", 9), PredicateCondition(lambda t, s: None)]),
-                compiled,
-            )
-            is None
-        )
+        assert plan.callback(0.0, counts, firings) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -722,26 +737,96 @@ class _StickyThreshold(SpeciesThreshold):
         return self.label if self._streak >= 2 else None
 
 
-class TestConditionSubclassesFallBack:
+class TestConditionSubclassesRunTheirCheck:
     def test_subclass_is_not_compiled_to_base_semantics(self):
         compiled = CompiledNetwork.compile(_death(10))
-        assert compile_stopping_plan(_StickyThreshold("x", 7, comparison="<="), compiled) is None
+        plan = compile_stopping_plan(_StickyThreshold("x", 7, comparison="<="), compiled)
+        assert plan.n_clauses == 0 and plan.callback is not None
 
-    def test_subclass_runs_identically_on_auto_and_python(self):
-        # auto must route the overridden check() to the template, not compile
-        # the base class's one-shot threshold.
+    def test_subclass_runs_identically_on_auto_and_numpy(self):
+        # The overridden check() runs as the plan's callback, not the base
+        # class's one-shot threshold: x <= 7 holds after 3 firings, and the
+        # streak reaches 2 on the 4th.
         auto = make_simulator(_death(10), engine="direct", seed=2).run(
             stopping=_StickyThreshold("x", 7, comparison="<=")
         )
-        template = make_simulator(_death(10), engine="direct", seed=2).run(
-            stopping=_StickyThreshold("x", 7, comparison="<="), backend="python"
+        numpy_run = make_simulator(_death(10), engine="direct", seed=2).run(
+            stopping=_StickyThreshold("x", 7, comparison="<="), backend="numpy"
         )
-        assert auto.stop_reason == template.stop_reason == StopReason.CONDITION
-        assert auto.firing_counts.sum() == template.firing_counts.sum() == 4
+        assert auto.stop_reason == numpy_run.stop_reason == StopReason.CONDITION
+        assert auto.firing_counts.sum() == numpy_run.firing_counts.sum() == 4
+        np.testing.assert_array_equal(auto.times, numpy_run.times)
 
-    def test_subclass_rejected_on_explicit_kernel_backend(self):
+    def test_subclass_rejected_on_explicit_numba(self):
         simulator = make_simulator(_death(10), engine="direct", seed=2)
         with pytest.raises(SimulationError, match="stopping condition"):
             simulator.run(
-                stopping=_StickyThreshold("x", 7, comparison="<="), backend="numpy"
+                stopping=_StickyThreshold("x", 7, comparison="<="), backend="numba"
             )
+
+
+def _callback_conditions():
+    """Conditions with no clause encoding, each with the detail its check() reports."""
+    return [
+        (
+            PredicateCondition(lambda t, state: "half" if state["x"] <= 10 else None),
+            "half",
+        ),
+        (
+            AllCondition(
+                [
+                    SpeciesThreshold("x", 10, comparison="<=", label="a"),
+                    SpeciesThreshold("x", 8, comparison=">=", label="b"),
+                ]
+            ),
+            "a & b",
+        ),
+        (_StickyThreshold("x", 10, comparison="<=", label="sticky"), "sticky"),
+    ]
+
+
+@pytest.mark.parametrize("engine", ["direct", "first-reaction", "next-reaction", "batch-direct"])
+@pytest.mark.parametrize(
+    "condition,detail", _callback_conditions(), ids=["predicate", "all", "subclass"]
+)
+class TestCallbackPlans:
+    """Conditions without a clause encoding run their own check() on numpy."""
+
+    @pytest.mark.parametrize("backend", ["auto", "numpy"])
+    def test_runs_and_reports_check_detail(self, engine, condition, detail, backend):
+        simulator = make_simulator(_death(20), engine=engine, seed=8)
+        for _ in range(3):
+            trajectory = simulator.run(
+                stopping=condition, backend=backend, record_firings=False
+            )
+            assert trajectory.stop_reason == StopReason.CONDITION
+            assert trajectory.stop_detail == detail
+            expected = 9 if detail == "sticky" else 10
+            assert trajectory.final_count("x") == expected
+
+    def test_auto_and_numpy_share_one_stream(self, engine, condition, detail):
+        auto = make_simulator(_death(20), engine=engine, seed=8).run(
+            stopping=condition, record_firings=False
+        )
+        numpy_run = make_simulator(_death(20), engine=engine, seed=8).run(
+            stopping=condition, backend="numpy", record_firings=False
+        )
+        assert auto.final_time == numpy_run.final_time
+
+    def test_explicit_numba_raises(self, engine, condition, detail):
+        simulator = make_simulator(_death(20), engine=engine, seed=8)
+        with pytest.raises(SimulationError, match="numba"):
+            simulator.run(stopping=condition, backend="numba", record_firings=False)
+
+
+@pytest.mark.parametrize("engine", ["direct", "first-reaction", "next-reaction", "batch-direct"])
+@pytest.mark.parametrize(
+    "condition,detail", _callback_conditions()[:2], ids=["predicate", "all"]
+)
+def test_callback_plan_ensemble_outcomes_use_check_detail(engine, condition, detail):
+    # (The stateful subclass is left out: a batch shares one condition
+    # instance across its trials.)
+    result = Experiment.from_network(_death(20), stopping=condition).simulate(
+        trials=40, engine=engine, seed=3
+    )
+    assert result.ensemble.outcome_counts == {detail: 40}

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import settle_module, settle_statistics
+from repro.api import Experiment
+from repro.core import settle_module
 from repro.core.modules import (
     DEFAULT_TIERS,
     assimilation_module,
@@ -65,7 +66,12 @@ class TestExponentiationModule:
         assert result.output("y") == 12
 
     def test_statistics_are_tight(self):
-        stats = settle_statistics(exponentiation_module(), {"x": 4}, n_trials=10, seed=5)
+        stats = (
+            Experiment.from_module(exponentiation_module())
+            .program({"x": 4})
+            .simulate(trials=10, seed=5)
+            .output_summary()
+        )
         assert stats["mean"] == pytest.approx(16, abs=1.5)
         assert stats["expected"] == 16
 
@@ -88,7 +94,12 @@ class TestLogarithmModule:
         assert result.output("y") == 0
 
     def test_non_power_of_two_close_to_floor(self):
-        stats = settle_statistics(logarithm_module(), {"x": 10}, n_trials=10, seed=8)
+        stats = (
+            Experiment.from_module(logarithm_module())
+            .program({"x": 10})
+            .simulate(trials=10, seed=8)
+            .output_summary()
+        )
         # log2(10) = 3.32; the chemistry gives ~floor values with small spread.
         assert 2.5 <= stats["mean"] <= 4.0
 

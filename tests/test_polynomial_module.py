@@ -62,8 +62,9 @@ class TestMixedRateScaleRegression:
         or ``lose`` with probability 3:1 regardless of the earlier 1e18-rate
         firings.
         """
+        from repro.api import Experiment
         from repro.crn import parse_network
-        from repro.sim import OutcomeThresholds, run_ensemble
+        from repro.sim import OutcomeThresholds
 
         network = parse_network(
             """
@@ -73,10 +74,8 @@ class TestMixedRateScaleRegression:
             b ->{1e-6} lose
             """
         )
-        result = run_ensemble(
+        result = Experiment.from_network(
             network,
-            600,
             stopping=OutcomeThresholds({"win": ("win", 1), "lose": ("lose", 1)}),
-            seed=99,
-        )
+        ).simulate(trials=600, seed=99).ensemble
         assert result.outcome_distribution()["win"] == pytest.approx(0.75, abs=0.06)

@@ -72,6 +72,24 @@ class TestEndpoints:
         with pytest.raises(ServiceError, match="rejected"):
             client._request("/simulate", body={"experiment": payload})
 
+    def test_retired_python_backend_is_400(self, service, experiment):
+        from repro.store import experiment_to_payload
+
+        payload = experiment_to_payload(
+            experiment, trials=10, engine="direct", seed=1, backend="python"
+        )
+        request = urllib.request.Request(
+            service.url + "/simulate",
+            data=json.dumps({"experiment": payload}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        message = json.loads(excinfo.value.read())["error"]
+        assert "'python'" in message and "backend" in message
+        assert ServiceClient(service.url).healthz()["artifacts"] == 0
+
     def test_malformed_json_is_400(self, service):
         request = urllib.request.Request(
             service.url + "/simulate",

@@ -17,7 +17,6 @@ import pytest
 from repro.crn import parse_network
 from repro.errors import SimulationError
 from repro.sim import (
-    ENGINES,
     DirectMethodSimulator,
     FiringCountCondition,
     NextReactionSimulator,
@@ -25,6 +24,7 @@ from repro.sim import (
     SpeciesThreshold,
     StopReason,
     make_simulator,
+    registry,
 )
 
 EXACT_ENGINES = ["direct", "first-reaction", "next-reaction"]
@@ -109,7 +109,7 @@ class TestRunMechanics:
             SimulationOptions(max_time=-1.0)
 
     def test_engine_registry(self):
-        assert set(EXACT_ENGINES) <= set(ENGINES)
+        assert set(EXACT_ENGINES) <= set(registry.per_trial_names())
         with pytest.raises(Exception):
             make_simulator(parse_network("x ->{1} 0"), engine="bogus")
 

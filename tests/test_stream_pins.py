@@ -1,0 +1,223 @@
+"""Seeded-stream pins: SHA-256 digests of small seeded runs on every SSA engine.
+
+Each digest covers a few seeded trials of one engine on one model — final
+counts, final times, firing totals, stop reasons and stop details, plus the
+full firing log (event times and reaction indices) for the per-trial
+engines.  The models are the 12 conformance-corpus models and the paper's
+Example 1 (outcomes programmed to 0.3/0.4/0.3, γ = 10³, scale 100, outcome
+declared after 10 working firings).
+
+The committed digests are the determinism contract of the kernel layer: a
+refactor of the engines, the kernels or the stopping plans must leave every
+one unchanged.  The ``direct``, ``first-reaction``, ``next-reaction`` and
+``batch-direct`` rows run on the numpy backend here; the CI job that
+installs numba runs the same file on the numba backend against the same
+digests (the two backends are bit-identical).  The tau-leaping rows pin its
+leap loop and its exact-step fallback at a tight and a loose ε.
+
+To refresh a digest after a *deliberate* stream change, print the current
+values with ``PYTHONPATH=src python tests/test_stream_pins.py`` and name the
+change in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.sim import TauLeapOptions, make_simulator, numba_available
+
+#: The backend the exact engines run on: numba when the CI leg installs it,
+#: else the always-available numpy reference.  Both must hit the same digests.
+KERNEL_BACKEND = "numba" if numba_available() else "numpy"
+
+PER_TRIAL_ENGINES = ("direct", "first-reaction", "next-reaction")
+PER_TRIAL_TRIALS = 12
+BATCH_TRIALS = 200
+TAU_TRIALS = 5
+TAU_EPSILONS = (0.03, 0.3)
+EXAMPLE1 = "example-1"
+
+
+def _models() -> "dict[str, tuple]":
+    """``{name: (network, stopping)}`` for Example 1 and the corpus."""
+    from repro.core.synthesizer import synthesize_distribution
+    from repro.zoo.corpus import corpus_entries
+
+    system = synthesize_distribution({"1": 0.3, "2": 0.4, "3": 0.3}, gamma=1e3, scale=100)
+    models = {EXAMPLE1: (system.network_with_inputs(None), system.stopping_condition(10))}
+    for entry in corpus_entries():
+        models[entry.name] = (entry.model.network(), entry.model.stopping())
+    return models
+
+
+def _seed(model: str, engine: str) -> int:
+    return int.from_bytes(hashlib.sha256(f"{model}/{engine}".encode()).digest()[:4], "little")
+
+
+class _Digest:
+    def __init__(self) -> None:
+        self._hash = hashlib.sha256()
+
+    def array(self, values, dtype) -> None:
+        data = np.ascontiguousarray(values, dtype=dtype)
+        self._hash.update(repr(data.shape).encode())
+        self._hash.update(data.astype(data.dtype.newbyteorder("<")).tobytes())
+
+    def text(self, value) -> None:
+        encoded = str(value).encode()
+        self._hash.update(len(encoded).to_bytes(4, "little") + encoded)
+
+    def trajectory(self, trajectory) -> None:
+        self.array(trajectory.final_state.to_vector(trajectory.species_order), np.int64)
+        self.array([trajectory.final_time], np.float64)
+        self.array(trajectory.firing_counts, np.int64)
+        self.array(trajectory.times, np.float64)
+        self.array(trajectory.reaction_indices, np.int64)
+        self.text(trajectory.stop_reason)
+        self.text(trajectory.stop_detail)
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def run_digest(model: str, engine: str, models: dict) -> str:
+    """Digest of the seeded runs of ``engine`` (a pin key) on ``model``."""
+    network, stopping = models[model]
+    digest = _Digest()
+    seed = _seed(model, engine)
+    if engine == "batch-direct":
+        batch = make_simulator(network, engine=engine, seed=seed).run_batch(
+            BATCH_TRIALS, stopping=stopping, backend=KERNEL_BACKEND
+        )
+        digest.array(batch.final_counts, np.int64)
+        digest.array(batch.final_times, np.float64)
+        digest.array(batch.firing_counts, np.int64)
+        for reason, detail in zip(batch.stop_reasons, batch.stop_details):
+            digest.text(reason)
+            digest.text(detail)
+    elif engine.startswith("tau-leaping"):
+        epsilon = float(engine.partition("@")[2])
+        simulator = make_simulator(
+            network, engine="tau-leaping", seed=seed,
+            engine_options=TauLeapOptions(epsilon=epsilon),
+        )
+        for _ in range(TAU_TRIALS):
+            digest.trajectory(simulator.run(stopping=stopping))
+    else:
+        simulator = make_simulator(network, engine=engine, seed=seed)
+        for _ in range(PER_TRIAL_TRIALS):
+            digest.trajectory(simulator.run(stopping=stopping, backend=KERNEL_BACKEND))
+    return digest.hexdigest()
+
+
+def pin_keys(models: dict) -> "list[tuple[str, str]]":
+    engines = [*PER_TRIAL_ENGINES, "batch-direct"]
+    engines += [f"tau-leaping@{epsilon}" for epsilon in TAU_EPSILONS]
+    return [(model, engine) for model in models for engine in engines]
+
+
+#: Digests captured before the python template backend was retired; every
+#: kernel-path stream must still reproduce them.
+EXPECTED: "dict[tuple[str, str], str]" = {
+    ('example-1', 'direct'): '33d8cc6a9198e590fa08ceafc73a5b9c802c51fd218ade640463908f0a44f731',
+    ('example-1', 'first-reaction'): 'df47fedfb1f5c8f42efd61dda538fe9987c821b06227de9e87b17488367c51c4',
+    ('example-1', 'next-reaction'): 'af45eda71f631375052d2d8c4b127c305e94c075adf4cde432631dd68757aa8e',
+    ('example-1', 'batch-direct'): 'f0499f1921a0caa6c7e451b0fee22287c363df73dda04c6d049f3cc313e9f57d',
+    ('example-1', 'tau-leaping@0.03'): '2b425e48046fd31fcc7a1b31566d5f65782497ff790180ebe4265621de63bde6',
+    ('example-1', 'tau-leaping@0.3'): '0db0ce4d404999a8d92c6b0a7bb661e468cf534efdd129102f73f571725636ee',
+    ('birth-death', 'direct'): 'b12bcbf9bca3ecd48cda378d5be8c92a156410b9a638ff77734b967a01c3cd45',
+    ('birth-death', 'first-reaction'): '8e45ce07f087e903fecce71fb81efec1970dbb7b4ce0e100c99a8eb797e22b31',
+    ('birth-death', 'next-reaction'): 'f454f7bcfde1d5bbef8f50a9053ddf2a9fbeb5590319448d9c7578f2ca0e89d3',
+    ('birth-death', 'batch-direct'): '2ab6e08310168404cd8c3345bd908ae35f8025220d157f234847cf1341ca58fe',
+    ('birth-death', 'tau-leaping@0.03'): '9c06969bc77e94cdef9d963b7f8a8af2fe81b654352e37d04349e6935514c89c',
+    ('birth-death', 'tau-leaping@0.3'): '6c878ebe557f342adc9deecf06c01e5a6e0e30ef859f75f236f184418ddb04d8',
+    ('cross-catalysis', 'direct'): 'd4c78f4bcbcd1be91635c238183de52ccf2059eb9074a505a7bdfdcd634c8303',
+    ('cross-catalysis', 'first-reaction'): '70e30504badc4e749d9e8bdcffba82bf603384cf0f602654b263880440aedc29',
+    ('cross-catalysis', 'next-reaction'): 'f61de6802338fc680b814fd1d851045cb70e57e3c6d8dcb8d8506fff0f5e41f4',
+    ('cross-catalysis', 'batch-direct'): 'ad072d4cf1b1daa501e4f25735fa53329086b12c7cb8a3191ee039a24110036c',
+    ('cross-catalysis', 'tau-leaping@0.03'): 'aa8768961e8d25b72cce139610de72f6cc0c323f6b83c1bc7ff4cc986b1967c9',
+    ('cross-catalysis', 'tau-leaping@0.3'): '6c190c5543b1adddc076a820c7ce73e0aee62d010a0078f9b7839e02570f1aca',
+    ('dimerization', 'direct'): '583614d9688c31c56badc3a8742534f9840409fd1f4c2dcbd78ff1a2ee9db449',
+    ('dimerization', 'first-reaction'): 'ec36bb69d35dcc7b04eb2f61fcaa05abd8b9aba49f57bb70ced6f1b760193d01',
+    ('dimerization', 'next-reaction'): '77724ab254defd9668f66630cd88a19bebb80dd84c84f7ee27dc509ed79e6c80',
+    ('dimerization', 'batch-direct'): 'b0cc15616bb1565d2ef55efa706c80de0dab46bda4180397ab74ac1288b76982',
+    ('dimerization', 'tau-leaping@0.03'): 'f237f6b110e60568c03d88dad80357a6ed91911b5d8bff2beaa4072e9aa7e791',
+    ('dimerization', 'tau-leaping@0.3'): '73a37fb04fadede0bb62da8bed4312f11a65212c8513b3a4e5ef11357e0aaf20',
+    ('lambda-decision', 'direct'): 'b9bbf6f9a706d38e520339c8ba865af1903358da5063ab804b470344628975db',
+    ('lambda-decision', 'first-reaction'): '11d04bb98f43c7c064e3294afd7128bb998360d0940e9e3f1378d06e0581205a',
+    ('lambda-decision', 'next-reaction'): '936293732cc80587e545160472a80a247689685cfdf663aad178cb58f91666b4',
+    ('lambda-decision', 'batch-direct'): '71091a34cc704a0a9a7d6bcd951867985f9e2e918b70484fdf26dedae72f7d44',
+    ('lambda-decision', 'tau-leaping@0.03'): 'aeabf154e4b91970f660f3f05f628164028db9d8fc9e3d37554993121b52f195',
+    ('lambda-decision', 'tau-leaping@0.3'): 'ff4877f40b4a45dedc45e27e26bfe2ed372071476e0297e6a288b58014c2e14a',
+    ('lambda-moi2', 'direct'): '14643d66f9e145dd8be1812fc80a95b7c978dcdd1e79bcb4dfeba4e5e3a9ad15',
+    ('lambda-moi2', 'first-reaction'): '7f93f84bb638e67f7150eb5ae562aa2097f36a3ccd71267902c3c0b694179a77',
+    ('lambda-moi2', 'next-reaction'): '15a1a40457303bcb8689cae3c1b5112505afc2e0126098260fac2e493c318b1b',
+    ('lambda-moi2', 'batch-direct'): 'a01f900afe9be9e0c7f1ff9792d9c8537b71f212e0978bbe827549c99ed61cb7',
+    ('lambda-moi2', 'tau-leaping@0.03'): 'e4cfb2974807da59b13734b491ed5eccdd234cbde7639403fd7a003ba1b92eb9',
+    ('lambda-moi2', 'tau-leaping@0.3'): '1555849d569794e4b21bd32b011fdec8b8c6f5ecd34254c6f065c62aaa74d4c1',
+    ('polya-urn', 'direct'): '6e1ab7c7b8e2b985009e21b956640ec35b6252f4f9d4122a6e663f6085fd9351',
+    ('polya-urn', 'first-reaction'): 'd07120bbb15266428c5659298cf3192d367e5919be5d23eaeba0e62565279338',
+    ('polya-urn', 'next-reaction'): 'c3fb26ce68f22e275b8c83890a1d4252120cbd3e8a757526c525e7420a617b0c',
+    ('polya-urn', 'batch-direct'): '6ac0748d5272e9ab7e86ab8632feebca0112b7413e62c2d60d32917a5f9e67d3',
+    ('polya-urn', 'tau-leaping@0.03'): '2dbd4a974d7f894523d2fa7f236537d6745ba2d885f7bb3c6ae96f0af0253bcd',
+    ('polya-urn', 'tau-leaping@0.3'): '66184f8db94c4bb43c68ebe8e8c2d737190f73e24e466d823f5685488f3f4140',
+    ('stiff-cascade', 'direct'): '42771aa75a137d6476046fabada359c23614d6e890a044ae164a341aab3bb687',
+    ('stiff-cascade', 'first-reaction'): '78807b48b8a425ef21afab35b3cefec6c44cfdde71c7a8b10188e16568a7e3f3',
+    ('stiff-cascade', 'next-reaction'): '2f58486449e03f060ababd86348375df05527107ab77eb7a580da44b091c30c4',
+    ('stiff-cascade', 'batch-direct'): 'f80be3d0cb87b95d8fdba56ff626d1262b7916f5dfd436892b3315527db13850',
+    ('stiff-cascade', 'tau-leaping@0.03'): 'b94037cea0e883e073881b02f467fefc8e2b61f1b409df7a9074238765e27cbb',
+    ('stiff-cascade', 'tau-leaping@0.3'): '985c5fa9ec5e8fc51bc9bb99e92d932c1f4ce906912d94fa39b12b8e61215383',
+    ('toggle-switch', 'direct'): '7b825227c3481988958a5b54fb811176ae45f2523aaf6d6cc60fce6cdc671cf4',
+    ('toggle-switch', 'first-reaction'): 'aa2dc0814a5d193bf2c8e3ae04b840404dc6b63f88f910e6fc6b933be88c0759',
+    ('toggle-switch', 'next-reaction'): 'a38f2196d3e63d3c0d613b27357fdddd88dcbf6115fc89afcd8560c3dc03b6d0',
+    ('toggle-switch', 'batch-direct'): '044ad891b156b90dadd8366ab1c159cbad59e4ab5a8b03e66324c4f290fe59a8',
+    ('toggle-switch', 'tau-leaping@0.03'): 'ea779431e082a700b5e5c8bbca1325af9db4e5fb7086fb9b92829b8970efbef4',
+    ('toggle-switch', 'tau-leaping@0.3'): 'd5cbb6df0a0a450aa26e7a895e8f5751fdb3198b6a1c96d4f5b5b053b480130e',
+    ('triple-race', 'direct'): 'd6e0e03c90482386ead5c4aa7d98cb90605092c6b50f7bfe46876b4d98297e63',
+    ('triple-race', 'first-reaction'): '637c5863a165f5cd07666077c5472e32e62222cb6d322091b082887360faa629',
+    ('triple-race', 'next-reaction'): '3f91aeb02b97c52c55d2124a861b10d378f3cb99a13fd826b4447d7758fe6358',
+    ('triple-race', 'batch-direct'): '8b8a24b02ac75f998ce561508aa2ac123ecbd15096eaf4d05a0529f6480f326c',
+    ('triple-race', 'tau-leaping@0.03'): 'db7ac96fbbe06c25834ac6cd5c7fc6ab21b35bdd6dada361ba5b58794c7e7880',
+    ('triple-race', 'tau-leaping@0.3'): 'c2fea67b91a665d732e3fba1ad2271a868d679be3235bd0a4d72e18e95383a65',
+    ('gen-k2-L1-x0-c0-n16-seed3', 'direct'): 'c7323fcd36979b94dc22775bccaeaec6fd4f8fc06c3cb0b7406c16a96d4fc022',
+    ('gen-k2-L1-x0-c0-n16-seed3', 'first-reaction'): '0db7b7c51174fe1d179ec555809e0597d25a8d9241d15d6c721c339f86a3a2ee',
+    ('gen-k2-L1-x0-c0-n16-seed3', 'next-reaction'): 'e63edd6491fdb3b64fc2601f0066d166b1f26b3313fda71626b0f5bf91e785bd',
+    ('gen-k2-L1-x0-c0-n16-seed3', 'batch-direct'): '0febe33c218ce21ae71de654e5f8f8df4143b699462c84dad51da7d79bf478cc',
+    ('gen-k2-L1-x0-c0-n16-seed3', 'tau-leaping@0.03'): 'b8b4e700da7c3e86a697daa563a16f1c04d82dc48a2f7b55e591598fe05da1cc',
+    ('gen-k2-L1-x0-c0-n16-seed3', 'tau-leaping@0.3'): '8ff0d63341e67425ff8c421bbbf08f4dcc97ecc977076d4104d70cafbc9e78b2',
+    ('gen-k3-L2-x2-c0-n15-seed3', 'direct'): 'ab3bd9cefe054d921147b7f4f6a765345b2e447bcdab4af455904bfd80760a5f',
+    ('gen-k3-L2-x2-c0-n15-seed3', 'first-reaction'): '16227d494e63d5d90058a8bb723e28edc210a5ae7042bb0dbcb08adb32ce8167',
+    ('gen-k3-L2-x2-c0-n15-seed3', 'next-reaction'): '19170f0a45119241f054bb470cd291e474cc11450cc3e928cddba891515ebe71',
+    ('gen-k3-L2-x2-c0-n15-seed3', 'batch-direct'): '8c8e37813fa5f4bc4e93714c083be322cf56b128202b6af91d0ec7d5a1bb9b2a',
+    ('gen-k3-L2-x2-c0-n15-seed3', 'tau-leaping@0.03'): '3597076622387ede19d86969b5095a7e228078ed80dfc1e31d7e320b260d061b',
+    ('gen-k3-L2-x2-c0-n15-seed3', 'tau-leaping@0.3'): '19c2730227e62f390a75f2b3dba48b84fbe6d3c8ad47e9a3d4a891bf085b7374',
+    ('gen-k2-L3-x1-c1-n14-seed6', 'direct'): '22f736231b8563c646068f7ed4b43dc528abf75650b8cb24bee1ebf3e144aef0',
+    ('gen-k2-L3-x1-c1-n14-seed6', 'first-reaction'): '4f302310eda3ac5ab5a0190f8524fde8acb75200add1c1dc29973d855233a9c4',
+    ('gen-k2-L3-x1-c1-n14-seed6', 'next-reaction'): 'aef1844b91e2f793fb56387e89fa30978927a5074d85e8f94e659287bba0cc77',
+    ('gen-k2-L3-x1-c1-n14-seed6', 'batch-direct'): 'd1f14e542d41235abadb2343e8a61100e569c215f05be6b9cd37fb7b7d02087e',
+    ('gen-k2-L3-x1-c1-n14-seed6', 'tau-leaping@0.03'): 'bba44cc97f7a0f0e0df319d3d4c2957b8ba93b6a9afd14c22955525887b187c7',
+    ('gen-k2-L3-x1-c1-n14-seed6', 'tau-leaping@0.3'): '5ebba9c54227f2aa12656dedb6ee08847aa095077961c046b9377782fdc303bb',
+}
+
+
+@pytest.fixture(scope="module")
+def models():
+    return _models()
+
+
+def test_every_model_and_engine_is_pinned(models):
+    assert sorted(EXPECTED) == sorted(pin_keys(models))
+
+
+@pytest.mark.parametrize("model,engine", sorted(EXPECTED))
+def test_stream_pin(models, model, engine):
+    assert run_digest(model, engine, models) == EXPECTED[(model, engine)]
+
+
+if __name__ == "__main__":
+    all_models = _models()
+    for key in pin_keys(all_models):
+        print(f"    {key!r}: {run_digest(*key, all_models)!r},")
