@@ -16,7 +16,7 @@ from __future__ import annotations
 from _config import report
 
 from repro.analysis import format_table
-from repro.core import settle_statistics
+from repro.api import Experiment
 from repro.core.modules import (
     exponentiation_module,
     isolation_module,
@@ -40,7 +40,12 @@ def run_accuracy_sweep():
     rows = []
     for name, factory, inputs_list in CASES:
         for inputs in inputs_list:
-            stats = settle_statistics(factory(), inputs, n_trials=N_TRIALS, seed=31)
+            stats = (
+                Experiment.from_module(factory())
+                .program(inputs)
+                .simulate(trials=N_TRIALS, seed=31)
+                .output_summary()
+            )
             rows.append(
                 {
                     "module": name,

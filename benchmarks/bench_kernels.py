@@ -1,18 +1,17 @@
-"""A6 — Kernel backend layer: per-trial SSA speedup over the template engine.
+"""A6 — Kernel backend layer: SSA engine throughput across kernel backends.
 
-PR 1's batched engine vectorized one algorithm; the kernel layer
-(:mod:`repro.sim.kernels`) attacks the per-event cost of *every* per-trial
-engine: preallocated columnar buffers, chunked random blocks and compiled
-stopping plans replace Python object dispatch inside the firing loop.  This
-harness times a full outcome-classification ensemble of the Example-1
-stochastic module (γ = 10³, scale 100, outcome declared after 10 working
-firings) on the ``direct`` engine across backends:
+The kernel layer (:mod:`repro.sim.kernels`) is the only implementation of
+each SSA algorithm: preallocated columnar buffers, chunked random blocks and
+compiled stopping plans, with no Python object dispatch inside the firing
+loop.  This harness times a full outcome-classification ensemble of the
+Example-1 stochastic module (γ = 10³, scale 100, outcome declared after 10
+working firings) on the ``direct`` engine across backends — the baseline
+every row's ``speedup`` is relative to is ``direct`` on numpy:
 
-* ``backend="python"`` — the object-level template loop (the PR-3 baseline);
 * ``backend="numpy"``  — the interpreted array-kernel reference;
 * ``backend="numba"``  — the JIT backend, when numba is installed;
 
-plus the array-kernel engines the lock-step layer added:
+plus the other array-kernel engines:
 
 * ``next-reaction`` on the numpy (and, when installed, numba) backends —
   the :class:`ArrayHeap` port of the Gibson–Bruck queue;
@@ -24,8 +23,6 @@ plus the array-kernel engines the lock-step layer added:
 
 and checks that
 
-* the numpy backend is ≥ 3× faster than the python baseline at the full
-  10,000-trial size (the acceptance bar for the kernel layer);
 * the JIT batch-direct sweep is ≥ 10× faster than the interpreted numpy
   batch-direct sweep at the full size (the acceptance bar for the
   mega-batch layer — asserted only when numba is installed);
@@ -37,7 +34,9 @@ and checks that
 Full-size runs append to ``BENCH_kernels.json`` at the repository root so
 the perf trajectory of the hot path is recorded across PRs (smoke runs skip
 the file — their numbers are not comparable and would dirty the tree on
-every CI-style invocation).
+every CI-style invocation).  Each entry records the host it ran on; numba
+rows carry ``"ci_only": true`` because only the CI job that installs numba
+can produce them.
 
 Run directly for a wall-clock report (CI uses ``--smoke``)::
 
@@ -52,6 +51,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -132,13 +133,15 @@ def _mega_batch_row(backend: str, n_trials: int, seed: int) -> dict[str, object]
 def measure(n_trials: int, seed: int = 2007) -> list[dict[str, object]]:
     """Time the ensemble once per (engine, backend); one row each.
 
-    The mega-batch rows sweep ``MEGA_FACTOR × n_trials`` trials in a single
-    columnar pass — 10⁵ at the full benchmark size — so the row demonstrates
-    the preallocated cross-trial buffers at the scale they were built for.
+    The first row — ``direct`` on numpy — is the baseline of every row's
+    ``speedup``.  The mega-batch rows sweep ``MEGA_FACTOR × n_trials``
+    trials in a single columnar pass — 10⁵ at the full benchmark size — so
+    the row demonstrates the preallocated cross-trial buffers at the scale
+    they were built for.
     """
     array_backends = ["numpy"] + (["numba"] if numba_available() else [])
     rows: list[dict[str, object]] = []
-    for backend in ["python", *array_backends]:
+    for backend in array_backends:
         rows.append(_timed_row("direct", backend, n_trials, seed))
     # next-reaction joined the array-kernel matrix with the ArrayHeap port.
     for backend in array_backends:
@@ -152,7 +155,7 @@ def measure(n_trials: int, seed: int = 2007) -> list[dict[str, object]]:
     baseline = rows[0]["seconds"]
     for row in rows:
         # normalize by throughput so the 10×-sized mega-batch rows compare
-        # fairly against the python baseline on the base ensemble size.
+        # fairly against the baseline on the base ensemble size.
         row["speedup"] = (baseline / n_trials) * (row["trials"] / row["seconds"])
     return rows
 
@@ -217,15 +220,18 @@ def record(rows, checks, n_trials: int) -> None:
             history = json.loads(RESULT_PATH.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, OSError):
             history = []
-    numpy_row = next(
-        r for r in rows if r["backend"] == "numpy" and r["engine"] == "direct"
-    )
     entry = {
         "benchmark": "bench_kernels",
+        "host": {
+            "cpus": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
         "trials": n_trials,
         "mega_batch_trials": MEGA_FACTOR * n_trials,
         "numba_available": numba_available(),
-        "numpy_speedup_vs_python": round(float(numpy_row["speedup"]), 3),
+        "baseline": "direct [numpy]",
         "rows": [
             {
                 "engine": r["engine"],
@@ -233,8 +239,9 @@ def record(rows, checks, n_trials: int) -> None:
                 "trials": int(r["trials"]),
                 "seconds": round(float(r["seconds"]), 4),
                 "trials_per_s": round(float(r["trials/s"]), 1),
-                "speedup_vs_python": round(float(r["speedup"]), 3),
+                "speedup_vs_numpy_direct": round(float(r["speedup"]), 3),
                 "tv_vs_target": round(float(r["tv_vs_target"]), 4),
+                **({"ci_only": True} if r["backend"] == "numba" else {}),
             }
             for r in rows
         ],
@@ -261,25 +268,13 @@ def run_report(n_trials: int, full_assertions: bool) -> list[dict[str, object]]:
         assert row["tv_vs_target"] < 0.1, (
             f"{row['engine']}[{row['backend']}]: TV {row['tv_vs_target']:.3f}"
         )
-    numpy_row = next(
-        r for r in rows if r["backend"] == "numpy" and r["engine"] == "direct"
-    )
     if full_assertions:
-        assert numpy_row["speedup"] >= 3.0, (
-            f"numpy kernel speedup {numpy_row['speedup']:.2f}x < 3x over the "
-            f"python template at {n_trials} trials"
-        )
         mega_numpy = next(
             r for r in rows if r["engine"] == "mega-batch" and r["backend"] == "numpy"
         )
         assert mega_numpy["trials"] >= 100_000, (
             f"mega-batch row swept only {mega_numpy['trials']} trials; the "
             f"full benchmark must include a >= 1e5-trial columnar sweep"
-        )
-    else:
-        assert numpy_row["speedup"] > 1.0, (
-            f"numpy kernel slower than the python template "
-            f"({numpy_row['speedup']:.2f}x)"
         )
     if numba_available():
         # the acceptance bar for the JIT lock-step sweep: >= 10x over the
@@ -321,7 +316,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--trials", type=int, default=None,
                         help=f"ensemble size (default {FULL_TRIALS})")
     parser.add_argument("--smoke", "--quick", dest="smoke", action="store_true",
-                        help=f"CI smoke mode: {SMOKE_TRIALS} trials, soft speedup check")
+                        help=f"CI smoke mode: {SMOKE_TRIALS} trials, soft speedup checks")
     args = parser.parse_args(argv)
     n_trials = args.trials or (SMOKE_TRIALS if args.smoke else FULL_TRIALS)
     run_report(n_trials, full_assertions=not args.smoke and n_trials >= FULL_TRIALS)

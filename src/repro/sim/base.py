@@ -31,6 +31,10 @@ from repro.crn.network import ReactionNetwork
 from repro.crn.state import State
 from repro.errors import SimulationError
 from repro.sim.events import StoppingCondition
+from repro.sim.kernels.backend import BACKEND_NAMES, KernelJob, resolve_run_backend
+from repro.sim.kernels.blocks import RandomBlocks
+from repro.sim.kernels.buffers import TrajectoryBuffers
+from repro.sim.kernels.plan import compile_stopping_plan
 from repro.sim.propensity import CompiledNetwork
 from repro.sim.rng import make_rng
 from repro.sim.trajectory import StopReason, Trajectory
@@ -129,8 +133,6 @@ class SimulationOptions:
             raise SimulationError(
                 f"snapshot_stride must be positive, got {self.snapshot_stride}"
             )
-        from repro.sim.kernels.backend import BACKEND_NAMES
-
         if self.backend != "auto" and self.backend not in BACKEND_NAMES:
             raise SimulationError(
                 f"unknown kernel backend {self.backend!r}; "
@@ -216,8 +218,6 @@ class StochasticSimulator:
 
     def _stopping_plan(self, stopping: "StoppingCondition | None"):
         """Compile (and cache, per condition instance) the kernel stopping plan."""
-        from repro.sim.kernels.plan import compile_stopping_plan
-
         cached = self._plan_cache
         if cached is not None and cached[0] is stopping:
             return cached[1]
@@ -251,10 +251,6 @@ class StochasticSimulator:
             Random seed or generator for this run; defaults to the simulator's
             own stream.
         """
-        from repro.sim.kernels.backend import KernelJob, resolve_run_backend
-        from repro.sim.kernels.blocks import RandomBlocks
-        from repro.sim.kernels.buffers import TrajectoryBuffers
-
         if self.kernel_name is None:
             raise NotImplementedError(
                 f"{type(self).__name__} declares no kernel; override run()"

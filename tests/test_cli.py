@@ -165,6 +165,13 @@ class TestEngineSelection:
         assert code == 1
         assert "batched engine" in captured.err
 
+    def test_retired_python_backend_rejected(self, design_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", str(design_file), "--trials", "10", "--seed", "7",
+                  "--backend", "python"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'python'" in capsys.readouterr().err
+
     def test_simulate_batch_engine_with_workers(self, design_file, capsys):
         code = main(["simulate", str(design_file), "--trials", "120", "--seed", "7",
                      "--engine", "batch-direct", "--workers", "2"])
