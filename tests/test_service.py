@@ -85,8 +85,9 @@ class TestEndpoints:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
-        message = json.loads(excinfo.value.read())["error"]
+        with excinfo.value as response:
+            assert response.code == 400
+            message = json.loads(response.read())["error"]
         assert "'python'" in message and "backend" in message
         assert ServiceClient(service.url).healthz()["artifacts"] == 0
 
