@@ -265,7 +265,8 @@ class RunResult:
     def output_summary(self, role: str = "y") -> dict[str, float]:
         """Mean/std/min/max of one output port (plus the ideal value if known).
 
-        The facade equivalent of the old ``settle_statistics`` dictionary.
+        Keys: ``mean``, ``std``, ``min``, ``max``, ``n_trials`` and, when the
+        module declares its ideal function, ``expected``.
         """
         values = self.output_values(role).astype(float)
         summary = {
