@@ -271,7 +271,7 @@ class Experiment:
             )
         from repro.sim.events import condition_from_descriptor
         from repro.store.canonical import _rename_stopping
-        from repro.store.serialize import WorkingOutcomeClassifier
+        from repro.sim.outcomes import WorkingOutcomeClassifier
 
         rename = {str(k): str(v) for k, v in mapping.items()}
         network = self.network.renamed(rename)
@@ -362,7 +362,7 @@ class Experiment:
             stopping = self.stopping or self.system.stopping_condition(
                 self.n_working_firings
             )
-            classifier = self.classifier or self.system.classify_outcome
+            classifier = self.classifier or self.system.outcome_classifier()
             return network, stopping, classifier
         if self.module is not None:
             prepared = self.module.with_input_quantities(inputs)
@@ -429,7 +429,12 @@ class Experiment:
         keep_trajectories:
             Keep the raw per-trial trajectories on the result.
         chunk_size:
-            Trials per parallel shard.
+            Trials per chunk of the ensemble schedule (default 512).  The
+            chunk is the seeding unit — batched chunks are sub-seeded from
+            their bounds — so results and store keys depend on it, never on
+            ``workers``.  The batched engine sweeps consecutive chunks
+            together (as many as fit a fixed cap of cross-trial matrix
+            cells), so a small chunk costs it no sweep width.
         backend:
             Simulation-kernel backend (``"auto"`` / ``"numpy"`` /
             ``"numba"``; see the ``backends`` column of

@@ -6,11 +6,22 @@ metadata (engine, seed, inputs, programmed target distribution, module output
 ports), with the paper's analysis quantities exposed lazily — outcome
 frequencies, distances to the target (Section 2.1's programmed distribution),
 decision-time summaries — and a JSON round trip for archiving runs.
+
+Payload format (``repro.run-result/v2``): the per-trial arrays of the
+ensemble (``final_counts``, ``final_times``, ``n_firings``) are *typed
+columns*, ``{"dtype": "<i8" | "<f8", "shape": [...], "data": <base64>}``
+holding the array's little-endian bytes, instead of JSON number lists — so
+writing, storing, serving and reading a 10⁴-trial result encodes no per-trial
+JSON numbers.  Readers still accept ``repro.run-result/v1`` payloads, whose
+arrays are JSON lists; every column is validated on read.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -24,11 +35,66 @@ from repro.sim.stats import RunningMoments
 
 __all__ = [
     "RunResult",
+    "decode_column",
+    "encode_column",
+    "ensemble_column",
     "ensemble_to_payload",
     "ensemble_from_payload",
 ]
 
-_SCHEMA = "repro.run-result/v1"
+_SCHEMA = "repro.run-result/v2"
+#: Result schemas accepted on input (v1 carries the arrays as JSON lists).
+_ACCEPTED_SCHEMAS = ("repro.run-result/v1", _SCHEMA)
+
+#: The dtype of each per-trial ensemble array in a payload.
+_COLUMN_DTYPES = {"final_counts": "<i8", "final_times": "<f8", "n_firings": "<i8"}
+#: The in-memory dtype each column dtype decodes to.
+_NATIVE = {"<i8": np.int64, "<f8": np.float64}
+
+
+def encode_column(values: np.ndarray, dtype: str) -> dict:
+    """A typed column: ``values`` as little-endian ``dtype`` bytes in base64."""
+    data = np.ascontiguousarray(values, dtype=dtype)
+    return {
+        "dtype": dtype,
+        "shape": list(data.shape),
+        "data": base64.b64encode(data.tobytes()).decode("ascii"),
+    }
+
+
+def decode_column(column: object, dtype: str, field: str) -> np.ndarray:
+    """The native-dtype array of a typed column, validated.
+
+    Raises :class:`~repro.errors.ExperimentError` naming ``field`` when the
+    column is not ``dtype``, its shape is malformed, its data is not base64
+    or its byte length is not the shape's.
+    """
+    if not isinstance(column, Mapping):
+        raise ExperimentError(f"{field}: expected a typed column, got {type(column).__name__}")
+    if column.get("dtype") != dtype:
+        raise ExperimentError(
+            f"{field}: column dtype {column.get('dtype')!r} is not {dtype!r} "
+            "(typed columns are '<i8' or '<f8', fixed per field)"
+        )
+    shape = column.get("shape")
+    if not isinstance(shape, list) or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape
+    ):
+        raise ExperimentError(f"{field}: column shape {shape!r} is not a list of sizes")
+    data = column.get("data")
+    try:
+        if not isinstance(data, str):
+            raise TypeError(type(data).__name__)
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError, binascii.Error) as exc:
+        raise ExperimentError(f"{field}: column data is not base64 ({exc})") from None
+    itemsize = np.dtype(dtype).itemsize
+    if len(raw) != math.prod(shape) * itemsize:
+        raise ExperimentError(
+            f"{field}: column holds {len(raw)} bytes, but shape {shape} of "
+            f"{dtype!r} needs {math.prod(shape) * itemsize}"
+        )
+    return np.frombuffer(raw, dtype=dtype).astype(_NATIVE[dtype]).reshape(shape)
 
 
 def ensemble_to_payload(ensemble: EnsembleResult) -> dict:
@@ -36,36 +102,69 @@ def ensemble_to_payload(ensemble: EnsembleResult) -> dict:
 
     The result store persists bare ensembles with this shape, and
     :meth:`RunResult.to_payload` embeds it under its ``"ensemble"`` key.
+    The per-trial arrays are typed columns (:func:`encode_column`).
     """
     return {
         "n_trials": ensemble.n_trials,
         "outcome_counts": dict(ensemble.outcome_counts),
         "species": [s.name for s in ensemble.species],
-        "final_counts": ensemble.final_counts.tolist(),
-        "final_times": ensemble.final_times.tolist(),
-        "n_firings": ensemble.n_firings.tolist(),
+        **{
+            name: encode_column(getattr(ensemble, name), dtype)
+            for name, dtype in _COLUMN_DTYPES.items()
+        },
     }
+
+
+def ensemble_column(raw: Mapping, name: str) -> np.ndarray:
+    """One per-trial array of an ensemble payload, from a typed column or a
+    v1 list (``ExperimentError`` naming the field when malformed)."""
+    value = raw[name]
+    dtype = _COLUMN_DTYPES[name]
+    if isinstance(value, list):
+        try:
+            return np.asarray(value, dtype=_NATIVE[dtype])
+        except (TypeError, ValueError) as exc:
+            raise ExperimentError(f"ensemble.{name}: malformed list ({exc})") from None
+    return decode_column(value, dtype, f"ensemble.{name}")
 
 
 def ensemble_from_payload(raw: Mapping) -> EnsembleResult:
     """Rebuild an :class:`EnsembleResult` from :func:`ensemble_to_payload` output.
 
-    Trajectories are not round-tripped; streaming moments are recomputed
-    from the final-count matrix.
+    Accepts typed columns and the v1 JSON lists.  The arrays must agree: one
+    row per trial (or none, for results that sample no trajectories) and
+    one ``final_counts`` column per species; otherwise
+    :class:`~repro.errors.ExperimentError` names the field.  Trajectories
+    are not round-tripped; streaming moments are recomputed from the
+    final-count matrix.
     """
-    final_counts = np.asarray(raw["final_counts"], dtype=np.int64)
-    if final_counts.size == 0:
-        final_counts = final_counts.reshape(0, len(raw["species"]))
+    n_trials = int(raw["n_trials"])
+    species = tuple(as_species(name) for name in raw["species"])
+    final_counts = ensemble_column(raw, "final_counts")
+    if final_counts.size == 0 and final_counts.ndim < 2:
+        final_counts = final_counts.reshape(0, len(species))  # v1: []
+    rows = final_counts.shape[0] if final_counts.ndim == 2 else -1
+    if rows not in (n_trials, 0) or final_counts.shape[1:] != (len(species),):
+        raise ExperimentError(
+            f"ensemble.final_counts: shape {list(final_counts.shape)} disagrees "
+            f"with n_trials={n_trials} and {len(species)} species"
+        )
+    arrays = {"final_counts": final_counts}
+    for name in ("final_times", "n_firings"):
+        arrays[name] = ensemble_column(raw, name)
+        if arrays[name].shape != (rows,):
+            raise ExperimentError(
+                f"ensemble.{name}: shape {list(arrays[name].shape)} disagrees "
+                f"with the {rows} rows of ensemble.final_counts"
+            )
     return EnsembleResult(
-        n_trials=int(raw["n_trials"]),
+        n_trials=n_trials,
         outcome_counts={str(k): int(v) for k, v in raw["outcome_counts"].items()},
-        final_counts=final_counts,
-        species=tuple(as_species(name) for name in raw["species"]),
-        final_times=np.asarray(raw["final_times"], dtype=float),
-        n_firings=np.asarray(raw["n_firings"], dtype=np.int64),
+        species=species,
         moments=(
             RunningMoments.from_samples(final_counts) if final_counts.size else None
         ),
+        **arrays,
     )
 
 
@@ -361,9 +460,10 @@ class RunResult:
         :class:`~repro.adaptive.result.AdaptiveResult`, so store and service
         cache hits return the same type the cold run produced.
         """
-        if payload.get("schema") != _SCHEMA:
+        if payload.get("schema") not in _ACCEPTED_SCHEMAS:
             raise ExperimentError(
-                f"unrecognized result schema {payload.get('schema')!r}; expected {_SCHEMA!r}"
+                f"unrecognized result schema {payload.get('schema')!r}; expected "
+                f"one of {list(_ACCEPTED_SCHEMAS)}"
             )
         kwargs = dict(
             ensemble=ensemble_from_payload(payload["ensemble"]),

@@ -27,6 +27,7 @@ from repro.crn.network import ReactionNetwork
 from repro.errors import SpecificationError, SynthesisError
 from repro.sim.ensemble import EnsembleResult
 from repro.sim.events import CategoryFiringCondition, StoppingCondition
+from repro.sim.outcomes import WorkingOutcomeClassifier
 from repro.sim.trajectory import Trajectory
 
 __all__ = ["SynthesizedSystem", "synthesize_distribution", "synthesize_affine_response"]
@@ -92,8 +93,8 @@ class SynthesizedSystem:
 
         The paper's convention (Section 2.1.3): "a working reaction needs to
         fire 10 times for us to declare an outcome"; the stop detail is the
-        working reaction's name, which :meth:`classify_outcome` maps back to
-        the outcome label.
+        working reaction's name, which :meth:`outcome_classifier` maps back
+        to the outcome label.
         """
         return CategoryFiringCondition("working", working_firings)
 
@@ -133,19 +134,22 @@ class SynthesizedSystem:
             max_states=max_states,
         )
 
+    def outcome_classifier(self) -> WorkingOutcomeClassifier:
+        """This design's trajectory → outcome rule as a serializable classifier.
+
+        The working reaction that declared the stop names the outcome; a run
+        that ended another way falls back to the dominant catalyst.  It also
+        labels whole batched sweeps at once (``classify_batch``).
+        """
+        return WorkingOutcomeClassifier(
+            self.labels,
+            {label: self.working_reaction_name(label) for label in self.labels},
+            self.catalyst_map(),
+        )
+
     def classify_outcome(self, trajectory: Trajectory) -> "str | None":
         """Map a finished trajectory to an outcome label (or None if undecided)."""
-        detail = trajectory.stop_detail
-        for label in self.labels:
-            if detail == self.working_reaction_name(label):
-                return label
-        # Fall back to the dominant catalyst if the run ended another way.
-        best_label, best_count = None, 0
-        for label in self.labels:
-            count = trajectory.final_count(self.catalyst_species(label))
-            if count > best_count:
-                best_label, best_count = label, count
-        return best_label if best_count > 0 else None
+        return self.outcome_classifier()(trajectory)
 
     def network_with_inputs(self, inputs: "Mapping[str, int] | None" = None) -> ReactionNetwork:
         """A copy of the network with programmable input quantities applied.

@@ -158,8 +158,11 @@ class ResultService:
         self.store = ResultStore.coerce(store)
         self.workers = int(workers)
         self.quiet = bool(quiet)
+        # Handler threads count hits and misses concurrently; the lock keeps
+        # each read-modify-write whole.
         self.hits = 0
         self.misses = 0
+        self._counter_lock = threading.Lock()
         self._thread: "threading.Thread | None" = None
         try:
             self.httpd = ThreadingHTTPServer((host, port), _Handler)
@@ -192,11 +195,13 @@ class ResultService:
         from repro import __version__
 
         stats = self.store.stats()
+        with self._counter_lock:
+            hits, misses = self.hits, self.misses
         return {
             "status": "ok",
             "version": __version__,
-            "hits": self.hits,
-            "misses": self.misses,
+            "hits": hits,
+            "misses": misses,
             **stats,
         }
 
@@ -235,10 +240,11 @@ class ResultService:
         result, cached, canon, envelope = cached_run(
             self.store, payload, workers=self.workers, trusted=False
         )
-        if cached:
-            self.hits += 1
-        else:
-            self.misses += 1
+        with self._counter_lock:
+            if cached:
+                self.hits += 1
+            else:
+                self.misses += 1
         return (200 if cached else 201), {
             "key": canon.key,
             "cached": cached,

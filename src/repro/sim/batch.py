@@ -15,9 +15,11 @@ compaction over preallocated cross-trial buffers, consuming pre-drawn
 :class:`~repro.sim.kernels.blocks.RandomBlocks`.  The numpy reference sweep
 and the fused numba kernel consume the same stream in the same op order, so
 seeded batches are bit-identical across backends — and the buffers are
-reused across ``run_batch`` calls of the same width, which is what makes
-10⁵–10⁶-trial mega-batches and the adaptive controller's doubling rounds
-allocation-free after the first round.  A condition with no clause encoding
+reused across runs that fit them, which is what makes 10⁵–10⁶-trial
+mega-batches and the adaptive controller's doubling rounds allocation-free
+after the first round.  :meth:`BatchDirectEngine.run_group` sweeps several
+independently seeded chunks in one pass; :meth:`BatchDirectEngine.run_batch`
+is its one-chunk case.  A condition with no clause encoding
 (a callback plan) runs on the numpy sweep, which calls its ``check()`` for
 each active trial after every step.
 
@@ -38,6 +40,7 @@ totals are kept, which is what ensembles consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +56,7 @@ from repro.sim.kernels.backend import (
 )
 from repro.sim.kernels.batch import (
     BatchBuffers,
+    BatchSegment,
     BatchSweepJob,
     batch_random_blocks,
     callback_hits,
@@ -89,7 +93,8 @@ class BatchResult:
         Per-reaction firing totals, shape ``(n_trials, n_reactions)``.
     stop_reasons / stop_details:
         Why each trial stopped (:class:`~repro.sim.trajectory.StopReason`
-        constants) and the stopping condition's detail string (outcome label).
+        constants) and the stopping condition's detail string (outcome
+        label; ``""`` for trials that stopped another way).
     """
 
     species: tuple
@@ -176,6 +181,17 @@ class BatchDirectEngine:
 
     # -- batched simulation --------------------------------------------------------
 
+    def reserve(self, n_trials: int) -> None:
+        """Size the sweep buffers for batches of up to ``n_trials`` trials.
+
+        The ensemble runner reserves its widest group on first use, so
+        later, wider calls (the adaptive controller's doubling rounds) reuse
+        the same arrays.
+        """
+        self._sweep_buffers.ensure(
+            n_trials, self.compiled.n_species, self.compiled.n_reactions
+        )
+
     def run_batch(
         self,
         n_trials: int,
@@ -192,10 +208,42 @@ class BatchDirectEngine:
         ``record_states`` must be off: the batched engine keeps per-reaction
         firing totals but no event log (raising keeps a mistaken
         ``engine="batch-direct"`` in log-dependent analyses loud instead of
-        silently returning empty logs).
+        silently returning empty logs).  This is :meth:`run_group` with one
+        chunk.
         """
-        if n_trials <= 0:
-            raise SimulationError(f"n_trials must be positive, got {n_trials}")
+        return self.run_group(
+            [(n_trials, seed)],
+            initial_state=initial_state,
+            stopping=stopping,
+            options=options,
+            **option_overrides,
+        )
+
+    def run_group(
+        self,
+        chunks: "Sequence[tuple[int, int | np.random.Generator | None]]",
+        initial_state: "State | dict | None" = None,
+        stopping: "StoppingCondition | None" = None,
+        options: "SimulationOptions | None" = None,
+        **option_overrides,
+    ) -> BatchResult:
+        """Simulate a group of chunks in one fused sweep.
+
+        ``chunks`` lists ``(n_trials, seed)`` pairs.  Each chunk draws only
+        from its own generator (``seed=None`` uses the engine's default
+        generator), in the order a :meth:`run_batch` of that chunk alone
+        would, so with distinct seeds the result is bit-identical to one
+        :meth:`run_batch` per chunk: its rows are the chunks' trials, in
+        order.  The chunk is the seeding unit; the group only shares the
+        per-step cost of the sweep.  Other parameters as in
+        :meth:`run_batch`.
+        """
+        chunks = [(int(n), seed) for n, seed in chunks]
+        if not chunks:
+            raise SimulationError("run_group needs at least one chunk")
+        for n, _ in chunks:
+            if n <= 0:
+                raise SimulationError(f"n_trials must be positive, got {n}")
         opts = merge_options(options or SimulationOptions(record_firings=False),
                              option_overrides)
         if opts.record_firings or opts.record_states:
@@ -204,7 +252,6 @@ class BatchDirectEngine:
                 "SimulationOptions(record_firings=False) (and record_states=False) "
                 "or use a per-trial engine for full firing logs"
             )
-        rng = self._default_rng if seed is None else make_rng(seed)
         compiled = self.compiled
         start = resolve_initial_counts(compiled, initial_state)
         if stopping is not None:
@@ -214,19 +261,19 @@ class BatchDirectEngine:
             opts.backend, self.supported_backends, plan, self.method_name
         )
 
+        n_trials = sum(n for n, _ in chunks)
         buffers = self._sweep_buffers
         buffers.ensure(n_trials, compiled.n_species, compiled.n_reactions)
         buffers.reset(n_trials, start)
 
         # t=0 stopping pre-pass (no randomness consumed; shared by both
         # backends, like the per-trial engines' Python-side t=0 check).
-        trials = np.arange(n_trials)
         details = None
         if plan.callback is not None:
             details = np.full(n_trials, None, dtype=object)
             hit0 = callback_hits(
                 plan.callback, buffers.counts, buffers.firings, buffers.times,
-                trials, details,
+                np.arange(n_trials), details,
             )
         else:
             hits = plan_clause_hits(
@@ -235,9 +282,17 @@ class BatchDirectEngine:
             hit0 = hits >= 0
             buffers.clauses[:n_trials][hit0] = hits[hit0]
         buffers.stop_codes[:n_trials][hit0] = STOP_CONDITION
-        running = trials[~hit0]
-        n_active = running.size
-        buffers.active[:n_active] = running
+
+        segments = []
+        row = 0
+        for n, seed in chunks:
+            running = row + np.flatnonzero(~hit0[row : row + n])
+            buffers.active[row : row + running.size] = running
+            rng = self._default_rng if seed is None else make_rng(seed)
+            segments.append(
+                BatchSegment(row, row + n, batch_random_blocks(rng, n), running.size)
+            )
+            row += n
 
         # The whole lock-step loop runs as one columnar sweep inside the
         # kernel backend (numpy reference or fused numba kernel;
@@ -247,16 +302,15 @@ class BatchDirectEngine:
                 knet=self._knet,
                 plan=plan,
                 buffers=buffers,
-                blocks=batch_random_blocks(rng, n_trials),
+                segments=tuple(segments),
                 n_trials=n_trials,
-                n_active=n_active,
                 max_time=opts.max_time,
                 max_steps=opts.max_steps,
                 details=details,
             )
         )
 
-        # Package copies: the buffers are reused by the next run_batch call.
+        # Package copies: the buffers are reused by the next sweep.
         codes = buffers.stop_codes[:n_trials]
         stop_reasons = np.full(n_trials, StopReason.EXHAUSTED, dtype=object)
         stop_details = np.full(n_trials, "", dtype=object)
@@ -266,9 +320,11 @@ class BatchDirectEngine:
         if condition.any():
             stop_reasons[condition] = StopReason.CONDITION
             if details is not None:
-                stop_details[condition] = details[condition]
+                stop_details[condition] = np.array(
+                    [str(detail) for detail in details[condition]], dtype=object
+                )
             else:
-                labels = np.array(plan.labels, dtype=object)
+                labels = np.array([str(label) for label in plan.labels], dtype=object)
                 stop_details[condition] = labels[buffers.clauses[:n_trials][condition]]
         return BatchResult(
             species=compiled.species,

@@ -18,7 +18,14 @@ packages that loop at three execution scales:
 
 Chunking and random-stream spawning are keyed by global trial index, so a
 given ``(seed, n_trials, chunk_size)`` produces identical results whether the
-chunks run sequentially, on 2 workers or on 32.
+chunks run sequentially, on 2 workers or on 32.  The chunk is the seeding
+unit; for the batched engine, consecutive chunks are grouped into one fused
+sweep (:func:`~repro.sim.kernels.batch.group_trials` caps a group), and each
+chunk still yields its own shard.
+
+Trials are labelled by an outcome classifier (:mod:`repro.sim.outcomes`);
+one with a ``classify_batch`` method labels a whole batched sweep from its
+columns, without a per-trial :class:`~repro.sim.trajectory.Trajectory`.
 """
 
 from __future__ import annotations
@@ -36,11 +43,13 @@ from repro.errors import EmptyMergeError, EnsembleError
 from repro.sim.base import SimulationOptions
 from repro.sim.events import StoppingCondition
 from repro.sim.kernels.backend import validate_backend_request
+from repro.sim.kernels.batch import group_trials
+from repro.sim.outcomes import UNDECIDED, StopDetailClassifier, count_outcomes
 from repro.sim.propensity import CompiledNetwork
 from repro.sim.registry import registry
 from repro.sim.rng import derive_seed, spawn_children_range
 from repro.sim.stats import RunningMoments
-from repro.sim.trajectory import StopReason, Trajectory
+from repro.sim.trajectory import Trajectory
 
 __all__ = [
     "engine_names",
@@ -128,7 +137,7 @@ class EnsembleResult:
     trajectories: list[Trajectory] = field(default_factory=list)
     moments: "RunningMoments | None" = None
 
-    UNDECIDED = "(undecided)"
+    UNDECIDED = UNDECIDED
 
     # -- shard merging -----------------------------------------------------------
 
@@ -281,8 +290,11 @@ class EnsembleRunner:
         (per-trial engines only; the batched engine records totals only).
     outcome_classifier:
         Callable mapping a :class:`Trajectory` to an outcome label (or
-        ``None`` for undecided).  Default: the trajectory's ``stop_detail``
-        when it stopped on a condition.
+        ``None`` for undecided).  Default:
+        :class:`~repro.sim.outcomes.StopDetailClassifier`, the trajectory's
+        ``stop_detail`` when it stopped on a condition.  A classifier with a
+        ``classify_batch(batch)`` method labels batched runs from their
+        columns (see :mod:`repro.sim.outcomes`).
     engine_options:
         Typed options dataclass for the selected engine (e.g.
         :class:`~repro.sim.tau_leaping.TauLeapOptions`), validated against
@@ -324,18 +336,13 @@ class EnsembleRunner:
         self.engine_options = engine_options
         self.stopping = stopping
         self.options = options
-        self.outcome_classifier = outcome_classifier or self._default_classifier
+        self.outcome_classifier = outcome_classifier or StopDetailClassifier()
         # Lazily-created batched engine, kept for the runner's lifetime so its
         # columnar sweep buffers are allocated once and reused across chunks
         # and adaptive doubling rounds (see BatchBuffers in kernels/batch.py).
         self._batch_engine = None
-
-    @staticmethod
-    def _default_classifier(trajectory: Trajectory) -> "str | None":
-        """Label a trial by its stopping-condition detail (None = undecided)."""
-        if trajectory.stop_reason == "condition" and trajectory.stop_detail:
-            return trajectory.stop_detail
-        return None
+        # Trials the batched engine's buffers are sized for on first use.
+        self._reserve_trials = 0
 
     def run(
         self,
@@ -347,11 +354,36 @@ class EnsembleRunner:
         """Simulate ``n_trials`` independent trajectories and aggregate them."""
         if n_trials <= 0:
             raise EnsembleError(f"n_trials must be positive, got {n_trials}")
-        return self._run_range(
-            n_trials, seed, 0, n_trials, initial_state, keep_trajectories
-        )
+        return self._run_group(
+            n_trials, seed, [(0, n_trials)], initial_state, keep_trajectories
+        )[0]
 
     # -- execution ---------------------------------------------------------------
+
+    def _run_group(
+        self,
+        n_trials: int,
+        seed: "int | None",
+        bounds: "Sequence[tuple[int, int]]",
+        initial_state: "Mapping | None",
+        keep_trajectories: bool,
+    ) -> "list[EnsembleResult]":
+        """Simulate trial slices of an ``n_trials`` ensemble, one shard each.
+
+        The slice abstraction is what the parallel runner shards: per-trial
+        engines derive each trial's random stream from its global index, and
+        the batched engine derives one sub-seed per slice, so results depend
+        only on ``(seed, n_trials, slicing)`` — never on which process runs
+        which slice, or which slices share a sweep.  The batched engine
+        sweeps the slices together; per-trial engines run them one after
+        another.
+        """
+        if self.engine_info.batched:
+            return self._run_batched(seed, bounds, initial_state, keep_trajectories)
+        return [
+            self._run_range(n_trials, seed, start, stop, initial_state, keep_trajectories)
+            for start, stop in bounds
+        ]
 
     def _run_range(
         self,
@@ -362,23 +394,14 @@ class EnsembleRunner:
         initial_state: "Mapping | None",
         keep_trajectories: bool,
     ) -> EnsembleResult:
-        """Simulate the trial slice ``[start, stop)`` of an ``n_trials`` ensemble.
-
-        The slice abstraction is what the parallel runner shards: per-trial
-        engines derive each trial's random stream from its global index, and
-        the batched engine derives one sub-seed per slice, so results depend
-        only on ``(seed, n_trials, slicing)`` — never on which process runs
-        which slice.
-        """
-        if self.engine_info.batched:
-            return self._run_batched(seed, start, stop, initial_state, keep_trajectories)
+        """Simulate the trial slice ``[start, stop)`` with a per-trial engine."""
         simulator = make_simulator(
             self.compiled, engine=self.engine, engine_options=self.engine_options
         )
         streams = spawn_children_range(seed, n_trials, start, stop)
         count = stop - start
 
-        outcome_counts: dict[str, int] = {}
+        labels = []
         final_counts = np.zeros((count, self.compiled.n_species), dtype=np.int64)
         final_times = np.zeros(count)
         n_firings = np.zeros(count, dtype=np.int64)
@@ -392,9 +415,7 @@ class EnsembleRunner:
                 options=self.options,
                 seed=rng,
             )
-            label = self.outcome_classifier(trajectory)
-            key = EnsembleResult.UNDECIDED if label is None else str(label)
-            outcome_counts[key] = outcome_counts.get(key, 0) + 1
+            labels.append(self.outcome_classifier(trajectory))
             final_counts[trial] = trajectory.final_state.to_vector(self.compiled.species)
             moments.update(final_counts[trial])
             final_times[trial] = trajectory.final_time
@@ -404,7 +425,7 @@ class EnsembleRunner:
 
         return EnsembleResult(
             n_trials=count,
-            outcome_counts=outcome_counts,
+            outcome_counts=count_outcomes(labels),
             final_counts=final_counts,
             species=self.compiled.species,
             final_times=final_times,
@@ -416,67 +437,68 @@ class EnsembleRunner:
     def _run_batched(
         self,
         seed: "int | None",
-        start: int,
-        stop: int,
+        bounds: "Sequence[tuple[int, int]]",
         initial_state: "Mapping | None",
         keep_trajectories: bool,
-    ) -> EnsembleResult:
-        """Run trials ``[start, stop)`` as one vectorized batch."""
-        count = stop - start
-        # The batch shares one generator, so the slice (not each trial) gets a
-        # deterministic sub-seed; fixed chunking then keeps parallel results
-        # invariant to the worker count.
-        sub_seed = None if seed is None else derive_seed(seed, "batch", start, stop)
+    ) -> "list[EnsembleResult]":
+        """Run the trial slices ``bounds`` as one fused sweep, one shard each."""
+        # The batch shares one generator per slice, so each slice (not each
+        # trial) gets a deterministic sub-seed from its bounds; fixed
+        # chunking then keeps results invariant to the worker count and to
+        # how slices are grouped into sweeps.
+        chunks = [
+            (stop - start, None if seed is None else derive_seed(seed, "batch", start, stop))
+            for start, stop in bounds
+        ]
         if self._batch_engine is None:
             self._batch_engine = self.engine_info.create(
                 self.compiled, engine_options=self.engine_options
             )
-        batch = self._batch_engine.run_batch(
-            count,
+            if self._reserve_trials:
+                self._batch_engine.reserve(self._reserve_trials)
+        batch = self._batch_engine.run_group(
+            chunks,
             initial_state=dict(initial_state) if initial_state else None,
             stopping=self.stopping,
             options=self.options,
-            seed=sub_seed,
         )
 
-        outcome_counts: dict[str, int] = {}
-        kept: list[Trajectory] = []
-        default_classifier = self.outcome_classifier is EnsembleRunner._default_classifier
-        for trial in range(count):
-            if default_classifier and not keep_trajectories:
-                # Fast path: the default classifier only reads the stop fields.
-                label = (
-                    str(batch.stop_details[trial])
-                    if batch.stop_reasons[trial] == StopReason.CONDITION
-                    and batch.stop_details[trial]
-                    else None
+        classify_batch = getattr(self.outcome_classifier, "classify_batch", None)
+        trajectories: list[Trajectory] = []
+        if keep_trajectories or classify_batch is None:
+            # Opaque callables (and kept trajectories) need one object per trial.
+            trajectories = [batch.trajectory(trial) for trial in range(batch.n_trials)]
+            labels = [self.outcome_classifier(t) for t in trajectories]
+        else:
+            labels = classify_batch(batch).tolist()
+        n_firings = batch.firing_counts.sum(axis=1)
+
+        shards = []
+        row = 0
+        for count, _ in chunks:
+            rows = slice(row, row + count)
+            shards.append(
+                EnsembleResult(
+                    n_trials=count,
+                    outcome_counts=count_outcomes(labels[rows]),
+                    final_counts=batch.final_counts[rows],
+                    species=self.compiled.species,
+                    final_times=batch.final_times[rows],
+                    n_firings=n_firings[rows],
+                    trajectories=trajectories[rows] if keep_trajectories else [],
+                    moments=RunningMoments.from_samples(batch.final_counts[rows]),
                 )
-            else:
-                trajectory = batch.trajectory(trial)
-                label = self.outcome_classifier(trajectory)
-                if keep_trajectories:
-                    kept.append(trajectory)
-            key = EnsembleResult.UNDECIDED if label is None else str(label)
-            outcome_counts[key] = outcome_counts.get(key, 0) + 1
-
-        return EnsembleResult(
-            n_trials=count,
-            outcome_counts=outcome_counts,
-            final_counts=batch.final_counts,
-            species=self.compiled.species,
-            final_times=batch.final_times,
-            n_firings=batch.firing_counts.sum(axis=1),
-            trajectories=kept,
-            moments=RunningMoments.from_samples(batch.final_counts),
-        )
+            )
+            row += count
+        return shards
 
 
-def _ensemble_shard(payload: tuple) -> EnsembleResult:
-    """Worker entry point: simulate one trial slice in a child process.
+def _ensemble_group(payload: tuple) -> "list[EnsembleResult]":
+    """Worker entry point: simulate one group of trial slices in a child process.
 
     Receives plain picklable pieces (the uncompiled network is shipped and
     recompiled here — compilation is cheap relative to any ensemble worth
-    parallelizing) and returns the shard's :class:`EnsembleResult`.
+    parallelizing) and returns one :class:`EnsembleResult` shard per slice.
     """
     (
         network,
@@ -487,8 +509,7 @@ def _ensemble_shard(payload: tuple) -> EnsembleResult:
         engine_options,
         seed,
         n_trials,
-        start,
-        stop,
+        bounds,
         initial_state,
         keep_trajectories,
     ) = payload
@@ -500,7 +521,7 @@ def _ensemble_shard(payload: tuple) -> EnsembleResult:
         outcome_classifier=classifier,
         engine_options=engine_options,
     )
-    return runner._run_range(n_trials, seed, start, stop, initial_state, keep_trajectories)
+    return runner._run_group(n_trials, seed, bounds, initial_state, keep_trajectories)
 
 
 class ParallelEnsembleRunner(EnsembleRunner):
@@ -527,12 +548,16 @@ class ParallelEnsembleRunner(EnsembleRunner):
         Worker process count (default: ``os.cpu_count()``).  ``workers=1``
         runs the same chunked schedule inline, without spawning processes.
     chunk_size:
-        Trials per shard (default 512).  Smaller chunks balance load better;
-        larger chunks amortize per-chunk setup (network recompilation, and
-        batch-engine efficiency grows with batch width).  When the options
-        carry ``mega_batch`` (batched engines only), it overrides this —
-        each chunk then advances up to ``mega_batch`` trials in one columnar
-        sweep; the schedule remains worker-invariant for the new width.
+        Trials per shard (default 512): the seeding unit, so it is part of a
+        run's identity — results depend on it, never on ``workers``.  The
+        batched engine sweeps consecutive chunks together, up to
+        :func:`~repro.sim.kernels.batch.group_trials` trials of the network
+        at a time, so small chunks cost it no sweep efficiency; each group
+        is also the unit handed to a worker.  When the options carry
+        ``mega_batch`` (batched engines only), it overrides this — each
+        chunk then holds up to ``mega_batch`` trials, swept alone when wider
+        than a group; the schedule remains worker-invariant for the new
+        width.
     """
 
     def __init__(
@@ -564,6 +589,12 @@ class ParallelEnsembleRunner(EnsembleRunner):
         if self.options.mega_batch is not None:
             chunk_size = int(self.options.mega_batch)
         self.chunk_size = chunk_size
+        # A batched group holds whole chunks up to the sweep's cell cap; the
+        # engine's buffers are sized for the widest such group on first use,
+        # so the adaptive controller's growing rounds never reallocate.
+        self._group_trials = group_trials(self.compiled.n_species, self.compiled.n_reactions)
+        if self.engine_info.batched:
+            self._reserve_trials = self._group_trials // chunk_size * chunk_size
 
     def run(
         self,
@@ -617,11 +648,13 @@ class ParallelEnsembleRunner(EnsembleRunner):
         # it beyond bounds checking, the batched engine never reads it.
         total = max(stop for _, stop in bounds)
         initial = dict(initial_state) if initial_state else None
+        groups = self._groups(bounds)
 
-        if self.workers == 1 or len(bounds) == 1:
+        if self.workers == 1 or len(groups) == 1:
             return [
-                self._run_range(total, seed, start, stop, initial, keep_trajectories)
-                for start, stop in bounds
+                shard
+                for group in groups
+                for shard in self._run_group(total, seed, group, initial, keep_trajectories)
             ]
 
         payloads = [
@@ -634,15 +667,36 @@ class ParallelEnsembleRunner(EnsembleRunner):
                 self.engine_options,
                 seed,
                 total,
-                start,
-                stop,
+                group,
                 initial,
                 keep_trajectories,
             )
-            for start, stop in bounds
+            for group in groups
         ]
         context = pool_context()
-        processes = min(self.workers, len(bounds))
+        processes = min(self.workers, len(groups))
         with context.Pool(processes=processes) as pool:
-            shards = pool.map(_ensemble_shard, payloads)
-        return shards
+            results = pool.map(_ensemble_group, payloads)
+        return [shard for shards in results for shard in shards]
+
+    def _groups(
+        self, bounds: "list[tuple[int, int]]"
+    ) -> "list[list[tuple[int, int]]]":
+        """Consecutive slices grouped into execution units.
+
+        A batched group holds whole slices while their trials fit the
+        sweep's cap (at least one slice); per-trial engines run each slice
+        on its own.
+        """
+        if not self.engine_info.batched:
+            return [[bound] for bound in bounds]
+        groups: list[list[tuple[int, int]]] = []
+        width = 0
+        for start, stop in bounds:
+            if groups and width + (stop - start) <= self._group_trials:
+                groups[-1].append((start, stop))
+                width += stop - start
+            else:
+                groups.append([(start, stop)])
+                width = stop - start
+        return groups

@@ -7,13 +7,13 @@ this package:
 
 * :class:`BatchBuffers` — every cross-trial array the sweep touches (count
   matrix, propensity matrix, per-trial clocks, step counters, firing totals,
-  stop flags, the active-trial index list), allocated once per ensemble
-  chunk and reused across runs of the same width — including the adaptive
-  controller's doubling rounds, which re-enter ``run_batch`` on the same
-  engine object many times;
-* :class:`BatchSweepJob` — the argument bundle handed to a backend's
-  ``run_batch`` (the batch analogue of :class:`~repro.sim.kernels.backend
-  .KernelJob`);
+  stop flags, the active-trial index list), allocated once per engine and
+  reused across runs that fit — including the adaptive controller's
+  doubling rounds, which re-enter the engine many times;
+* :class:`BatchSegment` / :class:`BatchSweepJob` — the argument bundle
+  handed to a backend's ``run_batch`` (the batch analogue of
+  :class:`~repro.sim.kernels.backend.KernelJob`): one segment per chunk of
+  a *group* of chunks swept together;
 * :func:`run_batch_sweep` — the numpy reference implementation of the
   sweep, consuming pre-drawn :class:`~repro.sim.kernels.blocks.RandomBlocks`
   and evaluating the compiled :class:`~repro.sim.kernels.plan.StoppingPlan`
@@ -22,12 +22,27 @@ this package:
   t=0 pre-pass and the reference sweep;
 * :func:`callback_hits` — the per-row check of a callback plan (a stopping
   condition with no clause encoding), run by the t=0 pre-pass and the numpy
-  sweep only; backend resolution never hands the numba sweep such a plan.
+  sweep only; backend resolution never hands the numba sweep such a plan;
+* :func:`group_trials` — how many trials one fused sweep may hold.
+
+Chunks and groups
+-----------------
+The *chunk* is the seeding unit: each chunk of an ensemble draws from its
+own generator, sub-seeded from its bounds, so results do not depend on how
+chunks are scheduled.  The *group* is the execution unit: the numpy sweep
+advances a group of consecutive chunks in one pass (one segment of buffer
+rows per chunk), paying the per-step fixed cost of a sweep once per group
+instead of once per chunk.  Each segment consumes its own chunk's blocks in
+exactly the order a sweep of that chunk alone would, so grouping changes no
+seeded result; a single chunk is the one-segment case.  Groups are capped
+at :data:`GROUP_CELLS` cross-trial matrix cells, which bounds the sweep's
+memory.
 
 Determinism contract (mirrored by the numba batch kernel)
 ---------------------------------------------------------
-Both backends consume the same :class:`RandomBlocks` stream in the same
-order, so a seeded batch is bit-identical across numpy and numba:
+Every chunk consumes its own :class:`RandomBlocks` stream, and both backends
+consume it in the same order, so a seeded batch is bit-identical across
+numpy and numba and across groupings.  Per chunk:
 
 1. per step, propensity rows are rebuilt for the active trials in ascending
    trial order, with row totals accumulated left to right over the natural
@@ -36,8 +51,9 @@ order, so a seeded batch is bit-identical across numpy and numba:
 2. trials whose total is non-positive stop (``EXHAUSTED``) and are compacted
    out *before* any randomness is consumed;
 3. both block refills are checked up front (exp first, then uniform, each
-   with ``need = n_active``), so a numba ``NEED_*`` exit always re-enters at
-   a point where no randomness has been consumed this step;
+   with ``need`` = the chunk's active count), so a numba ``NEED_*`` exit
+   always re-enters at a point where no randomness has been consumed this
+   step;
 4. one exponential is consumed per active trial in order (``wait = exp /
    total``); trials pushed past ``max_time`` stop *after* consuming their
    draw (the over-horizon event never fires) and are compacted out;
@@ -51,8 +67,11 @@ order, so a seeded batch is bit-identical across numpy and numba:
    the per-trial kernels.  (A callback plan is evaluated per active row in
    the same place; only the numpy sweep runs callback plans.)
 
-Any arithmetic change here must be mirrored in the ``batch-direct`` step of
-:mod:`repro.sim.kernels.numba_backend`.
+The order in which different chunks take their draws does not matter:
+their generators are independent.  Any arithmetic change here must be
+mirrored in the ``batch-direct`` step of
+:mod:`repro.sim.kernels.numba_backend`, which sweeps a group one segment at
+a time.
 """
 
 from __future__ import annotations
@@ -66,16 +85,37 @@ from repro.sim.kernels.network import KernelNetwork
 from repro.sim.kernels.plan import StoppingPlan
 
 __all__ = [
+    "GROUP_CELLS",
     "BatchBuffers",
+    "BatchSegment",
     "BatchSweepJob",
     "batch_random_blocks",
     "callback_hits",
+    "group_trials",
     "plan_clause_hits",
     "run_batch_sweep",
 ]
 
 #: stop_codes value for a trial that is still running.
 RUNNING = -1
+
+#: Cap on one fused sweep's cross-trial matrix cells: 2048 trials of the
+#: paper's Example 1 (18 reactions).  Wider groups buy little run time for
+#: their memory.  Example 1 estimated to CI half-width 0.01 (16384 trials,
+#: numpy, 2-vCPU Xeon host, median of 3 fresh processes, growth of peak RSS
+#: during the run): one chunk per sweep 2.53 s / +4.0 MiB; caps of 1024
+#: trials 1.26 s / +4.4 MiB, 2048 1.16 s / +5.9 MiB, 4096 1.05 s /
+#: +7.6 MiB, 8192 1.13 s / +13.1 MiB.
+GROUP_CELLS = 2048 * 18
+
+
+def group_trials(n_species: int, n_reactions: int) -> int:
+    """Most trials one fused sweep holds: :data:`GROUP_CELLS` over the row width.
+
+    A row is as wide as the wider of the count and propensity matrices, so
+    the cap bounds both.  At least one trial, so any chunk can run.
+    """
+    return max(1, GROUP_CELLS // max(n_species, n_reactions, 1))
 
 
 class BatchBuffers:
@@ -84,10 +124,10 @@ class BatchBuffers:
     One instance lives on the batch engine and is resized monotonically:
     :meth:`ensure` reallocates only when the requested capacity or network
     shape exceeds what is already held, so the adaptive controller's
-    doubling rounds (many ``run_batch`` calls of the same chunk width on one
-    engine) reuse the same arrays round after round.  ``allocations`` counts
-    the reallocation events — regression tests assert it stays at one across
-    rounds.
+    doubling rounds (many sweeps on one engine, reserved for the widest
+    group on first use) reuse the same arrays round after round.
+    ``allocations`` counts the reallocation events — regression tests assert
+    it stays at one across rounds.
     """
 
     def __init__(self) -> None:
@@ -140,22 +180,36 @@ class BatchBuffers:
 
 
 @dataclass
+class BatchSegment:
+    """One chunk of a fused sweep: its buffer rows and its random stream.
+
+    The chunk owns buffer rows ``[start, stop)`` and draws only from
+    ``blocks``.  ``n_active`` counts its trials still running after the
+    shared t=0 stopping pre-pass; they are listed, as buffer row indices in
+    ascending order, in ``buffers.active[start:start + n_active]``.
+    """
+
+    start: int
+    stop: int
+    blocks: RandomBlocks
+    n_active: int
+
+
+@dataclass
 class BatchSweepJob:
     """Everything one batch-sweep invocation needs, bundled.
 
     The buffers carry the results out (stop codes, clause indices, final
-    counts/times/firings in their first ``n_trials`` rows); ``n_active`` is
-    the number of still-running trials listed in ``buffers.active`` after
-    the shared t=0 stopping pre-pass.  For a callback plan, ``details`` (an
-    object array of ``n_trials``) receives each condition stop's detail.
+    counts/times/firings in their first ``n_trials`` rows, the segments'
+    rows in order).  For a callback plan, ``details`` (an object array of
+    ``n_trials``) receives each condition stop's detail.
     """
 
     knet: KernelNetwork
     plan: StoppingPlan
     buffers: BatchBuffers
-    blocks: RandomBlocks
+    segments: "tuple[BatchSegment, ...]"
     n_trials: int
-    n_active: int
     max_time: float
     max_steps: int
     details: "np.ndarray | None" = None
@@ -229,17 +283,38 @@ def callback_hits(
     return hit
 
 
-def run_batch_sweep(job: BatchSweepJob) -> None:
-    """Advance every active trial to its stop: the numpy reference sweep.
+def _segment_sizes(idx: np.ndarray, starts: np.ndarray) -> "list[int]":
+    """Active trials per segment; ``idx`` is ascending, so each segment's
+    rows are one run of it."""
+    if starts.size == 1:
+        return [idx.size]
+    edges = np.searchsorted(idx, starts).tolist()
+    edges.append(idx.size)
+    return [stop - start for start, stop in zip(edges, edges[1:])]
 
-    Mutates ``job.buffers`` in place; when it returns, every trial in the
-    batch has a stop code.  See the module docstring for the op-order
-    contract the numba batch kernel mirrors.
+
+def _take(blocks: list, positions: list, sizes: "list[int]") -> np.ndarray:
+    """The next ``sizes[k]`` values of each segment's block, concatenated."""
+    parts = []
+    for k, n in enumerate(sizes):
+        if n:
+            parts.append(blocks[k][positions[k] : positions[k] + n])
+            positions[k] += n
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def run_batch_sweep(job: BatchSweepJob) -> None:
+    """Advance every active trial of every segment to its stop.
+
+    The numpy reference sweep: one pass over the whole group, each segment
+    drawing from its own blocks.  Mutates ``job.buffers`` in place; when it
+    returns, every trial in the batch has a stop code.  See the module
+    docstring for the op-order contract the numba batch kernel mirrors.
     """
     knet = job.knet
     plan = job.plan
     buffers = job.buffers
-    blocks = job.blocks
+    segments = job.segments
     nr = knet.n_reactions
     max_time = job.max_time
     max_steps = job.max_steps
@@ -250,7 +325,6 @@ def run_batch_sweep(job: BatchSweepJob) -> None:
     firings = buffers.firings
     stop_codes = buffers.stop_codes
     clauses = buffers.clauses
-    active = buffers.active
     n_clauses = plan.n_clauses
     callback = plan.callback
     delta_matrix = knet.delta_matrix
@@ -264,45 +338,49 @@ def run_batch_sweep(job: BatchSweepJob) -> None:
         STOP_MAX_TIME,
     )
 
-    exp = blocks.exponential
-    exp_pos, exp_len = 0, exp.shape[0]
-    uni = blocks.uniform
-    uni_pos, uni_len = 0, uni.shape[0]
+    # Per-segment block cursors; a refill replaces that segment's block.
+    exp = [segment.blocks.exponential for segment in segments]
+    uni = [segment.blocks.uniform for segment in segments]
+    exp_pos = [0] * len(segments)
+    uni_pos = [0] * len(segments)
+    starts = np.array([segment.start for segment in segments], dtype=np.int64)
 
-    n_active = job.n_active
-    while n_active:
-        idx = active[:n_active]
+    # The active rows of all segments, ascending: segment by segment.
+    idx = np.concatenate(
+        [buffers.active[s.start : s.start + s.n_active] for s in segments]
+    )
+    while idx.size:
         prop = knet.propensity_matrix(counts[idx])
         # Left-to-right column accumulation: matches the numba kernel's
         # sequential per-row sum bit for bit (np.sum is pairwise).
-        totals = np.zeros(n_active, dtype=np.float64)
+        totals = np.zeros(idx.size, dtype=np.float64)
         for j in range(nr):
             totals += prop[:, j]
 
         alive = totals > 0.0
         if not alive.all():
-            dead_idx = idx[~alive]
-            stop_codes[dead_idx] = STOP_EXHAUSTED
+            stop_codes[idx[~alive]] = STOP_EXHAUSTED
             idx = idx[alive]
-            n_active = idx.size
-            if n_active == 0:
+            if idx.size == 0:
                 break
             prop = prop[alive]
             totals = totals[alive]
-            active[:n_active] = idx
-            idx = active[:n_active]
 
-        # Both refills checked before any consumption (numba NEED_* exits
-        # re-enter at the top of the step, so nothing may be consumed yet).
-        if exp_len - exp_pos < n_active:
-            exp = blocks.refill_exponential(exp_pos, need=n_active)
-            exp_pos, exp_len = 0, exp.shape[0]
-        if uni_len - uni_pos < n_active:
-            uni = blocks.refill_uniform(uni_pos, need=n_active)
-            uni_pos, uni_len = 0, uni.shape[0]
+        # Both refills checked before any consumption, per segment (numba
+        # NEED_* exits re-enter at the top of the step, so nothing may be
+        # consumed yet).
+        sizes = _segment_sizes(idx, starts)
+        for k, n in enumerate(sizes):
+            if not n:
+                continue
+            if exp[k].shape[0] - exp_pos[k] < n:
+                exp[k] = segments[k].blocks.refill_exponential(exp_pos[k], need=n)
+                exp_pos[k] = 0
+            if uni[k].shape[0] - uni_pos[k] < n:
+                uni[k] = segments[k].blocks.refill_uniform(uni_pos[k], need=n)
+                uni_pos[k] = 0
 
-        waits = exp[exp_pos : exp_pos + n_active] / totals
-        exp_pos += n_active
+        waits = _take(exp, exp_pos, sizes) / totals
         new_times = times[idx] + waits
         overtime = new_times > max_time
         if overtime.any():
@@ -311,24 +389,21 @@ def run_batch_sweep(job: BatchSweepJob) -> None:
             stop_codes[over_idx] = STOP_MAX_TIME
             keep = ~overtime
             idx = idx[keep]
-            n_active = idx.size
-            if n_active == 0:
+            if idx.size == 0:
                 continue
             prop = prop[keep]
             totals = totals[keep]
             new_times = new_times[keep]
-            active[:n_active] = idx
-            idx = active[:n_active]
+            sizes = _segment_sizes(idx, starts)
 
-        thresholds = uni[uni_pos : uni_pos + n_active] * totals
-        uni_pos += n_active
+        thresholds = _take(uni, uni_pos, sizes) * totals
 
         # CDF inversion in natural reaction order; the count of entries the
         # threshold clears equals the first index it does not (the CDF is
         # non-decreasing), which is what the numba kernel's scan computes.
         cdf = np.cumsum(prop, axis=1)
         chosen = np.minimum((thresholds[:, None] >= cdf).sum(axis=1), nr - 1)
-        picked = prop[np.arange(n_active), chosen]
+        picked = prop[np.arange(idx.size), chosen]
         zero_picked = picked <= 0.0
         if zero_picked.any():
             # Floating point placed a threshold past the last positive entry;
@@ -356,9 +431,5 @@ def run_batch_sweep(job: BatchSweepJob) -> None:
 
         capped = steps[idx] >= max_steps
         if capped.any():
-            cap_idx = idx[capped]
-            stop_codes[cap_idx] = STOP_MAX_STEPS
+            stop_codes[idx[capped]] = STOP_MAX_STEPS
             idx = idx[~capped]
-
-        n_active = idx.size
-        active[:n_active] = idx

@@ -820,32 +820,38 @@ class NumbaKernelBackend(KernelBackend):
         """Drive the fused batch-direct sweep kernel (refills only in Python).
 
         ``job`` is a :class:`~repro.sim.kernels.batch.BatchSweepJob`; the
-        buffers carry the results out.  The kernel exits only for block
-        refills (both block checks happen before any consumption within a
-        step, so re-entry is exact) and when every trial has stopped.
+        buffers carry the results out.  The kernel runs once per segment
+        (one chunk of the group, with its own blocks and its slice of the
+        active list; it indexes the shared buffers by row).  It exits only
+        for block refills (both block checks happen before any consumption
+        within a step, so re-entry is exact) and when every trial of the
+        segment has stopped.
         """
         step = self._kernels["batch-direct"]
         knet = job.knet
         plan = job.plan
-        blocks = job.blocks
         buffers = job.buffers
-        state = np.array([job.n_active, 0, 0, 0], dtype=np.int64)
-        while True:
-            status = step(
-                knet.rates, knet.reactant_species, knet.reactant_coeffs,
-                knet.change_species, knet.change_deltas,
-                plan.kinds, plan.targets, plan.levels, plan.member_ptr, plan.member_idx,
-                buffers.counts, buffers.times, buffers.steps, buffers.firings,
-                buffers.stop_codes, buffers.clauses,
-                buffers.active, buffers.propensities, buffers.totals,
-                blocks.exponential, blocks.uniform, state,
-                float(job.max_time), int(job.max_steps),
-            )
-            if status == NEED_EXP:
-                blocks.refill_exponential(int(state[1]), need=int(state[3]))
-                state[1] = 0
-            elif status == NEED_UNI:
-                blocks.refill_uniform(int(state[2]), need=int(state[3]))
-                state[2] = 0
-            else:
-                break
+        for segment in job.segments:
+            blocks = segment.blocks
+            active = buffers.active[segment.start : segment.stop]
+            state = np.array([segment.n_active, 0, 0, 0], dtype=np.int64)
+            while True:
+                status = step(
+                    knet.rates, knet.reactant_species, knet.reactant_coeffs,
+                    knet.change_species, knet.change_deltas,
+                    plan.kinds, plan.targets, plan.levels,
+                    plan.member_ptr, plan.member_idx,
+                    buffers.counts, buffers.times, buffers.steps, buffers.firings,
+                    buffers.stop_codes, buffers.clauses,
+                    active, buffers.propensities, buffers.totals,
+                    blocks.exponential, blocks.uniform, state,
+                    float(job.max_time), int(job.max_steps),
+                )
+                if status == NEED_EXP:
+                    blocks.refill_exponential(int(state[1]), need=int(state[3]))
+                    state[1] = 0
+                elif status == NEED_UNI:
+                    blocks.refill_uniform(int(state[2]), need=int(state[3]))
+                    state[2] = 0
+                else:
+                    break

@@ -40,7 +40,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from repro.errors import FingerprintError, StoreError
+from repro.errors import ExperimentError, FingerprintError, StoreError
 
 __all__ = [
     "EXPERIMENT_UNHASHED_KEYS",
@@ -366,9 +366,13 @@ def localize_run_payload(
     (``label`` / ``inputs`` / ``outputs`` / ``expected_outputs`` /
     ``target``) are restored from ``caller_payload``.  Outcome labels are
     never touched.  The input payload is not mutated; untouched sections
-    (outcome counts, unpermuted final-count rows) are shared with it rather
-    than copied, so warm hits stay O(species), not O(trials).
+    (outcome counts, an unpermuted final-count column) are shared with it
+    rather than copied, so warm hits under the writer's naming stay
+    O(species), not O(trials).  A permuted ``final_counts`` keeps its form:
+    a typed column stays one, and a v1 payload keeps its lists.
     """
+    from repro.api.results import encode_column, ensemble_column
+
     localized = dict(run_payload)
     localized["label"] = str(caller_payload.get("label", localized.get("label")))
     localized["inputs"] = {
@@ -386,9 +390,13 @@ def localize_run_payload(
         order = sorted(range(len(names)), key=lambda i: names[i])
         ensemble["species"] = [names[i] for i in order]
         if order != list(range(len(names))):  # identity translations skip the
-            ensemble["final_counts"] = [  # O(trials x species) column shuffle
-                [row[i] for i in order] for row in ensemble["final_counts"]
-            ]
+            counts = ensemble_column(ensemble, "final_counts")  # column shuffle
+            permuted = counts.reshape(-1, len(order))[:, order]
+            ensemble["final_counts"] = (
+                permuted.tolist()
+                if isinstance(ensemble["final_counts"], list)
+                else encode_column(permuted, "<i8")
+            )
 
     adaptive = localized.get("adaptive")
     if adaptive:
@@ -423,15 +431,21 @@ def localize_envelope(
             f"artifact {str(envelope.get('key'))[:12]}… holds a "
             f"{envelope.get('kind')!r}, not a run-result"
         )
-    if not canon.exact:
-        return RunResult.from_payload(envelope["payload"]), dict(envelope)
-    translate = compose_translation(envelope.get("witness"), canon.witness)
-    localized = localize_run_payload(envelope["payload"], translate, caller_payload)
+    try:
+        if not canon.exact:
+            return RunResult.from_payload(envelope["payload"]), dict(envelope)
+        translate = compose_translation(envelope.get("witness"), canon.witness)
+        localized = localize_run_payload(envelope["payload"], translate, caller_payload)
+        result = RunResult.from_payload(localized)
+    except ExperimentError as exc:
+        raise StoreError(
+            f"corrupt artifact {str(envelope.get('key'))[:12]}…: {exc}"
+        ) from exc
     reply = dict(envelope)
     reply["payload"] = localized
     reply["witness"] = dict(canon.witness)
     reply["label"] = localized.get("label")
-    return RunResult.from_payload(localized), reply
+    return result, reply
 
 
 def cached_run(

@@ -25,6 +25,7 @@ from typing import Any, Mapping
 from repro.errors import FingerprintError
 from repro.sim.base import SimulationOptions
 from repro.sim.events import condition_from_descriptor
+from repro.sim.outcomes import WorkingOutcomeClassifier
 
 __all__ = [
     "EXPERIMENT_SCHEMA",
@@ -49,43 +50,6 @@ _ACCEPTED_SCHEMAS = ("repro.experiment/v1", "repro.experiment/v2")
 def is_experiment_schema(tag: Any) -> bool:
     """Whether ``tag`` names a supported serialized-experiment schema."""
     return tag in _ACCEPTED_SCHEMAS
-
-
-class WorkingOutcomeClassifier:
-    """Serializable stand-in for ``SynthesizedSystem.classify_outcome``.
-
-    Maps a trajectory to the outcome whose *working* reaction declared the
-    stop, falling back to the dominant catalyst (strict lead, first label
-    wins ties) when the run ended another way — the exact semantics of
-    :meth:`repro.core.synthesizer.SynthesizedSystem.classify_outcome`, but
-    built from plain data (label order, working-reaction names, catalyst
-    species) so it survives the JSON round trip and pickles to workers.
-    """
-
-    def __init__(
-        self,
-        labels: "tuple[str, ...] | list[str]",
-        working: Mapping[str, str],
-        catalysts: Mapping[str, str],
-    ) -> None:
-        self.labels = tuple(str(label) for label in labels)
-        self.working = {str(k): str(v) for k, v in working.items()}
-        self.catalysts = {str(k): str(v) for k, v in catalysts.items()}
-
-    def __call__(self, trajectory) -> "str | None":
-        detail = trajectory.stop_detail
-        for label in self.labels:
-            if detail == self.working.get(label):
-                return label
-        best_label, best_count = None, 0
-        for label in self.labels:
-            count = trajectory.final_count(self.catalysts[label])
-            if count > best_count:
-                best_label, best_count = label, count
-        return best_label if best_count > 0 else None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WorkingOutcomeClassifier(labels={self.labels!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -120,27 +84,19 @@ def _resolve_callable_ref(ref: str) -> Any:
 
 def _classifier_descriptor(experiment) -> dict:
     """Canonical descriptor of the trajectory → outcome classifier."""
-    if experiment.classifier is not None:
-        if isinstance(experiment.classifier, WorkingOutcomeClassifier):
-            cl = experiment.classifier
-            return {
-                "type": "working-outcome",
-                "labels": list(cl.labels),
-                "working": dict(cl.working),
-                "catalysts": dict(cl.catalysts),
-            }
-        return {"type": "callable", "ref": _callable_ref(experiment.classifier)}
-    system = experiment.system
-    if system is not None:
+    classifier = experiment.classifier
+    if classifier is None and experiment.system is not None:
+        classifier = experiment.system.outcome_classifier()
+    if classifier is None:
+        return {"type": "stop-detail"}
+    if isinstance(classifier, WorkingOutcomeClassifier):
         return {
             "type": "working-outcome",
-            "labels": list(system.labels),
-            "working": {
-                label: system.working_reaction_name(label) for label in system.labels
-            },
-            "catalysts": system.catalyst_map(),
+            "labels": list(classifier.labels),
+            "working": dict(classifier.working),
+            "catalysts": dict(classifier.catalysts),
         }
-    return {"type": "stop-detail"}
+    return {"type": "callable", "ref": _callable_ref(classifier)}
 
 
 def _reject_untrusted_ref(data: Mapping) -> None:

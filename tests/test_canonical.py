@@ -217,6 +217,37 @@ class TestRenamedWarmHits:
         assert set(warm.frequencies) == set(original.frequencies)
         assert warm.frequencies == original.frequencies
 
+    def test_v1_artifact_is_served_as_stored(self, tmp_path):
+        """A v1 (JSON-list) artifact still hits, renamed or not, as lists."""
+        from repro.store import experiment_to_payload
+        from repro.store.canonical import cached_run
+
+        store = ResultStore(tmp_path / "store")
+        base = Experiment.from_zoo("toggle-switch")
+        kwargs = dict(trials=30, engine="batch-direct", seed=11)
+        cold = base.simulate(store=store, **kwargs)
+        key = store.keys()[0]
+        path = store._artifact_path(key)
+        envelope = json.loads(gzip.decompress(path.read_bytes()))
+        payload = envelope["payload"]
+        payload["schema"] = "repro.run-result/v1"
+        for name in ("final_counts", "final_times", "n_firings"):
+            payload["ensemble"][name] = getattr(cold.ensemble, name).tolist()
+        path.write_bytes(gzip.compress(json.dumps(envelope).encode(), mtime=0))
+
+        variant = _permuted_variant(base)
+        fresh = variant.simulate(store=ResultStore(tmp_path / "fresh"), **kwargs)
+        for experiment, expected in ((base, cold), (variant, fresh)):
+            result, cached, _canon, reply = cached_run(
+                ResultStore(store.root), experiment_to_payload(experiment, **kwargs)
+            )
+            assert cached
+            assert reply["payload"]["schema"] == "repro.run-result/v1"
+            assert isinstance(reply["payload"]["ensemble"]["final_counts"], list)
+            assert result.ensemble.final_counts.tolist() == expected.ensemble.final_counts.tolist()
+            assert result.ensemble.final_times.tolist() == expected.ensemble.final_times.tolist()
+            assert result.ensemble.outcome_counts == expected.ensemble.outcome_counts
+
     def test_experiment_renamed_requires_network_kind(self):
         experiment = Experiment.from_distribution({"1": 0.5, "2": 0.5}, gamma=100)
         with pytest.raises(ExperimentError, match="network experiments"):

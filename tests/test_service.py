@@ -135,6 +135,39 @@ class TestSimulateRoundTrip:
         health = client.healthz()
         assert health["misses"] == 1 and health["hits"] == 1
 
+    def test_counters_survive_concurrent_handlers(self, service, experiment):
+        """Every request counts once, however the handler threads interleave."""
+        import threading
+
+        from repro.store import experiment_to_payload
+
+        body = {"experiment": experiment_to_payload(
+            experiment, trials=20, engine="direct", seed=3
+        )}
+        n_threads, per_thread = 4 * (os.cpu_count() or 1), 40
+        errors: list[BaseException] = []
+
+        def handler() -> None:
+            try:
+                for _ in range(per_thread):
+                    service.simulate(body)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=handler) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert service.hits + service.misses == n_threads * per_thread
+
     def test_get_result_by_key(self, client, experiment):
         entry = client.simulate_entry(experiment, trials=30, seed=5)
         fetched = client.result(entry.key)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gzip
 import json
 
+import numpy as np
 import pytest
 
 import repro
@@ -422,6 +423,98 @@ class TestStoreMechanics:
         clone = pickle.loads(pickle.dumps(store))
         assert clone.root == store.root
         assert clone.keys() == store.keys()
+
+
+class TestTypedColumns:
+    """Per-trial arrays travel as typed base64 columns, validated on read."""
+
+    ARRAYS = (("final_counts", np.int64), ("final_times", np.float64),
+              ("n_firings", np.int64))
+
+    @pytest.fixture
+    def run(self, experiment):
+        return experiment.simulate(trials=40, engine="batch-direct", seed=5)
+
+    def test_payload_holds_typed_columns(self, run):
+        from repro.api.results import RunResult
+
+        payload = run.to_payload()
+        assert payload["schema"] == "repro.run-result/v2"
+        column = payload["ensemble"]["final_counts"]
+        assert column["dtype"] == "<i8"
+        assert column["shape"] == list(run.ensemble.final_counts.shape)
+        assert payload["ensemble"]["final_times"]["dtype"] == "<f8"
+        loaded = RunResult.from_payload(json.loads(json.dumps(payload)))
+        for name, dtype in self.ARRAYS:
+            array = getattr(loaded.ensemble, name)
+            assert array.dtype == dtype
+            assert array.tobytes() == getattr(run.ensemble, name).tobytes()
+
+    def test_v1_lists_still_read(self, run):
+        from repro.api.results import RunResult
+
+        payload = run.to_payload()
+        payload["schema"] = "repro.run-result/v1"
+        for name, _ in self.ARRAYS:
+            payload["ensemble"][name] = getattr(run.ensemble, name).tolist()
+        loaded = RunResult.from_payload(json.loads(json.dumps(payload)))
+        for name, dtype in self.ARRAYS:
+            array = getattr(loaded.ensemble, name)
+            assert array.dtype == dtype
+            assert array.tobytes() == getattr(run.ensemble, name).tobytes()
+
+    @pytest.mark.parametrize("field,change,message", [
+        ("final_counts", {"dtype": "<i4"}, "dtype '<i4'"),
+        ("final_times", {"dtype": "<i8"}, "dtype '<i8' is not '<f8'"),
+        ("n_firings", {"data": "not base64!"}, "not base64"),
+        ("n_firings", {"shape": [41]}, "needs 328"),
+        ("final_times", {"shape": "40"}, "not a list of sizes"),
+    ])
+    def test_malformed_column_names_its_field(self, run, field, change, message):
+        from repro.api.results import RunResult
+
+        payload = run.to_payload()
+        payload["ensemble"][field].update(change)
+        with pytest.raises(ExperimentError, match=f"ensemble.{field}: .*{message}"):
+            RunResult.from_payload(payload)
+
+    def test_shapes_must_agree_with_trials_and_species(self, run):
+        from repro.api.results import RunResult, encode_column
+
+        payload = run.to_payload()
+        payload["ensemble"]["n_trials"] = 41
+        with pytest.raises(ExperimentError, match="final_counts: .*n_trials=41"):
+            RunResult.from_payload(payload)
+        payload = run.to_payload()
+        payload["ensemble"]["final_counts"] = encode_column(
+            run.ensemble.final_counts[:, 1:], "<i8"
+        )
+        with pytest.raises(ExperimentError, match="final_counts: .*species"):
+            RunResult.from_payload(payload)
+        payload = run.to_payload()
+        payload["ensemble"]["n_firings"] = encode_column(run.ensemble.n_firings[1:], "<i8")
+        with pytest.raises(ExperimentError, match="n_firings: shape"):
+            RunResult.from_payload(payload)
+
+    @pytest.mark.parametrize("tamper", ["truncate", "flip-dtype"])
+    def test_tampered_gzip_artifact_raises_store_error(self, store, experiment, tamper):
+        kwargs = dict(trials=40, engine="batch-direct", seed=5)
+        experiment.simulate(store=store, **kwargs)
+        (key,) = store.keys()
+        path = store._artifact_path(key)
+        envelope = json.loads(gzip.decompress(path.read_bytes()))
+        column = envelope["payload"]["ensemble"]["final_counts"]
+        if tamper == "truncate":
+            column["data"] = column["data"][:-8]
+            message = "final_counts: column holds"
+        else:
+            column["dtype"] = "<f8"
+            message = "final_counts: column dtype '<f8'"
+        path.write_bytes(gzip.compress(json.dumps(envelope).encode(), mtime=0))
+        with pytest.raises(StoreError, match=message):
+            ResultStore(store.root).load_run(key)
+        with pytest.raises(StoreError, match=message):
+            experiment.simulate(store=ResultStore(store.root), **kwargs)
 
 
 class TestSweepIntegration:

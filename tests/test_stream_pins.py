@@ -15,6 +15,12 @@ installs numba runs the same file on the numba backend against the same
 digests (the two backends are bit-identical).  The tau-leaping rows pin its
 leap loop and its exact-step fallback at a tight and a loose ε.
 
+The ensemble pins cover the layer above: whole seeded
+``Experiment.simulate(engine="batch-direct")`` runs over many chunks (the
+arrays plus the outcome counts in insertion order), so they pin the chunk
+schedule, the per-chunk sub-seeds, the grouping of chunks into sweeps and
+the outcome classification together.
+
 To refresh a digest after a *deliberate* stream change, print the current
 values with ``PYTHONPATH=src python tests/test_stream_pins.py`` and name the
 change in CHANGES.md.
@@ -203,6 +209,117 @@ EXPECTED: "dict[tuple[str, str], str]" = {
 }
 
 
+# ---------------------------------------------------------------------------
+# ensemble pins: seeded batch-direct Experiment.simulate runs
+# ---------------------------------------------------------------------------
+
+EX1_TARGET = {"1": 0.3, "2": 0.4, "3": 0.3}
+RACE = """
+init: ea = 70
+init: eb = 30
+ea ->{1} wa
+eb ->{1} wb
+"""
+
+
+def race_predicate(time, state):
+    """Module-level predicate (no clause encoding: a callback plan)."""
+    if state["wa"] >= 3:
+        return "A"
+    if state["wb"] >= 3:
+        return "B"
+    return None
+
+
+def _ensemble_cases() -> "dict[str, tuple]":
+    """``{case: (experiment, trials, chunk_size, backend)}``."""
+    from repro.api import Experiment
+    from repro.crn import parse_network
+    from repro.sim import AllCondition, PredicateCondition, SpeciesThreshold
+    from repro.zoo.corpus import corpus_entries
+
+    example1 = Experiment.from_distribution(EX1_TARGET, gamma=1e3, scale=100)
+    race = parse_network(RACE)
+    cases = {f"{EXAMPLE1}@10000/512": (example1, 10_000, 512, KERNEL_BACKEND)}
+    for entry in corpus_entries():
+        experiment = entry.model.experiment()
+        for trials, chunk in ((1500, 512), (2000, 300)):
+            cases[f"{entry.name}@{trials}/{chunk}"] = (
+                experiment, trials, chunk, KERNEL_BACKEND
+            )
+    # About half the trials outlive the horizon (overtime compaction).
+    cases["max-time"] = (example1.configure(max_time=0.01), 2000, 512, KERNEL_BACKEND)
+    # About half the trials hit the step cap before their outcome.
+    toggle = Experiment.from_zoo("toggle-switch").configure(max_steps=15)
+    cases["max-steps"] = (toggle, 2000, 512, KERNEL_BACKEND)
+    # Conditions with no clause encoding run on the numpy sweep only.
+    predicate = Experiment.from_network(race, stopping=PredicateCondition(race_predicate))
+    cases["predicate"] = (predicate, 2000, 512, "numpy")
+    both = Experiment.from_network(race, stopping=AllCondition(
+        [SpeciesThreshold("wa", 2), SpeciesThreshold("wb", 2)]))
+    cases["all-condition"] = (both, 1500, 512, "numpy")
+    # Every trial meets the condition at t = 0: no chunk has a trial to sweep.
+    at_zero = Experiment.from_network(race, stopping=SpeciesThreshold("ea", 50))
+    cases["stop-at-t0"] = (at_zero, 1200, 512, KERNEL_BACKEND)
+    return cases
+
+
+def _ensemble_seed(case: str) -> int:
+    return _seed(case, "ensemble")
+
+
+def ensemble_digest(case: str, cases: dict) -> str:
+    """Digest of one seeded ``batch-direct`` ensemble run."""
+    experiment, trials, chunk, backend = cases[case]
+    ensemble = experiment.simulate(
+        trials=trials, engine="batch-direct", seed=_ensemble_seed(case),
+        chunk_size=chunk, backend=backend,
+    ).ensemble
+    digest = _Digest()
+    digest.array(ensemble.final_counts, np.int64)
+    digest.array(ensemble.final_times, np.float64)
+    digest.array(ensemble.n_firings, np.int64)
+    for label, count in ensemble.outcome_counts.items():
+        digest.text(label)
+        digest.text(count)
+    return digest.hexdigest()
+
+
+#: Digests captured before chunks were fused into groups of one sweep.
+ENSEMBLE_EXPECTED: "dict[str, str]" = {
+    'example-1@10000/512': '4ddee3dfec7fad2cd92d987c120d9a71bb686bf62a04818f62f23c1d16c54919',
+    'birth-death@1500/512': '84ab4f21b909615c81457dee4b075aeb6fdd593bf8944c21cb426f311e67ea77',
+    'birth-death@2000/300': '36d7207b6e85dff63ccc43e9f2e4abc9260ba5377ccd9698222a89bb280ba757',
+    'cross-catalysis@1500/512': 'ac754cb5edb357b571b72bb042bb7b0a86f6dd1e41f1073e8f2dbe5ea232be22',
+    'cross-catalysis@2000/300': 'e8a07984c9516bba0ec22dfb86f45ce0b6fea4805c5917ca6b1c30a858d64f95',
+    'dimerization@1500/512': '6451095c3a1dc8ad62a14db83900461efab3f27ab337537d1f5f9540e461c467',
+    'dimerization@2000/300': '3073124b9f67a2eab50f6a2e8335bd1efbe993460aa1b010525f4da257a709f1',
+    'lambda-decision@1500/512': 'c42371e3e5f25814585cf4de6a00f0a25369dddd97aecb0604925ebefc6b74c9',
+    'lambda-decision@2000/300': 'cdb8d6a8d48d8d869f341a806e273a03096a7616ace60a2c1df132c3e1614a36',
+    'lambda-moi2@1500/512': '2102287921f6ec18b5c1a35bf8154daa1493cae7dead57bb8cc9eb686c1c3192',
+    'lambda-moi2@2000/300': 'b639b975adf058a2cff4bf249965b8f2a8e7ac7284c7dedb5ed09bba439d47f2',
+    'polya-urn@1500/512': 'b98991aa0b1c600ffc83ad1c686ccefdc11938cddeae2524a1df2054d439c083',
+    'polya-urn@2000/300': 'ed8e5ab33d736bbd64e48935fc9bdb9e7e64360b3eea56c02447e67a6a3733c5',
+    'stiff-cascade@1500/512': '03a96a74083bdb4bd95a580303a7f02720049e8d65006021ecfd3ae59b1c5994',
+    'stiff-cascade@2000/300': '9830a6335aaa7be34d0b7855310f575e00e6ccdfdab41d6d7541c60547cb75f6',
+    'toggle-switch@1500/512': '84aa2d32b3982ccf9b159e936e32b64c3331d19cacb7676fe89f83683d84be49',
+    'toggle-switch@2000/300': '29ba6371be9fbf6a175c0e4a668f2d0cd68d50787fad5d55e715fe84be0e8c86',
+    'triple-race@1500/512': '9a83bd5cd3d5a0bf82175005262edb0954ce6da7140f27b0bba5d996d00c5e94',
+    'triple-race@2000/300': '0ca0e318e2f2f5d53a2258cc8590e6859ddd35928e6e92732d2524662495af9c',
+    'gen-k2-L1-x0-c0-n16-seed3@1500/512': '6c92b32b0d4da2229a8853895c64cc4f1aebe68a4cbe64eb12de2e1509bfe52f',
+    'gen-k2-L1-x0-c0-n16-seed3@2000/300': 'bf7691f479c38d1b5f2f049741e4fee423319a709ccda5a79acf1eeb7f139501',
+    'gen-k3-L2-x2-c0-n15-seed3@1500/512': 'f47066de12f078f5a1ff3dddc908f879752d514ee8e258bd8ad33dbe335c8b2e',
+    'gen-k3-L2-x2-c0-n15-seed3@2000/300': '2b71f5339ff589a61bf832d188effc304bbf4800a55abd29fd25981e91b0affd',
+    'gen-k2-L3-x1-c1-n14-seed6@1500/512': '9b62ba8c8bfe50391e906a317a53ac6d6bfa47f11ec71232e73eedd4f1ba0cce',
+    'gen-k2-L3-x1-c1-n14-seed6@2000/300': '7a98e42e7847d0d6604cb6b1524658156ad08b43bea8954be3c182555099e99a',
+    'max-time': '59a7c36209d16e8acc57cd8340579484856d6ee8a1f9063d065297f6e09a347c',
+    'max-steps': '368711b69488e86408458d4f7c72433085a388a7f1bd022cc9a2760d811d1f25',
+    'predicate': '71f21c734c8384694c2d1f4a7385f84d99d7f66cb8da08e38dbe3b96bb66664e',
+    'all-condition': '7f831c45c44c9e426882663c95acc700d179473eb02741b2c23b8691bfe73738',
+    'stop-at-t0': 'e92d46ad521b6ff72b0f2413d6b29a97d102c3448221bf1f16ee86254d6388e4',
+}
+
+
 @pytest.fixture(scope="module")
 def models():
     return _models()
@@ -217,7 +334,24 @@ def test_stream_pin(models, model, engine):
     assert run_digest(model, engine, models) == EXPECTED[(model, engine)]
 
 
+@pytest.fixture(scope="module")
+def ensemble_cases():
+    return _ensemble_cases()
+
+
+def test_every_ensemble_case_is_pinned(ensemble_cases):
+    assert sorted(ENSEMBLE_EXPECTED) == sorted(ensemble_cases)
+
+
+@pytest.mark.parametrize("case", sorted(ENSEMBLE_EXPECTED))
+def test_ensemble_pin(ensemble_cases, case):
+    assert ensemble_digest(case, ensemble_cases) == ENSEMBLE_EXPECTED[case]
+
+
 if __name__ == "__main__":
     all_models = _models()
     for key in pin_keys(all_models):
         print(f"    {key!r}: {run_digest(*key, all_models)!r},")
+    all_cases = _ensemble_cases()
+    for case in all_cases:
+        print(f"    {case!r}: {ensemble_digest(case, all_cases)!r},")
