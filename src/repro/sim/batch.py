@@ -272,12 +272,12 @@ class BatchDirectEngine:
         if plan.callback is not None:
             details = np.full(n_trials, None, dtype=object)
             hit0 = callback_hits(
-                plan.callback, buffers.counts, buffers.firings, buffers.times,
-                np.arange(n_trials), details,
+                plan.callback, buffers.counts[:n_trials],
+                buffers.firings[:n_trials], buffers.times[:n_trials], details,
             )
         else:
             hits = plan_clause_hits(
-                plan, buffers.counts[:n_trials], buffers.firings[:n_trials]
+                plan, buffers.counts[:n_trials].T, buffers.firings[:n_trials].T
             )
             hit0 = hits >= 0
             buffers.clauses[:n_trials][hit0] = hits[hit0]

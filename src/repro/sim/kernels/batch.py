@@ -5,11 +5,12 @@ one reaction event per trial per step.  This module supplies the pieces that
 turn that loop into a *kernel* in the same sense as the per-trial kernels in
 this package:
 
-* :class:`BatchBuffers` — every cross-trial array the sweep touches (count
-  matrix, propensity matrix, per-trial clocks, step counters, firing totals,
-  stop flags, the active-trial index list), allocated once per engine and
-  reused across runs that fit — including the adaptive controller's
-  doubling rounds, which re-enter the engine many times;
+* :class:`BatchBuffers` — the per-trial rows a sweep reads its starting
+  state from and leaves every final state in (counts, clocks, step
+  counters, firing totals, stop codes, clause indices, the active-trial
+  index list), allocated once per engine and reused across runs that fit —
+  including the adaptive controller's doubling rounds, which re-enter the
+  engine many times;
 * :class:`BatchSegment` / :class:`BatchSweepJob` — the argument bundle
   handed to a backend's ``run_batch`` (the batch analogue of
   :class:`~repro.sim.kernels.backend.KernelJob`): one segment per chunk of
@@ -17,9 +18,10 @@ this package:
 * :func:`run_batch_sweep` — the numpy reference implementation of the
   sweep, consuming pre-drawn :class:`~repro.sim.kernels.blocks.RandomBlocks`
   and evaluating the compiled :class:`~repro.sim.kernels.plan.StoppingPlan`
-  as vectorized masks;
+  as vectorized masks over rows of its working state;
 * :func:`plan_clause_hits` — the vectorized clause-table check shared by the
-  t=0 pre-pass and the reference sweep;
+  t=0 pre-pass and the reference sweep (species-major counts,
+  reaction-major firings);
 * :func:`callback_hits` — the per-row check of a callback plan (a stopping
   condition with no clause encoding), run by the t=0 pre-pass and the numpy
   sweep only; backend resolution never hands the numba sweep such a plan;
@@ -38,16 +40,42 @@ seeded result; a single chunk is the one-segment case.  Groups are capped
 at :data:`GROUP_CELLS` cross-trial matrix cells, which bounds the sweep's
 memory.
 
+The working state
+-----------------
+The numpy sweep never works on the buffers' trial-major rows.  It copies
+the group's active trials once into a compacted working state with one
+*column* per trial, in ascending buffer-row order (so each segment's
+trials are one run of columns): counts as a species × trials float64 array
+(exact for integer counts below 2⁵³; integer deltas add to it exactly, and
+clause levels compare exactly against it), firing totals as a reactions ×
+trials int64 array, plus per-trial clocks and step counters.  Every
+per-step operation then runs on contiguous rows: one or two row multiplies
+per reaction for the propensities
+(:meth:`~repro.sim.kernels.network.KernelNetwork.propensity_matrix`), the
+CDF accumulated row by row in place, one compare-and-count over the CDF
+rows for the pick, the deltas gathered for all species rows at once, and
+the plan clauses checked on rows.  A trial reaches its buffer rows once,
+when it stops: its column is written back (counts converted to int64) and
+dropped, and segment sizes are recomputed only after such a compaction.
+When the sweep returns, rows ``[0, n_trials)`` of the buffers hold every
+trial's final state, exactly as the numba kernel, which works on the
+buffer rows in place, leaves them.
+
 Determinism contract (mirrored by the numba batch kernel)
 ---------------------------------------------------------
 Every chunk consumes its own :class:`RandomBlocks` stream, and both backends
 consume it in the same order, so a seeded batch is bit-identical across
 numpy and numba and across groupings.  Per chunk:
 
-1. per step, propensity rows are rebuilt for the active trials in ascending
-   trial order, with row totals accumulated left to right over the natural
-   reaction order (``0 + p₀ + p₁ + …`` — *not* ``np.sum``, whose pairwise
-   summation orders the additions differently);
+1. per step, propensities are rebuilt for the active trials in ascending
+   trial order, each element ``rate · f(c₁) · f(c₂) …`` evaluated left to
+   right (commuting a product is exact, reassociating is not); the CDF is
+   accumulated in the natural reaction order (``cdf[j] = cdf[j−1] + p[j]``
+   — *not* ``np.sum``, whose pairwise summation orders the additions
+   differently), and its last row is each trial's total.  That row equals
+   the numba kernel's running ``0 + p₀ + p₁ + …`` bit for bit: adding the
+   leading ``0`` changes nothing but the sign of a zero, which only the
+   ``total > 0`` test below reads;
 2. trials whose total is non-positive stop (``EXHAUSTED``) and are compacted
    out *before* any randomness is consumed;
 3. both block refills are checked up front (exp first, then uniform, each
@@ -58,10 +86,16 @@ numpy and numba and across groupings.  Per chunk:
    total``); trials pushed past ``max_time`` stop *after* consuming their
    draw (the over-horizon event never fires) and are compacted out;
 5. one uniform is consumed per surviving trial in order (``threshold = uni ·
-   total``); the fired reaction inverts the row CDF in natural reaction
-   order (the count of ``threshold >= cdf`` entries equals the first index
-   with ``threshold < cdf`` because the CDF is non-decreasing), with the
-   same largest-propensity fallback as the per-trial kernels;
+   total``); the fired reaction inverts the CDF in natural reaction order
+   (the count of ``threshold >= cdf`` entries equals the first index with
+   ``threshold < cdf`` because the CDF is non-decreasing), clamped to the
+   last reaction, with the same largest-propensity (first max) fallback as
+   the per-trial kernels when the picked propensity is not positive.  Only
+   a clamped pick can need it: an unclamped pick ``J`` has ``cdf[J] >
+   threshold ≥ cdf[J−1]`` (``threshold ≥ 0`` for ``J = 0``), so ``p[J] >
+   0``.  The numpy sweep therefore keeps only the last propensity row and
+   recomputes the full propensities for the rare clamped trials whose last
+   propensity is zero;
 6. the stopping plan is evaluated first-satisfied-clause-wins, then the
    ``max_steps`` guard — condition beats the step cap on ties, exactly like
    the per-trial kernels.  (A callback plan is evaluated per active row in
@@ -120,6 +154,14 @@ def group_trials(n_species: int, n_reactions: int) -> int:
 
 class BatchBuffers:
     """Preallocated cross-trial state for the columnar batch sweep.
+
+    One row per trial: ``counts`` / ``firings`` (trial-major, int64),
+    ``times``, ``steps``, ``stop_codes`` and ``clauses`` hold each trial's
+    starting state going in and its final state coming out; ``active``
+    lists the trials still running after the t=0 pre-pass.
+    ``propensities`` and ``totals`` are scratch space for the numba kernel
+    only; the numpy sweep keeps its own working state (see the module
+    docstring).
 
     One instance lives on the batch engine and is resized monotonically:
     :meth:`ensure` reallocates only when the requested capacity or network
@@ -233,53 +275,58 @@ def batch_random_blocks(rng: np.random.Generator, n_trials: int) -> RandomBlocks
 def plan_clause_hits(
     plan: StoppingPlan, counts: np.ndarray, firings: np.ndarray
 ) -> np.ndarray:
-    """First satisfied clause index per row, or -1 (vectorized ``plan_hit``).
+    """First satisfied clause index per trial, or -1 (vectorized ``plan_hit``).
 
-    Clauses are applied in order over an ``undecided`` mask, so the first
-    satisfied clause wins per trial — the same order the per-trial kernels'
-    scalar ``plan_hit`` walks.  All comparisons are integer-exact.
+    ``counts`` is species-major ``(n_species, k)`` and ``firings``
+    reaction-major ``(n_reactions, k)``, one column per trial, so each clause
+    reads whole rows.  Clauses are applied in order over an ``undecided``
+    mask, so the first satisfied clause wins per trial — the same order the
+    per-trial kernels' scalar ``plan_hit`` walks.  Comparisons are exact for
+    integer counts, whether held as int64 or as float64 below 2⁵³.
     """
-    k = counts.shape[0]
+    k = counts.shape[1]
     hits = np.full(k, -1, dtype=np.int64)
     if plan.n_clauses == 0 or k == 0:
         return hits
     undecided = np.ones(k, dtype=bool)
     for ci, (kind, target, level, members) in enumerate(plan.py_clauses()):
         if kind == 0:
-            mask = counts[:, target] >= level
+            mask = counts[target] >= level
         elif kind == 1:
-            mask = counts[:, target] <= level
+            mask = counts[target] <= level
         elif kind == 3:
-            mask = firings[:, target] >= level
+            mask = firings[target] >= level
         else:
             if members:
-                mask = firings[:, list(members)].sum(axis=1) >= level
+                mask = firings[list(members)].sum(axis=0) >= level
             else:
                 mask = np.zeros(k, dtype=bool)
         mask &= undecided
-        hits[mask] = ci
-        undecided &= ~mask
-        if not undecided.any():
-            break
+        if mask.any():
+            hits[mask] = ci
+            undecided &= ~mask
+            if not undecided.any():
+                break
     return hits
 
 
 def callback_hits(
     callback, counts: np.ndarray, firings: np.ndarray, times: np.ndarray,
-    rows: np.ndarray, details: np.ndarray,
+    details: np.ndarray,
 ) -> np.ndarray:
-    """Mask over ``rows`` of the trials whose callback-plan check fires.
+    """Mask of the trials whose callback-plan check fires.
 
-    Calls ``callback(time, counts, firing_counts)`` once per listed trial, in
-    ``rows`` order, on views of that trial's buffer rows; each returned
-    detail string is stored in ``details[trial]``.
+    Row ``r`` of ``counts`` (int64) and ``firings`` and ``times[r]`` are one
+    trial's state.  Calls ``callback(time, counts, firing_counts)`` once per
+    row, in row order; each returned detail string is stored in
+    ``details[r]``.
     """
-    hit = np.zeros(rows.size, dtype=bool)
-    for r, t in enumerate(rows.tolist()):
-        detail = callback(float(times[t]), counts[t], firings[t])
+    hit = np.zeros(times.size, dtype=bool)
+    for r in range(times.size):
+        detail = callback(float(times[r]), counts[r], firings[r])
         if detail is not None:
             hit[r] = True
-            details[t] = detail
+            details[r] = detail
     return hit
 
 
@@ -303,31 +350,81 @@ def _take(blocks: list, positions: list, sizes: "list[int]") -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _accumulate_rows(cdf: np.ndarray) -> None:
+    """Turn propensity rows into the CDF in place: row j += row j−1.
+
+    Natural reaction order, so the last row is the total ``0 + p₀ + p₁ + …``
+    bit for bit (up to the sign of an all-zero sum, which only ``total > 0``
+    reads).  A function of its own so that no loop variable keeps the CDF
+    alive after the sweep frees it.
+    """
+    for previous, row in zip(cdf, cdf[1:]):
+        np.add(row, previous, out=row)
+
+
+class _Columns:
+    """The sweep's working state: one column per active trial.
+
+    Columns stay in ascending buffer-row order (``rows``), so each segment's
+    trials are one run of columns.  ``counts`` is species × trials float64
+    (exact for integer counts below 2⁵³, and integer deltas add to it
+    exactly), ``firings`` reactions × trials int64, C-contiguous so a flat
+    index addresses it; ``times`` and ``steps`` are per trial.  A trial
+    reaches its buffer rows once, when :meth:`retire` drops it.
+    """
+
+    def __init__(self, buffers: BatchBuffers, rows: np.ndarray) -> None:
+        self.buffers = buffers
+        self.rows = rows
+        self.counts = buffers.counts[rows].T.astype(np.float64, order="C")
+        self.firings = np.ascontiguousarray(buffers.firings[rows].T)
+        self.times = buffers.times[rows]
+        self.steps = buffers.steps[rows]
+
+    @property
+    def size(self) -> int:
+        return self.rows.size
+
+    def retire(self, stopped: np.ndarray, codes) -> np.ndarray:
+        """Write the ``stopped`` columns back with their stop ``codes``, drop them.
+
+        ``codes`` is one code or one per column.  Returns the kept columns'
+        positions, for compacting step-local arrays alongside.
+        """
+        buffers = self.buffers
+        rows = self.rows[stopped]
+        buffers.counts[rows] = self.counts[:, stopped].T.astype(np.int64)
+        buffers.firings[rows] = self.firings[:, stopped].T
+        buffers.times[rows] = self.times[stopped]
+        buffers.steps[rows] = self.steps[stopped]
+        buffers.stop_codes[rows] = codes if np.isscalar(codes) else codes[stopped]
+        kept = np.flatnonzero(~stopped)
+        self.rows = self.rows[kept]
+        self.counts = self.counts.take(kept, axis=1)
+        self.firings = self.firings.take(kept, axis=1)
+        self.times = self.times[kept]
+        self.steps = self.steps[kept]
+        return kept
+
+
 def run_batch_sweep(job: BatchSweepJob) -> None:
     """Advance every active trial of every segment to its stop.
 
     The numpy reference sweep: one pass over the whole group, each segment
-    drawing from its own blocks.  Mutates ``job.buffers`` in place; when it
-    returns, every trial in the batch has a stop code.  See the module
-    docstring for the op-order contract the numba batch kernel mirrors.
+    drawing from its own blocks, on a working state of one column per
+    active trial (see the module docstring).  When it returns, rows
+    ``[0, n_trials)`` of ``job.buffers`` hold every trial's final state and
+    stop code.  See the module docstring for the op-order contract the
+    numba batch kernel mirrors.
     """
     knet = job.knet
     plan = job.plan
-    buffers = job.buffers
     segments = job.segments
     nr = knet.n_reactions
     max_time = job.max_time
     max_steps = job.max_steps
-
-    counts = buffers.counts
-    times = buffers.times
-    steps = buffers.steps
-    firings = buffers.firings
-    stop_codes = buffers.stop_codes
-    clauses = buffers.clauses
     n_clauses = plan.n_clauses
     callback = plan.callback
-    delta_matrix = knet.delta_matrix
 
     # Stop codes (values shared with backend.py; imported locally to avoid a
     # circular import at module load).
@@ -346,90 +443,105 @@ def run_batch_sweep(job: BatchSweepJob) -> None:
     starts = np.array([segment.start for segment in segments], dtype=np.int64)
 
     # The active rows of all segments, ascending: segment by segment.
-    idx = np.concatenate(
-        [buffers.active[s.start : s.start + s.n_active] for s in segments]
-    )
-    while idx.size:
-        prop = knet.propensity_matrix(counts[idx])
-        # Left-to-right column accumulation: matches the numba kernel's
-        # sequential per-row sum bit for bit (np.sum is pairwise).
-        totals = np.zeros(idx.size, dtype=np.float64)
-        for j in range(nr):
-            totals += prop[:, j]
+    work = _Columns(job.buffers, np.concatenate(
+        [job.buffers.active[s.start : s.start + s.n_active] for s in segments]
+    ))
+    deltas = knet.delta_matrix.T.astype(np.float64)  # species × reactions
+    # Compare-and-count sums a bool matrix as bytes when the count fits one.
+    count_dtype = np.uint8 if nr < 256 else np.intp
+    sizes = _segment_sizes(work.rows, starts)
+    while work.size:
+        cdf = knet.propensity_matrix(work.counts)
+        # Only a clamped pick can land on a zero propensity, and it lands
+        # on the last reaction: keep that row for the fallback check.
+        last = cdf[nr - 1].copy()
+        _accumulate_rows(cdf)
+        totals = cdf[nr - 1]
 
         alive = totals > 0.0
         if not alive.all():
-            stop_codes[idx[~alive]] = STOP_EXHAUSTED
-            idx = idx[alive]
-            if idx.size == 0:
+            kept = work.retire(~alive, STOP_EXHAUSTED)
+            if not work.size:
                 break
-            prop = prop[alive]
-            totals = totals[alive]
+            cdf = cdf.take(kept, axis=1)
+            last = last[kept]
+            totals = cdf[nr - 1]
+            sizes = _segment_sizes(work.rows, starts)
 
         # Both refills checked before any consumption, per segment (numba
         # NEED_* exits re-enter at the top of the step, so nothing may be
         # consumed yet).
-        sizes = _segment_sizes(idx, starts)
-        for k, n in enumerate(sizes):
+        for i, n in enumerate(sizes):
             if not n:
                 continue
-            if exp[k].shape[0] - exp_pos[k] < n:
-                exp[k] = segments[k].blocks.refill_exponential(exp_pos[k], need=n)
-                exp_pos[k] = 0
-            if uni[k].shape[0] - uni_pos[k] < n:
-                uni[k] = segments[k].blocks.refill_uniform(uni_pos[k], need=n)
-                uni_pos[k] = 0
+            if exp[i].shape[0] - exp_pos[i] < n:
+                exp[i] = segments[i].blocks.refill_exponential(exp_pos[i], need=n)
+                exp_pos[i] = 0
+            if uni[i].shape[0] - uni_pos[i] < n:
+                uni[i] = segments[i].blocks.refill_uniform(uni_pos[i], need=n)
+                uni_pos[i] = 0
 
-        waits = _take(exp, exp_pos, sizes) / totals
-        new_times = times[idx] + waits
-        overtime = new_times > max_time
+        work.times = work.times + _take(exp, exp_pos, sizes) / totals
+        overtime = work.times > max_time
         if overtime.any():
-            over_idx = idx[overtime]
-            times[over_idx] = max_time
-            stop_codes[over_idx] = STOP_MAX_TIME
-            keep = ~overtime
-            idx = idx[keep]
-            if idx.size == 0:
+            # The over-horizon event never fires.
+            work.times[overtime] = max_time
+            kept = work.retire(overtime, STOP_MAX_TIME)
+            if not work.size:
                 continue
-            prop = prop[keep]
-            totals = totals[keep]
-            new_times = new_times[keep]
-            sizes = _segment_sizes(idx, starts)
+            cdf = cdf.take(kept, axis=1)
+            last = last[kept]
+            totals = cdf[nr - 1]
+            sizes = _segment_sizes(work.rows, starts)
 
         thresholds = _take(uni, uni_pos, sizes) * totals
 
-        # CDF inversion in natural reaction order; the count of entries the
-        # threshold clears equals the first index it does not (the CDF is
-        # non-decreasing), which is what the numba kernel's scan computes.
-        cdf = np.cumsum(prop, axis=1)
-        chosen = np.minimum((thresholds[:, None] >= cdf).sum(axis=1), nr - 1)
-        picked = prop[np.arange(idx.size), chosen]
-        zero_picked = picked <= 0.0
-        if zero_picked.any():
-            # Floating point placed a threshold past the last positive entry;
-            # fall back to the largest-propensity reaction (first max).
-            chosen[zero_picked] = np.argmax(prop[zero_picked], axis=1)
+        # CDF inversion: the count of rows the threshold clears equals the
+        # first row it does not (the CDF is non-decreasing), which is what
+        # the numba kernel's scan computes.
+        chosen = (cdf <= thresholds).view(np.uint8).sum(axis=0, dtype=count_dtype)
+        chosen = chosen.astype(np.intp)
+        clamped = np.flatnonzero(chosen == nr)
+        if clamped.size:
+            chosen[clamped] = nr - 1
+            zero = clamped[last[clamped] <= 0.0]
+            if zero.size:
+                # Floating point placed a threshold past the last positive
+                # entry; fall back to the largest-propensity reaction (first
+                # max).
+                chosen[zero] = np.argmax(
+                    knet.propensity_matrix(work.counts[:, zero]), axis=0
+                )
+        # Free the step's CDF before the state update and any compaction
+        # allocate theirs: this bounds the sweep's peak memory.
+        del cdf, totals
 
-        times[idx] = new_times
-        counts[idx] += delta_matrix[chosen]
-        firings[idx, chosen] += 1
-        steps[idx] += 1
+        k = work.size
+        work.counts += deltas.take(chosen, axis=1)
+        np.add.at(work.firings.reshape(-1), chosen * k + np.arange(k), 1)
+        work.steps += 1
 
+        # Stopping plan (first satisfied clause wins), then max_steps.
+        condition = None
         if n_clauses:
-            hits = plan_clause_hits(plan, counts[idx], firings[idx])
-            hit_mask = hits >= 0
-            if hit_mask.any():
-                hit_idx = idx[hit_mask]
-                stop_codes[hit_idx] = STOP_CONDITION
-                clauses[hit_idx] = hits[hit_mask]
-                idx = idx[~hit_mask]
+            hits = plan_clause_hits(plan, work.counts, work.firings)
+            condition = hits >= 0
+            if condition.any():
+                job.buffers.clauses[work.rows[condition]] = hits[condition]
         elif callback is not None:
-            hit_mask = callback_hits(callback, counts, firings, times, idx, job.details)
-            if hit_mask.any():
-                stop_codes[idx[hit_mask]] = STOP_CONDITION
-                idx = idx[~hit_mask]
-
-        capped = steps[idx] >= max_steps
-        if capped.any():
-            stop_codes[idx[capped]] = STOP_MAX_STEPS
-            idx = idx[~capped]
+            found = np.full(k, None, dtype=object)
+            condition = callback_hits(
+                callback, work.counts.T.astype(np.int64), work.firings.T,
+                work.times, found,
+            )
+            if condition.any():
+                job.details[work.rows[condition]] = found[condition]
+        stopped = work.steps >= max_steps
+        if condition is not None:
+            stopped |= condition
+        if stopped.any():
+            codes = STOP_MAX_STEPS
+            if condition is not None:
+                codes = np.where(condition, STOP_CONDITION, STOP_MAX_STEPS)
+            work.retire(stopped, codes)
+            sizes = _segment_sizes(work.rows, starts)

@@ -183,30 +183,46 @@ class KernelNetwork:
         :meth:`CompiledNetwork.propensity`, which computes the same value
         through exact integers).
         """
-        return self.propensity_matrix(counts[None, :])[0]
+        return self.propensity_matrix(np.asarray(counts)[:, None])[:, 0]
 
     def propensity_matrix(self, counts: np.ndarray) -> np.ndarray:
-        """Propensities of every reaction for every count row.
+        """Propensities of every reaction for every count column.
 
-        ``counts`` has shape ``(k, n_species)``; the result has shape
-        ``(k, n_reactions)``.  This is the numpy batch sweep's propensity
-        rebuild; the numba batch kernel computes an elementwise equivalent
-        with an identical operation order, so the two agree bit for bit.
+        ``counts`` has shape ``(n_species, k)``, one column per trial; the
+        result has shape ``(n_reactions, k)``, one row per reaction.  This is
+        the numpy batch sweep's propensity rebuild: each element is
+        ``rate · f(c₁) · f(c₂) …`` evaluated left to right, where ``f(c)`` is
+        ``c``, ``c·(c−1)·0.5`` or the running product of ``(c−i)/(i+1)``.  A row is built with one
+        multiply per factor, the first one commuted (``f · rate``, which is
+        exact); the numba batch kernel evaluates the same expressions element
+        by element, so the two agree bit for bit.
         """
-        k = counts.shape[0]
-        matrix = np.empty((k, self.n_reactions), dtype=np.float64)
-        for j in range(self.n_reactions):
-            column = np.full(k, self.rates[j])
-            for s, n in zip(self.reactant_species[j], self.reactant_coeffs[j]):
-                if s < 0:
-                    break
-                c = counts[:, s].astype(np.float64)
-                if n == 1:
-                    column *= c
-                elif n == 2:
-                    column *= c * (c - 1.0) * 0.5
-                else:
-                    for i in range(n):
-                        column *= (c - i) / (i + 1.0)
-            matrix[:, j] = column
+        reactant_terms = self.py_views()["reactants"]
+        counts = np.asarray(counts, dtype=np.float64)
+        k = counts.shape[1]
+        matrix = np.empty((self.n_reactions, k))
+        factor = np.empty(k)
+        # The rates go in as numpy scalars: a Python float operand costs
+        # numpy about 1 µs of promotion per call.
+        for row, rate, reactants in zip(matrix, self.rates, reactant_terms):
+            scaled = False
+            for s, n in reactants:
+                c = counts[s]
+                for i in range(n if n > 2 else 1):
+                    if n == 1:
+                        f = c
+                    elif n == 2:
+                        f = np.subtract(c, 1.0, out=factor)
+                        f *= c
+                        f *= 0.5
+                    else:
+                        f = np.subtract(c, i, out=factor)
+                        f /= i + 1.0
+                    if scaled:
+                        row *= f
+                    else:
+                        np.multiply(f, rate, out=row)
+                        scaled = True
+            if not scaled:
+                row.fill(rate)
         return matrix

@@ -528,8 +528,10 @@ def _build_kernels(numba):
         status = BATCH_DONE
 
         while n_active > 0:
-            # Propensity rows (elementwise float op order matches
-            # KernelNetwork.propensity_matrix) + totals + dead-trial compaction.
+            # Propensity rows (each element rate·f(c₁)·f(c₂)… left to right,
+            # the expressions KernelNetwork.propensity_matrix builds row by
+            # row) + running totals (the numpy sweep's last CDF row) +
+            # dead-trial compaction.
             write = 0
             for r in range(n_active):
                 t = active[r]

@@ -14,10 +14,14 @@ chunks and adaptive doubling rounds.  This module covers:
   doubling rounds run;
 * scale regressions — batches wider than the random-block cap and networks
   wider than the PR-4 9000-reaction refill regression;
-* numpy ↔ numba bit-identity of whole batches (skipped without numba).
+* numpy ↔ numba bit-identity of whole batches (skipped without numba);
+* numpy ↔ numba kernel *source* bit-identity of whole groups, run here: the
+  numba batch kernel's Python source under an identity ``njit``.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -399,3 +403,87 @@ class TestBatchBitIdentity:
             numpy_batch.final_counts, numba_batch.final_counts
         )
         np.testing.assert_array_equal(numpy_batch.final_times, numba_batch.final_times)
+
+
+# ---------------------------------------------------------------------------
+# numpy <-> numba kernel source, run under CPython
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def numba_source_backend():
+    """The numba backend built from its kernel source with an identity ``njit``.
+
+    The jitted functions then run as plain Python, so the numba sweep's op
+    order is checked against numpy without numba installed.  Tests only: it
+    is handed to engines by patching, never registered as a backend.
+    """
+    from repro.sim.kernels.numba_backend import NumbaKernelBackend, _build_kernels
+
+    return NumbaKernelBackend(_build_kernels(SimpleNamespace(njit=lambda **_: lambda f: f)))
+
+
+class TestNumbaSourceIdentity:
+    """``run_group`` on numpy vs the numba kernel source: bit-identical."""
+
+    def _assert_identical(self, monkeypatch, backend, network, chunks, **kwargs):
+        import repro.sim.batch as batch_module
+
+        expected = BatchDirectEngine(network).run_group(chunks, backend="numpy", **kwargs)
+        monkeypatch.setattr(batch_module, "resolve_run_backend", lambda *args: backend)
+        got = BatchDirectEngine(network).run_group(chunks, **kwargs)
+        np.testing.assert_array_equal(got.final_counts, expected.final_counts)
+        np.testing.assert_array_equal(got.final_times, expected.final_times)
+        np.testing.assert_array_equal(got.firing_counts, expected.firing_counts)
+        assert list(got.stop_reasons) == list(expected.stop_reasons)
+        assert list(got.stop_details) == list(expected.stop_details)
+        return expected
+
+    def test_race_group_mixed_stops(self, monkeypatch, numba_source_backend):
+        # Annihilation makes trials exhaust at different steps, mid-sweep.
+        # Its propensity is a large, inexactly rounded share of the total, so
+        # a reassociated product or sum changes the waits.
+        network = parse_network(
+            """
+            init: ea = 70
+            init: eb = 30
+            ea ->{1.1} wa
+            eb ->{0.9} wb
+            ea + eb ->{0.03} 0
+            """
+        )
+        batch = self._assert_identical(
+            monkeypatch, numba_source_backend, network,
+            [(60, 1), (50, 2), (40, 3)], max_time=4.5, max_steps=86,
+        )
+        assert set(batch.stop_reasons) == {
+            StopReason.EXHAUSTED, StopReason.MAX_TIME, StopReason.MAX_STEPS
+        }
+
+    def test_example1(self, monkeypatch, numba_source_backend):
+        from repro.core.synthesizer import synthesize_distribution
+
+        system = synthesize_distribution({"1": 0.3, "2": 0.4, "3": 0.3}, gamma=1e3, scale=100)
+        batch = self._assert_identical(
+            monkeypatch, numba_source_backend, system.network_with_inputs(None),
+            [(100, 17)], stopping=system.stopping_condition(10),
+        )
+        assert set(batch.stop_reasons) == {StopReason.CONDITION}
+
+    def test_reactant_coefficients_two_and_three(self, monkeypatch, numba_source_backend):
+        network = parse_network(
+            """
+            init: a = 30
+            init: c = 10
+            a + b ->{2.5} c
+            2 a ->{0.5} b
+            b ->{3} 0
+            3 c ->{0.25} a
+            """
+        )
+        batch = self._assert_identical(
+            monkeypatch, numba_source_backend, network,
+            [(300, 4), (300, 5), (200, 6)],
+            stopping=SpeciesThreshold("c", 13), max_steps=30,
+        )
+        assert set(batch.stop_reasons) == {StopReason.CONDITION, StopReason.MAX_STEPS}

@@ -220,6 +220,15 @@ init: eb = 30
 ea ->{1} wa
 eb ->{1} wb
 """
+#: Reactant coefficients 1, 2 and 3 (the falling-factorial product path).
+COEFFICIENTS = """
+init: a = 30
+init: c = 10
+a + b ->{2.5} c
+2 a ->{0.5} b
+b ->{3} 0
+3 c ->{0.25} a
+"""
 
 
 def race_predicate(time, state):
@@ -261,6 +270,15 @@ def _ensemble_cases() -> "dict[str, tuple]":
     # Every trial meets the condition at t = 0: no chunk has a trial to sweep.
     at_zero = Experiment.from_network(race, stopping=SpeciesThreshold("ea", 50))
     cases["stop-at-t0"] = (at_zero, 1200, 512, KERNEL_BACKEND)
+    # No condition: about half the trials exhaust (both reactants used up)
+    # before the horizon and the rest reach it, in one group of three chunks.
+    exhaustion = Experiment.from_network(race).configure(max_time=5.0)
+    cases["exhaustion"] = (exhaustion, 1500, 512, KERNEL_BACKEND)
+    # Reactant coefficients 2 and 3; about a third stop on the condition.
+    coefficients = Experiment.from_network(
+        parse_network(COEFFICIENTS), stopping=SpeciesThreshold("c", 13)
+    ).configure(max_steps=30)
+    cases["coefficients"] = (coefficients, 1500, 512, KERNEL_BACKEND)
     return cases
 
 
@@ -317,6 +335,10 @@ ENSEMBLE_EXPECTED: "dict[str, str]" = {
     'predicate': '71f21c734c8384694c2d1f4a7385f84d99d7f66cb8da08e38dbe3b96bb66664e',
     'all-condition': '7f831c45c44c9e426882663c95acc700d179473eb02741b2c23b8691bfe73738',
     'stop-at-t0': 'e92d46ad521b6ff72b0f2413d6b29a97d102c3448221bf1f16ee86254d6388e4',
+    # Captured before the numpy sweep moved to a one-column-per-trial
+    # working state.
+    'exhaustion': '99f15d36fc086bcb5f38e648c9bd0feca052e61e74e77c9ea52893fe3ae29505',
+    'coefficients': '1867740c2bd67943c302fd956341266ce703450e914e780931c61868df9ed5d9',
 }
 
 
