@@ -31,11 +31,18 @@ tiers:
 Run directly for a wall-clock report (CI uses ``--smoke``)::
 
     PYTHONPATH=src python benchmarks/bench_store.py [--smoke]
+
+A full run appends one entry to ``BENCH_store.json`` at the repository root
+(host, per-engine cold/warm times and artifact size, the renamed warm hit,
+hot/cold envelope reads); ``--smoke`` records nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import platform
 import sys
 import tempfile
 import time
@@ -59,6 +66,8 @@ MIN_SPEEDUP = 100.0
 
 #: CI assertion: hot-LRU reads must beat cold (disk+gunzip+parse) reads.
 MIN_TIER_RATIO = 2.0
+
+RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_store.json"
 
 
 def example1() -> Experiment:
@@ -201,6 +210,43 @@ def bench_campaign(root: Path) -> list[dict]:
     ]
 
 
+def record(cache_rows: list[dict], renamed_row: dict, tier_row: dict) -> None:
+    """Append this full run to BENCH_store.json (the store's perf trajectory)."""
+    import numpy as np
+
+    history = []
+    if RESULT_PATH.exists():
+        try:
+            history = json.loads(RESULT_PATH.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, OSError):
+            history = []
+    entry = {
+        "benchmark": "bench_store",
+        "host": {
+            "cpus": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "trials": TRIALS,
+        "engines": [
+            {
+                "engine": row["engine"],
+                "cold_s": round(row["cold (s)"], 4),
+                "warm_ms": round(row["warm (s)"] * 1e3, 3),
+                "speedup": round(row["speedup"], 1),
+                "artifact_kib": round(row["artifact (KB)"], 1),
+            }
+            for row in cache_rows
+        ],
+        "renamed_warm_ms": round(renamed_row["warm translated (s)"] * 1e3, 3),
+        "hot_read_us": round(tier_row["hot (us)"], 2),
+        "cold_read_us": round(tier_row["cold (us)"], 1),
+    }
+    history.append(entry)
+    RESULT_PATH.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -234,6 +280,7 @@ def main(argv: "list[str] | None" = None) -> int:
             campaign_rows = bench_campaign(root)
             body += "\n\n" + format_table(campaign_rows, floatfmt="{:.4g}")
             verdict += "\ncampaign resume recomputed nothing"
+            record(rows, renamed_row, tier_row)
         report("Result store: warm cache vs re-simulation", body + verdict)
 
         if row["speedup"] < MIN_SPEEDUP:

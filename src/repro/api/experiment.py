@@ -517,10 +517,7 @@ class Experiment:
                 engine_options=engine_options,
                 until=until,
             )
-            # Hand the live network to the canonicalizer: its canonical form
-            # is cached per network object, so repeated simulate(store=) calls
-            # on the same network skip the labeling search.
-            canon = canonicalize_payload(payload, network=self._resolved()[0])
+            canon = canonicalize_payload(payload)
             envelope = store.get_envelope(canon.key)
             if envelope is not None:
                 result, _ = localize_envelope(envelope, canon, payload)

@@ -7,13 +7,17 @@ ports), with the paper's analysis quantities exposed lazily — outcome
 frequencies, distances to the target (Section 2.1's programmed distribution),
 decision-time summaries — and a JSON round trip for archiving runs.
 
-Payload format (``repro.run-result/v2``): the per-trial arrays of the
+Payload format (``repro.run-result/v3``): the per-trial arrays of the
 ensemble (``final_counts``, ``final_times``, ``n_firings``) are *typed
-columns*, ``{"dtype": "<i8" | "<f8", "shape": [...], "data": <base64>}``
-holding the array's little-endian bytes, instead of JSON number lists — so
-writing, storing, serving and reading a 10⁴-trial result encodes no per-trial
-JSON numbers.  Readers still accept ``repro.run-result/v1`` payloads, whose
-arrays are JSON lists; every column is validated on read.
+columns*, ``{"dtype": ..., "shape": [...], "data": <base64>}`` holding the
+array's little-endian bytes, instead of JSON number lists — so writing,
+storing, serving and reading a 10⁴-trial result encodes no per-trial JSON
+numbers.  ``final_times`` is ``"<f8"``; the integer columns are written at
+the narrowest of ``"<i1"``, ``"<i2"``, ``"<i4"``, ``"<i8"`` that holds their
+values (:func:`column_dtype`), and always decode to int64.  Readers still
+accept ``repro.run-result/v2`` payloads (every integer column ``"<i8"``)
+and ``repro.run-result/v1`` payloads, whose arrays are JSON lists; every
+column is validated on read.
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ import numpy as np
 from repro.crn.species import as_species
 from repro.errors import ExperimentError
 from repro.sim.ensemble import EnsembleResult
-from repro.sim.stats import RunningMoments
 
 __all__ = [
     "RunResult",
+    "column_dtype",
     "decode_column",
     "encode_column",
     "ensemble_column",
@@ -42,14 +46,33 @@ __all__ = [
     "ensemble_from_payload",
 ]
 
-_SCHEMA = "repro.run-result/v2"
-#: Result schemas accepted on input (v1 carries the arrays as JSON lists).
-_ACCEPTED_SCHEMAS = ("repro.run-result/v1", _SCHEMA)
+_SCHEMA = "repro.run-result/v3"
+#: Result schemas accepted on input (v2 writes every integer column at
+#: ``"<i8"``; v1 carries the arrays as JSON lists).
+_ACCEPTED_SCHEMAS = ("repro.run-result/v1", "repro.run-result/v2", _SCHEMA)
 
-#: The dtype of each per-trial ensemble array in a payload.
+#: The in-memory dtype of each per-trial ensemble array.
 _COLUMN_DTYPES = {"final_counts": "<i8", "final_times": "<f8", "n_firings": "<i8"}
-#: The in-memory dtype each column dtype decodes to.
+#: The column dtypes that decode to each in-memory dtype, narrowest first.
+_WIDTHS = {"<i8": ("<i1", "<i2", "<i4", "<i8"), "<f8": ("<f8",)}
+#: The numpy type each in-memory dtype decodes to.
 _NATIVE = {"<i8": np.int64, "<f8": np.float64}
+
+
+def column_dtype(values: np.ndarray, dtype: str) -> str:
+    """The column dtype ``values`` (in-memory ``dtype``) are written at.
+
+    An integer array gets the narrowest width that holds its minimum and
+    maximum (``"<i1"`` when empty), so equal arrays always encode to equal
+    text; a float array stays ``"<f8"``.
+    """
+    widths = _WIDTHS[dtype]
+    if len(widths) == 1 or values.size == 0:
+        return widths[0]
+    low, high = int(values.min()), int(values.max())
+    return next(
+        width for width in widths if np.iinfo(width).min <= low and high <= np.iinfo(width).max
+    )
 
 
 def encode_column(values: np.ndarray, dtype: str) -> dict:
@@ -63,18 +86,21 @@ def encode_column(values: np.ndarray, dtype: str) -> dict:
 
 
 def decode_column(column: object, dtype: str, field: str) -> np.ndarray:
-    """The native-dtype array of a typed column, validated.
+    """The in-memory ``dtype`` array of a typed column, validated.
 
-    Raises :class:`~repro.errors.ExperimentError` naming ``field`` when the
-    column is not ``dtype``, its shape is malformed, its data is not base64
-    or its byte length is not the shape's.
+    ``dtype`` is ``"<i8"`` (the column may be any of ``"<i1"`` … ``"<i8"``)
+    or ``"<f8"``.  Raises :class:`~repro.errors.ExperimentError` naming
+    ``field`` when the column's dtype is not one of those, its shape is
+    malformed, its data is not base64 or its byte length is not
+    prod(shape) × the column dtype's itemsize.
     """
     if not isinstance(column, Mapping):
         raise ExperimentError(f"{field}: expected a typed column, got {type(column).__name__}")
-    if column.get("dtype") != dtype:
+    label = column.get("dtype")
+    if label not in _WIDTHS[dtype]:
         raise ExperimentError(
-            f"{field}: column dtype {column.get('dtype')!r} is not {dtype!r} "
-            "(typed columns are '<i8' or '<f8', fixed per field)"
+            f"{field}: column dtype {label!r} is not "
+            + " or ".join(repr(width) for width in _WIDTHS[dtype])
         )
     shape = column.get("shape")
     if not isinstance(shape, list) or not all(
@@ -88,13 +114,13 @@ def decode_column(column: object, dtype: str, field: str) -> np.ndarray:
         raw = base64.b64decode(data, validate=True)
     except (TypeError, ValueError, binascii.Error) as exc:
         raise ExperimentError(f"{field}: column data is not base64 ({exc})") from None
-    itemsize = np.dtype(dtype).itemsize
+    itemsize = np.dtype(label).itemsize
     if len(raw) != math.prod(shape) * itemsize:
         raise ExperimentError(
             f"{field}: column holds {len(raw)} bytes, but shape {shape} of "
-            f"{dtype!r} needs {math.prod(shape) * itemsize}"
+            f"dtype {label!r} needs {math.prod(shape) * itemsize}"
         )
-    return np.frombuffer(raw, dtype=dtype).astype(_NATIVE[dtype]).reshape(shape)
+    return np.frombuffer(raw, dtype=label).astype(_NATIVE[dtype]).reshape(shape)
 
 
 def ensemble_to_payload(ensemble: EnsembleResult) -> dict:
@@ -102,15 +128,17 @@ def ensemble_to_payload(ensemble: EnsembleResult) -> dict:
 
     The result store persists bare ensembles with this shape, and
     :meth:`RunResult.to_payload` embeds it under its ``"ensemble"`` key.
-    The per-trial arrays are typed columns (:func:`encode_column`).
+    The per-trial arrays are typed columns (:func:`encode_column`), the
+    integer ones at their narrowest width (:func:`column_dtype`).
     """
+    columns = {name: getattr(ensemble, name) for name in _COLUMN_DTYPES}
     return {
         "n_trials": ensemble.n_trials,
         "outcome_counts": dict(ensemble.outcome_counts),
         "species": [s.name for s in ensemble.species],
         **{
-            name: encode_column(getattr(ensemble, name), dtype)
-            for name, dtype in _COLUMN_DTYPES.items()
+            name: encode_column(values, column_dtype(values, _COLUMN_DTYPES[name]))
+            for name, values in columns.items()
         },
     }
 
@@ -131,12 +159,13 @@ def ensemble_column(raw: Mapping, name: str) -> np.ndarray:
 def ensemble_from_payload(raw: Mapping) -> EnsembleResult:
     """Rebuild an :class:`EnsembleResult` from :func:`ensemble_to_payload` output.
 
-    Accepts typed columns and the v1 JSON lists.  The arrays must agree: one
-    row per trial (or none, for results that sample no trajectories) and
-    one ``final_counts`` column per species; otherwise
-    :class:`~repro.errors.ExperimentError` names the field.  Trajectories
-    are not round-tripped; streaming moments are recomputed from the
-    final-count matrix.
+    Accepts typed columns of any width a field allows, and the v1 JSON
+    lists; every array decodes to its in-memory dtype (int64 or float64).
+    The arrays must agree: one row per trial (or none, for results that
+    sample no trajectories) and one ``final_counts`` column per species;
+    otherwise :class:`~repro.errors.ExperimentError` names the field.
+    Trajectories are not round-tripped; :attr:`EnsembleResult.moments` is
+    computed from the final-count matrix when first read.
     """
     n_trials = int(raw["n_trials"])
     species = tuple(as_species(name) for name in raw["species"])
@@ -161,9 +190,6 @@ def ensemble_from_payload(raw: Mapping) -> EnsembleResult:
         n_trials=n_trials,
         outcome_counts={str(k): int(v) for k, v in raw["outcome_counts"].items()},
         species=species,
-        moments=(
-            RunningMoments.from_samples(final_counts) if final_counts.size else None
-        ),
         **arrays,
     )
 
@@ -176,7 +202,7 @@ class RunResult:
     ----------
     ensemble:
         The raw :class:`~repro.sim.ensemble.EnsembleResult` (final counts,
-        outcome counts, streaming moments, optional trajectories).
+        outcome counts, per-species moments, optional trajectories).
     engine / backend / trials / seed / workers:
         How the run was executed (``backend`` is the simulation-kernel
         backend requested for the run — ``"auto"`` unless overridden).
@@ -492,8 +518,8 @@ class RunResult:
     def from_json(cls, source: "str | Path") -> "RunResult":
         """Rebuild a :class:`RunResult` from :meth:`to_json` output (text or path).
 
-        Trajectories are not round-tripped; streaming moments are recomputed
-        from the final-count matrix.
+        Trajectories are not round-tripped; the ensemble's ``moments`` are
+        computed from the final-count matrix when first read.
         """
         text = source
         if isinstance(source, Path):

@@ -310,9 +310,9 @@ class _Labeler:
 
 # Canonical forms keyed by the *identity* of the live network object:
 # id(network) -> (validation token, form).  The backtracking label search is
-# the expensive part of store fingerprinting, and callers typically fingerprint
-# the same network object over and over (repeated ``simulate(store=)`` runs,
-# parameter sweeps over one design) — so a hit skips the search entirely.
+# expensive, so a caller labeling one network object over and over skips it
+# on a hit.  (Store fingerprinting parses a fresh network from every payload;
+# :mod:`repro.store.canonical` caches by the payload's network content.)
 # Networks are mutable (``add_reaction`` / ``set_initial``), hence the token:
 # the species-name tuple plus :func:`network_invariants`, which any
 # identity-relevant mutation changes.  A ``weakref.finalize`` per cached

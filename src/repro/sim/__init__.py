@@ -5,7 +5,7 @@ next-reaction, and a vectorized batched direct method), approximate
 tau-leaping, deterministic mean-field ODE integration, a sparse
 finite-state-projection solver for exact distributions, stopping conditions,
 trajectory records, and Monte-Carlo ensemble runners (sequential, batched
-and multiprocess-sharded with Welford-merged statistics).
+and multiprocess-sharded).
 
 The exact engines execute on a pluggable kernel-backend layer
 (:mod:`repro.sim.kernels`): preallocated columnar buffers, chunked random

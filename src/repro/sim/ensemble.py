@@ -13,8 +13,7 @@ packages that loop at three execution scales:
   ensemble in lock-step NumPy operations;
 * :class:`ParallelEnsembleRunner` — trials sharded across ``multiprocessing``
   workers in fixed-size chunks, with per-shard :class:`EnsembleResult`
-  statistics merged via a Welford/Chan streaming-moment merge
-  (:class:`~repro.sim.stats.RunningMoments`).
+  outcome counts and per-trial arrays merged in chunk order.
 
 Chunking and random-stream spawning are keyed by global trial index, so a
 given ``(seed, n_trials, chunk_size)`` produces identical results whether the
@@ -122,10 +121,6 @@ class EnsembleResult:
         Per-trial stopping time and number of firings.
     trajectories:
         The raw trajectories, only if ``keep_trajectories=True`` was requested.
-    moments:
-        Streaming per-species mean/variance of the final counts
-        (:class:`~repro.sim.stats.RunningMoments`); shard results merge these
-        without revisiting the raw samples.
     """
 
     n_trials: int
@@ -135,9 +130,22 @@ class EnsembleResult:
     final_times: np.ndarray
     n_firings: np.ndarray
     trajectories: list[Trajectory] = field(default_factory=list)
-    moments: "RunningMoments | None" = None
+    _moments: "RunningMoments | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     UNDECIDED = UNDECIDED
+
+    @property
+    def moments(self) -> "RunningMoments | None":
+        """Per-species mean/variance of the final counts, ``None`` without samples.
+
+        A :class:`~repro.sim.stats.RunningMoments` over ``final_counts``,
+        computed in one pass on first read and cached on the instance.
+        """
+        if self._moments is None and self.final_counts.size:
+            self._moments = RunningMoments.from_samples(self.final_counts)
+        return self._moments
 
     # -- shard merging -----------------------------------------------------------
 
@@ -145,10 +153,9 @@ class EnsembleResult:
     def merge(cls, shards: Sequence["EnsembleResult"]) -> "EnsembleResult":
         """Combine per-shard results into one ensemble-wide result.
 
-        Outcome counts add, the per-trial arrays concatenate in shard order,
-        and the streaming moments merge via the Chan et al. parallel-variance
-        update — so the merged ``moments`` equal (to rounding) what a single
-        sequential pass over all trials would have accumulated.
+        Outcome counts add and the per-trial arrays concatenate in shard
+        order; the merged result's :attr:`moments` are computed from its
+        concatenated final counts when first read.
         """
         shards = list(shards)
         if not shards:
@@ -163,13 +170,6 @@ class EnsembleResult:
         for shard in shards:
             for label, count in shard.outcome_counts.items():
                 outcome_counts[label] = outcome_counts.get(label, 0) + count
-        moments = RunningMoments(len(species))
-        for shard in shards:
-            moments.merge(
-                shard.moments
-                if shard.moments is not None
-                else RunningMoments.from_samples(shard.final_counts)
-            )
         trajectories: list[Trajectory] = []
         for shard in shards:
             trajectories.extend(shard.trajectories)
@@ -181,7 +181,6 @@ class EnsembleResult:
             final_times=np.concatenate([shard.final_times for shard in shards]),
             n_firings=np.concatenate([shard.n_firings for shard in shards]),
             trajectories=trajectories,
-            moments=moments,
         )
 
     # -- outcome statistics -------------------------------------------------------
@@ -405,7 +404,6 @@ class EnsembleRunner:
         final_counts = np.zeros((count, self.compiled.n_species), dtype=np.int64)
         final_times = np.zeros(count)
         n_firings = np.zeros(count, dtype=np.int64)
-        moments = RunningMoments(self.compiled.n_species)
         kept: list[Trajectory] = []
 
         for trial, rng in enumerate(streams):
@@ -417,7 +415,6 @@ class EnsembleRunner:
             )
             labels.append(self.outcome_classifier(trajectory))
             final_counts[trial] = trajectory.final_state.to_vector(self.compiled.species)
-            moments.update(final_counts[trial])
             final_times[trial] = trajectory.final_time
             n_firings[trial] = int(trajectory.firing_counts.sum())
             if keep_trajectories:
@@ -431,7 +428,6 @@ class EnsembleRunner:
             final_times=final_times,
             n_firings=n_firings,
             trajectories=kept,
-            moments=moments,
         )
 
     def _run_batched(
@@ -486,7 +482,6 @@ class EnsembleRunner:
                     final_times=batch.final_times[rows],
                     n_firings=n_firings[rows],
                     trajectories=trajectories[rows] if keep_trajectories else [],
-                    moments=RunningMoments.from_samples(batch.final_counts[rows]),
                 )
             )
             row += count
@@ -533,8 +528,8 @@ class ParallelEnsembleRunner(EnsembleRunner):
     engines, a per-slice sub-seed for the batched engine).  Results are
     therefore *identical* for a given ``(seed, n_trials, chunk_size)``
     regardless of ``workers`` — and, for per-trial engines, identical to the
-    sequential :class:`EnsembleRunner` too.  Shard statistics merge through
-    :meth:`EnsembleResult.merge` (Welford/Chan moment merging included).
+    sequential :class:`EnsembleRunner` too.  Shards merge through
+    :meth:`EnsembleResult.merge`.
 
     The network, stopping condition and outcome classifier are pickled to the
     workers, so all three must be picklable: module-level classes/functions

@@ -1,11 +1,10 @@
-"""Streaming moment accumulation for sharded Monte-Carlo ensembles.
+"""Streaming moment accumulation for Monte-Carlo ensembles.
 
-The parallel ensemble runner splits trials across worker processes, so the
-summary statistics of the merged ensemble must be combinable from per-shard
-partial results without revisiting the raw samples.  :class:`RunningMoments`
-implements Welford's online mean/variance update together with the parallel
-merge of Chan, Golub & LeVeque (1983), vectorized over species so one
-accumulator summarizes a whole ``(n_trials, n_species)`` final-count matrix.
+:class:`RunningMoments` implements Welford's online mean/variance update
+together with the parallel merge of Chan, Golub & LeVeque (1983), vectorized
+over species so one accumulator summarizes a whole ``(n_trials, n_species)``
+final-count matrix.  :attr:`repro.sim.ensemble.EnsembleResult.moments` builds
+one from an ensemble's final counts when first read.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ class RunningMoments:
     * :meth:`update` — one sample at a time (classic Welford recurrence);
     * :meth:`update_batch` — a whole ``(n, dim)`` matrix at once;
     * :meth:`merge` — combine another accumulator (Chan et al. pairwise
-      merge), which is what the parallel ensemble runner uses to fold
-      per-worker shard statistics into a global result.
+      merge), folding partial statistics into one without revisiting the
+      raw samples.
 
     All three paths are algebraically equivalent: merging the accumulators of
     two shards yields exactly the moments of the concatenated sample set (up

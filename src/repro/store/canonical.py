@@ -32,12 +32,24 @@ Experiments that reference opaque callables (classifier / state-classifier
 the callable reads raw species names — and fall back to identity
 canonicalization: the payload is hashed as-is (everything except
 ``version``), exactly the pre-canonicalization behavior.
+
+The canonical labeling search is the expensive step, and a payload's network
+dict determines its outcome, so :func:`canonicalize_payload` keeps what it
+derives from a form in a bounded, thread-safe cache keyed by the network
+dict's JSON text (128 entries, least recently used evicted first).
+Repeated payloads over one network — every ``simulate(store=)`` call of an
+experiment, every ``repro serve`` request for it — label it once per
+process.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from repro.errors import ExperimentError, FingerprintError, StoreError
@@ -62,6 +74,10 @@ EXPERIMENT_UNHASHED_KEYS = (
     "expected_outputs",
     "target",
 )
+
+#: Network forms :func:`canonicalize_payload` keeps, least recently used
+#: evicted first; the store's hot tier holds as many envelopes.
+_NETWORK_FORM_CAPACITY = 128
 
 #: Stopping-descriptor types the canonicalizer knows how to relabel.
 _KNOWN_STOPPING_TYPES = (
@@ -248,6 +264,64 @@ def _identity_of(payload: Mapping, exact: bool) -> dict:
     return identity
 
 
+@dataclass(frozen=True)
+class _NetworkForm:
+    """What payload canonicalization derives from one network's canonical form.
+
+    Shared by every payload over the network, so each field is immutable:
+    the canonical network dict is held as JSON text and parsed per use.
+    """
+
+    network_json: str
+    witness: "Mapping[str, str]"  # canonical name -> caller name
+    rename: "Mapping[str, str]"  # caller name -> canonical name
+    reaction_position: "Mapping[int, int]"  # caller index -> canonical index
+
+
+_NETWORK_FORMS: "OrderedDict[str, _NetworkForm]" = OrderedDict()
+_NETWORK_FORMS_LOCK = threading.Lock()
+
+
+def _derive_network_form(network_data: Mapping) -> _NetworkForm:
+    # Looked up at call time, so a wrapped ``canonical_form`` sees each search.
+    from repro.crn import canonical
+    from repro.crn.serialize import network_from_dict, network_to_dict
+
+    form = canonical.canonical_form(network_from_dict(network_data))
+    return _NetworkForm(
+        network_json=json.dumps(network_to_dict(form.network)),
+        witness=MappingProxyType(dict(form.witness)),
+        rename=MappingProxyType(form.inverse_witness),
+        reaction_position=MappingProxyType(
+            {original: position for position, original in enumerate(form.reaction_order)}
+        ),
+    )
+
+
+def _network_form(network_data: Mapping) -> _NetworkForm:
+    """The cached :class:`_NetworkForm` of a payload's network dict.
+
+    Keyed by the dict's JSON text with insertion order kept, so equal keys
+    mean equal parsed networks; a dict that is not JSON text is labeled
+    without caching.
+    """
+    try:
+        text = json.dumps(network_data)
+    except (TypeError, ValueError):
+        return _derive_network_form(network_data)
+    with _NETWORK_FORMS_LOCK:
+        cached = _NETWORK_FORMS.get(text)
+        if cached is not None:
+            _NETWORK_FORMS.move_to_end(text)
+            return cached
+    derived = _derive_network_form(network_data)
+    with _NETWORK_FORMS_LOCK:
+        _NETWORK_FORMS[text] = derived
+        while len(_NETWORK_FORMS) > _NETWORK_FORM_CAPACITY:
+            _NETWORK_FORMS.popitem(last=False)
+    return derived
+
+
 def _fingerprint_identity(identity: Mapping) -> str:
     from repro.store.fingerprint import canonical_json
 
@@ -255,9 +329,7 @@ def _fingerprint_identity(identity: Mapping) -> str:
     return digest.hexdigest()
 
 
-def canonicalize_payload(
-    payload: Mapping, network: "object | None" = None
-) -> CanonicalPayload:
+def canonicalize_payload(payload: Mapping) -> CanonicalPayload:
     """Canonicalize a serialized experiment payload.
 
     Parses the payload's network, computes its canonical form
@@ -266,11 +338,11 @@ def canonicalize_payload(
     result.  Payloads referencing opaque callables fall back to identity
     canonicalization (``exact=False``).
 
-    ``network`` optionally supplies the *live* :class:`ReactionNetwork` the
-    payload was serialized from: when its serialization matches the
-    payload's, the canonical form is computed on (and cached against) that
-    object, so repeated ``simulate(store=)`` calls on one network skip the
-    canonical labeling search entirely.  A non-matching network is ignored.
+    What the form yields is cached under the network dict's JSON text (128
+    entries), so a network already seen in this process skips the labeling
+    search.  Each call returns its own
+    canonical network dict and witness: mutating them leaves the cache and
+    later calls untouched.
     """
     from repro.store.serialize import EXPERIMENT_SCHEMA, is_experiment_schema
 
@@ -291,26 +363,13 @@ def canonicalize_payload(
         key = _fingerprint_identity(_identity_of(data, exact=False))
         return CanonicalPayload(key=key, payload=data, witness=witness, exact=False)
 
-    from repro.crn.canonical import canonical_form
-    from repro.crn.network import ReactionNetwork
-    from repro.crn.serialize import network_from_dict, network_to_dict
-
-    live = (
-        network
-        if isinstance(network, ReactionNetwork)
-        and network_to_dict(network) == data["network"]
-        else None
-    )
-    form = canonical_form(live if live is not None else network_from_dict(data["network"]))
-    rename = form.inverse_witness  # caller name -> canonical name
-    reaction_position = {
-        original: position for position, original in enumerate(form.reaction_order)
-    }
+    form = _network_form(data["network"])
+    rename = form.rename
 
     canonical = dict(data)
-    canonical["network"] = network_to_dict(form.network)
+    canonical["network"] = json.loads(form.network_json)
     canonical["stopping"] = _rename_stopping(
-        data.get("stopping"), rename, reaction_position
+        data.get("stopping"), rename, form.reaction_position
     )
     canonical["classifier"] = _rename_classifier(data.get("classifier"), rename)
     canonical["state_classifier"] = _rename_state_classifier(
@@ -369,7 +428,9 @@ def localize_run_payload(
     (outcome counts, an unpermuted final-count column) are shared with it
     rather than copied, so warm hits under the writer's naming stay
     O(species), not O(trials).  A permuted ``final_counts`` keeps its form:
-    a typed column stays one, and a v1 payload keeps its lists.
+    a typed column stays one at its stored dtype, and a v1 payload keeps its
+    lists.  Permuting species keeps the column's range, so a v3 column stays
+    at the narrowest width that holds it and a v2 column at ``"<i8"``.
     """
     from repro.api.results import encode_column, ensemble_column
 
@@ -395,7 +456,7 @@ def localize_run_payload(
             ensemble["final_counts"] = (
                 permuted.tolist()
                 if isinstance(ensemble["final_counts"], list)
-                else encode_column(permuted, "<i8")
+                else encode_column(permuted, ensemble["final_counts"]["dtype"])
             )
 
     adaptive = localized.get("adaptive")

@@ -7,7 +7,8 @@ previous run persisted — bit-identically, because engines are deterministic
 in their payload and the payload JSON is stored verbatim.
 
 Layout (JSON envelopes, gzip-compressed at rest; per-trial arrays inside a
-payload are typed base64 columns, see :mod:`repro.api.results`)::
+payload are typed base64 columns, integers at their narrowest width, see
+:mod:`repro.api.results`)::
 
     <root>/
       index.json                        # key -> {kind, label, engine, size, ...}
@@ -25,7 +26,10 @@ level 6) unless ``compress=False``.  Gzip headers are written with
 Artifact envelopes carry ``schema`` and ``version`` fields; artifacts whose
 schema does not match the store's raise :class:`~repro.errors.StoreError`
 (the version in the message says which library wrote them), and so do
-payloads whose columns fail validation (the message names the field).  Canonical-store
+artifacts that do not inflate, decode or parse to an envelope (the message
+names the key) and payloads whose columns fail validation (the message names
+the field).  Payloads are stored verbatim: a ``v1`` or ``v2`` result payload
+already in a store is served as it was written.  Canonical-store
 writers also record a ``witness`` (canonical → writer species naming, see
 :mod:`repro.store.canonical`) so readers with different naming can translate
 the payload.  Writes are atomic (temp file + ``os.replace``) and serialized
@@ -42,6 +46,7 @@ import os
 import tempfile
 import threading
 import time
+import zlib
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -62,13 +67,18 @@ INDEX_SCHEMA = "repro.store.index/v1"
 CAMPAIGN_SCHEMA = "repro.store.campaign/v1"
 
 #: Schema tag of bare-ensemble payloads (RunResult/FspResult carry their own);
-#: v2 holds typed columns, v1 (still read) JSON lists.
-ENSEMBLE_SCHEMA = "repro.ensemble-result/v2"
-_ENSEMBLE_SCHEMAS = ("repro.ensemble-result/v1", ENSEMBLE_SCHEMA)
+#: v3 holds typed columns with narrow integers, v2 (still read) typed columns
+#: with ``"<i8"`` integers, v1 (still read) JSON lists.
+ENSEMBLE_SCHEMA = "repro.ensemble-result/v3"
+_ENSEMBLE_SCHEMAS = (
+    "repro.ensemble-result/v1",
+    "repro.ensemble-result/v2",
+    ENSEMBLE_SCHEMA,
+)
 
-#: Gzip level of new artifacts.  On the 1.49 MB columnar 10^4-trial
-#: Example-1 envelope (2-vCPU Xeon host), level 9 took 52 ms for 92 KB and
-#: level 6 took 13 ms for 102 KB.
+#: Gzip level of new artifacts.  On the 1.49 MB 10^4-trial Example-1
+#: envelope of ``"<i8"`` columns (2-vCPU Xeon host), level 9 took 52 ms for
+#: 92 KB and level 6 took 13 ms for 102 KB.
 _GZIP_LEVEL = 6
 
 
@@ -197,12 +207,12 @@ class ResultStore:
                 continue
             except OSError as exc:
                 raise StoreError(f"corrupt artifact {path}: {exc}") from exc
-            if path.suffix == ".gz":
-                try:
+            try:
+                if path.suffix == ".gz":
                     raw = gzip.decompress(raw)
-                except (OSError, EOFError) as exc:
-                    raise StoreError(f"corrupt artifact {path}: {exc}") from exc
-            return raw.decode("utf-8")
+                return raw.decode("utf-8")
+            except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
+                raise StoreError(f"corrupt artifact {path}: {exc}") from exc
         return None
 
     # -- hot tier ----------------------------------------------------------------
@@ -368,6 +378,11 @@ class ResultStore:
             envelope = json.loads(text)
         except json.JSONDecodeError as exc:
             raise StoreError(f"corrupt artifact {key[:12]}…: {exc}") from exc
+        if not isinstance(envelope, dict):
+            raise StoreError(
+                f"corrupt artifact {key[:12]}…: holds a JSON "
+                f"{type(envelope).__name__}, not an envelope object"
+            )
         if envelope.get("schema") != ARTIFACT_SCHEMA:
             raise StoreError(
                 f"artifact {key[:12]}… has schema {envelope.get('schema')!r}, "

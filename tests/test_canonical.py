@@ -248,6 +248,40 @@ class TestRenamedWarmHits:
             assert result.ensemble.final_times.tolist() == expected.ensemble.final_times.tolist()
             assert result.ensemble.outcome_counts == expected.ensemble.outcome_counts
 
+    def test_v2_artifact_is_served_as_stored(self, tmp_path):
+        """A v2 artifact ("<i8" columns) still hits, renamed or not, at "<i8"."""
+        from repro.api.results import encode_column
+        from repro.store import experiment_to_payload
+        from repro.store.canonical import cached_run
+
+        store = ResultStore(tmp_path / "store")
+        base = Experiment.from_zoo("toggle-switch")
+        kwargs = dict(trials=30, engine="batch-direct", seed=11)
+        cold = base.simulate(store=store, **kwargs)
+        key = store.keys()[0]
+        path = store._artifact_path(key)
+        envelope = json.loads(gzip.decompress(path.read_bytes()))
+        payload = envelope["payload"]
+        payload["schema"] = "repro.run-result/v2"
+        for name in ("final_counts", "n_firings"):
+            payload["ensemble"][name] = encode_column(getattr(cold.ensemble, name), "<i8")
+        path.write_bytes(gzip.compress(json.dumps(envelope).encode(), mtime=0))
+
+        variant = _permuted_variant(base)
+        fresh = variant.simulate(store=ResultStore(tmp_path / "fresh"), **kwargs)
+        for experiment, expected in ((base, cold), (variant, fresh)):
+            result, cached, _canon, reply = cached_run(
+                ResultStore(store.root), experiment_to_payload(experiment, **kwargs)
+            )
+            assert cached
+            assert reply["payload"]["schema"] == "repro.run-result/v2"
+            for name in ("final_counts", "n_firings"):
+                assert reply["payload"]["ensemble"][name]["dtype"] == "<i8"
+                array = getattr(result.ensemble, name)
+                assert array.tobytes() == getattr(expected.ensemble, name).tobytes()
+            assert result.ensemble.final_times.tobytes() == expected.ensemble.final_times.tobytes()
+            assert result.ensemble.outcome_counts == expected.ensemble.outcome_counts
+
     def test_experiment_renamed_requires_network_kind(self):
         experiment = Experiment.from_distribution({"1": 0.5, "2": 0.5}, gamma=100)
         with pytest.raises(ExperimentError, match="network experiments"):
@@ -436,7 +470,11 @@ class TestCanonicalFormCache:
     def count_labelings(self, monkeypatch):
         """Count invocations of the (expensive) labeling search."""
         from repro.crn import canonical as canonical_module
+        from repro.store import canonical as store_canonical
 
+        # Payload canonicalization caches forms by network content; start
+        # empty so earlier tests' networks cannot hide a labeling.
+        store_canonical._NETWORK_FORMS.clear()
         calls = []
         original = canonical_module._compute_canonical_form
 
@@ -492,3 +530,120 @@ class TestCanonicalFormCache:
         experiment.simulate(trials=10, engine="direct", seed=3, store=store)  # hit
         experiment.simulate(trials=20, engine="direct", seed=4, store=store)  # miss
         assert len(count_labelings) == 1
+
+    def test_system_experiment_store_simulations_label_once(self, tmp_path, count_labelings):
+        # Every call re-resolves a synthesized design into a fresh network
+        # object, so only a content-keyed form spares the repeats a search.
+        experiment = Experiment.from_distribution({"1": 0.3, "2": 0.4, "3": 0.3}, gamma=100)
+        store = ResultStore(tmp_path / "store")
+        experiment.simulate(trials=10, engine="batch-direct", seed=3, store=store)
+        experiment.simulate(trials=10, engine="batch-direct", seed=3, store=store)  # hit
+        experiment.simulate(trials=10, engine="batch-direct", seed=4, store=store)  # miss
+        assert len(store.keys()) == 2
+        assert len(count_labelings) == 1
+
+    def test_equal_payloads_parsed_from_json_label_once(self, tmp_path, count_labelings):
+        from repro.store.canonical import cached_run
+
+        text = json.dumps(
+            experiment_to_payload(
+                Experiment.from_zoo("toggle-switch"), trials=10, engine="direct", seed=3
+            )
+        )
+        store = ResultStore(tmp_path / "store")
+        _, first_cached, first, _ = cached_run(store, json.loads(text))
+        _, second_cached, second, _ = cached_run(store, json.loads(text))
+        assert (first_cached, second_cached) == (False, True)
+        assert first.key == second.key
+        assert len(count_labelings) == 1
+
+    def test_mutating_a_result_leaves_the_next_call_intact(self):
+        payload = experiment_to_payload(
+            Experiment.from_zoo("toggle-switch"), trials=10, engine="direct", seed=3
+        )
+        first = canonicalize_payload(payload)
+        expected_payload = json.loads(json.dumps(first.payload))
+        expected_witness = dict(first.witness)
+
+        first.payload["network"]["reactions"][0]["rate"] = 123.0
+        first.payload["network"]["species"].append("intruder")
+        first.payload["network"]["initial_state"].clear()
+        first.witness[next(iter(first.witness))] = "intruder"
+        first.witness["s999"] = "intruder"
+
+        second = canonicalize_payload(payload)
+        assert second.key == first.key
+        assert second.payload == expected_payload
+        assert second.witness == expected_witness
+
+    def test_form_cache_is_bounded(self, monkeypatch, count_labelings):
+        from repro.store import canonical as store_canonical
+
+        monkeypatch.setattr(store_canonical, "_NETWORK_FORM_CAPACITY", 2)
+        payloads = [
+            experiment_to_payload(
+                Experiment.from_network(_generated(seed)), trials=10, engine="direct", seed=1
+            )
+            for seed in (21, 22, 23)
+        ]
+        for payload in payloads:
+            canonicalize_payload(payload)
+        assert len(store_canonical._NETWORK_FORMS) == 2
+        canonicalize_payload(payloads[2])  # still cached
+        assert len(count_labelings) == 3
+        canonicalize_payload(payloads[0])  # least recently used: evicted
+        assert len(count_labelings) == 4
+
+    def test_form_cache_under_concurrent_threads(self, monkeypatch):
+        import sys
+        import threading
+        import time
+        from collections import OrderedDict
+
+        from repro.store import canonical as store_canonical
+
+        class SlowLookups(OrderedDict):
+            """Yields the interpreter after each lookup, widening the window
+            in which an unsynchronized writer could evict the entry found."""
+
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                time.sleep(1e-4)
+                return value
+
+        monkeypatch.setattr(store_canonical, "_NETWORK_FORMS", SlowLookups())
+        monkeypatch.setattr(store_canonical, "_NETWORK_FORM_CAPACITY", 2)
+        payloads = [
+            experiment_to_payload(
+                Experiment.from_network(_generated(seed)), trials=10, engine="direct", seed=1
+            )
+            for seed in (31, 32, 33)
+        ]
+        expected = [canonicalize_payload(payload).key for payload in payloads]
+        errors: list = []
+        keys: list = []
+
+        def work(offset: int) -> None:
+            rng = random.Random(offset)  # hits and evictions interleave
+            try:
+                for _ in range(100):
+                    index = rng.randrange(len(payloads))
+                    keys.append((index, canonicalize_payload(payloads[index]).key))
+            except Exception as exc:  # surfaced by the assertions below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(keys) == 6 * 100
+        assert all(key == expected[index] for index, key in keys)
+        assert len(store_canonical._NETWORK_FORMS) <= 2

@@ -439,9 +439,9 @@ class TestTypedColumns:
         from repro.api.results import RunResult
 
         payload = run.to_payload()
-        assert payload["schema"] == "repro.run-result/v2"
+        assert payload["schema"] == "repro.run-result/v3"
         column = payload["ensemble"]["final_counts"]
-        assert column["dtype"] == "<i8"
+        assert column["dtype"] == "<i1"  # the narrowest width: every count is <= 127
         assert column["shape"] == list(run.ensemble.final_counts.shape)
         assert payload["ensemble"]["final_times"]["dtype"] == "<f8"
         loaded = RunResult.from_payload(json.loads(json.dumps(payload)))
@@ -467,13 +467,16 @@ class TestTypedColumns:
         ("final_counts", {"dtype": "<i4"}, "dtype '<i4'"),
         ("final_times", {"dtype": "<i8"}, "dtype '<i8' is not '<f8'"),
         ("n_firings", {"data": "not base64!"}, "not base64"),
-        ("n_firings", {"shape": [41]}, "needs 328"),
+        ("n_firings", {"shape": [41]}, "needs {needed}"),
         ("final_times", {"shape": "40"}, "not a list of sizes"),
     ])
     def test_malformed_column_names_its_field(self, run, field, change, message):
         from repro.api.results import RunResult
 
         payload = run.to_payload()
+        # A 41-row shape needs 41 x the column's itemsize bytes.
+        itemsize = np.dtype(payload["ensemble"][field]["dtype"]).itemsize
+        message = message.format(needed=41 * itemsize)
         payload["ensemble"][field].update(change)
         with pytest.raises(ExperimentError, match=f"ensemble.{field}: .*{message}"):
             RunResult.from_payload(payload)
@@ -515,6 +518,193 @@ class TestTypedColumns:
             ResultStore(store.root).load_run(key)
         with pytest.raises(StoreError, match=message):
             experiment.simulate(store=ResultStore(store.root), **kwargs)
+
+
+class TestNarrowColumns:
+    """Integer columns travel at the narrowest width and decode to int64."""
+
+    @staticmethod
+    def ensemble_of(values):
+        from repro.crn.species import Species
+        from repro.sim.ensemble import EnsembleResult
+
+        values = np.asarray(values, dtype=np.int64)
+        return EnsembleResult(
+            n_trials=len(values),
+            outcome_counts={},
+            final_counts=values.reshape(-1, 1),
+            species=(Species("x"),),
+            final_times=np.zeros(len(values)),
+            n_firings=values.copy(),
+        )
+
+    @pytest.mark.parametrize("values,width", [
+        ([127, -128, 0], "<i1"),
+        ([128], "<i2"),
+        ([-129, 5], "<i2"),
+        ([2**15], "<i4"),
+        ([2**31], "<i8"),
+        ([-(2**63)], "<i8"),
+        ([2**63 - 1, 0], "<i8"),
+        ([], "<i1"),
+    ])
+    def test_each_width_round_trips_at_its_edges(self, values, width):
+        from repro.api.results import ensemble_from_payload, ensemble_to_payload
+
+        ensemble = self.ensemble_of(values)
+        payload = json.loads(json.dumps(ensemble_to_payload(ensemble)))
+        assert payload["final_counts"]["dtype"] == width
+        assert payload["n_firings"]["dtype"] == width
+        assert payload["final_times"]["dtype"] == "<f8"
+        loaded = ensemble_from_payload(payload)
+        for name in ("final_counts", "n_firings"):
+            array = getattr(loaded, name)
+            assert array.dtype == np.int64
+            assert array.shape == getattr(ensemble, name).shape
+            assert array.tobytes() == getattr(ensemble, name).tobytes()
+
+    def test_v2_payload_with_i8_columns_still_loads(self, experiment):
+        from repro.api.results import RunResult, encode_column
+
+        run = experiment.simulate(trials=40, engine="batch-direct", seed=5)
+        payload = run.to_payload()
+        payload["schema"] = "repro.run-result/v2"
+        for name in ("final_counts", "n_firings"):
+            payload["ensemble"][name] = encode_column(getattr(run.ensemble, name), "<i8")
+        loaded = RunResult.from_payload(json.loads(json.dumps(payload)))
+        for name in ("final_counts", "final_times", "n_firings"):
+            array = getattr(loaded.ensemble, name)
+            assert array.dtype == getattr(run.ensemble, name).dtype
+            assert array.tobytes() == getattr(run.ensemble, name).tobytes()
+
+    @pytest.mark.parametrize("field,label", [
+        ("final_counts", ">i8"),
+        ("final_counts", "<u2"),
+        ("final_counts", "<f4"),
+        ("n_firings", ">i8"),
+        ("n_firings", "<u2"),
+        ("n_firings", "<f4"),
+        ("final_times", "<i1"),
+        ("final_times", "<i2"),
+        ("final_times", "<i4"),
+        ("final_times", "<i8"),
+    ])
+    def test_label_the_field_does_not_allow_names_the_field(
+        self, experiment, field, label
+    ):
+        from repro.api.results import RunResult
+
+        payload = experiment.simulate(trials=40, engine="batch-direct", seed=5).to_payload()
+        payload["ensemble"][field]["dtype"] = label
+        with pytest.raises(
+            ExperimentError, match=f"ensemble.{field}: column dtype '{label}' is not"
+        ):
+            RunResult.from_payload(payload)
+
+    def test_relabeled_width_is_caught(self, experiment):
+        from repro.api.results import RunResult
+
+        payload = experiment.simulate(trials=40, engine="batch-direct", seed=5).to_payload()
+        column = payload["ensemble"]["final_counts"]
+        assert column["dtype"] == "<i1"
+        column["dtype"] = "<i2"
+        with pytest.raises(
+            ExperimentError, match="ensemble.final_counts: .* of dtype '<i2' needs"
+        ):
+            RunResult.from_payload(payload)
+
+
+class TestCorruptArtifacts:
+    """An artifact that does not inflate, decode or parse to an envelope
+    raises a StoreError naming its key, on every read path."""
+
+    KWARGS = dict(trials=40, engine="batch-direct", seed=5)
+
+    @staticmethod
+    def zeroed_deflate_body(raw: bytes) -> bytes:
+        # Keep the 10-byte gzip header and the 8-byte trailer.
+        return raw[:10] + bytes(len(raw) - 18) + raw[-8:]
+
+    CORRUPTIONS = {
+        "zeroed-deflate-body": zeroed_deflate_body,
+        "non-utf8": lambda raw: gzip.compress(b"\xff\xfe{not utf-8}", mtime=0),
+        "json-array": lambda raw: gzip.compress(b"[1, 2]", mtime=0),
+    }
+
+    @pytest.fixture(params=sorted(CORRUPTIONS))
+    def corrupt_key(self, request, store, experiment):
+        experiment.simulate(store=store, **self.KWARGS)
+        (key,) = store.keys()
+        path = store._artifact_path(key)
+        path.write_bytes(self.CORRUPTIONS[request.param](path.read_bytes()))
+        return key
+
+    def test_get_envelope(self, store, corrupt_key):
+        with pytest.raises(StoreError, match=f"corrupt artifact .*{corrupt_key[:12]}"):
+            ResultStore(store.root).get_envelope(corrupt_key)
+
+    def test_load_run(self, store, corrupt_key):
+        with pytest.raises(StoreError, match=f"corrupt artifact .*{corrupt_key[:12]}"):
+            ResultStore(store.root).load_run(corrupt_key)
+
+    def test_simulate_with_store(self, store, experiment, corrupt_key):
+        with pytest.raises(StoreError, match=f"corrupt artifact .*{corrupt_key[:12]}"):
+            experiment.simulate(store=ResultStore(store.root), **self.KWARGS)
+
+
+class TestMomentsOnDemand:
+    """``EnsembleResult.moments`` is computed on first read, never eagerly."""
+
+    @pytest.fixture
+    def moment_calls(self, monkeypatch):
+        """Names of the RunningMoments computations called in this process."""
+        from repro.sim.stats import RunningMoments
+
+        calls = []
+        original = RunningMoments.from_samples.__func__
+
+        def from_samples(cls, samples):
+            calls.append("from_samples")
+            return original(cls, samples)
+
+        monkeypatch.setattr(RunningMoments, "from_samples", classmethod(from_samples))
+        for name in ("update", "merge"):
+            method = getattr(RunningMoments, name)
+
+            def spy(self, *args, _name=name, _method=method):
+                calls.append(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(RunningMoments, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("engine", ["direct", "batch-direct"])
+    def test_runs_and_hits_compute_no_moments(self, store, experiment, moment_calls, engine):
+        kwargs = dict(trials=60, engine=engine, seed=9, chunk_size=16)
+        experiment.simulate(**kwargs)  # cold, no store
+        experiment.simulate(workers=2, **kwargs)  # cold, shards merged here
+        experiment.simulate(store=store, **kwargs)  # cold miss
+        experiment.simulate(store=ResultStore(store.root), **kwargs)  # warm hit
+        assert moment_calls == []
+
+    def test_moments_of_a_store_hit_match_numpy(self, store, experiment, moment_calls):
+        kwargs = dict(trials=60, engine="batch-direct", seed=9)
+        experiment.simulate(store=store, **kwargs)
+        ensemble = experiment.simulate(store=ResultStore(store.root), **kwargs).ensemble
+        assert moment_calls == []
+        counts = ensemble.final_counts
+        moments = ensemble.moments
+        assert moments.count == 60
+        np.testing.assert_allclose(moments.mean, counts.mean(axis=0))
+        np.testing.assert_allclose(moments.variance(), counts.var(axis=0, ddof=1))
+        assert ensemble.moments is moments  # cached on the instance
+        assert moment_calls.count("from_samples") == 1
+
+    def test_moments_is_read_only_and_none_without_samples(self):
+        ensemble = TestNarrowColumns.ensemble_of([])
+        assert ensemble.moments is None
+        with pytest.raises(AttributeError):
+            ensemble.moments = None
 
 
 class TestSweepIntegration:
