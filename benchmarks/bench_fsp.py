@@ -15,9 +15,19 @@ engine's outcome probabilities for the paper's Example 1 module must match
 ``repro.analysis.ctmc.outcome_probabilities`` to ≤ 1e-6 (they share the
 enumeration and the sparse absorption solve, so the agreement is exact).
 
+A third section times the exact oracles of the 12 conformance-corpus models,
+which every conformance pass solves: per model the enumerated and transient
+state counts, the enumeration and absorption-solve times (best of
+``CORPUS_REPEATS``), and the pass total.  Every oracle must leave at most
+1e-9 undecided mass.
+
 Run directly for a wall-clock report (CI uses ``--quick``)::
 
     PYTHONPATH=src python benchmarks/bench_fsp.py [--quick]
+
+A full run appends one entry to ``BENCH_fsp.json`` at the repository root
+(host, the cascade solve, the per-model corpus oracle times and the pass
+total); ``--quick`` records nothing.
 
 or through pytest-benchmark with the other harnesses::
 
@@ -27,7 +37,10 @@ or through pytest-benchmark with the other harnesses::
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -40,6 +53,7 @@ from repro.analysis import format_table, outcome_probabilities
 from repro.api import Experiment
 from repro.crn import parse_network
 from repro.sim import FspEngine, FspOptions
+from repro.sim.fsp import UNDECIDED, absorption_probabilities
 
 #: Two-stage expression cascade: mRNA (m) bursts proteins (p).
 #: Stationary means: m ~ Poisson(50), E[p] = 50 — the caps put the boundary
@@ -56,6 +70,15 @@ p ->{0.2} 0
 CAPS = {"m": 110, "p": 120}
 T_FINAL = 12.0
 QUICK_CAPS = {"m": 90, "p": 110}
+
+#: Timed passes over the corpus oracles; each phase reports its best.
+CORPUS_REPEATS = 7
+QUICK_CORPUS_REPEATS = 1
+
+#: Largest undecided mass a corpus oracle may leave (all are complete spaces).
+MAX_UNDECIDED = 1e-9
+
+RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fsp.json"
 
 
 def solve_cascade(caps: dict[str, int], t_final: float) -> list[dict[str, object]]:
@@ -123,11 +146,104 @@ def example1_agreement() -> list[dict[str, object]]:
     return rows
 
 
+def corpus_oracles(repeats: int) -> list[dict[str, object]]:
+    """Enumerate and solve every corpus oracle; one row per model plus a total.
+
+    The oracles run as a conformance pass runs them (``FspEngine`` under the
+    model's classifier and ``fsp_options()``), split into the enumeration and
+    the absorption solve.  Times are the best of ``repeats`` passes, in ms.
+    """
+    from repro.zoo.corpus import corpus_entries
+
+    rows: list[dict[str, object]] = []
+    for entry in corpus_entries():
+        model = entry.model
+        engine = FspEngine(model.network(), fsp_options=model.fsp_options())
+        classify = model.state_classifier()
+        enumerate_s = solve_s = math.inf
+        for _ in range(repeats):
+            start = time.perf_counter()
+            space = engine.enumerate(classify=classify)
+            middle = time.perf_counter()
+            result = absorption_probabilities(space)
+            enumerate_s = min(enumerate_s, middle - start)
+            solve_s = min(solve_s, time.perf_counter() - middle)
+        rows.append(
+            {
+                "model": entry.name,
+                "states": result.n_states,
+                "transient": result.n_transient,
+                "enumerate_ms": 1e3 * enumerate_s,
+                "solve_ms": 1e3 * solve_s,
+                "undecided": result.probability(UNDECIDED),
+            }
+        )
+    rows.append(
+        {
+            "model": "(pass total)",
+            "states": sum(row["states"] for row in rows),
+            "transient": sum(row["transient"] for row in rows),
+            "enumerate_ms": sum(row["enumerate_ms"] for row in rows),
+            "solve_ms": sum(row["solve_ms"] for row in rows),
+            "undecided": max(row["undecided"] for row in rows),
+        }
+    )
+    return rows
+
+
+def record(tables: dict[str, list[dict[str, object]]]) -> None:
+    """Append this full run to BENCH_fsp.json (the FSP solver's perf trajectory)."""
+    import numpy as np
+    import scipy
+
+    history = []
+    if RESULT_PATH.exists():
+        try:
+            history = json.loads(RESULT_PATH.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, OSError):
+            history = []
+    cascade = tables["cascade"][0]
+    *models, total = tables["corpus"]
+    history.append(
+        {
+            "benchmark": "bench_fsp",
+            "host": {
+                "cpus": os.cpu_count(),
+                "machine": platform.machine(),
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+            },
+            "cascade": {
+                "states": cascade["states"],
+                "seconds": round(cascade["seconds"], 3),
+                "error_bound": cascade["error_bound"],
+            },
+            "corpus_repeats": CORPUS_REPEATS,
+            "corpus": [
+                {
+                    "model": row["model"],
+                    "states": row["states"],
+                    "transient": row["transient"],
+                    "enumerate_ms": round(row["enumerate_ms"], 2),
+                    "solve_ms": round(row["solve_ms"], 2),
+                }
+                for row in models
+            ],
+            "pass_ms": round(total["enumerate_ms"] + total["solve_ms"], 1),
+            "pass_enumerate_ms": round(total["enumerate_ms"], 1),
+            "pass_solve_ms": round(total["solve_ms"], 1),
+        }
+    )
+    RESULT_PATH.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
+
+
 def run_report(quick: bool) -> dict[str, list[dict[str, object]]]:
-    """Measure both sections, print/record the tables, apply acceptance checks."""
+    """Measure every section, print/record the tables, apply acceptance checks."""
     caps = QUICK_CAPS if quick else CAPS
     cascade_rows = solve_cascade(caps, T_FINAL)
     agreement_rows = example1_agreement()
+    corpus_rows = corpus_oracles(QUICK_CORPUS_REPEATS if quick else CORPUS_REPEATS)
     report(
         "A6: sparse FSP transient solve (expression cascade)",
         format_table(cascade_rows, floatfmt="{:.4g}"),
@@ -135,6 +251,10 @@ def run_report(quick: bool) -> dict[str, list[dict[str, object]]]:
     report(
         "A6: fsp engine vs exact CTMC on Example 1",
         format_table(agreement_rows, floatfmt="{:.8f}"),
+    )
+    report(
+        "A6: corpus FSP oracles (enumeration + absorption solve)",
+        format_table(corpus_rows, floatfmt="{:.4g}"),
     )
 
     row = cascade_rows[0]
@@ -153,7 +273,12 @@ def run_report(quick: bool) -> dict[str, list[dict[str, object]]]:
             f"fsp vs ctmc differ by {outcome_row['abs_diff']:.2e} "
             f"on outcome {outcome_row['outcome']}"
         )
-    return {"cascade": cascade_rows, "example1": agreement_rows}
+    for model_row in corpus_rows[:-1]:
+        assert model_row["undecided"] <= MAX_UNDECIDED, (
+            f"corpus oracle {model_row['model']} leaves "
+            f"{model_row['undecided']:.2e} undecided mass"
+        )
+    return {"cascade": cascade_rows, "example1": agreement_rows, "corpus": corpus_rows}
 
 
 def test_fsp_scale(benchmark):
@@ -166,9 +291,12 @@ def test_fsp_scale(benchmark):
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="CI smoke mode: smaller truncation box")
+                        help="CI smoke mode: smaller truncation box, one corpus pass, "
+                        "nothing recorded")
     args = parser.parse_args(argv)
-    run_report(quick=args.quick)
+    tables = run_report(quick=args.quick)
+    if not args.quick:
+        record(tables)
     return 0
 
 

@@ -45,7 +45,8 @@ class ExactOutcomeResult:
     probabilities:
         ``{label: probability}`` of absorption into each outcome class, plus
         ``"(undecided)"`` for dead-end states that the classifier left
-        unlabeled (probability mass that never produces an outcome).
+        unlabeled and for states trapped where no outcome is reachable
+        (probability mass that never produces an outcome).
     n_states:
         Number of states enumerated (transient + absorbing representatives).
     n_transient:

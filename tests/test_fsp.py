@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from repro.errors import EnsembleError, ExperimentError, FspError, SimulationErr
 from repro.sim import EnsembleRunner, make_simulator
 from repro.sim.fsp import (
     UNDECIDED,
+    AbsorptionResult,
     DominantSpeciesClassifier,
     FspEngine,
     FspOptions,
+    ThresholdStateClassifier,
     absorption_probabilities,
     build_generator,
     enumerate_states,
@@ -180,6 +183,81 @@ class TestAbsorption:
         assert set(via_ctmc.probabilities) == set(via_fsp.probabilities)
         for label, probability in via_ctmc.probabilities.items():
             assert via_fsp.probability(label) == pytest.approx(probability, abs=1e-12)
+
+
+#: A closed cycle b ⇄ c that half the mass enters and no outcome leaves.
+TRAPPED_CYCLE = """
+init: a = 1
+a ->{1} w
+a ->{1} b
+b ->{1} c
+c ->{1} b
+"""
+#: Every reachable state is trapped: the outcome species is never produced.
+ALL_TRAPPED = """
+init: a = 1
+a ->{1} b
+b ->{1} a
+a ->{1} c
+c ->{1} a
+"""
+
+
+class TestTrappedStates:
+    """Mass trapped where no outcome is reachable reports as undecided.
+
+    A sampled trial that enters such a class never produces an outcome; the
+    exact engines used to return NaN here (a singular system) or crash.
+    """
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [(TRAPPED_CYCLE, {"win": 0.5, UNDECIDED: 0.5}), (ALL_TRAPPED, {UNDECIDED: 1.0})],
+        ids=["cycle", "all-trapped"],
+    )
+    @pytest.mark.parametrize("entry", ["engine", "ctmc", "experiment"])
+    def test_trapped_mass_is_undecided(self, text, expected, entry):
+        network = parse_network(text, name="trapped")
+        classify = ThresholdStateClassifier({"win": ("w", 1)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if entry == "engine":
+                result = FspEngine(network).outcome_probabilities(classify)
+                assert result.truncation_error == 0.0
+                probabilities = result.probabilities
+            elif entry == "ctmc":
+                probabilities = outcome_probabilities(network, classify=classify).probabilities
+            else:
+                run = (
+                    Experiment.from_network(network)
+                    .classify_states(classify)
+                    .simulate(engine="fsp")
+                )
+                assert run.exact_info["truncation_error"] == 0.0
+                probabilities = run.exact
+        assert sorted(probabilities) == sorted(expected)
+        for label, value in expected.items():
+            assert probabilities[label] == pytest.approx(value, abs=1e-12)
+
+    def test_failed_solve_raises(self, race_to_one, monkeypatch):
+        import repro.sim.fsp as fsp_module
+
+        monkeypatch.setattr(
+            fsp_module, "spsolve", lambda matrix, rhs, **_: np.full(rhs.shape, np.nan)
+        )
+        with pytest.raises(FspError, match="absorption solve failed"):
+            FspEngine(race_to_one).outcome_probabilities(first_catalyst)
+
+    def test_strict_check_rejects_nan_bound(self, race_to_one, monkeypatch):
+        import repro.sim.fsp as fsp_module
+
+        nan_bound = AbsorptionResult(
+            probabilities={"1": float("nan")}, n_states=1, n_transient=1,
+            truncation_error=float("nan"),
+        )
+        monkeypatch.setattr(fsp_module, "absorption_probabilities", lambda space: nan_bound)
+        with pytest.raises(FspError, match="truncation error"):
+            FspEngine(race_to_one).outcome_probabilities(first_catalyst)
 
 
 class TestTransient:

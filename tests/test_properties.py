@@ -239,11 +239,10 @@ def test_compiled_propensities_match_reference(network, counts):
     """CompiledNetwork's flat-array fast path equals reaction_propensity.
 
     The compiled evaluator, the per-reaction ``all_propensities`` vector and
-    the FSP solver's batched evaluator must all agree with the plain
+    the kernel arrays' ``propensity_matrix`` column (which the FSP
+    enumeration expands each layer through) must all agree with the plain
     per-reaction reference on every (network, state) pair.
     """
-    from repro.sim.fsp import _batch_propensities
-
     compiled = CompiledNetwork.compile(network)
     state = State({s.name: counts.get(s.name, 0) for s in compiled.species})
     vector = state.to_vector(compiled.species)
@@ -253,8 +252,10 @@ def test_compiled_propensities_match_reference(network, counts):
     for j, expected in enumerate(reference):
         assert compiled.propensity(j, vector) == pytest.approx(expected, rel=1e-12)
     assert compiled.all_propensities(vector) == pytest.approx(reference, rel=1e-12)
-    batched = _batch_propensities(compiled, np.asarray([vector], dtype=np.int64))
-    assert batched[0] == pytest.approx(reference, rel=1e-12)
+    matrix = compiled.kernel_network().propensity_matrix(
+        np.asarray([vector], dtype=np.int64).T
+    )
+    assert matrix[:, 0] == pytest.approx(reference, rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
