@@ -19,9 +19,17 @@ plus the other array-kernel engines:
   numba lock-step sweep;
 * a **mega-batch** row: one columnar sweep over 10× the ensemble size
   (≥ 10⁵ trials at the full benchmark size) through the
-  ``SimulationOptions.mega_batch`` chunk schedule;
+  ``SimulationOptions.mega_batch`` chunk schedule.
 
-and checks that
+These Example-1 rows classify with the bound method
+``SynthesizedSystem.classify_outcome``, which has no ``classify_batch``, so
+their per-trial engines still build one trajectory per trial.  A second
+section times the per-trial engines (``direct``, ``first-reaction``,
+``next-reaction``) on numpy over the 12 corpus models, each through its own
+experiment and the default stop-detail classifier — the columnar shard path
+— and reports µs and firings per trial, best of 3 runs of 1,000 trials.
+
+The harness checks that
 
 * the JIT batch-direct sweep is ≥ 10× faster than the interpreted numpy
   batch-direct sweep at the full size (the acceptance bar for the
@@ -31,10 +39,11 @@ and checks that
   numba is available) and across worker counts, including under the
   mega-batch chunk schedule.
 
-Full-size runs append to ``BENCH_kernels.json`` at the repository root so
-the perf trajectory of the hot path is recorded across PRs (smoke runs skip
-the file — their numbers are not comparable and would dirty the tree on
-every CI-style invocation).  Each entry records the host it ran on; numba
+Full-size runs append both sections to ``BENCH_kernels.json`` at the
+repository root so the perf trajectory of the hot path is recorded across
+PRs (smoke runs — one corpus model at 100 trials — skip the file: their
+numbers are not comparable and would dirty the tree on every CI-style
+invocation).  Each entry records the host it ran on; numba
 rows carry ``"ci_only": true`` because only the CI job that installs numba
 can produce them.
 
@@ -51,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -67,11 +77,16 @@ from repro.analysis import format_table, total_variation
 from repro.api import Experiment
 from repro.core import synthesize_distribution
 from repro.sim import EnsembleRunner, SimulationOptions, numba_available
+from repro.zoo.corpus import corpus_entries
 
 TARGET = {"1": 0.3, "2": 0.4, "3": 0.3}
 FULL_TRIALS = 10_000
 SMOKE_TRIALS = 1_000
 MEGA_FACTOR = 10  # the mega-batch row sweeps MEGA_FACTOR × n_trials in one pass
+PER_TRIAL_ENGINES = ("direct", "first-reaction", "next-reaction")
+PER_TRIAL_TRIALS = 1_000
+PER_TRIAL_SMOKE_TRIALS = 100
+PER_TRIAL_REPEATS = 3
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 
@@ -160,6 +175,37 @@ def measure(n_trials: int, seed: int = 2007) -> list[dict[str, object]]:
     return rows
 
 
+def measure_per_trial(
+    n_trials: int, n_models: "int | None" = None, seed: int = 2007
+) -> list[dict[str, object]]:
+    """Per-trial engines over the corpus on numpy: one row per (model, engine).
+
+    Each row runs the model's own experiment (its stopping condition, the
+    default stop-detail classifier, the default chunk schedule) for
+    ``n_trials`` seeded trials :data:`PER_TRIAL_REPEATS` times and keeps the
+    fastest run.  ``n_models`` limits the section to the first models.
+    """
+    rows: list[dict[str, object]] = []
+    for entry in corpus_entries()[:n_models]:
+        experiment = entry.model.experiment()
+        for engine in PER_TRIAL_ENGINES:
+            best = math.inf
+            for _ in range(PER_TRIAL_REPEATS):
+                start = time.perf_counter()
+                result = experiment.simulate(
+                    trials=n_trials, engine=engine, seed=seed, backend="numpy"
+                )
+                best = min(best, time.perf_counter() - start)
+            rows.append({
+                "model": entry.name,
+                "engine": engine,
+                "trials": n_trials,
+                "us_per_trial": 1e6 * best / n_trials,
+                "firings_per_trial": float(result.ensemble.n_firings.mean()),
+            })
+    return rows
+
+
 def check_determinism(n_trials: int = 400, seed: int = 97) -> dict[str, bool]:
     """Bit-identity of seeded runs across backends and worker counts."""
     system = synthesize_distribution(TARGET, gamma=1e3, scale=100)
@@ -212,7 +258,7 @@ def check_determinism(n_trials: int = 400, seed: int = 97) -> dict[str, bool]:
     return checks
 
 
-def record(rows, checks, n_trials: int) -> None:
+def record(rows, per_trial_rows, checks, n_trials: int) -> None:
     """Append this run to BENCH_kernels.json (the hot-path perf trajectory)."""
     history = []
     if RESULT_PATH.exists():
@@ -245,13 +291,29 @@ def record(rows, checks, n_trials: int) -> None:
             }
             for r in rows
         ],
+        "per_trial": {
+            "backend": "numpy",
+            "trials": PER_TRIAL_TRIALS,
+            "timing": f"best of {PER_TRIAL_REPEATS}",
+            "rows": [
+                {
+                    "model": r["model"],
+                    "engine": r["engine"],
+                    "us_per_trial": round(float(r["us_per_trial"]), 1),
+                    "firings_per_trial": round(float(r["firings_per_trial"]), 2),
+                }
+                for r in per_trial_rows
+            ],
+        },
         "determinism": checks,
     }
     history.append(entry)
     RESULT_PATH.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
 
 
-def run_report(n_trials: int, full_assertions: bool) -> list[dict[str, object]]:
+def run_report(
+    n_trials: int, full_assertions: bool, smoke: bool = False
+) -> list[dict[str, object]]:
     """Measure, report, record and apply the acceptance checks."""
     rows = measure(n_trials)
     display = [
@@ -296,17 +358,26 @@ def run_report(n_trials: int, full_assertions: bool) -> list[dict[str, object]]:
                 f"JIT batch-direct slower than the interpreted numpy sweep "
                 f"({jit_speedup:.2f}x)"
             )
+    per_trial_rows = (
+        measure_per_trial(PER_TRIAL_SMOKE_TRIALS, n_models=1)
+        if smoke else measure_per_trial(PER_TRIAL_TRIALS)
+    )
+    report(
+        f"A6: per-trial engines on the corpus (numpy, best of {PER_TRIAL_REPEATS})",
+        format_table(per_trial_rows, floatfmt="{:.3g}"),
+    )
     checks = check_determinism()
     if full_assertions:
-        record(rows, checks, n_trials)
+        record(rows, per_trial_rows, checks, n_trials)
     return rows
 
 
 def test_kernel_backend_speedup(benchmark):
     """pytest-benchmark entry point (full-size unless REPRO_TRIALS shrinks it)."""
     n_trials = max(trials(10.0, minimum=FULL_TRIALS // 10), SMOKE_TRIALS)
+    full = n_trials >= FULL_TRIALS
     rows = benchmark.pedantic(
-        run_report, args=(n_trials, n_trials >= FULL_TRIALS), rounds=1, iterations=1
+        run_report, args=(n_trials, full, not full), rounds=1, iterations=1
     )
     benchmark.extra_info["rows"] = rows
 
@@ -319,7 +390,10 @@ def main(argv: "list[str] | None" = None) -> int:
                         help=f"CI smoke mode: {SMOKE_TRIALS} trials, soft speedup checks")
     args = parser.parse_args(argv)
     n_trials = args.trials or (SMOKE_TRIALS if args.smoke else FULL_TRIALS)
-    run_report(n_trials, full_assertions=not args.smoke and n_trials >= FULL_TRIALS)
+    run_report(
+        n_trials, full_assertions=not args.smoke and n_trials >= FULL_TRIALS,
+        smoke=args.smoke,
+    )
     return 0
 
 

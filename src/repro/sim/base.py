@@ -10,6 +10,13 @@ check it once at t=0, and hand the whole firing loop to a pluggable
 optional ``numba`` JIT), which runs the engine's kernel over preallocated
 columnar buffers and chunked random blocks.
 
+:meth:`StochasticSimulator.run` simulates one trial and returns a
+:class:`~repro.sim.trajectory.Trajectory`.
+:meth:`StochasticSimulator.run_slice` simulates one trial per given random
+stream — an ensemble chunk — and returns their final states as the columns
+of a :class:`~repro.sim.trajectory.BatchResult`: the setup is paid once per
+slice, and each trial gets only its own random blocks and kernel call.
+
 Backend selection flows through :attr:`SimulationOptions.backend`
 (``"auto"`` prefers the fastest available kernel backend the engine
 supports).  The batched engine (:mod:`repro.sim.batch`) replaces the
@@ -24,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,13 +39,19 @@ from repro.crn.network import ReactionNetwork
 from repro.crn.state import State
 from repro.errors import SimulationError
 from repro.sim.events import StoppingCondition
-from repro.sim.kernels.backend import BACKEND_NAMES, KernelJob, resolve_run_backend
+from repro.sim.kernels.backend import (
+    BACKEND_NAMES,
+    KernelBackend,
+    KernelJob,
+    resolve_run_backend,
+)
 from repro.sim.kernels.blocks import RandomBlocks
 from repro.sim.kernels.buffers import TrajectoryBuffers
-from repro.sim.kernels.plan import compile_stopping_plan
+from repro.sim.kernels.network import KernelNetwork
+from repro.sim.kernels.plan import StoppingPlan, compile_stopping_plan
 from repro.sim.propensity import CompiledNetwork
 from repro.sim.rng import make_rng
-from repro.sim.trajectory import StopReason, Trajectory
+from repro.sim.trajectory import BatchResult, StopReason, Trajectory
 
 __all__ = [
     "SimulationOptions",
@@ -208,22 +222,12 @@ class StochasticSimulator:
                 f"expected a ReactionNetwork or CompiledNetwork, got {type(network).__name__}"
             )
         self._default_rng = make_rng(seed)
-        self._kernel_buffers = None
-        self._plan_cache: "tuple | None" = None
+        self._kernel_buffers: "TrajectoryBuffers | None" = None
 
     @property
     def network(self) -> ReactionNetwork:
         """The underlying reaction network."""
         return self.compiled.network
-
-    def _stopping_plan(self, stopping: "StoppingCondition | None"):
-        """Compile (and cache, per condition instance) the kernel stopping plan."""
-        cached = self._plan_cache
-        if cached is not None and cached[0] is stopping:
-            return cached[1]
-        plan = compile_stopping_plan(stopping, self.compiled)
-        self._plan_cache = (stopping, plan)
-        return plan
 
     def run(
         self,
@@ -251,66 +255,178 @@ class StochasticSimulator:
             Random seed or generator for this run; defaults to the simulator's
             own stream.
         """
-        if self.kernel_name is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} declares no kernel; override run()"
-            )
-        opts = merge_options(options, option_overrides)
+        setup = self._setup(initial_state, stopping, options, option_overrides)
         rng = self._default_rng if seed is None else make_rng(seed)
-        compiled = self.compiled
-        counts = resolve_initial_counts(compiled, initial_state)
-        if stopping is not None:
-            stopping.reset(compiled)
-        plan = self._stopping_plan(stopping)
-        backend = resolve_run_backend(
-            opts.backend, self.supported_backends, plan, self.method_name
-        )
-
-        knet = compiled.kernel_network()
-        buffers = self._kernel_buffers
-        if buffers is None:
-            buffers = TrajectoryBuffers(compiled.n_species)
-            self._kernel_buffers = buffers
+        counts = setup.start.copy()
+        buffers = setup.buffers
         buffers.reset()
-
-        # A stopping condition may already hold at t=0 (e.g. threshold met
-        # initially); the kernels only check after each firing.
-        firing_counts = np.zeros(compiled.n_reactions, dtype=np.int64)
-        detail = (
-            None if stopping is None
-            else stopping.check(0.0, counts, compiled, firing_counts)
+        stop_reason, stop_detail, final_time, firing_counts = self._trial(
+            setup, stopping, rng, counts, record=True
         )
-        if detail is not None:
-            stop_reason, stop_detail, final_time = StopReason.CONDITION, detail, 0.0
-        else:
-            blocks = RandomBlocks(rng, initial=max(64, min(2 * knet.n_reactions, 4096)))
-            job = KernelJob(
-                knet=knet,
-                counts=counts,
-                plan=plan,
-                buffers=buffers,
-                blocks=blocks,
-                max_time=opts.max_time,
-                max_steps=opts.max_steps,
-                record_firings=opts.record_firings,
-                record_states=opts.record_states,
-                snapshot_stride=opts.snapshot_stride,
-            )
-            outcome = backend.run(self.kernel_name, job)
-            stop_reason, stop_detail = outcome.stop_reason(plan, self.method_name)
-            final_time = float(outcome.final_time)
-            firing_counts = outcome.firing_counts
         times, fired = buffers.finalize_events()
         snapshot_times, snapshots = buffers.finalize_snapshots()
         return Trajectory(
             times=times,
             reaction_indices=fired,
-            final_state=compiled.counts_to_state(counts),
+            final_state=self.compiled.counts_to_state(counts),
             final_time=final_time,
             stop_reason=stop_reason,
             stop_detail=stop_detail,
-            species_order=compiled.species,
+            species_order=self.compiled.species,
             snapshot_times=snapshot_times,
             state_snapshots=snapshots,
             firing_counts=firing_counts,
         )
+
+    def run_slice(
+        self,
+        streams: "Sequence[np.random.Generator]",
+        initial_state: "State | dict | None" = None,
+        stopping: "StoppingCondition | None" = None,
+        options: "SimulationOptions | None" = None,
+    ) -> BatchResult:
+        """Simulate one trial per random stream, as the rows of a batch.
+
+        Trial ``i`` draws only from ``streams[i]``, exactly as
+        ``run(initial_state, stopping, options, seed=streams[i])`` would, so
+        every row equals that run's final state, time, firing totals and
+        stop.  The options, starting counts, stopping plan and backend are
+        resolved once for the whole slice; no firing log or snapshots are
+        recorded.
+        """
+        setup = self._setup(initial_state, stopping, options, {})
+        n = len(streams)
+        final_counts = np.tile(setup.start, (n, 1))
+        final_times = np.zeros(n, dtype=np.float64)
+        firing_counts = np.zeros((n, self.compiled.n_reactions), dtype=np.int64)
+        stop_reasons = np.empty(n, dtype=object)
+        stop_details = np.empty(n, dtype=object)
+        for trial, rng in enumerate(streams):
+            reason, detail, time, firings = self._trial(
+                setup, stopping, rng, final_counts[trial], record=False
+            )
+            stop_reasons[trial] = reason
+            stop_details[trial] = detail
+            final_times[trial] = time
+            firing_counts[trial] = firings
+        return BatchResult(
+            species=self.compiled.species,
+            final_counts=final_counts,
+            final_times=final_times,
+            firing_counts=firing_counts,
+            stop_reasons=stop_reasons,
+            stop_details=stop_details,
+        )
+
+    # -- shared by run and run_slice ---------------------------------------------
+
+    def _setup(
+        self,
+        initial_state: "State | dict | None",
+        stopping: "StoppingCondition | None",
+        options: "SimulationOptions | None",
+        option_overrides: dict,
+    ) -> "_KernelSetup":
+        """Resolve what every trial of one call shares."""
+        if self.kernel_name is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} declares no kernel; override run()"
+            )
+        opts = merge_options(options, option_overrides)
+        compiled = self.compiled
+        start = resolve_initial_counts(compiled, initial_state)
+        if stopping is not None:
+            stopping.reset(compiled)
+        # Compiled on every call: the condition's fields (a threshold, say)
+        # may have changed since the last one.
+        plan = compile_stopping_plan(stopping, compiled)
+        backend = resolve_run_backend(
+            opts.backend, self.supported_backends, plan, self.method_name
+        )
+        knet = compiled.kernel_network()
+        # A condition with a clause encoding keeps no per-run state, so its
+        # t=0 check, which reads only the starting counts, holds for every
+        # trial.
+        start_detail = None
+        if stopping is not None and plan.callback is None:
+            start_detail = stopping.check(
+                0.0, start, compiled, np.zeros(compiled.n_reactions, dtype=np.int64)
+            )
+        if self._kernel_buffers is None:
+            self._kernel_buffers = TrajectoryBuffers(compiled.n_species)
+        return _KernelSetup(
+            opts=opts,
+            start=start,
+            plan=plan,
+            backend=backend,
+            knet=knet,
+            buffers=self._kernel_buffers,
+            start_detail=start_detail,
+            block_size=max(64, min(2 * knet.n_reactions, 4096)),
+        )
+
+    def _trial(
+        self,
+        setup: "_KernelSetup",
+        stopping: "StoppingCondition | None",
+        rng: np.random.Generator,
+        counts: np.ndarray,
+        record: bool,
+    ) -> "tuple[str, str, float, np.ndarray]":
+        """Run one trial from ``counts``, which it leaves at the final state.
+
+        Returns the stop reason and detail, the final time and the firing
+        totals.  The kernels check the condition only after each firing, so
+        it is checked here at t=0 first; a trial it already stops draws no
+        randomness.  ``record`` keeps the firing log and snapshots the
+        options ask for.
+        """
+        plan = setup.plan
+        compiled = self.compiled
+        if plan.callback is None:
+            detail = setup.start_detail
+        else:
+            # A user condition may hold per-run state: reset it for every trial.
+            stopping.reset(compiled)
+            detail = stopping.check(
+                0.0, counts, compiled, np.zeros(compiled.n_reactions, dtype=np.int64)
+            )
+        if detail is not None:
+            return (
+                StopReason.CONDITION, detail, 0.0,
+                np.zeros(compiled.n_reactions, dtype=np.int64),
+            )
+        opts = setup.opts
+        outcome = setup.backend.run(
+            self.kernel_name,
+            KernelJob(
+                knet=setup.knet,
+                counts=counts,
+                plan=plan,
+                buffers=setup.buffers,
+                blocks=RandomBlocks(rng, initial=setup.block_size),
+                max_time=opts.max_time,
+                max_steps=opts.max_steps,
+                record_firings=record and opts.record_firings,
+                record_states=record and opts.record_states,
+                snapshot_stride=opts.snapshot_stride,
+            ),
+        )
+        stop_reason, stop_detail = outcome.stop_reason(plan, self.method_name)
+        return stop_reason, stop_detail, float(outcome.final_time), outcome.firing_counts
+
+
+@dataclass
+class _KernelSetup:
+    """Everything the trials of one :meth:`StochasticSimulator.run` or
+    :meth:`~StochasticSimulator.run_slice` call share."""
+
+    opts: SimulationOptions
+    start: np.ndarray
+    plan: StoppingPlan
+    backend: KernelBackend
+    knet: KernelNetwork
+    buffers: TrajectoryBuffers
+    #: the clause plan's detail when it already holds at the start
+    start_detail: "str | None"
+    block_size: int

@@ -39,7 +39,6 @@ totals are kept, which is what ensembles consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -67,62 +66,9 @@ from repro.sim.events import StoppingCondition
 from repro.sim.propensity import CompiledNetwork
 from repro.sim.registry import register_engine
 from repro.sim.rng import make_rng
-from repro.sim.trajectory import StopReason, Trajectory
+from repro.sim.trajectory import BatchResult, StopReason, Trajectory
 
 __all__ = ["BatchResult", "BatchDirectEngine"]
-
-
-@dataclass
-class BatchResult:
-    """Raw per-trial results of one batched simulation.
-
-    This is the vector-native counterpart of a list of
-    :class:`~repro.sim.trajectory.Trajectory` objects: everything an ensemble
-    aggregates, kept as flat arrays.  Individual trials can still be viewed
-    as (log-free) trajectories via :meth:`trajectory`.
-
-    Attributes
-    ----------
-    species:
-        Column labels for ``final_counts``.
-    final_counts:
-        Final molecular counts, shape ``(n_trials, n_species)``.
-    final_times:
-        Simulated stop time per trial.
-    firing_counts:
-        Per-reaction firing totals, shape ``(n_trials, n_reactions)``.
-    stop_reasons / stop_details:
-        Why each trial stopped (:class:`~repro.sim.trajectory.StopReason`
-        constants) and the stopping condition's detail string (outcome
-        label; ``""`` for trials that stopped another way).
-    """
-
-    species: tuple
-    final_counts: np.ndarray
-    final_times: np.ndarray
-    firing_counts: np.ndarray
-    stop_reasons: np.ndarray
-    stop_details: np.ndarray
-
-    @property
-    def n_trials(self) -> int:
-        """Number of trials in the batch."""
-        return self.final_counts.shape[0]
-
-    def trajectory(self, trial: int) -> Trajectory:
-        """View one trial as a :class:`Trajectory` (no firing log, totals only)."""
-        return Trajectory(
-            times=np.empty(0, dtype=float),
-            reaction_indices=np.empty(0, dtype=np.int64),
-            final_state=State.from_vector(
-                [int(c) for c in self.final_counts[trial]], self.species
-            ),
-            final_time=float(self.final_times[trial]),
-            stop_reason=str(self.stop_reasons[trial]),
-            stop_detail=str(self.stop_details[trial]),
-            species_order=self.species,
-            firing_counts=self.firing_counts[trial].copy(),
-        )
 
 
 @register_engine(

@@ -6,8 +6,10 @@ working reaction won, did an error occur), and report outcome frequencies —
 the Figure-3 error estimates used 100,000 trials per γ point.  This module
 packages that loop at three execution scales:
 
-* :class:`EnsembleRunner` — the sequential baseline: one simulator, one
-  Python-level trial loop, per-trial independent random streams;
+* :class:`EnsembleRunner` — the sequential baseline: one simulator running
+  each chunk of trials as one slice
+  (:meth:`~repro.sim.base.StochasticSimulator.run_slice`), per-trial
+  independent random streams;
 * ``engine="batch-direct"`` — the same runner dispatching to the vectorized
   :class:`~repro.sim.batch.BatchDirectEngine`, which advances the whole
   ensemble in lock-step NumPy operations;
@@ -22,9 +24,14 @@ unit; for the batched engine, consecutive chunks are grouped into one fused
 sweep (:func:`~repro.sim.kernels.batch.group_trials` caps a group), and each
 chunk still yields its own shard.
 
-Trials are labelled by an outcome classifier (:mod:`repro.sim.outcomes`);
-one with a ``classify_batch`` method labels a whole batched sweep from its
+Both engine kinds deliver a chunk's trials as the columns of one
+:class:`~repro.sim.trajectory.BatchResult`, which one shard path labels and
+splits.  Trials are labelled by an outcome classifier
+(:mod:`repro.sim.outcomes`); one with a ``classify_batch`` method labels the
 columns, without a per-trial :class:`~repro.sim.trajectory.Trajectory`.
+Trajectories are built only when kept (``keep_trajectories=True``), for a
+classifier without ``classify_batch``, and by engines with no kernel
+(tau-leaping).
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from repro.sim.propensity import CompiledNetwork
 from repro.sim.registry import registry
 from repro.sim.rng import derive_seed, spawn_children_range
 from repro.sim.stats import RunningMoments
-from repro.sim.trajectory import Trajectory
+from repro.sim.trajectory import BatchResult, Trajectory
 
 __all__ = [
     "engine_names",
@@ -292,8 +299,8 @@ class EnsembleRunner:
         ``None`` for undecided).  Default:
         :class:`~repro.sim.outcomes.StopDetailClassifier`, the trajectory's
         ``stop_detail`` when it stopped on a condition.  A classifier with a
-        ``classify_batch(batch)`` method labels batched runs from their
-        columns (see :mod:`repro.sim.outcomes`).
+        ``classify_batch(batch)`` method labels every chunk from its columns
+        (see :mod:`repro.sim.outcomes`).
     engine_options:
         Typed options dataclass for the selected engine (e.g.
         :class:`~repro.sim.tau_leaping.TauLeapOptions`), validated against
@@ -336,10 +343,13 @@ class EnsembleRunner:
         self.stopping = stopping
         self.options = options
         self.outcome_classifier = outcome_classifier or StopDetailClassifier()
-        # Lazily-created batched engine, kept for the runner's lifetime so its
-        # columnar sweep buffers are allocated once and reused across chunks
-        # and adaptive doubling rounds (see BatchBuffers in kernels/batch.py).
+        # Lazily-created engine instances, kept for the runner's lifetime: the
+        # batched engine's columnar sweep buffers are allocated once and
+        # reused across chunks and adaptive doubling rounds (see BatchBuffers
+        # in kernels/batch.py), and a per-trial simulator's kernel buffers
+        # across slices.
         self._batch_engine = None
+        self._simulator = None
         # Trials the batched engine's buffers are sized for on first use.
         self._reserve_trials = 0
 
@@ -375,69 +385,75 @@ class EnsembleRunner:
         only on ``(seed, n_trials, slicing)`` — never on which process runs
         which slice, or which slices share a sweep.  The batched engine
         sweeps the slices together; per-trial engines run them one after
-        another.
+        another.  Either way each run yields the slices' columns as one
+        :class:`~repro.sim.trajectory.BatchResult`, which
+        :meth:`_shards` labels and splits.
         """
+        initial = None if initial_state is None else dict(initial_state)
+        # Trajectory objects are built only where something reads them.
+        with_trajectories = keep_trajectories or getattr(
+            self.outcome_classifier, "classify_batch", None
+        ) is None
         if self.engine_info.batched:
-            return self._run_batched(seed, bounds, initial_state, keep_trajectories)
+            return self._shards(
+                bounds,
+                *self._run_batched(seed, bounds, initial, with_trajectories),
+                keep_trajectories,
+            )
         return [
-            self._run_range(n_trials, seed, start, stop, initial_state, keep_trajectories)
+            shard
             for start, stop in bounds
+            for shard in self._shards(
+                [(start, stop)],
+                *self._run_slice(n_trials, seed, start, stop, initial, with_trajectories),
+                keep_trajectories,
+            )
         ]
 
-    def _run_range(
+    def _run_slice(
         self,
         n_trials: int,
         seed: "int | None",
         start: int,
         stop: int,
-        initial_state: "Mapping | None",
-        keep_trajectories: bool,
-    ) -> EnsembleResult:
-        """Simulate the trial slice ``[start, stop)`` with a per-trial engine."""
-        simulator = make_simulator(
-            self.compiled, engine=self.engine, engine_options=self.engine_options
-        )
+        initial_state: "dict | None",
+        with_trajectories: bool,
+    ) -> "tuple[BatchResult, list[Trajectory] | None]":
+        """Simulate the trial slice ``[start, stop)`` with a per-trial engine.
+
+        A kernel engine runs the slice through
+        :meth:`~repro.sim.base.StochasticSimulator.run_slice`.  Trajectories
+        needed by the caller, and engines with no kernel (tau-leaping), run
+        one ``run`` per trial instead, and their columns are read off the
+        trajectories.
+        """
+        if self._simulator is None:
+            self._simulator = self.engine_info.create(
+                self.compiled, engine_options=self.engine_options
+            )
+        simulator = self._simulator
         streams = spawn_children_range(seed, n_trials, start, stop)
-        count = stop - start
-
-        labels = []
-        final_counts = np.zeros((count, self.compiled.n_species), dtype=np.int64)
-        final_times = np.zeros(count)
-        n_firings = np.zeros(count, dtype=np.int64)
-        kept: list[Trajectory] = []
-
-        for trial, rng in enumerate(streams):
-            trajectory = simulator.run(
-                initial_state=dict(initial_state) if initial_state else None,
+        if not with_trajectories and getattr(simulator, "kernel_name", None) is not None:
+            return simulator.run_slice(streams, initial_state, self.stopping, self.options), None
+        trajectories = [
+            simulator.run(
+                initial_state=initial_state,
                 stopping=self.stopping,
                 options=self.options,
                 seed=rng,
             )
-            labels.append(self.outcome_classifier(trajectory))
-            final_counts[trial] = trajectory.final_state.to_vector(self.compiled.species)
-            final_times[trial] = trajectory.final_time
-            n_firings[trial] = int(trajectory.firing_counts.sum())
-            if keep_trajectories:
-                kept.append(trajectory)
-
-        return EnsembleResult(
-            n_trials=count,
-            outcome_counts=count_outcomes(labels),
-            final_counts=final_counts,
-            species=self.compiled.species,
-            final_times=final_times,
-            n_firings=n_firings,
-            trajectories=kept,
-        )
+            for rng in streams
+        ]
+        return BatchResult.from_trajectories(trajectories, self.compiled.species), trajectories
 
     def _run_batched(
         self,
         seed: "int | None",
         bounds: "Sequence[tuple[int, int]]",
-        initial_state: "Mapping | None",
-        keep_trajectories: bool,
-    ) -> "list[EnsembleResult]":
-        """Run the trial slices ``bounds`` as one fused sweep, one shard each."""
+        initial_state: "dict | None",
+        with_trajectories: bool,
+    ) -> "tuple[BatchResult, list[Trajectory] | None]":
+        """Run the trial slices ``bounds`` as one fused sweep."""
         # The batch shares one generator per slice, so each slice (not each
         # trial) gets a deterministic sub-seed from its bounds; fixed
         # chunking then keeps results invariant to the worker count and to
@@ -454,28 +470,39 @@ class EnsembleRunner:
                 self._batch_engine.reserve(self._reserve_trials)
         batch = self._batch_engine.run_group(
             chunks,
-            initial_state=dict(initial_state) if initial_state else None,
+            initial_state=initial_state,
             stopping=self.stopping,
             options=self.options,
         )
+        if not with_trajectories:
+            return batch, None
+        return batch, [batch.trajectory(trial) for trial in range(batch.n_trials)]
 
-        classify_batch = getattr(self.outcome_classifier, "classify_batch", None)
-        trajectories: list[Trajectory] = []
-        if keep_trajectories or classify_batch is None:
-            # Opaque callables (and kept trajectories) need one object per trial.
-            trajectories = [batch.trajectory(trial) for trial in range(batch.n_trials)]
-            labels = [self.outcome_classifier(t) for t in trajectories]
+    def _shards(
+        self,
+        bounds: "Sequence[tuple[int, int]]",
+        batch: BatchResult,
+        trajectories: "list[Trajectory] | None",
+        keep_trajectories: bool,
+    ) -> "list[EnsembleResult]":
+        """Label the rows of ``batch`` and split them into one shard per bound.
+
+        The classifier's ``classify_batch`` labels the columns; trials that
+        were built as trajectories anyway are labelled one by one, by the
+        classifier itself.
+        """
+        if trajectories is None:
+            labels = self.outcome_classifier.classify_batch(batch).tolist()
         else:
-            labels = classify_batch(batch).tolist()
+            labels = [self.outcome_classifier(t) for t in trajectories]
         n_firings = batch.firing_counts.sum(axis=1)
-
         shards = []
         row = 0
-        for count, _ in chunks:
-            rows = slice(row, row + count)
+        for start, stop in bounds:
+            rows = slice(row, row + stop - start)
             shards.append(
                 EnsembleResult(
-                    n_trials=count,
+                    n_trials=stop - start,
                     outcome_counts=count_outcomes(labels[rows]),
                     final_counts=batch.final_counts[rows],
                     species=self.compiled.species,
@@ -484,7 +511,7 @@ class EnsembleRunner:
                     trajectories=trajectories[rows] if keep_trajectories else [],
                 )
             )
-            row += count
+            row = rows.stop
         return shards
 
 
@@ -642,7 +669,7 @@ class ParallelEnsembleRunner(EnsembleRunner):
         # The sequence length forwarded to the shards: per-trial RNG ignores
         # it beyond bounds checking, the batched engine never reads it.
         total = max(stop for _, stop in bounds)
-        initial = dict(initial_state) if initial_state else None
+        initial = None if initial_state is None else dict(initial_state)
         groups = self._groups(bounds)
 
         if self.workers == 1 or len(groups) == 1:

@@ -83,16 +83,15 @@ class StoppingPlan:
     def py_clauses(self) -> tuple:
         """Plain-Python ``(kind, target, level, members)`` rows for the numpy backend."""
         if self._py is None:
-            rows = []
-            for i in range(self.n_clauses):
-                members = tuple(
-                    int(m)
-                    for m in self.member_idx[self.member_ptr[i] : self.member_ptr[i + 1]]
+            # ``tolist`` converts whole columns to Python ints at once: a plan
+            # is compiled on every run, so this runs once per run too.
+            ptr, idx = self.member_ptr.tolist(), self.member_idx.tolist()
+            self._py = tuple(
+                (kind, target, level, tuple(idx[ptr[i] : ptr[i + 1]]))
+                for i, (kind, target, level) in enumerate(
+                    zip(self.kinds.tolist(), self.targets.tolist(), self.levels.tolist())
                 )
-                rows.append(
-                    (int(self.kinds[i]), int(self.targets[i]), int(self.levels[i]), members)
-                )
-            self._py = tuple(rows)
+            )
         return self._py
 
     @classmethod

@@ -12,6 +12,10 @@ preallocated buffers — see :mod:`repro.sim.kernels.buffers`), never a list
 of event objects.  Record-style access is still available as lightweight
 views: :attr:`Trajectory.firings` is a sequence over the columns whose items
 are :class:`FiringRecord` values built on demand.
+
+A :class:`BatchResult` holds many trials the same way, one row each: the
+final counts, times, firing totals and stop reasons of a batched sweep or a
+per-trial slice, with no firing log.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from repro.crn.species import Species, as_species
 from repro.crn.state import State
 
-__all__ = ["StopReason", "FiringRecord", "FiringLog", "Trajectory"]
+__all__ = ["StopReason", "FiringRecord", "FiringLog", "Trajectory", "BatchResult"]
 
 
 class StopReason:
@@ -173,3 +177,77 @@ class Trajectory:
 
     def __repr__(self) -> str:
         return self.summary()
+
+
+@dataclass
+class BatchResult:
+    """Raw per-trial results of many trials, one row each.
+
+    This is the vector-native counterpart of a list of :class:`Trajectory`
+    objects: everything an ensemble aggregates, kept as flat arrays.  Both
+    the batched engine (:meth:`repro.sim.batch.BatchDirectEngine.run_group`)
+    and the per-trial engines
+    (:meth:`repro.sim.base.StochasticSimulator.run_slice`) return one.
+    Individual trials can still be viewed as (log-free) trajectories via
+    :meth:`trajectory`.
+
+    Attributes
+    ----------
+    species:
+        Column labels for ``final_counts``.
+    final_counts:
+        Final molecular counts, shape ``(n_trials, n_species)``.
+    final_times:
+        Simulated stop time per trial.
+    firing_counts:
+        Per-reaction firing totals, shape ``(n_trials, n_reactions)``.
+    stop_reasons / stop_details:
+        Why each trial stopped (:class:`StopReason` constants) and the
+        stopping condition's detail (outcome label; ``""`` for trials that
+        stopped another way).
+    """
+
+    species: tuple
+    final_counts: np.ndarray
+    final_times: np.ndarray
+    firing_counts: np.ndarray
+    stop_reasons: np.ndarray
+    stop_details: np.ndarray
+
+    @property
+    def n_trials(self) -> int:
+        """Number of trials in the batch."""
+        return self.final_counts.shape[0]
+
+    @classmethod
+    def from_trajectories(
+        cls, trajectories: "Sequence[Trajectory]", species: tuple
+    ) -> "BatchResult":
+        """The columns of ``trajectories`` (at least one), in order."""
+        return cls(
+            species=species,
+            final_counts=np.array(
+                [t.final_state.to_vector(species) for t in trajectories], dtype=np.int64
+            ),
+            final_times=np.array([t.final_time for t in trajectories], dtype=np.float64),
+            firing_counts=np.array(
+                [t.firing_counts for t in trajectories], dtype=np.int64
+            ),
+            stop_reasons=np.array([t.stop_reason for t in trajectories], dtype=object),
+            stop_details=np.array([t.stop_detail for t in trajectories], dtype=object),
+        )
+
+    def trajectory(self, trial: int) -> Trajectory:
+        """View one trial as a :class:`Trajectory` (no firing log, totals only)."""
+        return Trajectory(
+            times=np.empty(0, dtype=float),
+            reaction_indices=np.empty(0, dtype=np.int64),
+            final_state=State.from_vector(
+                [int(c) for c in self.final_counts[trial]], self.species
+            ),
+            final_time=float(self.final_times[trial]),
+            stop_reason=str(self.stop_reasons[trial]),
+            stop_detail=str(self.stop_details[trial]),
+            species_order=self.species,
+            firing_counts=self.firing_counts[trial].copy(),
+        )

@@ -15,8 +15,9 @@ chunks and adaptive doubling rounds.  This module covers:
 * scale regressions — batches wider than the random-block cap and networks
   wider than the PR-4 9000-reaction refill regression;
 * numpy ↔ numba bit-identity of whole batches (skipped without numba);
-* numpy ↔ numba kernel *source* bit-identity of whole groups, run here: the
-  numba batch kernel's Python source under an identity ``njit``.
+* numpy ↔ numba kernel *source* bit-identity of whole groups and of
+  per-trial slices, run here: the numba kernels' Python source under an
+  identity ``njit``.
 """
 
 from __future__ import annotations
@@ -37,9 +38,11 @@ from repro.sim import (
     SimulationOptions,
     SpeciesThreshold,
     StopReason,
+    make_simulator,
     numba_available,
 )
 from repro.sim.kernels.batch import BatchBuffers, batch_random_blocks
+from repro.sim.kernels.blocks import RandomBlocks
 
 
 @pytest.fixture
@@ -424,7 +427,8 @@ def numba_source_backend():
 
 
 class TestNumbaSourceIdentity:
-    """``run_group`` on numpy vs the numba kernel source: bit-identical."""
+    """``run_group`` and the per-trial engines' ``run_slice`` on numpy vs the
+    numba kernel source: bit-identical."""
 
     def _assert_identical(self, monkeypatch, backend, network, chunks, **kwargs):
         import repro.sim.batch as batch_module
@@ -487,3 +491,101 @@ class TestNumbaSourceIdentity:
             stopping=SpeciesThreshold("c", 13), max_steps=30,
         )
         assert set(batch.stop_reasons) == {StopReason.CONDITION, StopReason.MAX_STEPS}
+
+    # -- per-trial slices --------------------------------------------------------
+
+    PER_TRIAL_ENGINES = ("direct", "first-reaction", "next-reaction")
+
+    def _assert_slices_identical(
+        self, monkeypatch, backend, network, n_trials, stopping=None, **options
+    ):
+        """``run_slice`` of every per-trial engine on both backends; returns
+        the numpy batches by engine."""
+        import repro.sim.base as base_module
+
+        options = SimulationOptions(record_firings=False, backend="numpy", **options)
+        batches = {}
+        for engine in self.PER_TRIAL_ENGINES:
+            def run_slice():
+                streams = [np.random.default_rng(seed) for seed in range(n_trials)]
+                return make_simulator(network, engine=engine).run_slice(
+                    streams, stopping=stopping, options=options
+                )
+
+            expected = run_slice()
+            with monkeypatch.context() as patch:
+                patch.setattr(base_module, "resolve_run_backend", lambda *args: backend)
+                got = run_slice()
+            np.testing.assert_array_equal(got.final_counts, expected.final_counts)
+            np.testing.assert_array_equal(got.final_times, expected.final_times)
+            np.testing.assert_array_equal(got.firing_counts, expected.firing_counts)
+            assert list(got.stop_reasons) == list(expected.stop_reasons)
+            assert list(got.stop_details) == list(expected.stop_details)
+            batches[engine] = expected
+        return batches
+
+    def test_slices_mixed_stops(self, monkeypatch, numba_source_backend):
+        network = parse_network(
+            """
+            init: ea = 70
+            init: eb = 30
+            ea ->{1.1} wa
+            eb ->{0.9} wb
+            ea + eb ->{0.03} 0
+            """
+        )
+        batches = self._assert_slices_identical(
+            monkeypatch, numba_source_backend, network, 30, max_time=4.5, max_steps=86
+        )
+        for batch in batches.values():
+            assert set(batch.stop_reasons) == {
+                StopReason.EXHAUSTED, StopReason.MAX_TIME, StopReason.MAX_STEPS
+            }
+
+    def test_slices_stop_at_t0(self, monkeypatch, race_network, numba_source_backend):
+        batches = self._assert_slices_identical(
+            monkeypatch, numba_source_backend, race_network, 5,
+            stopping=SpeciesThreshold("ea", 50),
+        )
+        for batch in batches.values():
+            assert set(batch.stop_reasons) == {StopReason.CONDITION}
+            assert batch.firing_counts.sum() == 0
+
+    def test_slices_long_trials_refill_blocks(self, monkeypatch, numba_source_backend):
+        # 3000 firings per trial outgrow the 64-draw first blocks many times
+        # over, so every kernel re-enters through its refill statuses.
+        network = parse_network("0 ->{10} a\na ->{0.1} 0")
+        refills = {"exponential": 0, "uniform": 0}
+        for kind in refills:
+            def counted(self, position, need=1, _kind=kind,
+                        _refill=getattr(RandomBlocks, f"refill_{kind}")):
+                refills[_kind] += 1
+                return _refill(self, position, need)
+
+            monkeypatch.setattr(RandomBlocks, f"refill_{kind}", counted)
+        batches = self._assert_slices_identical(
+            monkeypatch, numba_source_backend, network, 2, max_steps=3000
+        )
+        for batch in batches.values():
+            assert set(batch.stop_reasons) == {StopReason.MAX_STEPS}
+        assert refills["exponential"] > 0 and refills["uniform"] > 0
+
+    def test_slices_reactant_coefficients_two_and_three(
+        self, monkeypatch, numba_source_backend
+    ):
+        network = parse_network(
+            """
+            init: a = 30
+            init: c = 10
+            a + b ->{2.5} c
+            2 a ->{0.5} b
+            b ->{3} 0
+            3 c ->{0.25} a
+            """
+        )
+        batches = self._assert_slices_identical(
+            monkeypatch, numba_source_backend, network, 40,
+            stopping=SpeciesThreshold("c", 13), max_steps=30,
+        )
+        for batch in batches.values():
+            assert set(batch.stop_reasons) == {StopReason.CONDITION, StopReason.MAX_STEPS}

@@ -12,6 +12,10 @@ from repro.sim import (
     EnsembleResult,
     EnsembleRunner,
     OutcomeThresholds,
+    ParallelEnsembleRunner,
+    SimulationOptions,
+    SpeciesThreshold,
+    make_simulator,
 )
 
 
@@ -125,3 +129,66 @@ class TestEnsembleRunner:
         text = result.summary()
         assert "Ensemble of 50 trials" in text
         assert "A" in text and "B" in text
+
+
+class TestInitialStateMapping:
+    """``initial_state={}`` starts every trial from all zeros, as ``run`` does."""
+
+    NETWORK = """
+    init: a = 5
+    0 ->{1} a
+    a ->{0.1} 0
+    """
+
+    @pytest.mark.parametrize("engine", ["direct", "next-reaction", "batch-direct"])
+    def test_empty_mapping_is_all_zeros(self, engine):
+        net = parse_network(self.NETWORK)
+        options = SimulationOptions(record_firings=False, max_steps=1)
+        single = make_simulator(net, engine=engine, seed=1).run(
+            initial_state={}, options=options
+        )
+        assert single.final_count("a") == 1
+        sequential = EnsembleRunner(net, engine=engine, options=options).run(
+            6, seed=1, initial_state={}
+        )
+        chunked = ParallelEnsembleRunner(
+            net, engine=engine, options=options, workers=1, chunk_size=4
+        ).run(6, seed=1, initial_state={})
+        for result in (sequential, chunked):
+            assert result.final_values("a").tolist() == [1] * 6
+
+    def test_none_is_the_networks_own_state(self):
+        net = parse_network(self.NETWORK)
+        options = SimulationOptions(record_firings=False, max_steps=1)
+        result = EnsembleRunner(net, options=options).run(6, seed=1, initial_state=None)
+        assert set(result.final_values("a").tolist()) <= {4, 6}
+
+
+class TestShardPaths:
+    """Columnar slices and per-trial trajectories give the same ensemble."""
+
+    @pytest.mark.parametrize("engine", ["direct", "first-reaction", "next-reaction"])
+    def test_trajectory_path_matches_columns(self, engine, decision_network,
+                                             decision_condition):
+        def runner(classifier=None):
+            return ParallelEnsembleRunner(
+                decision_network, engine=engine, stopping=decision_condition,
+                outcome_classifier=classifier, workers=1, chunk_size=40,
+            )
+
+        columns = runner().run(100, seed=4)
+        opaque = runner(lambda trajectory: trajectory.stop_detail or None).run(100, seed=4)
+        kept = runner().run(100, seed=4, keep_trajectories=True)
+        for other in (opaque, kept):
+            assert other.outcome_counts == columns.outcome_counts
+            np.testing.assert_array_equal(other.final_counts, columns.final_counts)
+            np.testing.assert_array_equal(other.final_times, columns.final_times)
+            np.testing.assert_array_equal(other.n_firings, columns.n_firings)
+        assert len(kept.trajectories) == 100 and not columns.trajectories
+
+    def test_reused_runner_sees_a_mutated_condition(self, decision_network):
+        condition = SpeciesThreshold("wa", 3)
+        runner = EnsembleRunner(decision_network, stopping=condition)
+        assert set(runner.run(20, seed=1).final_values("wa").tolist()) <= {3}
+        condition.threshold = 5
+        assert set(runner.run(20, seed=1).final_values("wa").tolist()) <= {5}

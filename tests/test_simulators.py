@@ -23,6 +23,7 @@ from repro.sim import (
     SimulationOptions,
     SpeciesThreshold,
     StopReason,
+    StoppingCondition,
     make_simulator,
     registry,
 )
@@ -112,6 +113,107 @@ class TestRunMechanics:
         assert set(EXACT_ENGINES) <= set(registry.per_trial_names())
         with pytest.raises(Exception):
             make_simulator(parse_network("x ->{1} 0"), engine="bogus")
+
+
+class _NthCheck(StoppingCondition):
+    """Stops on the ``n``-th check since its last reset (per-run state)."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.checks = 0
+
+    def reset(self, compiled) -> None:
+        self.checks = 0
+
+    def check(self, time, counts, compiled, firing_counts):
+        self.checks += 1
+        return "nth" if self.checks >= self.n else None
+
+
+#: Annihilation makes trials exhaust at different steps, so with a horizon
+#: and a step cap one slice of 30 trials stops in several ways.
+MIXED_STOPS = """
+init: ea = 70
+init: eb = 30
+ea ->{1.1} wa
+eb ->{0.9} wb
+ea + eb ->{0.03} 0
+"""
+
+
+@pytest.mark.parametrize("engine", EXACT_ENGINES)
+class TestRunSlice:
+    """``run_slice`` row ``i`` is ``run(seed=streams[i])``'s final state."""
+
+    def _assert_rows_match_runs(self, engine, network, stopping, options, n=30):
+        simulator = make_simulator(network, engine=engine)
+        batch = simulator.run_slice(
+            [np.random.default_rng(seed) for seed in range(n)],
+            stopping=stopping, options=options,
+        )
+        assert batch.n_trials == n
+        for trial in range(n):
+            run = simulator.run(
+                stopping=stopping, options=options, seed=np.random.default_rng(trial)
+            )
+            np.testing.assert_array_equal(
+                batch.final_counts[trial], run.final_state.to_vector(batch.species)
+            )
+            assert batch.final_times[trial] == run.final_time
+            np.testing.assert_array_equal(batch.firing_counts[trial], run.firing_counts)
+            assert batch.stop_reasons[trial] == run.stop_reason
+            assert batch.stop_details[trial] == run.stop_detail
+        return batch
+
+    @pytest.mark.parametrize("stopping,reasons", [
+        (None, {StopReason.EXHAUSTED, StopReason.MAX_TIME, StopReason.MAX_STEPS}),
+        (SpeciesThreshold("wa", 54),
+         {StopReason.CONDITION, StopReason.EXHAUSTED, StopReason.MAX_TIME}),
+    ])
+    def test_mixed_stops(self, engine, stopping, reasons):
+        batch = self._assert_rows_match_runs(
+            engine, parse_network(MIXED_STOPS), stopping,
+            SimulationOptions(record_firings=False, max_time=4.5, max_steps=86),
+        )
+        assert set(batch.stop_reasons) == reasons
+
+    def test_condition_at_start(self, engine):
+        batch = self._assert_rows_match_runs(
+            engine, parse_network(MIXED_STOPS), SpeciesThreshold("ea", 50),
+            SimulationOptions(record_firings=False), n=5,
+        )
+        assert set(batch.stop_reasons) == {StopReason.CONDITION}
+        assert batch.firing_counts.sum() == 0 and not batch.final_times.any()
+
+    def test_callback_condition_is_reset_per_trial(self, engine):
+        # The t=0 check is the first; the fourth follows the third firing.
+        batch = self._assert_rows_match_runs(
+            engine, parse_network(MIXED_STOPS), _NthCheck(4),
+            SimulationOptions(record_firings=False), n=10,
+        )
+        assert set(batch.stop_details) == {"nth"}
+        assert set(batch.firing_counts.sum(axis=1)) == {3}
+
+    def test_initial_state_and_no_log(self, engine):
+        net = parse_network("x ->{1} 0\ninit: x = 5")
+        simulator = make_simulator(net, engine=engine)
+        streams = [np.random.default_rng(seed) for seed in range(4)]
+        batch = simulator.run_slice(streams, initial_state={"x": 2})
+        assert batch.firing_counts.sum(axis=1).tolist() == [2, 2, 2, 2]
+        assert set(batch.stop_reasons) == {StopReason.EXHAUSTED}
+        assert set(batch.stop_details) == {""}
+        assert simulator._kernel_buffers.n_events == 0
+
+
+@pytest.mark.parametrize("engine", [*EXACT_ENGINES, "batch-direct"])
+def test_mutated_condition_is_recompiled(engine):
+    net = parse_network("src ->{1} src + x\ninit: src = 1")
+    condition = SpeciesThreshold("x", 7)
+    simulator = make_simulator(net, engine=engine, seed=5)
+    first = simulator.run(stopping=condition, record_firings=False)
+    condition.threshold = 9
+    second = simulator.run(stopping=condition, record_firings=False)
+    assert (first.final_count("x"), second.final_count("x")) == (7, 9)
 
 
 @pytest.mark.parametrize("engine", EXACT_ENGINES)

@@ -19,7 +19,10 @@ The ensemble pins cover the layer above: whole seeded
 ``Experiment.simulate(engine="batch-direct")`` runs over many chunks (the
 arrays plus the outcome counts in insertion order), so they pin the chunk
 schedule, the per-chunk sub-seeds, the grouping of chunks into sweeps and
-the outcome classification together.
+the outcome classification together.  The per-trial ensemble pins do the
+same for ``direct``, ``first-reaction`` and ``next-reaction`` over a few
+chunks each: the spawned per-trial streams, the t=0 stopping check, the
+outcome classification and the assembly of chunks into shards.
 
 To refresh a digest after a *deliberate* stream change, print the current
 values with ``PYTHONPATH=src python tests/test_stream_pins.py`` and name the
@@ -286,13 +289,9 @@ def _ensemble_seed(case: str) -> int:
     return _seed(case, "ensemble")
 
 
-def ensemble_digest(case: str, cases: dict) -> str:
-    """Digest of one seeded ``batch-direct`` ensemble run."""
-    experiment, trials, chunk, backend = cases[case]
-    ensemble = experiment.simulate(
-        trials=trials, engine="batch-direct", seed=_ensemble_seed(case),
-        chunk_size=chunk, backend=backend,
-    ).ensemble
+def _simulation_digest(experiment, engine: str, **simulate) -> str:
+    """Digest of one seeded ``Experiment.simulate`` ensemble."""
+    ensemble = experiment.simulate(engine=engine, **simulate).ensemble
     digest = _Digest()
     digest.array(ensemble.final_counts, np.int64)
     digest.array(ensemble.final_times, np.float64)
@@ -301,6 +300,15 @@ def ensemble_digest(case: str, cases: dict) -> str:
         digest.text(label)
         digest.text(count)
     return digest.hexdigest()
+
+
+def ensemble_digest(case: str, cases: dict) -> str:
+    """Digest of one seeded ``batch-direct`` ensemble run."""
+    experiment, trials, chunk, backend = cases[case]
+    return _simulation_digest(
+        experiment, "batch-direct", trials=trials, seed=_ensemble_seed(case),
+        chunk_size=chunk, backend=backend,
+    )
 
 
 #: Digests captured before chunks were fused into groups of one sweep.
@@ -342,6 +350,104 @@ ENSEMBLE_EXPECTED: "dict[str, str]" = {
 }
 
 
+# ---------------------------------------------------------------------------
+# per-trial ensemble pins: seeded direct / first-reaction / next-reaction
+# Experiment.simulate runs
+# ---------------------------------------------------------------------------
+
+PER_TRIAL_ENSEMBLE_TRIALS = 300
+#: Three chunks per run (128 + 128 + 44 trials).
+PER_TRIAL_ENSEMBLE_CHUNK = 128
+
+
+def _per_trial_ensemble_cases() -> "dict[str, tuple]":
+    """``{case: (experiment, backend)}``: Example 1, the corpus models and
+    the special cases of :func:`_ensemble_cases`, once each."""
+    cases: dict[str, tuple] = {}
+    for case, (experiment, _trials, _chunk, backend) in _ensemble_cases().items():
+        cases.setdefault(case.partition("@")[0], (experiment, backend))
+    return cases
+
+
+def per_trial_ensemble_digest(case: str, engine: str, cases: dict) -> str:
+    """Digest of one seeded per-trial-engine ensemble run."""
+    experiment, backend = cases[case]
+    return _simulation_digest(
+        experiment, engine, trials=PER_TRIAL_ENSEMBLE_TRIALS,
+        seed=_seed(case, f"ensemble/{engine}"),
+        chunk_size=PER_TRIAL_ENSEMBLE_CHUNK, backend=backend,
+    )
+
+
+def per_trial_ensemble_keys(cases: dict) -> "list[tuple[str, str]]":
+    return [(case, engine) for case in cases for engine in PER_TRIAL_ENGINES]
+
+
+#: Digests captured while each chunk still ran one ``simulator.run`` per trial.
+PER_TRIAL_ENSEMBLE_EXPECTED: "dict[tuple[str, str], str]" = {
+    ('example-1', 'direct'): '7066e280dd4d80af86930e8cb6d04e0abf218faf5d49c70311eddcaedc271765',
+    ('example-1', 'first-reaction'): '22ef8447d7ed388689811121934e76907a6a7b78bac82fb55d74928a8f0f370c',
+    ('example-1', 'next-reaction'): '9dd68af76e15cdd62a0520c04d37170b8089d1116034adea8107499efcb2c05b',
+    ('birth-death', 'direct'): 'df5bda5c6efff067d1d17f80d53f0e6f003d8ff1be33b71cbeb172b929f48c36',
+    ('birth-death', 'first-reaction'): '3e2ef541be02acc58e250f646c2df24f6085724cba0c828bf30d3abfcb7092bd',
+    ('birth-death', 'next-reaction'): '8eb2590b6cc0e6ec7bb7d0246f79716ca0bf8167f0a1019150a2cd01d86fab25',
+    ('cross-catalysis', 'direct'): '23d977b5f278f3cbf9008c42a17a8b05edcbb140fe1cc2b54bb8573dd15407ec',
+    ('cross-catalysis', 'first-reaction'): '1e9c6c82e7c4379e3cdc889a9beed2840b072f30df8523210063d88664362d20',
+    ('cross-catalysis', 'next-reaction'): '013a0330a6fefa3f2d68ae94892ee0040dd41b2cb7b7e26e6c5c0cbfd01da54b',
+    ('dimerization', 'direct'): '37662d5335a276acdc1ac0bd1265ebf45d3853653c8f81a4577ffa1b5731c0be',
+    ('dimerization', 'first-reaction'): 'ee454a22764e0efc29327323da29f6a67cf6b81ca9f0c784c89eedee8e62a2ee',
+    ('dimerization', 'next-reaction'): '360c4253fa59c50cd84f82f8b64446fdce9820639f5342cfd512098b5d6f8c3b',
+    ('lambda-decision', 'direct'): '0844d4722275653e4f94cd94e8892ce309fef63d75f24858ac7e97082104648d',
+    ('lambda-decision', 'first-reaction'): '5f56a9ea21f13359886a511905b85a48e25ea95fb21c0c60a001163a9f928aeb',
+    ('lambda-decision', 'next-reaction'): '9bf386c2b110ee773b02a50feeb7a508a999210d1f7ff2c2550121e0f15dd17d',
+    ('lambda-moi2', 'direct'): '042fbb48ed7517ff452c651e6635e6222b3d4016f5d78665ec2a91be756d9f53',
+    ('lambda-moi2', 'first-reaction'): 'a10d67be601d420e9f6dbb0e81873862ce26503093543e07a05ff6db569c50c5',
+    ('lambda-moi2', 'next-reaction'): '09c9f6ec4fa740ff5fe29a9fe3b1c987b1a6500104a6bdff05175679c0987c10',
+    ('polya-urn', 'direct'): 'bc5d4ae09707f13a518f4d1e00c42e2c702cf1e630ae24a0da0a3b06aabaf430',
+    ('polya-urn', 'first-reaction'): '0fcdc8d4aee619ea82d31f2bfa29eb438f7f0e0c0f9db9a94259bea1a71d621a',
+    ('polya-urn', 'next-reaction'): 'd794f6ede6d15d03200132737fdf957b5afef47d156c51a48675e537c70453ce',
+    ('stiff-cascade', 'direct'): '25b4d2384cd489b138460ea7aa1b0f11da01eade9a1644bcc47952a5b664fce9',
+    ('stiff-cascade', 'first-reaction'): '3465ebfdb98437df6e9b4eb7306a8b08ffb14448f952d57a7bcccce02a95de67',
+    ('stiff-cascade', 'next-reaction'): '49e8e1d46212e5c44abce7434766cfc3cde7b043448eda429fc4c7131203934a',
+    ('toggle-switch', 'direct'): 'd7a99435fa0f48ab008c69d5798d6e7efbc1633cc0474703870eb499aaee48a8',
+    ('toggle-switch', 'first-reaction'): '4b970efa9272555911f22ce0c0856037f3b49ce29e633dbaaf0a5655d02e367c',
+    ('toggle-switch', 'next-reaction'): '75d4ac561b1afd3679f84233cf3666ecaf9422d1469b525f76a2bf86b125bd18',
+    ('triple-race', 'direct'): '2256ee5edc4b04860a75cffa711f1a91b2091716a6fd1a85a4ac98b20099c285',
+    ('triple-race', 'first-reaction'): '5d48bdc90923f99df711b45ad0cd9bab9da9cc63123b156d2c2ba3de06a4469b',
+    ('triple-race', 'next-reaction'): 'ca5e0dcc157ced4ba077b7d478fa322feef3c22cb68bbf457f7897e11ae87b8c',
+    ('gen-k2-L1-x0-c0-n16-seed3', 'direct'): 'a87aa4445e018e1a28a239247c925040e0b33e23214fb2912f2ecb71cd852730',
+    ('gen-k2-L1-x0-c0-n16-seed3', 'first-reaction'): 'dcf38297611984320e29c73bc576af4c0d53738bf7920624bcd6839e6a30cf21',
+    ('gen-k2-L1-x0-c0-n16-seed3', 'next-reaction'): '51d74f5c9ad306e6a1e9d21627ec8bac100c70e6d0244fd86b82d01954d8a1d0',
+    ('gen-k3-L2-x2-c0-n15-seed3', 'direct'): '3a506c28f11132011d03806dd6852e2398dc5ade50cf52658cf6e599699e392a',
+    ('gen-k3-L2-x2-c0-n15-seed3', 'first-reaction'): '28db719ba0e3c1d14163c07bc344e23eeede9c661c277c228396b2614bfb1320',
+    ('gen-k3-L2-x2-c0-n15-seed3', 'next-reaction'): '83fbb2bfad9f75245eb8968c0551c3dc5b5882c6e62823f4857e111a52896531',
+    ('gen-k2-L3-x1-c1-n14-seed6', 'direct'): '2f05cdfe912e4f88b54383a34f3c61e6c91a0e128f95de4e951bd6cce8ac1b48',
+    ('gen-k2-L3-x1-c1-n14-seed6', 'first-reaction'): 'f96a7061dc4a0e8d2b5bace83f903eb25c65b4644500cbd1b3be1506ab15acce',
+    ('gen-k2-L3-x1-c1-n14-seed6', 'next-reaction'): 'd76e3cf5ee00701b024c754cfa6ac0548e88603d5c389cdc175e45743269a8a3',
+    ('max-time', 'direct'): 'be68afe2e4c43e2914a35e02b535a92c3e4a0a87e70fe94e0f72b29f0d1ae0ba',
+    ('max-time', 'first-reaction'): '328358a6306edfd9155f5c5d717610e5d60f20ed7b7a0d2c2a1640972728c9e6',
+    ('max-time', 'next-reaction'): '8c5d318cc69696d08a0fd309954c05f74cf7f45827710a81cca2c3d6381a0b2e',
+    ('max-steps', 'direct'): 'dc561cb7e2e8bda0abd88c239dbd370b3febc66982fed51df698d5967c92249d',
+    ('max-steps', 'first-reaction'): '33b6e5454579759d964cd71d85e2a0927753eebd7cc4b7f6d22e99d4e6cfff38',
+    ('max-steps', 'next-reaction'): 'f873409b704b6e9fa7fb0114812b5d5af4f6a95c398e2dc5e3376c536970711a',
+    ('predicate', 'direct'): '337925ec444d40490cb00ca2c62e05438f5089dd978f90a92daf280509c43711',
+    ('predicate', 'first-reaction'): 'd21ee55dea4502361ccba87b88c90c944fc7dd6541933796a710e6bcbb3797df',
+    ('predicate', 'next-reaction'): '9e45cb73a1b9a6fa1b48bf88a02849df32cc689d97167d8ff481b7227e1a6c3e',
+    ('all-condition', 'direct'): '3b4578096b850a31181edd85bad31f5d985f309e0a6ed3160792ae5e3d66af86',
+    ('all-condition', 'first-reaction'): 'e4ba76cfcbb1bb0311625cee81f599559ae3cb12e2ae4aff5534dc2df2233e83',
+    ('all-condition', 'next-reaction'): '3997bb3f27e86c30eabcb08b3c3b8b7ca7c81cce40a80298aca73e348b91dac2',
+    ('stop-at-t0', 'direct'): 'c371049403a167f57136b8975d42d1fcecdeb6b776bb0d50d94eaaa77eb3f3e5',
+    ('stop-at-t0', 'first-reaction'): 'c371049403a167f57136b8975d42d1fcecdeb6b776bb0d50d94eaaa77eb3f3e5',
+    ('stop-at-t0', 'next-reaction'): 'c371049403a167f57136b8975d42d1fcecdeb6b776bb0d50d94eaaa77eb3f3e5',
+    ('exhaustion', 'direct'): '48e2774ff338e17f61afa708547ee1bad7f04768e40e71966e88305f2cece4d1',
+    ('exhaustion', 'first-reaction'): 'd9a1b73acec01d97a9bda6a2fa4bf93311785478c9740dea5813580c497631d7',
+    ('exhaustion', 'next-reaction'): '399021b4f0ab82ac0b8c0cceaaf03c0bd32542438ff4f0c4f22f37d79852bc99',
+    ('coefficients', 'direct'): 'ba27af9a102837fbf8539187872e4828aa90b5d015d8fdedf995d90bbfd77a7d',
+    ('coefficients', 'first-reaction'): '5bce34826aad4f4c6fad5dfaaa5aefa40bcbe83a9054723a4fe823bdc8eeba8a',
+    ('coefficients', 'next-reaction'): '15c6fd3b7970f26f01ab121879eaf62d99234fbbb2f6100811eb4c730d4b61e2',
+}
+
+
 @pytest.fixture(scope="module")
 def models():
     return _models()
@@ -370,6 +476,23 @@ def test_ensemble_pin(ensemble_cases, case):
     assert ensemble_digest(case, ensemble_cases) == ENSEMBLE_EXPECTED[case]
 
 
+@pytest.fixture(scope="module")
+def per_trial_ensemble_cases():
+    return _per_trial_ensemble_cases()
+
+
+def test_every_per_trial_ensemble_case_is_pinned(per_trial_ensemble_cases):
+    assert sorted(PER_TRIAL_ENSEMBLE_EXPECTED) == sorted(
+        per_trial_ensemble_keys(per_trial_ensemble_cases)
+    )
+
+
+@pytest.mark.parametrize("case,engine", sorted(PER_TRIAL_ENSEMBLE_EXPECTED))
+def test_per_trial_ensemble_pin(per_trial_ensemble_cases, case, engine):
+    digest = per_trial_ensemble_digest(case, engine, per_trial_ensemble_cases)
+    assert digest == PER_TRIAL_ENSEMBLE_EXPECTED[(case, engine)]
+
+
 if __name__ == "__main__":
     all_models = _models()
     for key in pin_keys(all_models):
@@ -377,3 +500,6 @@ if __name__ == "__main__":
     all_cases = _ensemble_cases()
     for case in all_cases:
         print(f"    {case!r}: {ensemble_digest(case, all_cases)!r},")
+    per_trial_cases = _per_trial_ensemble_cases()
+    for key in per_trial_ensemble_keys(per_trial_cases):
+        print(f"    {key!r}: {per_trial_ensemble_digest(*key, per_trial_cases)!r},")
