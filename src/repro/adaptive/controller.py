@@ -12,12 +12,16 @@ worker count.
 The controller therefore only ever decides *how many whole chunks to
 reveal*: it runs a round of chunks, merges all shards, evaluates the
 declared :class:`~repro.adaptive.targets.PrecisionTarget` on the merged
-statistics, and either stops or doubles the total chunk count (geometric
-rounds keep evaluation overhead logarithmic while never overshooting the
-target by more than 2x).  Because the growth decision depends only on
-merged, worker-invariant statistics at chunk boundaries, the *number of
-chunks consumed* — not just their contents — is itself invariant across
-``workers=1/2/4``; the tests assert exactly that.
+statistics, and either stops or grows the total chunk count.  Each round
+goes as far as the target's own prediction of the trials it needs
+(:meth:`~repro.adaptive.targets.PrecisionTarget.required_trials`, rounded up
+to whole chunks), but at least one chunk further and never past double the
+chunks consumed so far; a target with no prediction simply doubles.  The
+doubling cap keeps the number of rounds logarithmic and the overshoot past
+the minimal sufficient budget within 2x.  Because the growth decision
+depends only on merged, worker-invariant statistics at chunk boundaries, the
+*number of chunks consumed* — not just their contents — is itself invariant
+across ``workers=1/2/4``; the tests assert exactly that.
 """
 
 from __future__ import annotations
@@ -89,6 +93,9 @@ class AdaptiveController:
             if status.met or consumed >= max_chunks:
                 break
             goal = min(max_chunks, consumed * 2)
+            needed = self.target.required_trials(merged)
+            if needed is not None:
+                goal = min(goal, max(consumed + 1, math.ceil(needed / chunk)))
 
         info = AdaptiveInfo(
             rule=self.target.rule,

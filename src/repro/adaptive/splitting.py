@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Mapping
 
+from repro.adaptive.targets import descriptor_field, integral
 from repro.errors import AdaptiveError
 from repro.sim.base import SimulationOptions
 from repro.sim.ensemble import make_simulator
@@ -164,15 +165,20 @@ class SplittingConfig:
             raise AdaptiveError(
                 f"expected a splitting descriptor, got type {data.get('type')!r}"
             )
-        levels = data.get("levels")
         return cls(
-            outcome=str(data["outcome"]),
-            trials_per_level=int(data.get("trials_per_level", 512)),
-            levels=None if levels is None else tuple(int(v) for v in levels),
-            n_levels=(
-                None if data.get("n_levels") is None else int(data["n_levels"])
+            outcome=descriptor_field(data, "outcome", str),
+            trials_per_level=descriptor_field(data, "trials_per_level", integral, 512),
+            levels=(
+                None
+                if data.get("levels") is None
+                else descriptor_field(data, "levels", lambda values: tuple(map(integral, values)))
             ),
-            confidence=float(data.get("confidence", 0.95)),
+            n_levels=(
+                None
+                if data.get("n_levels") is None
+                else descriptor_field(data, "n_levels", integral)
+            ),
+            confidence=descriptor_field(data, "confidence", float, 0.95),
         )
 
 

@@ -22,6 +22,13 @@ Targets are frozen dataclasses with ``to_descriptor()`` /
 into the same canonical payloads the result store fingerprints and the
 ``repro serve`` service accepts — the *target* is part of a run's identity;
 the realized trial count is not.
+
+The CI and relative-SE targets also predict the total trial count they need
+(:meth:`PrecisionTarget.required_trials`), which the controller uses to size
+its next round.  Because the same declared target then consumes a different
+(smaller) ensemble than under plain doubling, their descriptors carry
+``"schedule": 2`` (:data:`SCHEDULE`), keeping their store keys apart from
+artifacts computed by the doubling schedule.
 """
 
 from __future__ import annotations
@@ -46,6 +53,11 @@ __all__ = [
 #: Default realized-trial ceiling: adaptive runs never exceed it, so an
 #: unreachable target degrades to a bounded fixed-budget run (``met=False``).
 DEFAULT_MAX_TRIALS = 100_000
+
+#: Round-sizing version written into the descriptors of the targets that
+#: predict their shortfall.  Version 1 (no key) was plain doubling, whose
+#: artifacts hold larger ensembles for the same declared target.
+SCHEDULE = 2
 
 
 def _z_quantile(confidence: float) -> float:
@@ -84,7 +96,9 @@ class PrecisionTarget:
 
     Subclasses define :attr:`rule` (the descriptor type tag), ``max_trials``
     (the realized-trial ceiling the controller enforces) and implement
-    :meth:`evaluate` plus the :meth:`to_descriptor` round trip.
+    :meth:`evaluate` plus the :meth:`to_descriptor` round trip.  A rule with
+    a closed-form sample-size prediction also overrides
+    :meth:`required_trials`.
     """
 
     rule: str = "precision-target"
@@ -92,6 +106,15 @@ class PrecisionTarget:
     def evaluate(self, ensemble: EnsembleResult) -> TargetStatus:
         """Judge the accumulated ensemble; never mutates it."""
         raise NotImplementedError
+
+    def required_trials(self, ensemble: EnsembleResult) -> "int | None":
+        """Predicted total trial count that meets the target, or ``None``.
+
+        Called by the controller after an unmet round, with the same merged
+        ensemble :meth:`evaluate` judged.  ``None`` (the default, and the
+        SPRT's answer) means no prediction: the controller doubles.
+        """
+        return None
 
     def to_descriptor(self) -> dict:
         """Canonical JSON-compatible description (store/service identity)."""
@@ -208,6 +231,28 @@ class CiHalfWidthTarget(PrecisionTarget):
             },
         )
 
+    def required_trials(self, ensemble: EnsembleResult) -> int:
+        """Smallest ``n`` in ``(n_now, max_trials]`` whose interval would meet.
+
+        Plans at the least favourable probability the current interval still
+        admits — its point closest to 1/2, where the binomial variance
+        peaks — so the interval itself is the safety margin.  Bisection over
+        :meth:`interval` serves Wilson and Clopper–Pearson alike; a target
+        out of reach returns ``max_trials``.
+        """
+        n = int(ensemble.n_trials)
+        low, high = self.interval(self._outcome_count(ensemble, self.outcome), n)
+        p = min(max(0.5, low), high)
+        first, last = n + 1, int(self.max_trials)
+        while first < last:
+            middle = (first + last) // 2
+            low, high = self.interval(round(p * middle), middle)
+            if (high - low) / 2.0 <= self.half_width:
+                last = middle
+            else:
+                first = middle + 1
+        return first
+
     def to_descriptor(self) -> dict:
         return {
             "type": self.rule,
@@ -217,6 +262,7 @@ class CiHalfWidthTarget(PrecisionTarget):
             "method": self.method,
             "max_trials": int(self.max_trials),
             "min_trials": int(self.min_trials),
+            "schedule": SCHEDULE,
         }
 
 
@@ -247,12 +293,16 @@ class RelativeSETarget(PrecisionTarget):
                 f"min_trials must lie in [0, max_trials], got {self.min_trials}"
             )
 
-    def evaluate(self, ensemble: EnsembleResult) -> TargetStatus:
+    def _moments(self, ensemble: EnsembleResult) -> "tuple[int, float, float]":
+        """``(n, mean, standard error)`` of the species' final counts."""
         n = int(ensemble.n_trials)
         values = ensemble.final_values(self.species).astype(float)
         mean = float(values.mean()) if n else 0.0
         std = float(values.std(ddof=1)) if n > 1 else 0.0
-        standard_error = std / math.sqrt(n) if n else 0.0
+        return n, mean, std / math.sqrt(n) if n else 0.0
+
+    def evaluate(self, ensemble: EnsembleResult) -> TargetStatus:
+        n, mean, standard_error = self._moments(ensemble)
         achieved: dict[str, float] = {
             "n": float(n),
             "mean": mean,
@@ -265,6 +315,17 @@ class RelativeSETarget(PrecisionTarget):
         met = n > 1 and relative <= self.rel_se
         return TargetStatus(met=met, detail="met" if met else "unmet", achieved=achieved)
 
+    def required_trials(self, ensemble: EnsembleResult) -> "int | None":
+        """``ceil(n · (rel_se_now / rel_se)²)``: the SE shrinks as ``1/sqrt(n)``.
+
+        ``None`` (keep doubling) while the estimate is undefined: a zero mean
+        or fewer than two trials.
+        """
+        n, mean, standard_error = self._moments(ensemble)
+        if mean == 0.0 or n < 2:
+            return None
+        return math.ceil(n * (standard_error / abs(mean) / self.rel_se) ** 2)
+
     def to_descriptor(self) -> dict:
         return {
             "type": self.rule,
@@ -272,6 +333,7 @@ class RelativeSETarget(PrecisionTarget):
             "rel_se": float(self.rel_se),
             "max_trials": int(self.max_trials),
             "min_trials": int(self.min_trials),
+            "schedule": SCHEDULE,
         }
 
 
@@ -365,6 +427,53 @@ class SprtTarget(PrecisionTarget):
         }
 
 
+_REQUIRED = object()
+
+
+def descriptor_field(data: Mapping, name: str, parse, default=_REQUIRED):
+    """``parse(data[name])``, or ``default`` when the field is absent.
+
+    A missing required field or a value ``parse`` refuses raises
+    :class:`AdaptiveError` naming the field, so a malformed descriptor from
+    the wire is a client error, never an internal one.
+    """
+    if name not in data:
+        if default is _REQUIRED:
+            raise AdaptiveError(
+                f"{data.get('type')!r} descriptor is missing field {name!r}"
+            )
+        return default
+    try:
+        return parse(data[name])
+    except (TypeError, ValueError) as exc:
+        raise AdaptiveError(
+            f"{data.get('type')!r} descriptor field {name!r}: {exc}"
+        ) from exc
+
+
+def integral(value) -> int:
+    """``value`` as an ``int``, refusing a fractional number (1.5 is not 1)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _ceilings(data: Mapping) -> dict:
+    return {
+        "max_trials": descriptor_field(data, "max_trials", integral, DEFAULT_MAX_TRIALS),
+        "min_trials": descriptor_field(data, "min_trials", integral, 0),
+    }
+
+
+def _check_schedule(data: Mapping) -> None:
+    schedule = data.get("schedule", SCHEDULE)
+    if schedule != SCHEDULE:
+        raise AdaptiveError(
+            f"{data.get('type')!r} descriptor has schedule {schedule!r}; only "
+            f"schedule {SCHEDULE} (rounds sized by the predicted shortfall) runs"
+        )
+
+
 def target_from_descriptor(data: Mapping):
     """Rebuild a target (or splitting config) from its ``to_descriptor`` form.
 
@@ -373,33 +482,40 @@ def target_from_descriptor(data: Mapping):
     dispatch on the ``type`` tag, so store payloads and service requests need
     a single entry point.  Every descriptor type here is declarative (plain
     data, no callables), so the untrusted wire path accepts them all.
+
+    Absent optional fields take their defaults.  A missing required field, an
+    unparsable or fractional-integer value, or a CI / relative-SE
+    ``"schedule"`` other than :data:`SCHEDULE` raises :class:`AdaptiveError`.
     """
+    if not isinstance(data, Mapping):
+        raise AdaptiveError(
+            f"an adaptive target descriptor is a mapping, got {type(data).__name__}"
+        )
     kind = data.get("type")
     if kind == CiHalfWidthTarget.rule:
+        _check_schedule(data)
         return CiHalfWidthTarget(
-            outcome=str(data["outcome"]),
-            half_width=float(data["half_width"]),
-            confidence=float(data.get("confidence", 0.95)),
-            method=str(data.get("method", "wilson")),
-            max_trials=int(data.get("max_trials", DEFAULT_MAX_TRIALS)),
-            min_trials=int(data.get("min_trials", 0)),
+            outcome=descriptor_field(data, "outcome", str),
+            half_width=descriptor_field(data, "half_width", float),
+            confidence=descriptor_field(data, "confidence", float, 0.95),
+            method=descriptor_field(data, "method", str, "wilson"),
+            **_ceilings(data),
         )
     if kind == RelativeSETarget.rule:
+        _check_schedule(data)
         return RelativeSETarget(
-            species=str(data["species"]),
-            rel_se=float(data["rel_se"]),
-            max_trials=int(data.get("max_trials", DEFAULT_MAX_TRIALS)),
-            min_trials=int(data.get("min_trials", 0)),
+            species=descriptor_field(data, "species", str),
+            rel_se=descriptor_field(data, "rel_se", float),
+            **_ceilings(data),
         )
     if kind == SprtTarget.rule:
         return SprtTarget(
-            outcome=str(data["outcome"]),
-            p0=float(data["p0"]),
-            p1=float(data["p1"]),
-            alpha=float(data.get("alpha", 0.05)),
-            beta=float(data.get("beta", 0.05)),
-            max_trials=int(data.get("max_trials", DEFAULT_MAX_TRIALS)),
-            min_trials=int(data.get("min_trials", 0)),
+            outcome=descriptor_field(data, "outcome", str),
+            p0=descriptor_field(data, "p0", float),
+            p1=descriptor_field(data, "p1", float),
+            alpha=descriptor_field(data, "alpha", float, 0.05),
+            beta=descriptor_field(data, "beta", float, 0.05),
+            **_ceilings(data),
         )
     if kind == "splitting":
         from repro.adaptive.splitting import SplittingConfig

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import weakref
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -308,51 +307,19 @@ class _Labeler:
         return [ranked[v] for v in self.initial]
 
 
-# Canonical forms keyed by the *identity* of the live network object:
-# id(network) -> (validation token, form).  The backtracking label search is
-# expensive, so a caller labeling one network object over and over skips it
-# on a hit.  (Store fingerprinting parses a fresh network from every payload;
-# :mod:`repro.store.canonical` caches by the payload's network content.)
-# Networks are mutable (``add_reaction`` / ``set_initial``), hence the token:
-# the species-name tuple plus :func:`network_invariants`, which any
-# identity-relevant mutation changes.  A ``weakref.finalize`` per cached
-# network evicts its entry at collection time, so a recycled id can never
-# alias a dead network's form.
-_FORM_CACHE: "dict[int, tuple[tuple, CanonicalForm]]" = {}
-
-
-def _form_cache_token(network: ReactionNetwork) -> tuple:
-    return (
-        tuple(sorted(sp.name for sp in network.species)),
-        network_invariants(network),
-    )
-
-
 def canonical_form(network: ReactionNetwork) -> CanonicalForm:
     """Compute the :class:`CanonicalForm` of ``network``.
 
     Deterministic and naming-independent: isomorphic networks yield equal
     ``key`` / canonical ``network`` with (generally different) witnesses.
-    Results are cached per live network object (invalidated on mutation),
-    so repeated calls on the same network skip the labeling search.
+    Every call runs the labeling search; the result store caches forms by
+    network content (:mod:`repro.store.canonical`).
     """
     if not isinstance(network, ReactionNetwork):
         raise NetworkError(
             f"canonical_form expects a ReactionNetwork, got {type(network).__name__}"
         )
-    token = _form_cache_token(network)
-    cached = _FORM_CACHE.get(id(network))
-    if cached is not None and cached[0] == token:
-        return cached[1]
-    form = _compute_canonical_form(network)
-    if id(network) not in _FORM_CACHE:
-        try:
-            weakref.finalize(network, _FORM_CACHE.pop, id(network), None)
-        except TypeError:
-            # Non-weakrefable subclass: skip caching rather than leak entries.
-            return form
-    _FORM_CACHE[id(network)] = (token, form)
-    return form
+    return _compute_canonical_form(network)
 
 
 def _compute_canonical_form(network: ReactionNetwork) -> CanonicalForm:

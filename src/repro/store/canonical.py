@@ -336,7 +336,10 @@ def canonicalize_payload(payload: Mapping) -> CanonicalPayload:
     (:func:`repro.crn.canonical.canonical_form`), rewrites every species /
     reaction-index reference in the descriptors, and fingerprints the
     result.  Payloads referencing opaque callables fall back to identity
-    canonicalization (``exact=False``).
+    canonicalization (``exact=False``).  An adaptive ``simulate.until``
+    descriptor is first rebuilt through
+    :func:`~repro.adaptive.targets.target_from_descriptor`, which raises
+    :class:`~repro.errors.AdaptiveError` for an invalid one.
 
     What the form yields is cached under the network dict's JSON text (128
     entries), so a network already seen in this process skips the labeling
@@ -355,6 +358,14 @@ def canonicalize_payload(payload: Mapping) -> CanonicalPayload:
         )
     data = dict(payload)
     data["schema"] = EXPERIMENT_SCHEMA  # v1 payloads hash (and execute) as v2
+    simulate = data.get("simulate")
+    if isinstance(simulate, Mapping) and simulate.get("until") is not None:
+        # Rebuilt through the target, so every spelling of one target (absent
+        # defaults included) shares a key and an invalid one fails here.
+        from repro.adaptive import target_from_descriptor
+
+        until = target_from_descriptor(simulate["until"]).to_descriptor()
+        data["simulate"] = {**simulate, "until": until}
 
     if not _is_relabelable(data):
         witness = {

@@ -27,9 +27,11 @@ from repro.adaptive import (
     DEFAULT_MAX_TRIALS,
     AdaptiveResult,
     CiHalfWidthTarget,
+    PrecisionTarget,
     RelativeSETarget,
     SplittingConfig,
     SprtTarget,
+    TargetStatus,
     target_from_descriptor,
 )
 from repro.adaptive.controller import AdaptiveController
@@ -152,6 +154,34 @@ class TestCiHalfWidthTarget:
         target = CiHalfWidthTarget(outcome="hit", half_width=0.9)
         assert target.interval(0, 0) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("method", ["wilson", "clopper-pearson"])
+    def test_required_trials_is_the_smallest_sufficient_n(self, method):
+        target = CiHalfWidthTarget(outcome="hit", half_width=0.02, method=method)
+        ensemble = make_binomial_ensemble(512, 205)
+        low, high = target.interval(205, 512)
+        plan = min(max(0.5, low), high)  # the interval's point nearest 1/2
+        needed = target.required_trials(ensemble)
+
+        def half_width(n):
+            ci_low, ci_high = target.interval(round(plan * n), n)
+            return (ci_high - ci_low) / 2.0
+
+        assert needed > 512
+        assert half_width(needed) <= 0.02 < half_width(needed - 1)
+
+    def test_required_trials_plans_past_the_point_estimate(self):
+        # The interval, not p_hat, is the margin: planning at its end nearest
+        # 1/2 asks for more than the point estimate alone would.
+        target = CiHalfWidthTarget(outcome="hit", half_width=0.01)
+        needed = target.required_trials(make_binomial_ensemble(512, 205))
+        z = NormalDist().inv_cdf(0.975)
+        at_p_hat = z * z * 0.4 * 0.6 / 0.01**2
+        assert at_p_hat < needed < 1.1 * at_p_hat
+
+    def test_required_trials_clips_to_max_trials(self):
+        target = CiHalfWidthTarget(outcome="hit", half_width=0.001, max_trials=5000)
+        assert target.required_trials(make_binomial_ensemble(512, 205)) == 5000
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -186,6 +216,20 @@ class TestRelativeSETarget:
         status = target.evaluate(make_value_ensemble([0, 0, 0, 0]))
         assert not status.met
         assert status.detail == "mean-zero"
+
+    def test_required_trials_scales_with_the_squared_shortfall(self):
+        values = [4, 6, 5, 7, 3, 5, 6, 4]
+        target = RelativeSETarget(species="x", rel_se=0.01)
+        ensemble = make_value_ensemble(values)
+        relative = target.evaluate(ensemble).achieved["rel_se"]
+        assert target.required_trials(ensemble) == math.ceil(
+            len(values) * (relative / 0.01) ** 2
+        )
+
+    @pytest.mark.parametrize("values", [[0, 0, 0, 0], [5]])
+    def test_required_trials_undefined_keeps_doubling(self, values):
+        target = RelativeSETarget(species="x", rel_se=0.01)
+        assert target.required_trials(make_value_ensemble(values)) is None
 
     def test_validation(self):
         with pytest.raises(AdaptiveError):
@@ -251,6 +295,51 @@ class TestDescriptors:
         with pytest.raises(AdaptiveError, match="unknown adaptive target"):
             target_from_descriptor({"type": "psychic"})
 
+    def test_predicting_targets_carry_the_schedule_version(self):
+        # The CI and rel-se rules size rounds by their predicted shortfall,
+        # so their store identity names the schedule; the rest do not.
+        keyed = {
+            target.rule: target.to_descriptor().get("schedule")
+            for target in ROUND_TRIP_TARGETS
+        }
+        assert keyed == {
+            "ci-half-width": 2, "rel-se": 2, "sprt": None, "splitting": None,
+        }
+
+    @pytest.mark.parametrize("target", ROUND_TRIP_TARGETS[:3], ids=lambda t: t.rule)
+    def test_schedule_key_absent_or_current(self, target):
+        descriptor = target.to_descriptor()
+        del descriptor["schedule"]
+        assert target_from_descriptor(descriptor) == target
+        for stale in (1, 3, "2"):
+            with pytest.raises(AdaptiveError, match="schedule"):
+                target_from_descriptor({**descriptor, "schedule": stale})
+
+    @pytest.mark.parametrize(
+        "descriptor, field",
+        [
+            ({"type": "ci-half-width", "half_width": 0.01}, "outcome"),
+            ({"type": "ci-half-width", "outcome": "1", "half_width": "abc"}, "half_width"),
+            ({"type": "ci-half-width", "outcome": "1", "half_width": 0.01,
+              "max_trials": 1.5}, "max_trials"),
+            ({"type": "rel-se", "species": "x"}, "rel_se"),
+            ({"type": "rel-se", "species": "x", "rel_se": 0.1,
+              "min_trials": 2.5}, "min_trials"),
+            ({"type": "sprt", "outcome": "1", "p0": 0.1}, "p1"),
+            ({"type": "sprt", "outcome": "1", "p0": 0.1, "p1": [0.2]}, "p1"),
+            ({"type": "splitting", "trials_per_level": 64}, "outcome"),
+            ({"type": "splitting", "outcome": "r", "levels": [2, 4.5]}, "levels"),
+            ({"type": "splitting", "outcome": "r", "n_levels": "many"}, "n_levels"),
+        ],
+    )
+    def test_malformed_descriptor_names_the_field(self, descriptor, field):
+        with pytest.raises(AdaptiveError, match=repr(field)):
+            target_from_descriptor(descriptor)
+
+    def test_non_mapping_descriptor_rejected(self):
+        with pytest.raises(AdaptiveError, match="mapping"):
+            target_from_descriptor(["ci-half-width"])
+
     def test_round_trip_property(self):
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings, strategies as st
@@ -301,14 +390,79 @@ class TestController:
         with pytest.raises(AdaptiveError, match="PrecisionTarget"):
             AdaptiveController(self.runner(experiment), target="not-a-target")
 
-    def test_geometric_rounds_consume_power_of_two_chunks(self, experiment):
-        target = CiHalfWidthTarget(outcome="1", half_width=0.04, max_trials=8192)
+    @staticmethod
+    def round_totals(monkeypatch) -> "list[int]":
+        """Record the cumulative chunk count after each controller round."""
+        totals: list[int] = []
+        run_chunks = ParallelEnsembleRunner.run_chunks
+
+        def recording(runner, bounds, *args, **kwargs):
+            totals.append((totals[-1] if totals else 0) + len(bounds))
+            return run_chunks(runner, bounds, *args, **kwargs)
+
+        monkeypatch.setattr(ParallelEnsembleRunner, "run_chunks", recording)
+        return totals
+
+    def test_example1_rounds_stop_at_the_predicted_shortfall(self, monkeypatch):
+        # Example 1 at ±0.01 needs ~9.5k trials planned at the interval's end
+        # nearest 1/2: the sixth round stops at 19 chunks where doubling
+        # would run 32 (16,384 trials).
+        totals = self.round_totals(monkeypatch)
+        example1 = Experiment.from_distribution(
+            {"1": 0.3, "2": 0.4, "3": 0.3}, gamma=1e3, scale=100
+        )
+        result = example1.simulate(
+            until=CiHalfWidthTarget(outcome="2", half_width=0.01), seed=5,
+            engine="batch-direct", chunk_size=512, backend="numpy",
+        )
+        assert result.met
+        assert totals == [1, 2, 4, 8, 16, 19]
+        assert (result.chunks_consumed, result.trials, result.rounds) == (19, 9728, 6)
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            CiHalfWidthTarget(outcome="1", half_width=0.02, max_trials=8192),
+            CiHalfWidthTarget(outcome="2", half_width=0.03, method="clopper-pearson",
+                              max_trials=8192),
+            RelativeSETarget(species="d1", rel_se=0.02, max_trials=8192),
+        ],
+        ids=["wilson", "clopper-pearson", "rel-se"],
+    )
+    def test_each_round_grows_by_one_chunk_to_double(self, experiment, monkeypatch, target):
+        totals = self.round_totals(monkeypatch)
         merged, info = AdaptiveController(self.runner(experiment), target).run(5)
         assert info.met
-        assert merged.n_trials == info.chunks * 64
-        # min_trials=0 → rounds reveal 1, 2, 4, ... chunks.
-        assert info.chunks & (info.chunks - 1) == 0
+        assert len(totals) == info.rounds >= 3
+        assert totals[-1] == info.chunks and merged.n_trials == info.chunks * 64
+        for before, after in zip(totals, totals[1:]):
+            assert before + 1 <= after <= 2 * before
+
+    def test_sprt_rounds_consume_power_of_two_chunks(self, experiment):
+        target = SprtTarget(outcome="1", p0=0.25, p1=0.3, max_trials=8192)
+        merged, info = AdaptiveController(self.runner(experiment), target).run(5)
+        assert info.met
+        assert info.chunks & (info.chunks - 1) == 0 and info.chunks >= 4
         assert info.rounds == int(math.log2(info.chunks)) + 1
+
+    def test_target_without_a_prediction_doubles(self, experiment, monkeypatch):
+        class AtLeast(PrecisionTarget):
+            """Met once 600 trials ran; no ``required_trials`` override."""
+
+            rule = "at-least"
+            max_trials = 8192
+
+            def evaluate(self, ensemble):
+                met = ensemble.n_trials >= 600
+                return TargetStatus(met=met, detail="met" if met else "unmet", achieved={})
+
+            def to_descriptor(self):
+                return {"type": self.rule}
+
+        totals = self.round_totals(monkeypatch)
+        merged, info = AdaptiveController(self.runner(experiment), AtLeast()).run(5)
+        assert totals == [1, 2, 4, 8, 16]
+        assert (info.chunks, info.rounds, merged.n_trials) == (16, 5, 1024)
 
     def test_adaptive_run_is_prefix_of_fixed_run(self, experiment):
         target = CiHalfWidthTarget(outcome="1", half_width=0.05, max_trials=8192)
@@ -337,6 +491,35 @@ class TestController:
         assert merged.n_trials >= 200
         # The floor is revealed in one first round: ceil(200/64) = 4 chunks.
         assert info.chunks >= 4
+
+
+class TestSequentialCoverage:
+    """The sequential CI still covers the exact answer at its nominal rate.
+
+    Stopping on the data's own interval can erode coverage; planning each
+    round at the interval's end nearest 1/2 must not make it worse.  The
+    oracle is the FSP probability pinned in ``tests/test_fsp_pins.py``.
+    """
+
+    EXACT_D1 = 0.2232203895891452  # triple-race, P(d1), FSP
+
+    def test_ci_covers_the_fsp_oracle(self):
+        from repro.zoo import load_model
+
+        experiment = load_model("triple-race").experiment()
+        target = CiHalfWidthTarget(outcome="d1", half_width=0.03)
+        results = [
+            experiment.simulate(until=target, seed=seed, engine="batch-direct",
+                                chunk_size=64, backend="numpy")
+            for seed in range(300)
+        ]
+        assert all(result.met for result in results)
+        covered = [
+            result.achieved["ci_low"] <= self.EXACT_D1 <= result.achieved["ci_high"]
+            for result in results
+        ]
+        assert np.mean(covered) >= 0.90
+        assert np.mean([result.trials for result in results]) <= 900
 
 
 # -- the facade: simulate(until=...) ----------------------------------------------
@@ -538,6 +721,37 @@ class TestStoreIntegration:
             for target in (narrow, narrower)
         }
         assert len(keys) == 2
+
+    def test_equivalent_until_spellings_share_a_key(self, experiment):
+        full = experiment_to_payload(
+            experiment, trials=100, engine="direct", seed=7,
+            until=CiHalfWidthTarget(outcome="1", half_width=0.05),
+        )
+        assert full["simulate"]["until"]["schedule"] == 2
+        spellings = [
+            {"type": "ci-half-width", "outcome": "1", "half_width": 0.05},
+            {"type": "ci-half-width", "outcome": "1", "half_width": 0.05,
+             "max_trials": 100_000.0, "method": "wilson"},
+            dict(full["simulate"]["until"]),
+        ]
+        keys = {fingerprint_payload(full)}
+        for until in spellings:
+            payload = dict(full)
+            payload["simulate"] = {**full["simulate"], "until": until}
+            keys.add(fingerprint_payload(payload))
+        assert len(keys) == 1
+
+    def test_invalid_until_fails_before_lookup(self, tmp_path, experiment):
+        from repro.store.canonical import cached_run
+
+        payload = experiment_to_payload(
+            experiment, trials=100, engine="direct", seed=7, until=self.TARGET
+        )
+        payload["simulate"]["until"] = {"type": "ci-half-width", "half_width": 0.05}
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(AdaptiveError, match="'outcome'"):
+            cached_run(store, payload)
+        assert store.stats()["artifacts"] == 0
 
     def test_fixed_runs_keep_their_historical_fingerprint(self, experiment):
         # No `until` key at all for fixed-budget payloads — adding one (even

@@ -91,6 +91,37 @@ class TestEndpoints:
         assert "'python'" in message and "backend" in message
         assert ServiceClient(service.url).healthz()["artifacts"] == 0
 
+    @pytest.mark.parametrize(
+        "until, field",
+        [
+            ({"type": "ci-half-width", "half_width": 0.05}, "outcome"),
+            ({"type": "ci-half-width", "outcome": "1", "half_width": "abc"}, "half_width"),
+            ({"type": "ci-half-width", "outcome": "1", "half_width": 0.05,
+              "max_trials": 1.5}, "max_trials"),
+        ],
+    )
+    def test_malformed_until_is_400_naming_the_field(self, service, experiment, until, field):
+        from repro.adaptive import CiHalfWidthTarget
+        from repro.store import experiment_to_payload
+
+        payload = experiment_to_payload(
+            experiment, trials=10, engine="direct", seed=1,
+            until=CiHalfWidthTarget(outcome="1", half_width=0.05),
+        )
+        payload["simulate"]["until"] = until
+        request = urllib.request.Request(
+            service.url + "/simulate",
+            data=json.dumps({"experiment": payload}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        with excinfo.value as response:
+            assert response.code == 400
+            message = json.loads(response.read())["error"]
+        assert repr(field) in message
+        assert ServiceClient(service.url).healthz()["artifacts"] == 0
+
     def test_malformed_json_is_400(self, service):
         request = urllib.request.Request(
             service.url + "/simulate",
