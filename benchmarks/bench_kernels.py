@@ -17,9 +17,9 @@ plus the other array-kernel engines:
   the :class:`ArrayHeap` port of the Gibson–Bruck queue;
 * ``batch-direct`` on numpy and, when installed, the fully JIT-compiled
   numba lock-step sweep;
-* a **mega-batch** row: one columnar sweep over 10× the ensemble size
-  (≥ 10⁵ trials at the full benchmark size) through the
-  ``SimulationOptions.mega_batch`` chunk schedule.
+* a **wide-chunk** row: one columnar sweep over 10× the ensemble size
+  (≥ 10⁵ trials at the full benchmark size) as a single ``chunk_size``
+  chunk.
 
 These Example-1 rows classify with the bound method
 ``SynthesizedSystem.classify_outcome``, which has no ``classify_batch``, so
@@ -33,11 +33,11 @@ The harness checks that
 
 * the JIT batch-direct sweep is ≥ 10× faster than the interpreted numpy
   batch-direct sweep at the full size (the acceptance bar for the
-  mega-batch layer — asserted only when numba is installed);
+  wide-chunk sweep — asserted only when numba is installed);
 * every backend reproduces the programmed (0.3, 0.4, 0.3) distribution;
 * seeded runs are bit-identical between the numpy and numba backends (when
-  numba is available) and across worker counts, including under the
-  mega-batch chunk schedule.
+  numba is available) and across worker counts, including under a
+  non-default chunk width.
 
 Full-size runs append both sections to ``BENCH_kernels.json`` at the
 repository root so the perf trajectory of the hot path is recorded across
@@ -76,13 +76,18 @@ from _config import report, trials
 from repro.analysis import format_table, total_variation
 from repro.api import Experiment
 from repro.core import synthesize_distribution
-from repro.sim import EnsembleRunner, SimulationOptions, numba_available
+from repro.sim import (
+    EnsembleRunner,
+    ParallelEnsembleRunner,
+    SimulationOptions,
+    numba_available,
+)
 from repro.zoo.corpus import corpus_entries
 
 TARGET = {"1": 0.3, "2": 0.4, "3": 0.3}
 FULL_TRIALS = 10_000
 SMOKE_TRIALS = 1_000
-MEGA_FACTOR = 10  # the mega-batch row sweeps MEGA_FACTOR × n_trials in one pass
+WIDE_FACTOR = 10  # the wide-chunk row sweeps WIDE_FACTOR × n_trials in one pass
 PER_TRIAL_ENGINES = ("direct", "first-reaction", "next-reaction")
 PER_TRIAL_TRIALS = 1_000
 PER_TRIAL_SMOKE_TRIALS = 100
@@ -119,17 +124,17 @@ def _timed_row(engine: str, backend: str, n_trials: int, seed: int) -> dict[str,
     }
 
 
-def _mega_batch_row(backend: str, n_trials: int, seed: int) -> dict[str, object]:
-    """One columnar mega-batch sweep: all trials advance in a single chunk."""
+def _wide_chunk_row(backend: str, n_trials: int, seed: int) -> dict[str, object]:
+    """One columnar sweep: all trials advance in a single chunk."""
     system = synthesize_distribution(TARGET, gamma=1e3, scale=100)
-    runner = EnsembleRunner(
+    runner = ParallelEnsembleRunner(
         system.network_with_inputs(None),
         engine="batch-direct",
         stopping=system.stopping_condition(10),
-        options=SimulationOptions(
-            record_firings=False, backend=backend, mega_batch=n_trials
-        ),
+        options=SimulationOptions(record_firings=False, backend=backend),
         outcome_classifier=system.classify_outcome,
+        workers=1,
+        chunk_size=n_trials,
     )
     runner.run(min(512, n_trials), seed=seed + 1)  # warm caches / JIT
     start = time.perf_counter()
@@ -137,7 +142,7 @@ def _mega_batch_row(backend: str, n_trials: int, seed: int) -> dict[str, object]
     elapsed = time.perf_counter() - start
     return {
         "backend": backend,
-        "engine": "mega-batch",
+        "engine": "wide-chunk",
         "trials": n_trials,
         "seconds": elapsed,
         "trials/s": n_trials / elapsed,
@@ -149,7 +154,7 @@ def measure(n_trials: int, seed: int = 2007) -> list[dict[str, object]]:
     """Time the ensemble once per (engine, backend); one row each.
 
     The first row — ``direct`` on numpy — is the baseline of every row's
-    ``speedup``.  The mega-batch rows sweep ``MEGA_FACTOR × n_trials``
+    ``speedup``.  The wide-chunk rows sweep ``WIDE_FACTOR × n_trials``
     trials in a single columnar pass — 10⁵ at the full benchmark size — so
     the row demonstrates the preallocated cross-trial buffers at the scale
     they were built for.
@@ -164,12 +169,12 @@ def measure(n_trials: int, seed: int = 2007) -> list[dict[str, object]]:
     # batch-direct: the lock-step sweep (numpy reference, JIT when available).
     for backend in array_backends:
         rows.append(_timed_row("batch-direct", backend, n_trials, seed))
-    # mega-batch: one columnar sweep over 10× the ensemble size.
+    # wide chunk: one columnar sweep over 10× the ensemble size.
     for backend in array_backends:
-        rows.append(_mega_batch_row(backend, MEGA_FACTOR * n_trials, seed))
+        rows.append(_wide_chunk_row(backend, WIDE_FACTOR * n_trials, seed))
     baseline = rows[0]["seconds"]
     for row in rows:
-        # normalize by throughput so the 10×-sized mega-batch rows compare
+        # normalize by throughput so the 10×-sized wide-chunk rows compare
         # fairly against the baseline on the base ensemble size.
         row["speedup"] = (baseline / n_trials) * (row["trials"] / row["seconds"])
     return rows
@@ -240,20 +245,20 @@ def check_determinism(n_trials: int = 400, seed: int = 97) -> dict[str, bool]:
         )
         assert checks["numba_bit_identical"], "numpy and numba backends diverged"
 
-    # the mega-batch chunk schedule must be as worker-invariant as the default.
-    mega_1w = experiment.simulate(
-        trials=n_trials, seed=seed, engine="batch-direct", mega_batch=150, workers=1
+    # a non-default chunk schedule must be as worker-invariant as the default.
+    wide_1w = experiment.simulate(
+        trials=n_trials, seed=seed, engine="batch-direct", chunk_size=150, workers=1
     )
-    mega_2w = experiment.simulate(
-        trials=n_trials, seed=seed, engine="batch-direct", mega_batch=150, workers=2
+    wide_2w = experiment.simulate(
+        trials=n_trials, seed=seed, engine="batch-direct", chunk_size=150, workers=2
     )
-    checks["mega_batch_workers_invariant"] = bool(
-        mega_1w.ensemble.outcome_counts == mega_2w.ensemble.outcome_counts
-        and np.array_equal(mega_1w.ensemble.final_counts, mega_2w.ensemble.final_counts)
-        and np.array_equal(mega_1w.ensemble.final_times, mega_2w.ensemble.final_times)
+    checks["chunk_size_workers_invariant"] = bool(
+        wide_1w.ensemble.outcome_counts == wide_2w.ensemble.outcome_counts
+        and np.array_equal(wide_1w.ensemble.final_counts, wide_2w.ensemble.final_counts)
+        and np.array_equal(wide_1w.ensemble.final_times, wide_2w.ensemble.final_times)
     )
-    assert checks["mega_batch_workers_invariant"], (
-        "mega-batch results depend on worker count"
+    assert checks["chunk_size_workers_invariant"], (
+        "chunk_size=150 results depend on worker count"
     )
     return checks
 
@@ -275,7 +280,7 @@ def record(rows, per_trial_rows, checks, n_trials: int) -> None:
             "numpy": np.__version__,
         },
         "trials": n_trials,
-        "mega_batch_trials": MEGA_FACTOR * n_trials,
+        "wide_chunk_trials": WIDE_FACTOR * n_trials,
         "numba_available": numba_available(),
         "baseline": "direct [numpy]",
         "rows": [
@@ -323,7 +328,7 @@ def run_report(
     ]
     report(
         f"A6: kernel backends ({n_trials} trials of the Example-1 module; "
-        f"mega-batch rows sweep {MEGA_FACTOR * n_trials})",
+        f"wide-chunk rows sweep {WIDE_FACTOR * n_trials})",
         format_table(display, floatfmt="{:.3g}"),
     )
     for row in rows:
@@ -331,11 +336,11 @@ def run_report(
             f"{row['engine']}[{row['backend']}]: TV {row['tv_vs_target']:.3f}"
         )
     if full_assertions:
-        mega_numpy = next(
-            r for r in rows if r["engine"] == "mega-batch" and r["backend"] == "numpy"
+        wide_numpy = next(
+            r for r in rows if r["engine"] == "wide-chunk" and r["backend"] == "numpy"
         )
-        assert mega_numpy["trials"] >= 100_000, (
-            f"mega-batch row swept only {mega_numpy['trials']} trials; the "
+        assert wide_numpy["trials"] >= 100_000, (
+            f"wide-chunk row swept only {wide_numpy['trials']} trials; the "
             f"full benchmark must include a >= 1e5-trial columnar sweep"
         )
     if numba_available():

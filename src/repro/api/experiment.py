@@ -46,7 +46,7 @@ from repro.core.synthesizer import (
 from repro.crn.network import ReactionNetwork
 from repro.errors import ExperimentError
 from repro.sim.base import SimulationOptions, merge_options
-from repro.sim.ensemble import ParallelEnsembleRunner
+from repro.sim.ensemble import EnsembleResult, ParallelEnsembleRunner
 from repro.sim.events import StoppingCondition
 from repro.api.results import RunResult
 
@@ -233,8 +233,9 @@ class Experiment:
         Unknown field names raise (via :func:`repro.sim.base.merge_options`)
         instead of being silently dropped.
         """
-        base = self.options or self._default_options()
-        return self._replace(options=merge_options(base, option_fields))
+        return self._replace(
+            options=merge_options(self._resolved_options(), option_fields)
+        )
 
     def targeting(self, target: "Mapping[str, float]") -> "Experiment":
         """Attach a reference distribution (for raw-network experiments)."""
@@ -354,6 +355,25 @@ class Experiment:
             )
         return SimulationOptions(record_firings=False)
 
+    def _resolved_options(self, backend: str = "auto") -> SimulationOptions:
+        """The per-trial options, with a non-``"auto"`` ``backend`` applied."""
+        options = self.options or self._default_options()
+        if backend != "auto":
+            options = merge_options(options, {"backend": backend})
+        return options
+
+    def _output_ports(self) -> "tuple[dict | None, dict | None]":
+        """``(outputs, expected_outputs)`` of a module experiment, else ``None``s."""
+        if self.module is None:
+            return None, None
+        expected = None
+        if self.module.expected is not None:
+            expected = {
+                role: float(value)
+                for role, value in self.module.expected_outputs(dict(self.inputs)).items()
+            }
+        return dict(self.module.outputs), expected
+
     def _resolved(self) -> "tuple[ReactionNetwork, StoppingCondition | None, Callable | None]":
         """Materialize (network, stopping, classifier) with inputs applied."""
         inputs = dict(self.inputs)
@@ -402,7 +422,6 @@ class Experiment:
         keep_trajectories: bool = False,
         chunk_size: int = 512,
         backend: str = "auto",
-        mega_batch: "int | None" = None,
         store: "Any | None" = None,
         until: "Any | None" = None,
     ) -> RunResult:
@@ -434,7 +453,9 @@ class Experiment:
             their bounds — so results and store keys depend on it, never on
             ``workers``.  The batched engine sweeps consecutive chunks
             together (as many as fit a fixed cap of cross-trial matrix
-            cells), so a small chunk costs it no sweep width.
+            cells), so a small chunk costs it no sweep width; a chunk wider
+            than that cap (10⁵–10⁶ trials) is swept alone, in one pass over
+            buffers reused across chunks and adaptive rounds.
         backend:
             Simulation-kernel backend (``"auto"`` / ``"numpy"`` /
             ``"numba"``; see the ``backends`` column of
@@ -443,19 +464,13 @@ class Experiment:
             between the ``numpy`` and ``numba`` backends.  Overrides the
             ``backend`` field of the experiment's
             :class:`~repro.sim.base.SimulationOptions` when not ``"auto"``.
-        mega_batch:
-            Columnar sweep width for batched engines (10⁵–10⁶ is the
-            intended range): overrides ``chunk_size`` so every chunk
-            advances up to this many trials in one sweep over buffers
-            reused across chunks and adaptive rounds.  Sets the
-            ``mega_batch`` field of the experiment's
-            :class:`~repro.sim.base.SimulationOptions`; rejected for
-            per-trial engines.
         store:
             A :class:`~repro.store.ResultStore` (or its directory path).
             The experiment is canonically fingerprinted; a cache hit returns
             the persisted result *bit-identically* (its canonical JSON equals
-            the cold run's) without simulating, a miss simulates and persists.
+            the cold run's) without simulating, a miss simulates the payload
+            and persists (:func:`repro.store.canonical.cached_run`, the path
+            the service and campaigns share).
             ``workers`` is not part of the fingerprint — results are
             worker-count invariant, so any sharding hits the same entry.
             Incompatible with ``keep_trajectories`` (trajectories are not
@@ -483,11 +498,6 @@ class Experiment:
         field carries the probabilities (``trials`` only scales the nominal
         outcome counts; ``workers`` / ``seed`` are ignored).
         """
-        if mega_batch is not None:
-            # Fold the sweep width into the options up front so every later
-            # consumer — execution, the store payload, adaptive chunking —
-            # sees one consistent SimulationOptions.
-            self = self.configure(mega_batch=mega_batch)
         if until is not None:
             self._check_adaptive_arguments(
                 until, engine=engine, seed=seed, keep_trajectories=keep_trajectories
@@ -500,13 +510,8 @@ class Experiment:
                     "return them"
                 )
             from repro.store import ResultStore, experiment_to_payload
-            from repro.store.canonical import (
-                canonicalize_payload,
-                localize_envelope,
-                localize_run_payload,
-            )
+            from repro.store.canonical import cached_run
 
-            store = ResultStore.coerce(store)
             payload = experiment_to_payload(
                 self,
                 trials=trials,
@@ -517,64 +522,7 @@ class Experiment:
                 engine_options=engine_options,
                 until=until,
             )
-            canon = canonicalize_payload(payload)
-            envelope = store.get_envelope(canon.key)
-            if envelope is not None:
-                result, _ = localize_envelope(envelope, canon, payload)
-                return result
-            if canon.exact:
-                # Execute the *canonical* payload: reaction order feeds the
-                # random stream, so only the canonical ordering produces the
-                # realization every isomorphic caller agrees on.  The result
-                # is translated back to this caller's naming before use.
-                from repro.store.serialize import compute_payload
-
-                computed = compute_payload(canon.payload, workers=workers)
-                localized = localize_run_payload(
-                    computed.to_payload(), canon.witness, payload
-                )
-                result = RunResult.from_payload(localized)
-            else:
-                # Opaque callables pin the experiment to its own naming —
-                # identity canonicalization, execute as-is.
-                result = self._dispatch(
-                    trials=trials,
-                    engine=engine,
-                    workers=workers,
-                    seed=seed,
-                    engine_options=engine_options,
-                    keep_trajectories=keep_trajectories,
-                    chunk_size=chunk_size,
-                    backend=backend,
-                    until=until,
-                )
-            store.put(canon.key, result, descriptor=payload, witness=canon.witness)
-            return result
-        return self._dispatch(
-            trials=trials,
-            engine=engine,
-            workers=workers,
-            seed=seed,
-            engine_options=engine_options,
-            keep_trajectories=keep_trajectories,
-            chunk_size=chunk_size,
-            backend=backend,
-            until=until,
-        )
-
-    def _dispatch(
-        self,
-        trials: int,
-        engine: str,
-        workers: int,
-        seed: "int | None",
-        engine_options: "Any | None",
-        keep_trajectories: bool,
-        chunk_size: int,
-        backend: str,
-        until: "Any | None",
-    ) -> RunResult:
-        """Route to the fixed-budget or adaptive execution path."""
+            return cached_run(ResultStore.coerce(store), payload, workers=workers)[0]
         if until is not None:
             return self._execute_adaptive(
                 until,
@@ -668,9 +616,7 @@ class Experiment:
             )
 
         network, stopping, classifier = self._resolved()
-        options = self.options or self._default_options()
-        if backend != "auto":
-            options = merge_options(options, {"backend": backend})
+        options = self._resolved_options(backend)
         runner = ParallelEnsembleRunner(
             network,
             engine=engine,
@@ -682,18 +628,7 @@ class Experiment:
             engine_options=engine_options,
         )
         ensemble, info = AdaptiveController(runner, until).run(seed)
-
-        outputs = None
-        expected_outputs = None
-        if self.module is not None:
-            outputs = dict(self.module.outputs)
-            if self.module.expected is not None:
-                expected_outputs = {
-                    role: float(value)
-                    for role, value in self.module.expected_outputs(
-                        dict(self.inputs)
-                    ).items()
-                }
+        outputs, expected_outputs = self._output_ports()
         return AdaptiveResult(
             ensemble=ensemble,
             engine=engine,
@@ -721,7 +656,6 @@ class Experiment:
         """Importance-splitting execution (sequential; ``workers`` recorded only)."""
         from repro.adaptive.result import AdaptiveInfo, AdaptiveResult
         from repro.adaptive.splitting import resolve_outcome_threshold, run_splitting
-        from repro.sim.ensemble import EnsembleResult
         from repro.sim.propensity import CompiledNetwork
 
         network, stopping, _classifier = self._resolved()
@@ -733,9 +667,7 @@ class Experiment:
         species, threshold = resolve_outcome_threshold(
             config.outcome, stopping, state_classifier
         )
-        options = self.options or self._default_options()
-        if backend != "auto":
-            options = merge_options(options, {"backend": backend})
+        options = self._resolved_options(backend)
         estimate = run_splitting(
             network,
             config=config,
@@ -748,14 +680,8 @@ class Experiment:
             engine_options=engine_options,
         )
 
-        compiled = CompiledNetwork.compile(network)
-        ensemble = EnsembleResult(
-            n_trials=estimate.total_trials,
-            outcome_counts={},
-            final_counts=np.empty((0, compiled.n_species), dtype=np.int64),
-            species=compiled.species,
-            final_times=np.empty(0, dtype=float),
-            n_firings=np.empty(0, dtype=np.int64),
+        ensemble = _unsampled_ensemble(
+            CompiledNetwork.compile(network), estimate.total_trials, {}
         )
         stages = len(estimate.stage_probabilities)
         info = AdaptiveInfo(
@@ -813,9 +739,7 @@ class Experiment:
                 info, trials=trials, engine=engine, engine_options=engine_options
             )
         network, stopping, classifier = self._resolved()
-        options = self.options or self._default_options()
-        if backend != "auto":
-            options = merge_options(options, {"backend": backend})
+        options = self._resolved_options(backend)
         # Always run the chunked schedule (inline when workers == 1): random
         # streams are keyed by chunk bounds and global trial indices, so a
         # fixed (seed, trials, chunk_size) gives bit-identical results at any
@@ -831,18 +755,7 @@ class Experiment:
             engine_options=engine_options,
         )
         ensemble = runner.run(trials, seed=seed, keep_trajectories=keep_trajectories)
-
-        outputs = None
-        expected_outputs = None
-        if self.module is not None:
-            outputs = dict(self.module.outputs)
-            if self.module.expected is not None:
-                expected_outputs = {
-                    role: float(value)
-                    for role, value in self.module.expected_outputs(
-                        dict(self.inputs)
-                    ).items()
-                }
+        outputs, expected_outputs = self._output_ports()
         return RunResult(
             ensemble=ensemble,
             engine=engine,
@@ -891,8 +804,6 @@ class Experiment:
         self, info, trials: int, engine: str, engine_options: "Any | None"
     ) -> RunResult:
         """Compute the exact outcome distribution via a distribution engine."""
-        from repro.sim.ensemble import EnsembleResult
-
         network, _stopping, _classifier = self._resolved()
         classify = self._resolved_state_classifier(network)
         solver = info.create(network, engine_options=engine_options)
@@ -907,14 +818,8 @@ class Experiment:
             if sum(counts.values()) >= trials:
                 break
             counts[k] += 1
-        compiled = solver.compiled
-        ensemble = EnsembleResult(
-            n_trials=trials,
-            outcome_counts={k: v for k, v in counts.items() if v > 0},
-            final_counts=np.empty((0, compiled.n_species), dtype=np.int64),
-            species=compiled.species,
-            final_times=np.empty(0, dtype=float),
-            n_firings=np.empty(0, dtype=np.int64),
+        ensemble = _unsampled_ensemble(
+            solver.compiled, trials, {k: v for k, v in counts.items() if v > 0}
         )
         return RunResult(
             ensemble=ensemble,
@@ -958,7 +863,20 @@ class Experiment:
         simulator = make_simulator(
             network, engine=engine, seed=seed, engine_options=engine_options
         )
-        options = self.options or self._default_options()
-        if backend != "auto":
-            options = merge_options(options, {"backend": backend})
-        return simulator.run(stopping=stopping, options=options)
+        return simulator.run(stopping=stopping, options=self._resolved_options(backend))
+
+
+def _unsampled_ensemble(compiled, n_trials: int, outcome_counts: dict):
+    """An ensemble of outcome counts only: no sampled trial columns.
+
+    Exact solves and splitting estimates report a trial count without
+    keeping any trial's final state.
+    """
+    return EnsembleResult(
+        n_trials=n_trials,
+        outcome_counts=outcome_counts,
+        final_counts=np.empty((0, compiled.n_species), dtype=np.int64),
+        species=compiled.species,
+        final_times=np.empty(0, dtype=float),
+        n_firings=np.empty(0, dtype=np.int64),
+    )

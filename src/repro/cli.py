@@ -105,10 +105,11 @@ def _add_engine_arguments(parser: argparse.ArgumentParser, workers: bool = True)
             help="shard trials across N worker processes (default 1)",
         )
         parser.add_argument(
-            "--mega-batch", type=int, default=None, metavar="N",
-            help="columnar sweep width for batched engines (requires "
-                 "--engine batch-direct): advance up to N trials per chunk "
-                 "in one sweep over reused buffers (intended range 1e5-1e6)",
+            "--chunk-size", type=int, default=512, metavar="N",
+            help="trials per chunk of the seeded schedule (default 512): "
+                 "results depend on it, never on --workers; batch-direct "
+                 "sweeps a chunk wider than its group cap (e.g. 1e5-1e6) "
+                 "alone, in one pass",
         )
     parser.add_argument(
         "--backend",
@@ -449,7 +450,7 @@ def _cmd_simulate(args) -> int:
             seed=args.seed,
             engine_options=_engine_options_from(args),
             backend=args.backend,
-            mega_batch=args.mega_batch,
+            chunk_size=args.chunk_size,
             store=args.store,
             until=_until_from(args),
         )
@@ -697,7 +698,7 @@ def _cmd_example1(args) -> int:
         seed=args.seed,
         engine_options=_engine_options_from(args),
         backend=args.backend,
-        mega_batch=args.mega_batch,
+        chunk_size=args.chunk_size,
         store=args.store,
         until=_until_from(args),
     )
@@ -720,7 +721,7 @@ def _cmd_example2(args) -> int:
         seed=args.seed,
         engine_options=_engine_options_from(args),
         backend=args.backend,
-        mega_batch=args.mega_batch,
+        chunk_size=args.chunk_size,
         store=args.store,
         until=_until_from(args),
     )

@@ -48,6 +48,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-service"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle on, the body waits
+    # for the client's delayed ACK of the headers (~40 ms a keep-alive reply).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> "ResultService":

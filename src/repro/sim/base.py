@@ -109,13 +109,6 @@ class SimulationOptions:
         is not installed).  A stopping condition with no clause encoding
         runs on numpy only: ``auto`` resolves to numpy for it and an
         explicit ``"numba"`` request raises.
-    mega_batch:
-        Columnar sweep width for batched engines: when set, the ensemble
-        chunk schedule uses this as the chunk size, so each chunk advances
-        up to ``mega_batch`` trials (10⁵–10⁶ is the intended range) in one
-        sweep over buffers allocated once and reused across chunks and
-        adaptive doubling rounds.  Requires a batched engine; the chunk
-        schedule stays worker-invariant like any other chunk size.
     """
 
     max_time: float = math.inf
@@ -124,7 +117,6 @@ class SimulationOptions:
     record_states: bool = False
     snapshot_stride: int = 1
     backend: str = "auto"
-    mega_batch: "int | None" = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_steps, (int, np.integer)) or isinstance(
@@ -152,17 +144,6 @@ class SimulationOptions:
                 f"unknown kernel backend {self.backend!r}; "
                 f"expected 'auto' or one of {list(BACKEND_NAMES)}"
             )
-        if self.mega_batch is not None:
-            if not isinstance(self.mega_batch, (int, np.integer)) or isinstance(
-                self.mega_batch, bool
-            ):
-                raise SimulationError(
-                    f"mega_batch must be an integer or None, got {self.mega_batch!r}"
-                )
-            if self.mega_batch <= 0:
-                raise SimulationError(
-                    f"mega_batch must be positive, got {self.mega_batch}"
-                )
 
 
 def merge_options(

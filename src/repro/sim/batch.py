@@ -16,8 +16,8 @@ compaction over preallocated cross-trial buffers, consuming pre-drawn
 and the fused numba kernel consume the same stream in the same op order, so
 seeded batches are bit-identical across backends — and the buffers are
 reused across runs that fit them, which is what makes 10⁵–10⁶-trial
-mega-batches and the adaptive controller's doubling rounds allocation-free
-after the first round.  :meth:`BatchDirectEngine.run_group` sweeps several
+chunks and the adaptive controller's adaptive rounds allocation-free after
+the first round.  :meth:`BatchDirectEngine.run_group` sweeps several
 independently seeded chunks in one pass; :meth:`BatchDirectEngine.run_batch`
 is its one-chunk case.  A condition with no clause encoding
 (a callback plan) runs on the numpy sweep, which calls its ``check()`` for
@@ -116,7 +116,7 @@ class BatchDirectEngine:
         self._knet = self.compiled.kernel_network()
         # Cross-trial sweep buffers, allocated once per chunk width and
         # reused across run_batch calls on this engine (the ensemble runner
-        # keeps one engine per runner, so the adaptive controller's doubling
+        # keeps one engine per runner, so the adaptive controller's adaptive
         # rounds share these arrays round after round).
         self._sweep_buffers = BatchBuffers()
 
@@ -131,7 +131,7 @@ class BatchDirectEngine:
         """Size the sweep buffers for batches of up to ``n_trials`` trials.
 
         The ensemble runner reserves its widest group on first use, so
-        later, wider calls (the adaptive controller's doubling rounds) reuse
+        later, wider calls (the adaptive controller's adaptive rounds) reuse
         the same arrays.
         """
         self._sweep_buffers.ensure(

@@ -333,11 +333,6 @@ class EnsembleRunner:
         # Fail fast on a backend the engine does not support (the same check
         # the per-run dispatch performs, surfaced before any trials run).
         validate_backend_request(options.backend, info.backends, engine)
-        if options.mega_batch is not None and not info.batched:
-            raise EnsembleError(
-                f"mega_batch requires a batched engine; engine {engine!r} runs "
-                "one trial at a time (use engine='batch-direct')"
-            )
         self.engine_info = info
         self.engine_options = engine_options
         self.stopping = stopping
@@ -345,7 +340,7 @@ class EnsembleRunner:
         self.outcome_classifier = outcome_classifier or StopDetailClassifier()
         # Lazily-created engine instances, kept for the runner's lifetime: the
         # batched engine's columnar sweep buffers are allocated once and
-        # reused across chunks and adaptive doubling rounds (see BatchBuffers
+        # reused across chunks and adaptive rounds (see BatchBuffers
         # in kernels/batch.py), and a per-trial simulator's kernel buffers
         # across slices.
         self._batch_engine = None
@@ -575,11 +570,8 @@ class ParallelEnsembleRunner(EnsembleRunner):
         batched engine sweeps consecutive chunks together, up to
         :func:`~repro.sim.kernels.batch.group_trials` trials of the network
         at a time, so small chunks cost it no sweep efficiency; each group
-        is also the unit handed to a worker.  When the options carry
-        ``mega_batch`` (batched engines only), it overrides this — each
-        chunk then holds up to ``mega_batch`` trials, swept alone when wider
-        than a group; the schedule remains worker-invariant for the new
-        width.
+        is also the unit handed to a worker; a chunk wider than a group is
+        swept alone.
     """
 
     def __init__(
@@ -606,10 +598,6 @@ class ParallelEnsembleRunner(EnsembleRunner):
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         if self.workers <= 0:
             raise EnsembleError(f"workers must be positive, got {self.workers}")
-        # mega_batch widens the chunk schedule: the sweep advances that many
-        # trials per chunk instead of the default shard size.
-        if self.options.mega_batch is not None:
-            chunk_size = int(self.options.mega_batch)
         self.chunk_size = chunk_size
         # A batched group holds whole chunks up to the sweep's cell cap; the
         # engine's buffers are sized for the widest such group on first use,

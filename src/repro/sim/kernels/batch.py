@@ -9,7 +9,7 @@ this package:
   state from and leaves every final state in (counts, clocks, step
   counters, firing totals, stop codes, clause indices, the active-trial
   index list), allocated once per engine and reused across runs that fit —
-  including the adaptive controller's doubling rounds, which re-enter the
+  including the adaptive controller's adaptive rounds, which re-enter the
   engine many times;
 * :class:`BatchSegment` / :class:`BatchSweepJob` — the argument bundle
   handed to a backend's ``run_batch`` (the batch analogue of
@@ -166,7 +166,7 @@ class BatchBuffers:
     One instance lives on the batch engine and is resized monotonically:
     :meth:`ensure` reallocates only when the requested capacity or network
     shape exceeds what is already held, so the adaptive controller's
-    doubling rounds (many sweeps on one engine, reserved for the widest
+    adaptive rounds (many sweeps on one engine, reserved for the widest
     group on first use) reuse the same arrays round after round.
     ``allocations`` counts the reallocation events — regression tests assert
     it stays at one across rounds.
@@ -261,8 +261,8 @@ def batch_random_blocks(rng: np.random.Generator, n_trials: int) -> RandomBlocks
     """The pre-drawn random blocks for one batch run.
 
     The first sweep step needs up to one exponential and one uniform per
-    trial, so the blocks start at batch width (bounded, for the mega-batch
-    sizes, by a few MiB per block) and may grow to a small multiple of it.
+    trial, so the blocks start at batch width (bounded, for the widest
+    chunks, by a few MiB per block) and may grow to a small multiple of it.
     The sizing is a pure function of ``n_trials``, and both backends share
     the one instance created here, so refill points — and therefore the
     exact values drawn — are identical across backends and runs.

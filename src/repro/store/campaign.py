@@ -12,7 +12,9 @@ a parameter grid with engine × backend × seed matrices — executed through a
   missing cells, and
 * missing cells run **concurrently** on a process pool (each worker receives
   the serialized payload and executes :func:`~repro.store.serialize.compute_payload`,
-  the same compute path the HTTP service uses).
+  the same compute path the HTTP service uses), and each result is stored
+  through :func:`~repro.store.canonical.store_computed`, the miss tail of
+  :func:`~repro.store.canonical.cached_run`.
 
 The runner streams :class:`CampaignProgress` events to an optional callback
 as cells finish, and :meth:`CampaignRunner.arun` exposes the same run as a
@@ -30,7 +32,7 @@ from repro.store.canonical import (
     CanonicalPayload,
     canonicalize_payload,
     localize_envelope,
-    localize_run_payload,
+    store_computed,
 )
 from repro.store.fingerprint import canonical_json
 from repro.store.serialize import compute_payload, experiment_to_payload
@@ -394,24 +396,13 @@ class CampaignRunner:
                         )
                     )
 
-        def put_computed(key: str, computed: Any) -> dict:
-            """Localize a canonical computation onto the first cell's naming
-            and persist it with that cell's witness."""
-            writer = cells_by_key[key][0]
-            canon = canons[writer.name]
-            if canon.exact:
-                from repro.api.results import RunResult
-
-                localized = localize_run_payload(
-                    computed.to_payload(), canon.witness, cell_payloads[writer.name]
-                )
-                computed = RunResult.from_payload(localized)
-            return self.store.put(
-                key,
-                computed,
-                descriptor=cell_payloads[writer.name],
-                witness=canon.witness,
+        def settle_computed(key: str, computed: Any) -> None:
+            # The first cell sharing the key names the stored artifact.
+            writer = cells_by_key[key][0].name
+            _, envelope = store_computed(
+                self.store, canons[writer], cell_payloads[writer], computed
             )
+            settle_key(key, "computed", envelope=envelope)
 
         pending: list[str] = []
         for key in cells_by_key:
@@ -429,9 +420,9 @@ class CampaignRunner:
                     except Exception as exc:  # noqa: BLE001 - recorded, re-raised below
                         settle_key(key, "failed", error=f"{type(exc).__name__}: {exc}")
                     else:
-                        settle_key(key, "computed", envelope=put_computed(key, computed))
+                        settle_computed(key, computed)
             else:
-                self._run_pool(pending, payloads, settle_key, put_computed)
+                self._run_pool(pending, payloads, settle_key, settle_computed)
 
         outcomes = [outcome_by_cell[cell.name] for cell, _, _ in resolved]
         result = CampaignResult(campaign_id=campaign_id, name=campaign.name, outcomes=outcomes)
@@ -463,7 +454,7 @@ class CampaignRunner:
         pending: Sequence[str],
         payloads: Mapping[str, Mapping],
         settle_key: "Callable[..., None]",
-        put_computed: "Callable[[str, Any], dict]",
+        settle_computed: "Callable[[str, Any], None]",
     ) -> None:
         """Compute cache-miss payloads on a process pool, settling as they land."""
         from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -485,4 +476,4 @@ class CampaignRunner:
                 except Exception as exc:  # noqa: BLE001 - recorded, re-raised by run()
                     settle_key(key, "failed", error=f"{type(exc).__name__}: {exc}")
                 else:
-                    settle_key(key, "computed", envelope=put_computed(key, computed))
+                    settle_computed(key, computed)

@@ -31,7 +31,8 @@ Experiments that reference opaque callables (classifier / state-classifier
 ``"callable"`` descriptors, unknown stopping types) cannot be relabeled —
 the callable reads raw species names — and fall back to identity
 canonicalization: the payload is hashed as-is (everything except
-``version``), exactly the pre-canonicalization behavior.
+``version``), exactly the pre-canonicalization behavior, and a miss
+executes that payload like any other.
 
 The canonical labeling search is the expensive step, and a payload's network
 dict determines its outcome, so :func:`canonicalize_payload` keeps what it
@@ -50,7 +51,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.errors import ExperimentError, FingerprintError, StoreError
 
@@ -61,6 +62,7 @@ __all__ = [
     "canonical_identity",
     "localize_run_payload",
     "compose_translation",
+    "store_computed",
     "cached_run",
 ]
 
@@ -345,9 +347,15 @@ def canonicalize_payload(payload: Mapping) -> CanonicalPayload:
     entries), so a network already seen in this process skips the labeling
     search.  Each call returns its own
     canonical network dict and witness: mutating them leaves the cache and
-    later calls untouched.
+    later calls untouched.  An ``options`` key that is not a
+    :class:`~repro.sim.base.SimulationOptions` field raises
+    :class:`~repro.errors.FingerprintError` naming it.
     """
-    from repro.store.serialize import EXPERIMENT_SCHEMA, is_experiment_schema
+    from repro.store.serialize import (
+        EXPERIMENT_SCHEMA,
+        _check_option_keys,
+        is_experiment_schema,
+    )
 
     if not isinstance(payload, Mapping) or not is_experiment_schema(
         payload.get("schema")
@@ -358,6 +366,9 @@ def canonicalize_payload(payload: Mapping) -> CanonicalPayload:
         )
     data = dict(payload)
     data["schema"] = EXPERIMENT_SCHEMA  # v1 payloads hash (and execute) as v2
+    # A key the options would drop is hashed but never executed: reject it
+    # before it names a store entry.
+    _check_option_keys(data.get("options") or {})
     simulate = data.get("simulate")
     if isinstance(simulate, Mapping) and simulate.get("until") is not None:
         # Rebuilt through the target, so every spelling of one target (absent
@@ -520,23 +531,45 @@ def localize_envelope(
     return result, reply
 
 
+def store_computed(
+    store: Any, canon: CanonicalPayload, caller_payload: Mapping, computed: Any
+) -> "tuple[Any, dict]":
+    """Put a run computed from ``canon.payload``: the miss tail of every caller.
+
+    An exactly canonicalized run is localized into ``caller_payload``'s
+    naming first (an identity-canonical one already is in it); the artifact
+    is stored with the caller's witness.  Returns ``(result, envelope)``.
+    """
+    if canon.exact:
+        from repro.api.results import RunResult
+
+        localized = localize_run_payload(
+            computed.to_payload(), canon.witness, caller_payload
+        )
+        computed = RunResult.from_payload(localized)
+    envelope = store.put(
+        canon.key, computed, descriptor=caller_payload, witness=canon.witness
+    )
+    return computed, envelope
+
+
 def cached_run(
     store: Any,
     payload: Mapping,
     *,
     workers: int = 1,
     trusted: bool = True,
-    compute: "Callable[[Mapping], Any] | None" = None,
 ) -> "tuple[Any, bool, CanonicalPayload, dict]":
     """The canonical store path: fingerprint, cache-lookup, compute, localize.
 
     Returns ``(result, cached, canonical, envelope)``.  On a hit the stored
-    payload is localized into the caller's naming; on a miss the *canonical*
-    payload executes (``compute`` defaults to
-    :func:`~repro.store.serialize.compute_payload`), the result is localized,
-    and the localized artifact is stored with the caller's witness.  Shared
-    by ``Experiment.simulate(store=)``, the campaign runner, and the HTTP
-    service — so all three agree byte-for-byte on what a key holds.
+    payload is localized into the caller's naming (:func:`localize_envelope`);
+    on a miss the *canonical* payload executes through
+    :func:`~repro.store.serialize.compute_payload` and
+    :func:`store_computed` localizes and stores the result.
+    ``Experiment.simulate(store=)`` and the HTTP service call this, and the
+    campaign runner settles its misses through :func:`store_computed`, so
+    all three agree byte-for-byte on what a key holds.
     """
     canon = canonicalize_payload(payload)
     envelope = store.get_envelope(canon.key)
@@ -544,22 +577,8 @@ def cached_run(
         result, reply = localize_envelope(envelope, canon, payload)
         return result, True, canon, reply
 
-    if compute is None:
-        from repro.store.serialize import compute_payload
+    from repro.store.serialize import compute_payload
 
-        computed = compute_payload(canon.payload, workers=workers, trusted=trusted)
-    else:
-        computed = compute(canon.payload)
-    if canon.exact:
-        from repro.api.results import RunResult
-
-        localized = localize_run_payload(
-            computed.to_payload(), canon.witness, payload
-        )
-        result = RunResult.from_payload(localized)
-    else:
-        result = computed
-    envelope = store.put(
-        canon.key, result, descriptor=payload, witness=canon.witness
-    )
+    computed = compute_payload(canon.payload, workers=workers, trusted=trusted)
+    result, envelope = store_computed(store, canon, payload, computed)
     return result, False, canon, envelope

@@ -169,13 +169,13 @@ def _state_classifier_from_descriptor(data: "Mapping | None", trusted: bool = Tr
 # ---------------------------------------------------------------------------
 
 
-def _options_payload(options: SimulationOptions) -> dict:
-    """Encode options; an unbounded ``max_time`` becomes ``None`` (JSON-safe).
+#: The keys an options payload may carry: the SimulationOptions fields.
+_OPTION_FIELDS = frozenset(field.name for field in dataclasses.fields(SimulationOptions))
 
-    ``mega_batch`` is emitted only when set: the default (``None``) adds no
-    key, so fingerprints of pre-existing store entries are unchanged.
-    """
-    payload = {
+
+def _options_payload(options: SimulationOptions) -> dict:
+    """Encode options; an unbounded ``max_time`` becomes ``None`` (JSON-safe)."""
+    return {
         "max_time": None if math.isinf(options.max_time) else float(options.max_time),
         "max_steps": int(options.max_steps),
         "record_firings": bool(options.record_firings),
@@ -183,14 +183,25 @@ def _options_payload(options: SimulationOptions) -> dict:
         "snapshot_stride": int(options.snapshot_stride),
         "backend": str(options.backend),
     }
-    if options.mega_batch is not None:
-        payload["mega_batch"] = int(options.mega_batch)
-    return payload
+
+
+def _check_option_keys(data: Mapping) -> None:
+    """Reject an options payload carrying a key no option field reads.
+
+    The payload is hashed whole, so a key the options would drop names a
+    run that executing it could not reproduce.
+    """
+    unknown = sorted(set(data) - _OPTION_FIELDS)
+    if unknown:
+        raise FingerprintError(
+            f"unknown simulation option(s) {unknown} in the experiment "
+            f"payload; valid fields: {sorted(_OPTION_FIELDS)}"
+        )
 
 
 def _options_from_payload(data: Mapping) -> SimulationOptions:
+    _check_option_keys(data)
     max_time = data.get("max_time")
-    mega_batch = data.get("mega_batch")
     return SimulationOptions(
         max_time=math.inf if max_time is None else float(max_time),
         max_steps=int(data["max_steps"]),
@@ -198,7 +209,6 @@ def _options_from_payload(data: Mapping) -> SimulationOptions:
         record_states=bool(data["record_states"]),
         snapshot_stride=int(data["snapshot_stride"]),
         backend=str(data["backend"]),
-        mega_batch=None if mega_batch is None else int(mega_batch),
     )
 
 
@@ -271,7 +281,6 @@ def experiment_to_payload(
     from repro.sim.registry import registry
 
     network, stopping, _classifier = experiment._resolved()
-    options = experiment.options or experiment._default_options()
     info = registry.get(engine)
     if seed is None and not info.computes_distribution:
         raise FingerprintError(
@@ -296,18 +305,7 @@ def experiment_to_payload(
     if info.computes_distribution:
         state_classifier = _state_classifier_descriptor(experiment, network)
 
-    outputs = None
-    expected_outputs = None
-    if experiment.module is not None:
-        outputs = dict(experiment.module.outputs)
-        if experiment.module.expected is not None:
-            expected_outputs = {
-                role: float(value)
-                for role, value in experiment.module.expected_outputs(
-                    dict(experiment.inputs)
-                ).items()
-            }
-
+    outputs, expected_outputs = experiment._output_ports()
     simulate: dict = {
         "trials": int(trials),
         "engine": str(engine),
@@ -348,7 +346,7 @@ def experiment_to_payload(
         "target": experiment._resolved_target(),
         "outputs": outputs,
         "expected_outputs": expected_outputs,
-        "options": _options_payload(options),
+        "options": _options_payload(experiment._resolved_options()),
         "simulate": simulate,
     }
 

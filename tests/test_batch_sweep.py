@@ -1,17 +1,16 @@
-"""Tests for the columnar batch sweep, mega-batch mode and buffer reuse.
+"""Tests for the columnar batch sweep, wide chunks and buffer reuse.
 
 The batch-direct engine's hot path is now a single columnar sweep
 (:func:`repro.sim.kernels.batch.run_batch_sweep` on numpy, a fused JIT
 kernel on numba) over buffers allocated once per engine and reused across
-chunks and adaptive doubling rounds.  This module covers:
+chunks and adaptive rounds.  This module covers:
 
 * sweep mechanics — every stop reason, the t=0 condition pre-pass, and
   statistical agreement with the per-trial direct method;
-* mega-batch mode — ``SimulationOptions.mega_batch`` /
-  ``Experiment.simulate(mega_batch=)`` reshaping the worker-invariant chunk
-  schedule, including under the adaptive controller;
+* chunk widths — ``chunk_size`` reshaping the worker-invariant chunk
+  schedule of the batched engine, including under the adaptive controller;
 * buffer reuse — one allocation per engine no matter how many chunks or
-  doubling rounds run;
+  adaptive rounds run;
 * scale regressions — batches wider than the random-block cap and networks
   wider than the PR-4 9000-reaction refill regression;
 * numpy ↔ numba bit-identity of whole batches (skipped without numba);
@@ -29,7 +28,6 @@ import pytest
 
 from repro.api import Experiment
 from repro.crn import Reaction, ReactionNetwork, parse_network
-from repro.errors import EnsembleError, SimulationError
 from repro.sim import (
     BatchDirectEngine,
     EnsembleRunner,
@@ -211,47 +209,20 @@ class TestBufferReuse:
 
 
 # ---------------------------------------------------------------------------
-# mega-batch mode
+# chunk widths
 # ---------------------------------------------------------------------------
 
 
-class TestMegaBatch:
-    def test_options_validation(self):
-        assert SimulationOptions(mega_batch=100_000).mega_batch == 100_000
-        with pytest.raises(SimulationError, match="mega_batch"):
-            SimulationOptions(mega_batch=0)
-        with pytest.raises(SimulationError, match="mega_batch"):
-            SimulationOptions(mega_batch=-5)
-        with pytest.raises(SimulationError, match="mega_batch"):
-            SimulationOptions(mega_batch=2.5)
-
-    def test_rejected_for_per_trial_engines(self, race_network):
-        with pytest.raises(EnsembleError, match="batched engine"):
-            EnsembleRunner(
-                race_network,
-                engine="direct",
-                options=SimulationOptions(record_firings=False, mega_batch=1000),
-            )
-
-    def test_overrides_chunk_size(self, race_network, race_condition):
-        runner = ParallelEnsembleRunner(
-            race_network,
-            engine="batch-direct",
-            stopping=race_condition,
-            options=SimulationOptions(record_firings=False, mega_batch=100_000),
-            workers=1,
-            chunk_size=512,
-        )
-        assert runner.chunk_size == 100_000
-
+class TestWideChunks:
     def test_worker_invariance(self, race_network, race_condition):
         def run(workers):
             return ParallelEnsembleRunner(
                 race_network,
                 engine="batch-direct",
                 stopping=race_condition,
-                options=SimulationOptions(record_firings=False, mega_batch=700),
+                options=SimulationOptions(record_firings=False),
                 workers=workers,
+                chunk_size=700,
             ).run(2000, seed=17)
 
         sequential, parallel = run(1), run(2)
@@ -259,13 +230,13 @@ class TestMegaBatch:
         np.testing.assert_array_equal(sequential.final_counts, parallel.final_counts)
         np.testing.assert_array_equal(sequential.final_times, parallel.final_times)
 
-    def test_experiment_simulate_threads_mega_batch(self, race_network, race_condition):
+    def test_experiment_simulate_threads_chunk_size(self, race_network, race_condition):
         experiment = Experiment.from_network(race_network, stopping=race_condition)
         one = experiment.simulate(
-            trials=1500, engine="batch-direct", seed=21, workers=1, mega_batch=400
+            trials=1500, engine="batch-direct", seed=21, workers=1, chunk_size=400
         )
         two = experiment.simulate(
-            trials=1500, engine="batch-direct", seed=21, workers=2, mega_batch=400
+            trials=1500, engine="batch-direct", seed=21, workers=2, chunk_size=400
         )
         assert one.ensemble.outcome_counts == two.ensemble.outcome_counts
         np.testing.assert_array_equal(
@@ -281,8 +252,9 @@ class TestMegaBatch:
                 race_network,
                 engine="batch-direct",
                 stopping=race_condition,
-                options=SimulationOptions(record_firings=False, mega_batch=256),
+                options=SimulationOptions(record_firings=False),
                 workers=workers,
+                chunk_size=256,
             )
             target = CiHalfWidthTarget(outcome="A", half_width=0.04, max_trials=8192)
             return AdaptiveController(runner, target).run(23)
@@ -294,7 +266,7 @@ class TestMegaBatch:
         assert merged_one.outcome_counts == merged_two.outcome_counts
         np.testing.assert_array_equal(merged_one.final_counts, merged_two.final_counts)
 
-    def test_adaptive_mega_batch_prefix_of_fixed_run(self, race_network, race_condition):
+    def test_adaptive_run_is_prefix_of_fixed_run(self, race_network, race_condition):
         from repro.adaptive import CiHalfWidthTarget
         from repro.adaptive.controller import AdaptiveController
 
@@ -302,27 +274,15 @@ class TestMegaBatch:
             race_network,
             engine="batch-direct",
             stopping=race_condition,
-            options=SimulationOptions(record_firings=False, mega_batch=256),
+            options=SimulationOptions(record_firings=False),
             workers=1,
+            chunk_size=256,
         )
         target = CiHalfWidthTarget(outcome="A", half_width=0.05, max_trials=8192)
         merged, _info = AdaptiveController(runner, target).run(29)
         fixed = runner.run(n_trials=merged.n_trials, seed=29)
         assert merged.outcome_counts == fixed.outcome_counts
         np.testing.assert_array_equal(merged.final_counts, fixed.final_counts)
-
-    def test_serialization_emits_key_only_when_set(self):
-        from repro.store.serialize import _options_from_payload, _options_payload
-
-        default = _options_payload(SimulationOptions(record_firings=False))
-        assert "mega_batch" not in default  # fingerprints of old entries stable
-        widened = _options_payload(
-            SimulationOptions(record_firings=False, mega_batch=100_000)
-        )
-        assert widened["mega_batch"] == 100_000
-        round_tripped = _options_from_payload(widened)
-        assert round_tripped.mega_batch == 100_000
-        assert _options_from_payload(default).mega_batch is None
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +359,7 @@ class TestBatchBitIdentity:
         np.testing.assert_array_equal(one.final_counts, two.final_counts)
         np.testing.assert_array_equal(one.final_times, two.final_times)
 
-    def test_mega_batch_bit_identical(self, race_network, race_condition):
+    def test_wide_batch_bit_identical(self, race_network, race_condition):
         numpy_batch = self._run(race_network, race_condition, "numpy", n_trials=100_000)
         numba_batch = self._run(race_network, race_condition, "numba", n_trials=100_000)
         np.testing.assert_array_equal(

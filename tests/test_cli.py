@@ -151,19 +151,22 @@ class TestEngineSelection:
             assert "declared but not available" in out
             assert "fall back to numpy" in out
 
-    def test_simulate_mega_batch_flag(self, design_file, capsys):
+    def test_simulate_wide_chunk_size_flag(self, design_file, capsys):
         code = main(["simulate", str(design_file), "--trials", "300", "--seed", "7",
-                     "--engine", "batch-direct", "--mega-batch", "100000"])
+                     "--engine", "batch-direct", "--chunk-size", "100000"])
         out = capsys.readouterr().out
         assert code == 0
         assert "Ensemble of 300 trials" in out
 
-    def test_mega_batch_rejected_for_per_trial_engine(self, design_file, capsys):
+    def test_chunk_size_flag_on_per_trial_engine(self, design_file, capsys):
         code = main(["simulate", str(design_file), "--trials", "10", "--seed", "7",
-                     "--engine", "direct", "--mega-batch", "1000"])
-        captured = capsys.readouterr()
+                     "--engine", "direct", "--chunk-size", "4"])
+        assert code == 0
+        assert "Ensemble of 10 trials" in capsys.readouterr().out
+        code = main(["simulate", str(design_file), "--trials", "10", "--seed", "7",
+                     "--engine", "direct", "--chunk-size", "0"])
         assert code == 1
-        assert "batched engine" in captured.err
+        assert "chunk_size must be positive" in capsys.readouterr().err
 
     def test_retired_python_backend_rejected(self, design_file, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -122,6 +122,34 @@ class TestEndpoints:
         assert repr(field) in message
         assert ServiceClient(service.url).healthz()["artifacts"] == 0
 
+    @pytest.mark.parametrize("option", ["mega_batch", "foo"])
+    def test_unknown_option_key_is_400_naming_it(self, service, experiment, option):
+        """An options key no field reads is rejected before lookup or compute."""
+        from repro.errors import FingerprintError
+        from repro.store import (
+            canonicalize_payload,
+            experiment_from_payload,
+            experiment_to_payload,
+        )
+
+        payload = experiment_to_payload(experiment, trials=10, engine="batch-direct", seed=1)
+        payload["options"][option] = 100_000
+        for parse in (canonicalize_payload, experiment_from_payload):
+            with pytest.raises(FingerprintError, match=option):
+                parse(payload)
+        request = urllib.request.Request(
+            service.url + "/simulate",
+            data=json.dumps({"experiment": payload}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        with excinfo.value as response:
+            assert response.code == 400
+            message = json.loads(response.read())["error"]
+        assert repr(option) in message
+        assert ServiceClient(service.url).healthz()["artifacts"] == 0
+
     def test_malformed_json_is_400(self, service):
         request = urllib.request.Request(
             service.url + "/simulate",
@@ -224,6 +252,36 @@ class TestSimulateRoundTrip:
         manifest = client.campaign(result.campaign_id)
         assert manifest["name"] == "served"
         assert len(manifest["cells"]) == 2
+
+
+class TestKeepAlive:
+    def test_hits_over_one_connection_do_not_stall(self, service):
+        """A reply's headers and body leave without waiting for a delayed ACK.
+
+        Written as two sends with Nagle's algorithm on, every keep-alive
+        reply waits ~40 ms for the client to acknowledge the headers.
+        """
+        import http.client
+        import statistics
+
+        from repro.store import experiment_to_payload
+
+        body = json.dumps({"experiment": experiment_to_payload(
+            Experiment.from_zoo("toggle-switch"), trials=500, engine="direct", seed=1
+        )})
+        connection = http.client.HTTPConnection(service.host, service.port, timeout=60)
+        seconds = []
+        try:
+            for request in range(11):
+                start = time.perf_counter()
+                connection.request("POST", "/simulate", body=body,
+                                   headers={"Content-Type": "application/json"})
+                reply = json.loads(connection.getresponse().read())
+                seconds.append(time.perf_counter() - start)
+                assert reply["cached"] == (request > 0)
+        finally:
+            connection.close()
+        assert statistics.median(seconds[1:]) < 0.020, seconds
 
 
 class TestServeCli:
