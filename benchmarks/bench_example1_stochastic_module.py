@@ -4,7 +4,7 @@ Regenerates the paper's first worked example: synthesize the five-category
 reaction set for the distribution (0.3, 0.4, 0.3) with initial quantities
 E = (30, 40, 30) and rates 1 / 10³ / 10⁶, then measure the realized outcome
 distribution by Monte-Carlo simulation and, independently, compute the exact
-outcome distribution of a reduced instance by CTMC analysis.
+outcome distribution of a reduced instance with the FSP absorption solve.
 
 The reproduced quantity: the measured distribution matches the programmed one
 (total-variation distance within Monte-Carlo noise).
@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from _config import report, trials
 
-from repro.analysis import format_table, outcome_probabilities
+from repro.analysis import format_table
 from repro.core import DistributionSpec, OutcomeSpec, build_stochastic_module, synthesize_distribution
+from repro.sim import FspEngine, FspOptions
 
 TARGET = {"1": 0.3, "2": 0.4, "3": 0.3}
 
@@ -50,7 +51,7 @@ def test_example1_distribution(benchmark):
 
 
 def test_example1_exact_reduced_instance(benchmark):
-    """Exact CTMC check of a reduced Example-1 instance (scale 10, no sampling noise)."""
+    """Exact check of a reduced Example-1 instance (scale 10, no sampling noise)."""
     spec = DistributionSpec(
         [OutcomeSpec("1", target_output=1), OutcomeSpec("2", target_output=1),
          OutcomeSpec("3", target_output=1)],
@@ -68,8 +69,11 @@ def test_example1_exact_reduced_instance(benchmark):
             return "tie"
         return None
 
+    options = FspOptions(max_states=150_000)
     result = benchmark.pedantic(
-        lambda: outcome_probabilities(network, classify=classify, max_states=150_000),
+        lambda: FspEngine(network, fsp_options=options).outcome_probabilities(
+            classify, on_overflow="raise"
+        ),
         rounds=1, iterations=1,
     )
     decided = result.decided()

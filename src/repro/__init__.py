@@ -11,8 +11,8 @@ Fett, Bruck & Riedel, DAC 2007.  The library provides:
   stochastic module, the deterministic functional modules (linear,
   exponentiation, logarithm, power, isolation, glue), the composer, the
   top-level synthesizer, and the γ error model;
-* :mod:`repro.analysis` — empirical statistics, distribution distances, exact
-  CTMC outcome probabilities, curve fitting, sweeps and reporting;
+* :mod:`repro.analysis` — empirical statistics, distribution distances,
+  curve fitting, sweeps and reporting;
 * :mod:`repro.lambda_phage` — the Section-3 lambda bacteriophage application
   (the Figure-4 synthetic model, the natural-model surrogate, and the
   Figure-5 experiment);

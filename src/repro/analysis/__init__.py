@@ -1,6 +1,5 @@
-"""Analysis toolkit: statistics, exact CTMC analysis, curve fitting, reporting."""
+"""Analysis toolkit: statistics, distances, curve fitting, sweeps, reporting."""
 
-from repro.analysis.ctmc import ExactOutcomeResult, expected_outcome_counts, outcome_probabilities
 from repro.analysis.decision_time import (
     DecisionTimeStats,
     decision_time_statistics,
@@ -39,9 +38,6 @@ __all__ = [
     "kl_divergence",
     "jensen_shannon",
     "hellinger",
-    "ExactOutcomeResult",
-    "outcome_probabilities",
-    "expected_outcome_counts",
     "DecisionTimeStats",
     "decision_time_statistics",
     "decision_time_vs_gamma",

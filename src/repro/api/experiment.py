@@ -44,7 +44,7 @@ from repro.core.synthesizer import (
     synthesize_distribution,
 )
 from repro.crn.network import ReactionNetwork
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, FingerprintError
 from repro.sim.base import SimulationOptions, merge_options
 from repro.sim.ensemble import EnsembleResult, ParallelEnsembleRunner
 from repro.sim.events import StoppingCondition
@@ -258,11 +258,14 @@ class Experiment:
         original — ``simulate(store=...)`` warm-hits the original's cached
         result (:mod:`repro.store.canonical`).
 
-        Renaming is injective (:class:`~repro.errors.NetworkError` on
-        colliding targets, like :meth:`ReactionNetwork.renamed`); system and
-        module experiments, and callable classifiers, raise
-        :class:`~repro.errors.ExperimentError` — an opaque callable reads the
-        original species names and cannot be relabeled declaratively.
+        Every species reference is renamed on its store descriptor, as
+        :mod:`repro.store.canonical` renames payloads, and the object is
+        rebuilt from the renamed descriptor.  Renaming is injective
+        (:class:`~repro.errors.NetworkError` on colliding targets, like
+        :meth:`ReactionNetwork.renamed`); system and module experiments, and
+        callable classifiers, raise :class:`~repro.errors.ExperimentError` —
+        an opaque callable reads the original species names and cannot be
+        relabeled declaratively.
         """
         if self.network is None:
             raise ExperimentError(
@@ -271,8 +274,7 @@ class Experiment:
                 "species names); extract the network first"
             )
         from repro.sim.events import condition_from_descriptor
-        from repro.store.canonical import _rename_stopping
-        from repro.sim.outcomes import WorkingOutcomeClassifier
+        from repro.store import canonical, serialize
 
         rename = {str(k): str(v) for k, v in mapping.items()}
         network = self.network.renamed(rename)
@@ -286,48 +288,30 @@ class Experiment:
                     f"stopping condition {stopping!r} cannot be renamed: it "
                     "has no declarative descriptor (to_descriptor)"
                 ) from exc
-            stopping = condition_from_descriptor(_rename_stopping(descriptor, rename))
-
-        classifier = self.classifier
-        if classifier is not None:
-            if not isinstance(classifier, WorkingOutcomeClassifier):
-                raise ExperimentError(
-                    "a callable classifier reads the original species names "
-                    "and cannot be renamed; use WorkingOutcomeClassifier or "
-                    "clear the classifier first"
-                )
-            classifier = WorkingOutcomeClassifier(
-                classifier.labels,
-                classifier.working,
-                {
-                    label: rename.get(species, species)
-                    for label, species in classifier.catalysts.items()
-                },
+            stopping = condition_from_descriptor(
+                canonical._rename_stopping(descriptor, rename)
             )
 
-        state_classifier = self.state_classifier
-        if state_classifier is not None:
-            from repro.sim.fsp import DominantSpeciesClassifier, ThresholdStateClassifier
-
-            if isinstance(state_classifier, DominantSpeciesClassifier):
-                state_classifier = DominantSpeciesClassifier(
-                    {
-                        label: rename.get(species, species)
-                        for label, species in state_classifier.species_by_label.items()
-                    }
+        classifier, state_classifier = self.classifier, self.state_classifier
+        try:
+            if classifier is not None:
+                classifier = serialize._classifier_from_descriptor(
+                    canonical._rename_classifier(
+                        serialize._classifier_descriptor(classifier), rename
+                    )
                 )
-            elif isinstance(state_classifier, ThresholdStateClassifier):
-                state_classifier = ThresholdStateClassifier(
-                    {
-                        label: [rename.get(species, species), count, comparison]
-                        for label, (species, count, comparison) in state_classifier.thresholds.items()
-                    }
+            if state_classifier is not None:
+                state_classifier = serialize._state_classifier_from_descriptor(
+                    canonical._rename_state_classifier(
+                        serialize._state_classifier_descriptor(state_classifier), rename
+                    )
                 )
-            else:
-                raise ExperimentError(
-                    "a callable state classifier reads the original species "
-                    "names and cannot be renamed"
-                )
+        except FingerprintError as exc:
+            raise ExperimentError(
+                f"cannot rename a callable classifier, which reads the original "
+                f"species names; use WorkingOutcomeClassifier / a declarative "
+                f"state classifier, or clear it first ({exc})"
+            ) from exc
 
         inputs = tuple(
             sorted((rename.get(species, species), count) for species, count in self.inputs)

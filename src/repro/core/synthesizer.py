@@ -115,25 +115,6 @@ class SynthesizedSystem:
 
         return DominantSpeciesClassifier(self.catalyst_map())
 
-    def exact_distribution(
-        self,
-        inputs: "Mapping[str, int] | None" = None,
-        max_states: int = 200_000,
-    ) -> "object":
-        """Exact outcome probabilities of the design (no sampling noise).
-
-        Delegates to :func:`repro.analysis.ctmc.outcome_probabilities` with
-        :meth:`state_classifier`; the same computation backs
-        ``experiment().simulate(engine="fsp")``.
-        """
-        from repro.analysis.ctmc import outcome_probabilities
-
-        return outcome_probabilities(
-            self.network_with_inputs(inputs),
-            classify=self.state_classifier(),
-            max_states=max_states,
-        )
-
     def outcome_classifier(self) -> WorkingOutcomeClassifier:
         """This design's trajectory → outcome rule as a serializable classifier.
 

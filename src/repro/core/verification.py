@@ -8,9 +8,9 @@ Two complementary routes:
   is the paper's own methodology.
 * **Exact** (small systems) — because the stochastic module with modest input
   quantities has a finite reachable state space, the outcome probabilities can
-  be computed exactly from the embedded Markov chain by
-  :mod:`repro.analysis.ctmc`.  This removes sampling noise and is what the
-  unit tests use for tight assertions.
+  be computed exactly from the embedded Markov chain by the ``fsp`` engine
+  (:meth:`repro.sim.fsp.FspEngine.outcome_probabilities`).  This removes
+  sampling noise and is what the unit tests use for tight assertions.
 """
 
 from __future__ import annotations

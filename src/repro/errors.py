@@ -31,7 +31,6 @@ __all__ = [
     "RateLadderError",
     "AnalysisError",
     "FitError",
-    "CTMCError",
     "ExperimentError",
     "AdaptiveError",
     "StoreError",
@@ -167,10 +166,6 @@ class AnalysisError(ReproError):
 
 class FitError(AnalysisError):
     """A curve fit failed or was mis-specified."""
-
-
-class CTMCError(AnalysisError):
-    """Exact CTMC analysis failed (state space too large, no absorbing states, ...)."""
 
 
 # ---------------------------------------------------------------------------

@@ -237,12 +237,12 @@ class ResultService:
                 f"(schema {EXPERIMENT_SCHEMA!r}); build one with "
                 "repro.store.experiment_to_payload or use repro.client.ServiceClient"
             )
-        adaptive = payload.get("simulate", {}).get("until") is not None
         # trusted=False: wire payloads must stay declarative — a "callable"
         # descriptor would let any client import+run arbitrary server code.
         result, cached, canon, envelope = cached_run(
             self.store, payload, workers=self.workers, trusted=False
         )
+        adaptive = canon.payload["simulate"].get("until") is not None
         with self._counter_lock:
             if cached:
                 self.hits += 1

@@ -28,7 +28,6 @@ from repro.sim.ensemble import (
     EnsembleResult,
     EnsembleRunner,
     ParallelEnsembleRunner,
-    engine_names,
     make_simulator,
 )
 from repro.sim.events import (
@@ -121,7 +120,6 @@ __all__ = [
     "merge_options",
     "numba_available",
     "StopReason",
-    "engine_names",
     "BatchDirectEngine",
     "BatchResult",
     "EnsembleResult",

@@ -58,22 +58,12 @@ from repro.sim.stats import RunningMoments
 from repro.sim.trajectory import BatchResult, Trajectory
 
 __all__ = [
-    "engine_names",
     "pool_context",
     "make_simulator",
     "EnsembleResult",
     "EnsembleRunner",
     "ParallelEnsembleRunner",
 ]
-
-
-def engine_names() -> list[str]:
-    """All selectable engine names (per-trial and batched), sorted.
-
-    Thin alias for :meth:`repro.sim.registry.EngineRegistry.names` on the
-    default registry, kept because it predates the registry.
-    """
-    return registry.names()
 
 
 def pool_context():

@@ -30,8 +30,10 @@ Two query modes are provided on top of the shared enumeration machinery:
   checkpoint times, with per-species marginals and moments;
 * **absorption** (:meth:`FspEngine.outcome_probabilities`) — exact outcome
   probabilities of a classified CTMC, solving the jump-chain linear system
-  over the transient states (this is the machinery behind
-  :func:`repro.analysis.ctmc.outcome_probabilities`, which delegates here).
+  over the transient states.  This is the package's one exact oracle:
+  ``Experiment.simulate(engine="fsp")``, the conformance suite and the
+  benchmarks all reach it here; ``on_overflow="raise"`` asks for the
+  complete reachable space or an :class:`~repro.errors.FspError`.
   The system is solved by SuperLU in natural order: breadth-first numbering
   points most edges forward, so it is nearly upper-triangular and a
   fill-reducing ordering only costs time.  Mass that enters a trapped state
@@ -59,6 +61,7 @@ from repro.crn.network import ReactionNetwork
 from repro.crn.species import as_species
 from repro.errors import FspError
 from repro.sim.base import resolve_initial_counts
+from repro.sim.outcomes import UNDECIDED
 from repro.sim.propensity import CompiledNetwork
 from repro.sim.registry import register_engine
 
@@ -76,12 +79,6 @@ __all__ = [
     "build_generator",
     "absorption_probabilities",
 ]
-
-#: Label used for probability mass that never reaches a classified outcome
-#: (dead ends, trapped states, and mass leaked through the truncation
-#: boundary).  Matches the label :mod:`repro.analysis.ctmc` and the ensemble
-#: runners use.
-UNDECIDED = "(undecided)"
 
 #: Schema tag of :meth:`FspResult.to_payload` artifacts.
 FSP_RESULT_SCHEMA = "repro.fsp-result/v1"
@@ -430,8 +427,8 @@ def enumerate_states(
     ``max_states`` budget.  The first new state past the budget, and every
     new state after it, is dropped (``truncated=True``) while successors that
     already have a row still map; when ``on_overflow`` is ``"raise"``
-    exceeding the budget raises :class:`~repro.errors.FspError` instead (the
-    behaviour the exact CTMC analysis wants).
+    exceeding the budget raises :class:`~repro.errors.FspError` instead, for
+    callers that need the complete reachable space.
     """
     if on_overflow not in ("truncate", "raise"):
         raise FspError(f"on_overflow must be 'truncate' or 'raise', got {on_overflow!r}")

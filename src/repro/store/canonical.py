@@ -347,13 +347,17 @@ def canonicalize_payload(payload: Mapping) -> CanonicalPayload:
     entries), so a network already seen in this process skips the labeling
     search.  Each call returns its own
     canonical network dict and witness: mutating them leaves the cache and
-    later calls untouched.  An ``options`` key that is not a
-    :class:`~repro.sim.base.SimulationOptions` field raises
-    :class:`~repro.errors.FingerprintError` naming it.
+    later calls untouched.  The ``options`` and ``simulate`` sections are
+    parsed first, as executing the payload parses them: a non-mapping
+    section, an unknown or missing option, a non-numeric ``max_time`` or a
+    non-integer count (``max_steps``, ``snapshot_stride``, ``trials``,
+    ``seed``, ``chunk_size``) raises :class:`~repro.errors.FingerprintError`
+    naming it, before any lookup.
     """
     from repro.store.serialize import (
         EXPERIMENT_SCHEMA,
-        _check_option_keys,
+        _options_from_payload,
+        _run_from_payload,
         is_experiment_schema,
     )
 
@@ -366,11 +370,12 @@ def canonicalize_payload(payload: Mapping) -> CanonicalPayload:
         )
     data = dict(payload)
     data["schema"] = EXPERIMENT_SCHEMA  # v1 payloads hash (and execute) as v2
-    # A key the options would drop is hashed but never executed: reject it
-    # before it names a store entry.
-    _check_option_keys(data.get("options") or {})
-    simulate = data.get("simulate")
-    if isinstance(simulate, Mapping) and simulate.get("until") is not None:
+    # A value the run would drop or round is hashed but never executed:
+    # reject it before it names a store entry.
+    _options_from_payload(data)
+    _run_from_payload(data)
+    simulate = data["simulate"]
+    if simulate.get("until") is not None:
         # Rebuilt through the target, so every spelling of one target (absent
         # defaults included) shares a key and an invalid one fails here.
         from repro.adaptive import target_from_descriptor
@@ -397,7 +402,7 @@ def canonicalize_payload(payload: Mapping) -> CanonicalPayload:
     canonical["state_classifier"] = _rename_state_classifier(
         data.get("state_classifier"), rename
     )
-    simulate = dict(data.get("simulate") or {})
+    simulate = dict(data["simulate"])
     if simulate.get("until") is not None:
         simulate["until"] = _rename_until(simulate["until"], rename)
     canonical["simulate"] = simulate

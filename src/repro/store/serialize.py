@@ -20,8 +20,10 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import math
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
+from repro.adaptive.targets import integral
 from repro.errors import FingerprintError
 from repro.sim.base import SimulationOptions
 from repro.sim.events import condition_from_descriptor
@@ -82,11 +84,8 @@ def _resolve_callable_ref(ref: str) -> Any:
     return target
 
 
-def _classifier_descriptor(experiment) -> dict:
-    """Canonical descriptor of the trajectory → outcome classifier."""
-    classifier = experiment.classifier
-    if classifier is None and experiment.system is not None:
-        classifier = experiment.system.outcome_classifier()
+def _classifier_descriptor(classifier) -> dict:
+    """Canonical descriptor of a trajectory → outcome classifier."""
     if classifier is None:
         return {"type": "stop-detail"}
     if isinstance(classifier, WorkingOutcomeClassifier):
@@ -124,11 +123,10 @@ def _classifier_from_descriptor(data: "Mapping | None", trusted: bool = True):
     raise FingerprintError(f"unknown classifier descriptor type {kind!r}")
 
 
-def _state_classifier_descriptor(experiment, network) -> "dict | None":
-    """Descriptor of the state classifier used by distribution engines."""
+def _state_classifier_descriptor(classifier) -> dict:
+    """Descriptor of a state classifier used by distribution engines."""
     from repro.sim.fsp import DominantSpeciesClassifier, ThresholdStateClassifier
 
-    classifier = experiment._resolved_state_classifier(network)
     if isinstance(classifier, DominantSpeciesClassifier):
         return {
             "type": "dominant-species",
@@ -165,12 +163,38 @@ def _state_classifier_from_descriptor(data: "Mapping | None", trusted: bool = Tr
 
 
 # ---------------------------------------------------------------------------
-# options <-> payloads
+# options and run arguments <-> payloads
 # ---------------------------------------------------------------------------
 
 
 #: The keys an options payload may carry: the SimulationOptions fields.
 _OPTION_FIELDS = frozenset(field.name for field in dataclasses.fields(SimulationOptions))
+
+_REQUIRED = object()
+
+
+def _field(data: Mapping, section: str, name: str, parse, default=_REQUIRED):
+    """``parse(data[name])``, or ``default`` when the field is absent.
+
+    A field whose default is ``None`` may also be null.  A missing required
+    field or a value ``parse`` refuses raises
+    :class:`~repro.errors.FingerprintError` naming the field.
+    """
+    value = data.get(name, _REQUIRED)
+    if value is _REQUIRED or (value is None and default is None):
+        if default is _REQUIRED:
+            raise FingerprintError(f"{section!r} is missing field {name!r}")
+        return default
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise FingerprintError(f"{section!r} field {name!r}: {exc}") from exc
+
+
+def _mapping(value) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise TypeError(f"expected a mapping, got {value!r}")
+    return value
 
 
 def _options_payload(options: SimulationOptions) -> dict:
@@ -185,31 +209,50 @@ def _options_payload(options: SimulationOptions) -> dict:
     }
 
 
-def _check_option_keys(data: Mapping) -> None:
-    """Reject an options payload carrying a key no option field reads.
+def _options_from_payload(payload: Mapping) -> SimulationOptions:
+    """Parse the payload's ``options``: the one reader of that section.
 
-    The payload is hashed whole, so a key the options would drop names a
-    run that executing it could not reproduce.
+    A non-mapping, a key that is not a :class:`SimulationOptions` field, a
+    missing field, a non-numeric ``max_time`` or a non-integer count (a
+    fractional one included) raises :class:`~repro.errors.FingerprintError`
+    naming it.  The payload is hashed whole, so a value the options would
+    drop or round names a run that executing it could not reproduce.
     """
+    data = _field(payload, "experiment", "options", _mapping)
     unknown = sorted(set(data) - _OPTION_FIELDS)
     if unknown:
         raise FingerprintError(
             f"unknown simulation option(s) {unknown} in the experiment "
             f"payload; valid fields: {sorted(_OPTION_FIELDS)}"
         )
-
-
-def _options_from_payload(data: Mapping) -> SimulationOptions:
-    _check_option_keys(data)
-    max_time = data.get("max_time")
+    max_time = _field(data, "options", "max_time", float, None)
     return SimulationOptions(
-        max_time=math.inf if max_time is None else float(max_time),
-        max_steps=int(data["max_steps"]),
-        record_firings=bool(data["record_firings"]),
-        record_states=bool(data["record_states"]),
-        snapshot_stride=int(data["snapshot_stride"]),
-        backend=str(data["backend"]),
+        max_time=math.inf if max_time is None else max_time,
+        max_steps=_field(data, "options", "max_steps", integral),
+        record_firings=_field(data, "options", "record_firings", bool),
+        record_states=_field(data, "options", "record_states", bool),
+        snapshot_stride=_field(data, "options", "snapshot_stride", integral),
+        backend=_field(data, "options", "backend", str),
     )
+
+
+def _run_from_payload(payload: Mapping) -> dict:
+    """Parse the payload's ``simulate`` section into ``Experiment.simulate``
+    arguments (``until`` and ``engine_options`` aside).
+
+    ``trials`` and ``seed`` are integers or null, ``chunk_size`` an integer
+    (fractional values refused); a malformed one raises
+    :class:`~repro.errors.FingerprintError` naming it.  Range checks are
+    left to ``simulate``.
+    """
+    data = _field(payload, "experiment", "simulate", _mapping)
+    return {
+        "trials": _field(data, "simulate", "trials", integral, None),
+        "engine": _field(data, "simulate", "engine", str),
+        "seed": _field(data, "simulate", "seed", integral, None),
+        "chunk_size": _field(data, "simulate", "chunk_size", integral, 512),
+        "backend": _field(data, "simulate", "backend", str, "auto"),
+    }
 
 
 def _engine_options_payload(engine_options: Any) -> "dict | None":
@@ -280,7 +323,7 @@ def experiment_to_payload(
     from repro.crn.serialize import network_to_dict
     from repro.sim.registry import registry
 
-    network, stopping, _classifier = experiment._resolved()
+    network, stopping, classifier = experiment._resolved()
     info = registry.get(engine)
     if seed is None and not info.computes_distribution:
         raise FingerprintError(
@@ -303,7 +346,9 @@ def experiment_to_payload(
 
     state_classifier = None
     if info.computes_distribution:
-        state_classifier = _state_classifier_descriptor(experiment, network)
+        state_classifier = _state_classifier_descriptor(
+            experiment._resolved_state_classifier(network)
+        )
 
     outputs, expected_outputs = experiment._output_ports()
     simulate: dict = {
@@ -340,7 +385,7 @@ def experiment_to_payload(
         "label": experiment.label,
         "network": network_to_dict(network),
         "stopping": stopping_descriptor,
-        "classifier": _classifier_descriptor(experiment),
+        "classifier": _classifier_descriptor(classifier),
         "state_classifier": state_classifier,
         "inputs": {str(k): int(v) for k, v in experiment.inputs},
         "target": experiment._resolved_target(),
@@ -378,7 +423,7 @@ def experiment_from_payload(payload: Mapping, trusted: bool = True):
         state_classifier=_state_classifier_from_descriptor(
             payload.get("state_classifier"), trusted
         ),
-        options=_options_from_payload(payload["options"]),
+        options=_options_from_payload(payload),
         target=payload.get("target"),
         label=str(payload.get("label", "experiment")),
     )
@@ -395,6 +440,7 @@ def compute_payload(payload: Mapping, workers: int = 1, trusted: bool = True):
     :func:`experiment_from_payload`.
     """
     experiment = experiment_from_payload(payload, trusted=trusted)
+    run = _run_from_payload(payload)
     sim = payload["simulate"]
     until = None
     if sim.get("until") is not None:
@@ -404,15 +450,15 @@ def compute_payload(payload: Mapping, workers: int = 1, trusted: bool = True):
 
         until = target_from_descriptor(sim["until"])
     result = experiment.simulate(
-        trials=1 if sim.get("trials") is None else int(sim["trials"]),
-        engine=str(sim["engine"]),
+        trials=1 if run["trials"] is None else run["trials"],
+        engine=run["engine"],
         workers=workers,
-        seed=sim.get("seed"),
+        seed=run["seed"],
         engine_options=_engine_options_from_payload(
-            sim.get("engine_options"), str(sim["engine"])
+            sim.get("engine_options"), run["engine"]
         ),
-        chunk_size=int(sim.get("chunk_size", 512)),
-        backend=str(sim.get("backend", "auto")),
+        chunk_size=run["chunk_size"],
+        backend=run["backend"],
         until=until,
     )
     # Restore the identity metadata that resolving the experiment discarded,

@@ -172,6 +172,11 @@ class TestCanonicalFormBasics:
 RENAME = {"u": "activator", "v": "repressor", "p": "precursor"}
 
 
+def opaque_classifier(observed):
+    """A module-level classifier: importable by reference, opaque to renaming."""
+    return None
+
+
 def _permuted_variant(experiment: Experiment) -> Experiment:
     """Species-renamed + reaction-permuted copy of a network experiment."""
     renamed = experiment.renamed(RENAME)
@@ -291,6 +296,14 @@ class TestRenamedWarmHits:
         base = Experiment.from_zoo("toggle-switch")
         with pytest.raises(NetworkError, match="allow_merge"):
             base.renamed({"u": "v"})
+
+    @pytest.mark.parametrize("attach", ["classify_with", "classify_states"])
+    def test_experiment_renamed_rejects_a_callable_classifier(self, attach):
+        """A module-level callable has a store reference but no species map
+        to rename: it would go on reading the old names."""
+        base = getattr(Experiment.from_zoo("toggle-switch"), attach)(opaque_classifier)
+        with pytest.raises(ExperimentError, match="callable classifier"):
+            base.renamed(RENAME)
 
     def test_v1_schema_payload_addresses_v2_entry(self, tmp_path):
         base = Experiment.from_zoo("toggle-switch")

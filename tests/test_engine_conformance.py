@@ -3,13 +3,12 @@
 Every stochastic engine in the registry must reproduce the *exact* outcome
 distribution computed by the finite-state-projection solver, up to sampling
 noise.  The tolerance is not hand-tuned: the test statistic is Pearson's
-chi-squared against the expected outcome counts
-(:func:`repro.analysis.ctmc.expected_outcome_counts` of the FSP-exact
-probabilities), compared with the chi-squared quantile at significance
-``ALPHA``.  Runs are seeded, so a passing threshold is deterministic — the
-significance level only calibrates how much sampling noise the suite
-tolerates, and a genuinely biased engine inflates the statistic linearly in
-the trial count while the threshold stays fixed.
+chi-squared against the expected outcome counts (each FSP-exact probability
+times the decided trial count), compared with the chi-squared quantile at
+significance ``ALPHA``.  Runs are seeded, so a passing threshold is
+deterministic — the significance level only calibrates how much sampling
+noise the suite tolerates, and a genuinely biased engine inflates the
+statistic linearly in the trial count while the threshold stays fixed.
 
 Adding a new stochastic engine to the registry automatically enrolls it here
 (the parametrization is read from the live registry).  See ``docs/testing.md``
@@ -23,7 +22,6 @@ import zlib
 import pytest
 from scipy.stats import chi2
 
-from repro.analysis.ctmc import expected_outcome_counts
 from repro.api import Experiment
 from repro.crn import parse_network
 from repro.sim import OutcomeThresholds
@@ -53,7 +51,7 @@ def chi_squared_statistic(ensemble: EnsembleResult, probabilities: dict[str, flo
     counts.pop(EnsembleResult.UNDECIDED, None)
     n_decided = sum(counts.values())
     assert n_decided > 0, "no decided trials"
-    expected = expected_outcome_counts(probabilities, n_decided)
+    expected = {label: p * n_decided for label, p in probabilities.items()}
     statistic = sum(
         (counts.get(label, 0) - expectation) ** 2 / expectation
         for label, expectation in expected.items()

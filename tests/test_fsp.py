@@ -8,9 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.analysis import outcome_probabilities
 from repro.api import Experiment
 from repro.api.results import RunResult
+from repro.core import DistributionSpec, OutcomeSpec, build_stochastic_module
 from repro.crn import parse_network
 from repro.errors import EnsembleError, ExperimentError, FspError, SimulationError
 from repro.sim import EnsembleRunner, make_simulator
@@ -50,6 +50,26 @@ def first_catalyst(state):
         if state.get(marker, 0) >= 1:
             return label
     return None
+
+
+def surviving_catalyst(state):
+    """A two-outcome module's outcome: the sole catalyst left once the inputs
+    are consumed, or a "tie" when both catalysts were annihilated."""
+    if state.get("e_A", 0) == 0 and state.get("e_B", 0) == 0:
+        a, b = state.get("d_A", 0), state.get("d_B", 0)
+        if a > 0 and b == 0:
+            return "A"
+        if b > 0 and a == 0:
+            return "B"
+        if a == 0 and b == 0:
+            return "tie"
+    return None
+
+
+def complete(network, classify, **options):
+    """Absorption probabilities over the complete reachable space."""
+    engine = FspEngine(network, fsp_options=FspOptions(**options))
+    return engine.outcome_probabilities(classify, on_overflow="raise")
 
 
 class TestEnumeration:
@@ -164,25 +184,63 @@ class TestAbsorption:
                 lambda s: "done" if s.get("done", 0) else None
             )
 
-    def test_agrees_with_ctmc_on_winner_take_all(self, tiny_two_outcome_network):
-        """FSP and the exact CTMC analysis share machinery — and answers."""
+    def test_rates_weight_the_race(self):
+        network = parse_network("init: x = 1\nx ->{3} a\nx ->{1} b")
+        result = complete(
+            network, lambda s: "a" if s.get("a", 0) else ("b" if s.get("b", 0) else None)
+        )
+        assert result.probability("a") == pytest.approx(0.75)
 
-        def classify(state):
-            if state.get("e_A", 0) == 0 and state.get("e_B", 0) == 0:
-                a, b = state.get("d_A", 0), state.get("d_B", 0)
-                if a > 0 and b == 0:
-                    return "A"
-                if b > 0 and a == 0:
-                    return "B"
-                if a == 0 and b == 0:
-                    return "tie"
-            return None
+    def test_two_stage_race(self):
+        """x → m → a (two Exp(1) stages) races x2 → b (one): P(b first) =
+        1/2 + 1/2 · 1/2 = 3/4."""
+        network = parse_network(
+            """
+            init: x = 1
+            init: x2 = 1
+            x ->{1} m
+            m ->{1} a
+            x2 ->{1} b
+            """
+        )
+        result = complete(
+            network, lambda s: "a" if s.get("a", 0) else ("b" if s.get("b", 0) else None)
+        )
+        assert result.probability("b") == pytest.approx(0.75, abs=1e-9)
+        assert result.probability("a") == pytest.approx(0.25, abs=1e-9)
 
-        via_ctmc = outcome_probabilities(tiny_two_outcome_network, classify=classify)
-        via_fsp = FspEngine(tiny_two_outcome_network).outcome_probabilities(classify)
-        assert set(via_ctmc.probabilities) == set(via_fsp.probabilities)
-        for label, probability in via_ctmc.probabilities.items():
-            assert via_fsp.probability(label) == pytest.approx(probability, abs=1e-12)
+    def test_small_module_hits_programmed_distribution(self, tiny_two_outcome_network):
+        """With γ=100 the winner-take-all error is small, so a 4-molecule
+        module's exact outcome distribution sits near the programmed
+        0.25 / 0.75."""
+        result = complete(tiny_two_outcome_network, surviving_catalyst, max_states=100_000)
+        decided = result.decided()
+        assert decided.get("A", 0.0) == pytest.approx(0.25, abs=0.06)
+        assert decided.get("B", 0.0) == pytest.approx(0.75, abs=0.06)
+
+    def test_symmetric_module_tie_mass_shrinks_with_gamma(self):
+        """A symmetric two-outcome module: exact symmetry at any γ, and the
+        dead-heat ("tie": both catalysts annihilated) mass shrinks as γ grows."""
+
+        def analyze(gamma: float) -> dict[str, float]:
+            spec = DistributionSpec(
+                [OutcomeSpec("A", target_output=2), OutcomeSpec("B", target_output=2)],
+                [0.5, 0.5],
+            )
+            network = build_stochastic_module(spec, gamma=gamma, scale=4)
+            return complete(network, surviving_catalyst).probabilities
+
+        low_gamma, high_gamma = analyze(10.0), analyze(1000.0)
+        for probabilities in (low_gamma, high_gamma):
+            assert probabilities.get("A", 0.0) == pytest.approx(
+                probabilities.get("B", 0.0), abs=1e-9
+            )
+        assert high_gamma.get("tie", 0.0) <= low_gamma.get("tie", 0.0) + 1e-12
+
+    def test_incomplete_space_raises_on_overflow(self):
+        network = parse_network("src ->{1} src + x\ninit: src = 1")
+        with pytest.raises(FspError, match="max_states=50"):
+            complete(network, lambda s: None, max_states=50)
 
 
 #: A closed cycle b ⇄ c that half the mass enters and no outcome leaves.
@@ -215,7 +273,7 @@ class TestTrappedStates:
         [(TRAPPED_CYCLE, {"win": 0.5, UNDECIDED: 0.5}), (ALL_TRAPPED, {UNDECIDED: 1.0})],
         ids=["cycle", "all-trapped"],
     )
-    @pytest.mark.parametrize("entry", ["engine", "ctmc", "experiment"])
+    @pytest.mark.parametrize("entry", ["engine", "experiment"])
     def test_trapped_mass_is_undecided(self, text, expected, entry):
         network = parse_network(text, name="trapped")
         classify = ThresholdStateClassifier({"win": ("w", 1)})
@@ -225,8 +283,6 @@ class TestTrappedStates:
                 result = FspEngine(network).outcome_probabilities(classify)
                 assert result.truncation_error == 0.0
                 probabilities = result.probabilities
-            elif entry == "ctmc":
-                probabilities = outcome_probabilities(network, classify=classify).probabilities
             else:
                 run = (
                     Experiment.from_network(network)
@@ -388,18 +444,15 @@ class TestEngineProtocol:
 
 
 class TestExperimentIntegration:
-    def test_example1_exact_matches_ctmc_within_1e6(self):
-        """Acceptance: fsp through the facade agrees with ctmc on Example 1."""
+    def test_example1_exact_is_the_programmed_distribution(self):
+        """Acceptance: fsp through the facade returns Example 1's target."""
         experiment = Experiment.from_distribution(
             {"1": 0.3, "2": 0.4, "3": 0.3}, gamma=1e3, scale=100
         )
         result = experiment.simulate(engine="fsp")
-        reference = outcome_probabilities(
-            experiment.system.network, classify=experiment.system.state_classifier()
-        )
-        assert set(result.exact) == set(reference.probabilities)
-        for label, probability in reference.probabilities.items():
-            assert abs(result.exact[label] - probability) < 1e-6
+        # The first catalyst produced decides: the start state plus one
+        # absorbing state per outcome.
+        assert result.exact_info["n_states"] == 4
         # The programmed distribution, exactly.
         assert result.frequencies == pytest.approx(
             {"1": 0.3, "2": 0.4, "3": 0.3}, abs=1e-12

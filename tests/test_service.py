@@ -23,6 +23,10 @@ from repro.sim.registry import registry
 from repro.store import Campaign, CampaignRunner
 
 
+#: A payload mutation that deletes the field instead of setting it.
+MISSING = object()
+
+
 @pytest.fixture
 def experiment() -> Experiment:
     return Experiment.from_distribution({"1": 0.3, "2": 0.7}, gamma=100)
@@ -122,20 +126,41 @@ class TestEndpoints:
         assert repr(field) in message
         assert ServiceClient(service.url).healthz()["artifacts"] == 0
 
-    @pytest.mark.parametrize("option", ["mega_batch", "foo"])
-    def test_unknown_option_key_is_400_naming_it(self, service, experiment, option):
-        """An options key no field reads is rejected before lookup or compute."""
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            pytest.param("options", "mega_batch", 100_000, id="mega_batch"),
+            pytest.param("options", "foo", 100_000, id="foo"),
+            pytest.param(None, "options", 5, id="options-number"),
+            pytest.param(None, "options", [], id="options-list"),
+            pytest.param("options", "max_steps", MISSING, id="max_steps-missing"),
+            pytest.param("options", "max_steps", "x", id="max_steps-text"),
+            pytest.param("options", "max_time", "x", id="max_time-text"),
+            pytest.param("options", "max_steps", 1_000_000.5, id="max_steps-fractional"),
+            pytest.param("options", "snapshot_stride", 1.5, id="snapshot_stride-fractional"),
+            pytest.param(None, "simulate", 5, id="simulate-number"),
+            pytest.param("simulate", "trials", "x", id="trials-text"),
+            pytest.param("simulate", "trials", 50.5, id="trials-fractional"),
+            pytest.param("simulate", "seed", "x", id="seed-text"),
+            pytest.param("simulate", "seed", 3.5, id="seed-fractional"),
+            pytest.param("simulate", "chunk_size", 100.5, id="chunk_size-fractional"),
+        ],
+    )
+    def test_unknown_option_key_is_400_naming_it(self, service, experiment, section, key, value):
+        """A malformed ``options`` or ``simulate`` field — an unknown key, a
+        non-mapping section, a missing field, a non-number or a fractional
+        count — is rejected before lookup or compute, naming the field."""
         from repro.errors import FingerprintError
-        from repro.store import (
-            canonicalize_payload,
-            experiment_from_payload,
-            experiment_to_payload,
-        )
+        from repro.store import canonicalize_payload, compute_payload, experiment_to_payload
 
         payload = experiment_to_payload(experiment, trials=10, engine="batch-direct", seed=1)
-        payload["options"][option] = 100_000
-        for parse in (canonicalize_payload, experiment_from_payload):
-            with pytest.raises(FingerprintError, match=option):
+        target = payload if section is None else payload[section]
+        if value is MISSING:
+            del target[key]
+        else:
+            target[key] = value
+        for parse in (canonicalize_payload, compute_payload):
+            with pytest.raises(FingerprintError, match=key):
                 parse(payload)
         request = urllib.request.Request(
             service.url + "/simulate",
@@ -147,7 +172,7 @@ class TestEndpoints:
         with excinfo.value as response:
             assert response.code == 400
             message = json.loads(response.read())["error"]
-        assert repr(option) in message
+        assert repr(key) in message
         assert ServiceClient(service.url).healthz()["artifacts"] == 0
 
     def test_malformed_json_is_400(self, service):
