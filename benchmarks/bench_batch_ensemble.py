@@ -1,16 +1,16 @@
-"""A5 — Batched ensemble engine: speedup over the sequential runner.
+"""A5 — Batched ensemble engine: speedup over the per-trial engine.
 
 Every figure in the paper is estimated from a Monte-Carlo ensemble (100,000
 trials per Figure-3 point), so ensemble throughput bounds every experiment.
 This harness times a full outcome-classification ensemble of the Example-1
 stochastic module (γ = 10³, scale 100, outcome declared after 10 working
-firings) three ways:
+firings) through ``ParallelEnsembleRunner`` three ways:
 
-* ``EnsembleRunner`` with the sequential ``direct`` engine (baseline);
-* ``EnsembleRunner`` with the vectorized ``batch-direct`` engine;
-* ``ParallelEnsembleRunner`` sharding ``batch-direct`` chunks across workers;
+* the per-trial ``direct`` engine, chunks run inline (baseline);
+* the vectorized ``batch-direct`` engine, chunks run inline;
+* ``batch-direct`` with its chunk groups sharded across worker processes;
 
-and checks that (a) the batched engine is ≥ 5× faster than the sequential
+and checks that (a) the batched engine is ≥ 5× faster than the per-trial
 baseline at the full 10,000-trial size, and (b) all paths reproduce the
 programmed (0.3, 0.4, 0.3) distribution within statistical tolerance.
 
@@ -37,39 +37,35 @@ from _config import report, trials
 
 from repro.analysis import format_table, total_variation
 from repro.core import synthesize_distribution
-from repro.sim import EnsembleRunner, ParallelEnsembleRunner, SimulationOptions
+from repro.sim import ParallelEnsembleRunner, SimulationOptions
 
 TARGET = {"1": 0.3, "2": 0.4, "3": 0.3}
 FULL_TRIALS = 10_000
 QUICK_TRIALS = 1_000
 
 
-def _runner(kind: str, workers: int = 0):
+def _runner(engine: str, workers: int = 1) -> ParallelEnsembleRunner:
     """Build an outcome-classification ensemble runner for the Example-1 module."""
     system = synthesize_distribution(TARGET, gamma=1e3, scale=100)
-    common = dict(
+    return ParallelEnsembleRunner(
+        system.network_with_inputs(None),
+        engine=engine,
         stopping=system.stopping_condition(10),
         options=SimulationOptions(record_firings=False),
-        outcome_classifier=system.classify_outcome,
+        outcome_classifier=system.outcome_classifier(),
+        workers=workers,
     )
-    network = system.network_with_inputs(None)
-    if kind == "parallel":
-        return ParallelEnsembleRunner(
-            network, engine="batch-direct",
-            workers=workers or (os.cpu_count() or 2), **common,
-        )
-    return EnsembleRunner(network, engine=kind, **common)
 
 
 def measure(n_trials: int, seed: int = 2007) -> list[dict[str, object]]:
     """Time each execution path on the same ensemble; one row per path."""
     rows: list[dict[str, object]] = []
-    for label, kind in (
-        ("sequential direct", "direct"),
-        ("batch-direct", "batch-direct"),
-        ("parallel batch-direct", "parallel"),
+    for label, engine, workers in (
+        ("sequential direct", "direct", 1),
+        ("batch-direct", "batch-direct", 1),
+        ("parallel batch-direct", "batch-direct", os.cpu_count() or 2),
     ):
-        runner = _runner(kind)
+        runner = _runner(engine, workers)
         start = time.perf_counter()
         result = runner.run(n_trials, seed=seed)
         elapsed = time.perf_counter() - start

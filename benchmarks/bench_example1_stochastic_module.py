@@ -15,6 +15,7 @@ from __future__ import annotations
 from _config import report, trials
 
 from repro.analysis import format_table
+from repro.api import Experiment
 from repro.core import DistributionSpec, OutcomeSpec, build_stochastic_module, synthesize_distribution
 from repro.sim import FspEngine, FspOptions
 
@@ -23,7 +24,7 @@ TARGET = {"1": 0.3, "2": 0.4, "3": 0.3}
 
 def run_example1(n_trials: int):
     system = synthesize_distribution(TARGET, gamma=1e3, scale=100)
-    sampled = system.sample_distribution(n_trials=n_trials, seed=2007)
+    sampled = Experiment.from_system(system).simulate(trials=n_trials, seed=2007)
     return system, sampled
 
 
@@ -33,7 +34,7 @@ def test_example1_distribution(benchmark):
         run_example1, args=(n_trials,), rounds=1, iterations=1
     )
     measured = sampled.frequencies
-    tv = sampled.total_variation_distance()
+    tv = sampled.total_variation()
 
     rows = [
         {"outcome": label, "target": TARGET[label], "measured": measured.get(label, 0.0)}

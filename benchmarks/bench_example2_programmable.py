@@ -18,6 +18,7 @@ from __future__ import annotations
 from _config import report, trials
 
 from repro.analysis import format_table, total_variation
+from repro.api import Experiment
 from repro.core import AffineResponseSpec, synthesize_affine_response
 
 SWEEP = [(0, 0), (3, 0), (6, 0), (0, 5), (5, 5), (10, 8)]
@@ -36,8 +37,10 @@ def run_sweep(n_trials: int):
     rows = []
     worst_tv = 0.0
     for index, (x1, x2) in enumerate(SWEEP):
-        sampled = system.sample_distribution(
-            n_trials=n_trials, seed=4000 + index, inputs={"x1": x1, "x2": x2}
+        sampled = (
+            Experiment.from_system(system)
+            .program({"x1": x1, "x2": x2})
+            .simulate(trials=n_trials, seed=4000 + index)
         )
         tv = total_variation(sampled.frequencies, sampled.target)
         worst_tv = max(worst_tv, tv)

@@ -21,9 +21,11 @@ plus the other array-kernel engines:
   (≥ 10⁵ trials at the full benchmark size) as a single ``chunk_size``
   chunk.
 
-These Example-1 rows classify with the bound method
-``SynthesizedSystem.classify_outcome``, which has no ``classify_batch``, so
-their per-trial engines still build one trajectory per trial.  A second
+These Example-1 rows run ``ParallelEnsembleRunner`` inline on the default
+512-trial chunk schedule (the wide-chunk row on its one chunk) and classify
+with ``SynthesizedSystem.outcome_classifier()``, whose ``classify_batch``
+labels each chunk's columns, so no row builds a trajectory per trial and
+the rows time the engines' columnar paths.  A second
 section times the per-trial engines (``direct``, ``first-reaction``,
 ``next-reaction``) on numpy over the 12 corpus models, each through its own
 experiment and the default stop-detail classifier — the columnar shard path
@@ -76,12 +78,7 @@ from _config import report, trials
 from repro.analysis import format_table, total_variation
 from repro.api import Experiment
 from repro.core import synthesize_distribution
-from repro.sim import (
-    EnsembleRunner,
-    ParallelEnsembleRunner,
-    SimulationOptions,
-    numba_available,
-)
+from repro.sim import ParallelEnsembleRunner, SimulationOptions, numba_available
 from repro.zoo.corpus import corpus_entries
 
 TARGET = {"1": 0.3, "2": 0.4, "3": 0.3}
@@ -95,15 +92,18 @@ PER_TRIAL_REPEATS = 3
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 
-def _runner(backend: str, engine: str = "direct") -> EnsembleRunner:
+def _runner(
+    backend: str, engine: str = "direct", chunk_size: int = 512
+) -> ParallelEnsembleRunner:
     """An Example-1 outcome ensemble, pinned to an engine and backend."""
     system = synthesize_distribution(TARGET, gamma=1e3, scale=100)
-    return EnsembleRunner(
+    return ParallelEnsembleRunner(
         system.network_with_inputs(None),
         engine=engine,
         stopping=system.stopping_condition(10),
         options=SimulationOptions(record_firings=False, backend=backend),
-        outcome_classifier=system.classify_outcome,
+        outcome_classifier=system.outcome_classifier(),
+        chunk_size=chunk_size,
     )
 
 
@@ -126,16 +126,7 @@ def _timed_row(engine: str, backend: str, n_trials: int, seed: int) -> dict[str,
 
 def _wide_chunk_row(backend: str, n_trials: int, seed: int) -> dict[str, object]:
     """One columnar sweep: all trials advance in a single chunk."""
-    system = synthesize_distribution(TARGET, gamma=1e3, scale=100)
-    runner = ParallelEnsembleRunner(
-        system.network_with_inputs(None),
-        engine="batch-direct",
-        stopping=system.stopping_condition(10),
-        options=SimulationOptions(record_firings=False, backend=backend),
-        outcome_classifier=system.classify_outcome,
-        workers=1,
-        chunk_size=n_trials,
-    )
+    runner = _runner(backend, engine="batch-direct", chunk_size=n_trials)
     runner.run(min(512, n_trials), seed=seed + 1)  # warm caches / JIT
     start = time.perf_counter()
     result = runner.run(n_trials, seed=seed)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from _config import report, trials
 
 from repro.analysis import format_table, robustness_report, total_variation
+from repro.api import Experiment
 from repro.core import synthesize_distribution
 
 TARGET = {"1": 0.3, "2": 0.4, "3": 0.3}
@@ -38,16 +39,16 @@ def run_robustness(n_trials: int):
     for label in TARGET:
         species = system.input_species(label)
         scaled.set_initial(species, 2 * scaled.initial_count(species))
-    scaled_sample = system.sample_distribution(n_trials=n_trials, seed=78)
-    from repro.sim import EnsembleRunner, SimulationOptions
-
-    runner = EnsembleRunner(
-        scaled,
-        stopping=system.stopping_condition(),
-        options=SimulationOptions(record_firings=False),
-        outcome_classifier=system.classify_outcome,
+    scaled_sample = Experiment.from_system(system).simulate(trials=n_trials, seed=78)
+    doubled = (
+        Experiment.from_network(
+            scaled,
+            stopping=system.stopping_condition(),
+            classifier=system.outcome_classifier(),
+        )
+        .simulate(trials=n_trials, seed=79)
+        .frequencies
     )
-    doubled = runner.run(n_trials, seed=79).outcome_distribution()
     return results, scaled_sample.frequencies, doubled
 
 

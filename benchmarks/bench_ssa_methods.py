@@ -20,16 +20,15 @@ import pytest
 from _config import report, trials
 
 from repro.analysis import format_table, total_variation
-from repro.core import synthesize_distribution
+from repro.api import Experiment
 
 TARGET = {"1": 0.3, "2": 0.4, "3": 0.3}
 ENGINES = ("direct", "first-reaction", "next-reaction")
 
 
 def _sample(engine: str, n_trials: int, seed: int = 7):
-    system = synthesize_distribution(TARGET, gamma=1e3, scale=100)
-    sampled = system.sample_distribution(n_trials=n_trials, seed=seed, engine=engine)
-    return sampled.frequencies
+    experiment = Experiment.from_distribution(TARGET, gamma=1e3, scale=100)
+    return experiment.simulate(trials=n_trials, seed=seed, engine=engine).frequencies
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -25,6 +25,7 @@ import math
 import os
 
 from repro.analysis import format_table, wilson_interval
+from repro.api import Experiment
 from repro.core import (
     DistributionSpec,
     OutcomeSpec,
@@ -34,7 +35,7 @@ from repro.core import (
 )
 from repro.core.modules import assimilation_module, linear_module, logarithm_module
 from repro.core.rates import TierScheme
-from repro.sim import CategoryFiringCondition, EnsembleRunner, SimulationOptions
+from repro.sim import CategoryFiringCondition
 
 POPULATION = int(os.environ.get("REPRO_TRIALS", "400"))
 
@@ -45,7 +46,7 @@ def fixed_fraction_demo(m: int = 30, n: int = 100) -> None:
     system = synthesize_distribution(
         {"respond": m / n, "inert": 1 - m / n}, gamma=1e3, scale=n
     )
-    sampled = system.sample_distribution(n_trials=POPULATION, seed=7)
+    sampled = Experiment.from_system(system).simulate(trials=POPULATION, seed=7)
     responders = round(sampled.frequencies.get("respond", 0.0) * POPULATION)
     interval = wilson_interval(responders, POPULATION)
     print(
@@ -89,14 +90,13 @@ def programmable_dose_demo() -> None:
         )
         network = composer.build(initial={"compound": compound})
 
-        runner = EnsembleRunner(
-            network,
-            stopping=CategoryFiringCondition("working", 10),
-            options=SimulationOptions(record_firings=False),
+        counts = (
+            Experiment.from_network(network, stopping=CategoryFiringCondition("working", 10))
+            .simulate(trials=POPULATION // 2, seed=11 + compound)
+            .ensemble.outcome_counts
         )
-        result = runner.run(POPULATION // 2, seed=11 + compound)
-        responded = result.outcome_counts.get("working[respond]", 0)
-        decided = responded + result.outcome_counts.get("working[inert]", 0)
+        responded = counts.get("working[respond]", 0)
+        decided = responded + counts.get("working[inert]", 0)
         rows.append(
             {
                 "compound": compound,

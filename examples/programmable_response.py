@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 
 from repro.analysis import format_table, total_variation
+from repro.api import Experiment
 from repro.core import AffineResponseSpec, synthesize_affine_response
 
 TRIALS = int(os.environ.get("REPRO_TRIALS", "400"))
@@ -47,8 +48,11 @@ def main() -> None:
     rows = []
     for x1, x2 in [(0, 0), (3, 0), (6, 0), (0, 5), (5, 5), (10, 8)]:
         inputs = {"x1": x1, "x2": x2}
-        sampled = system.sample_distribution(n_trials=TRIALS, seed=100 + 7 * x1 + x2,
-                                             inputs=inputs)
+        sampled = (
+            Experiment.from_system(system)
+            .program(inputs)
+            .simulate(trials=TRIALS, seed=100 + 7 * x1 + x2)
+        )
         target = sampled.target
         measured = sampled.frequencies
         rows.append(

@@ -1,10 +1,6 @@
 """Analysis toolkit: statistics, distances, curve fitting, sweeps, reporting."""
 
-from repro.analysis.decision_time import (
-    DecisionTimeStats,
-    decision_time_statistics,
-    decision_time_vs_gamma,
-)
+from repro.analysis.decision_time import decision_time_vs_gamma
 from repro.analysis.curvefit import (
     PAPER_EQ14_COEFFICIENTS,
     ResponseFit,
@@ -38,8 +34,6 @@ __all__ = [
     "kl_divergence",
     "jensen_shannon",
     "hellinger",
-    "DecisionTimeStats",
-    "decision_time_statistics",
     "decision_time_vs_gamma",
     "ResponseFit",
     "fit_log_linear",

@@ -5,101 +5,20 @@ Besides *which* outcome the stochastic module picks, a designer cares about
 winner-take-all race resolves) and how that latency scales with the rate
 separation γ: raising γ buys accuracy (Figure 3) at essentially no latency
 cost, because the slow initializing tier — not the fast tiers — sets the
-decision time.  This module measures both quantities from Monte-Carlo
-ensembles, giving the A3/A2 benchmarks and downstream users a quantitative
-latency/accuracy picture the paper only discusses qualitatively.
+decision time.  One ensemble's latency summary is
+:meth:`repro.api.results.RunResult.decision_times`; this module sweeps it
+over γ next to the accuracy, giving the A3/A2 benchmarks and downstream
+users a quantitative latency/accuracy picture the paper only discusses
+qualitatively.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.api.experiment import Experiment
-from repro.core.synthesizer import SynthesizedSystem
-from repro.errors import AnalysisError, ExperimentError
 
-__all__ = ["DecisionTimeStats", "decision_time_statistics", "decision_time_vs_gamma"]
-
-
-@dataclass(frozen=True)
-class DecisionTimeStats:
-    """Summary of per-trial decision latency (simulated time units).
-
-    Attributes
-    ----------
-    mean / std / median / p95:
-        Moments and quantiles of the time at which the outcome was declared.
-    mean_firings:
-        Average number of reaction firings per trial — the simulation cost.
-    n_trials:
-        Number of decided trials included.
-    """
-
-    mean: float
-    std: float
-    median: float
-    p95: float
-    mean_firings: float
-    n_trials: int
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "mean": self.mean,
-            "std": self.std,
-            "median": self.median,
-            "p95": self.p95,
-            "mean_firings": self.mean_firings,
-            "n_trials": float(self.n_trials),
-        }
-
-
-def decision_time_statistics(
-    system: SynthesizedSystem,
-    n_trials: int = 200,
-    seed: "int | None" = None,
-    working_firings: int = 10,
-    inputs: "Mapping[str, int] | None" = None,
-    engine: str = "direct",
-    workers: int = 1,
-    engine_options=None,
-    backend: str = "auto",
-) -> DecisionTimeStats:
-    """Measure the decision latency of a synthesized system.
-
-    A trial's decision time is the simulated time at which the stopping
-    condition (``working_firings`` firings of some working reaction) is met.
-    Undecided trials are excluded.  The ensemble runs through the fluent
-    facade (:class:`repro.api.Experiment`); ``engine="batch-direct"``
-    vectorizes it and ``workers > 1`` shards it across processes — both
-    matter here because tight latency percentiles (p95) need large trial
-    counts.
-    """
-    if n_trials <= 0:
-        raise AnalysisError(f"n_trials must be positive, got {n_trials}")
-    experiment = Experiment.from_system(system).declare_after(working_firings)
-    if inputs:
-        experiment = experiment.program(inputs)
-    result = experiment.simulate(
-        trials=n_trials,
-        engine=engine,
-        workers=workers,
-        seed=seed,
-        engine_options=engine_options,
-        backend=backend,
-    )
-    try:
-        times = result.decision_times()
-    except ExperimentError as exc:
-        raise AnalysisError(str(exc)) from exc
-    return DecisionTimeStats(
-        mean=times["mean"],
-        std=times["std"],
-        median=times["median"],
-        p95=times["p95"],
-        mean_firings=times["mean_firings"],
-        n_trials=int(times["n_trials"]),
-    )
+__all__ = ["decision_time_vs_gamma"]
 
 
 def decision_time_vs_gamma(
@@ -113,32 +32,33 @@ def decision_time_vs_gamma(
 ) -> list[dict[str, float]]:
     """Sweep γ and report decision latency and cost at each value.
 
-    Returns one row per γ with the latency statistics plus the measured
-    total-variation distance from the programmed distribution, so the
-    latency/accuracy trade-off is visible in a single table.  ``engine`` and
-    ``workers`` pass through to the per-γ latency ensembles.
+    Returns one row per γ with the latency statistics
+    (:meth:`~repro.api.results.RunResult.decision_times` of one ensemble)
+    plus the measured total-variation distance from the programmed
+    distribution, so the latency/accuracy trade-off is visible in a single
+    table.  ``engine`` and ``workers`` pass through to the per-γ latency
+    ensembles.
     """
     rows: list[dict[str, float]] = []
     for offset, gamma in enumerate(gammas):
         experiment = Experiment.from_distribution(
             dict(probabilities), gamma=gamma, scale=scale
         )
-        stats = decision_time_statistics(
-            experiment.system,
-            n_trials=n_trials,
-            seed=None if seed is None else seed + offset,
+        times = experiment.simulate(
+            trials=n_trials,
             engine=engine,
             workers=workers,
-        )
+            seed=None if seed is None else seed + offset,
+        ).decision_times()
         sampled = experiment.simulate(
             trials=n_trials, seed=None if seed is None else seed + 1000 + offset
         )
         rows.append(
             {
                 "gamma": float(gamma),
-                "mean_decision_time": stats.mean,
-                "p95_decision_time": stats.p95,
-                "mean_firings": stats.mean_firings,
+                "mean_decision_time": times["mean"],
+                "p95_decision_time": times["p95"],
+                "mean_firings": times["mean_firings"],
                 "tv_from_target": sampled.total_variation(dict(probabilities)),
             }
         )

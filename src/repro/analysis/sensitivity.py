@@ -22,12 +22,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.distance import total_variation
+from repro.api.experiment import Experiment
 from repro.core.synthesizer import SynthesizedSystem
 from repro.crn.network import ReactionNetwork
 from repro.crn.reaction import Reaction
 from repro.errors import AnalysisError
-from repro.sim.base import SimulationOptions
-from repro.sim.ensemble import EnsembleRunner
 from repro.sim.rng import make_rng
 
 __all__ = ["PerturbationResult", "perturb_rates", "perturb_initial_quantities", "robustness_report"]
@@ -120,14 +119,15 @@ def robustness_report(
     results: list[PerturbationResult] = []
 
     def measure(network: ReactionNetwork, description: str, run_seed: int) -> None:
-        runner = EnsembleRunner(
-            network,
-            stopping=system.stopping_condition(working_firings),
-            options=SimulationOptions(record_firings=False),
-            outcome_classifier=system.classify_outcome,
+        distribution = (
+            Experiment.from_network(
+                network,
+                stopping=system.stopping_condition(working_firings),
+                classifier=system.outcome_classifier(),
+            )
+            .simulate(trials=n_trials, seed=run_seed)
+            .frequencies
         )
-        ensemble = runner.run(n_trials, seed=run_seed)
-        distribution = ensemble.outcome_distribution()
         results.append(
             PerturbationResult(
                 description=description,

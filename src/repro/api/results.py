@@ -339,9 +339,9 @@ class RunResult:
     def decision_times(self) -> dict[str, float]:
         """Latency summary of decided trials (simulated time units).
 
-        Mirrors :class:`repro.analysis.decision_time.DecisionTimeStats`:
-        mean / std / median / p95 of the time at which the outcome was
-        declared, plus the mean number of firings (simulation cost).  Raises
+        ``mean`` / ``std`` / ``median`` / ``p95`` of the time at which the
+        outcome was declared, ``mean_firings`` (the simulation cost) and
+        ``n_trials``, the number of trials summarized.  Raises
         when no trial decided.  Per-trial decision labels are not stored, so
         a trial's stop time stands in for its decision time; when some trials
         end undecided (``decided_fraction() < 1``), their cutoff times are

@@ -34,7 +34,6 @@ from repro.core.stochastic_module import (
     stochastic_module_quantities,
 )
 from repro.core.synthesizer import (
-    SampledDistribution,
     SynthesizedSystem,
     synthesize_affine_response,
     synthesize_distribution,
@@ -58,7 +57,6 @@ __all__ = [
     "settle_module",
     "default_horizon",
     "SynthesizedSystem",
-    "SampledDistribution",
     "synthesize_distribution",
     "synthesize_affine_response",
     "design_report",

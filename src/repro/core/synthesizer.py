@@ -25,7 +25,6 @@ from repro.core.spec import AffineResponseSpec, DistributionSpec, OutcomeSpec
 from repro.core.stochastic_module import StochasticModuleLayout, build_stochastic_module
 from repro.crn.network import ReactionNetwork
 from repro.errors import SpecificationError, SynthesisError
-from repro.sim.ensemble import EnsembleResult
 from repro.sim.events import CategoryFiringCondition, StoppingCondition
 from repro.sim.outcomes import WorkingOutcomeClassifier
 from repro.sim.trajectory import Trajectory
@@ -154,44 +153,6 @@ class SynthesizedSystem:
 
         return Experiment.from_system(self)
 
-    def sample_distribution(
-        self,
-        n_trials: int = 1000,
-        seed: "int | None" = None,
-        engine: str = "direct",
-        working_firings: int = 10,
-        inputs: "Mapping[str, int] | None" = None,
-        max_steps: int = 1_000_000,
-        workers: int = 1,
-        engine_options=None,
-    ) -> "SampledDistribution":
-        """Estimate the outcome distribution by Monte-Carlo simulation.
-
-        Runs through the fluent facade (equivalent to
-        ``self.experiment().declare_after(working_firings).program(inputs)
-        .simulate(...)``) and repackages the result in the historical
-        :class:`SampledDistribution` shape.
-        """
-        from repro.api.experiment import Experiment
-
-        experiment = (
-            Experiment.from_system(self)
-            .declare_after(working_firings)
-            .configure(max_steps=max_steps)
-        )
-        if inputs:
-            experiment = experiment.program(inputs)
-        result = experiment.simulate(
-            trials=n_trials,
-            engine=engine,
-            seed=seed,
-            workers=workers,
-            engine_options=engine_options,
-        )
-        return SampledDistribution(
-            system=self, ensemble=result.ensemble, inputs=dict(inputs or {})
-        )
-
     def target_distribution(self, inputs: "Mapping[str, int] | None" = None) -> dict[str, float]:
         """The distribution the design is programmed to produce.
 
@@ -213,47 +174,6 @@ class SynthesizedSystem:
         ]
         if self.affine is not None:
             lines.append(f"  affine inputs: {', '.join(self.affine.input_names)}")
-        return "\n".join(lines)
-
-
-@dataclass
-class SampledDistribution:
-    """A Monte-Carlo estimate of a synthesized system's outcome distribution."""
-
-    system: SynthesizedSystem
-    ensemble: EnsembleResult
-    inputs: dict[str, int]
-
-    @property
-    def frequencies(self) -> dict[str, float]:
-        """Empirical outcome frequencies (over decided trials)."""
-        return self.ensemble.outcome_distribution()
-
-    @property
-    def target(self) -> dict[str, float]:
-        """The programmed target distribution at these inputs."""
-        return self.system.target_distribution(self.inputs)
-
-    def total_variation_distance(self) -> float:
-        """Total-variation distance between empirical and target distributions."""
-        frequencies = self.frequencies
-        target = self.target
-        labels = set(frequencies) | set(target)
-        return 0.5 * sum(
-            abs(frequencies.get(label, 0.0) - target.get(label, 0.0)) for label in labels
-        )
-
-    def summary(self) -> str:
-        """Side-by-side target vs. measured table."""
-        lines = [f"{'outcome':<14s} {'target':>8s} {'measured':>9s}"]
-        frequencies = self.frequencies
-        for label in self.system.labels:
-            lines.append(
-                f"{label:<14s} {self.target.get(label, 0.0):8.4f} "
-                f"{frequencies.get(label, 0.0):9.4f}"
-            )
-        lines.append(f"TV distance: {self.total_variation_distance():.4f} "
-                     f"({self.ensemble.n_trials} trials)")
         return "\n".join(lines)
 
 
@@ -335,7 +255,7 @@ def synthesize_affine_response(
     molecule of the controlling external input (Example 2).
 
     The external inputs start at zero; program them per run via
-    ``system.sample_distribution(inputs={"x1": 5, "x2": 3})`` or
+    ``Experiment.from_system(system).program({"x1": 5, "x2": 3})`` or
     ``system.network_with_inputs(...)``.
     """
     layout = layout or StochasticModuleLayout()

@@ -2,8 +2,8 @@
 
 Two complementary routes:
 
-* **Monte Carlo** — sample the outcome distribution with
-  :meth:`SynthesizedSystem.sample_distribution` and compare it with the target
+* **Monte Carlo** — sample the outcome distribution through
+  :meth:`repro.api.Experiment.simulate` and compare it with the target
   using total-variation distance and a chi-square goodness-of-fit test.  This
   is the paper's own methodology.
 * **Exact** (small systems) — because the stochastic module with modest input
@@ -94,21 +94,20 @@ def verify_by_sampling(
     """
     if n_trials <= 0:
         raise AnalysisError(f"n_trials must be positive, got {n_trials}")
-    sampled = system.sample_distribution(
-        n_trials=n_trials,
-        seed=seed,
-        inputs=inputs,
-        working_firings=working_firings,
-        engine=engine,
-    )
-    target = system.target_distribution(inputs)
-    measured = sampled.frequencies
-    decided = sum(sampled.ensemble.outcome_counts.values()) - sampled.ensemble.outcome_counts.get(
-        sampled.ensemble.UNDECIDED, 0
-    )
+    # Imported here: repro.api imports repro.core.
+    from repro.api.experiment import Experiment
+
+    experiment = Experiment.from_system(system).declare_after(working_firings)
+    if inputs:
+        experiment = experiment.program(inputs)
+    result = experiment.simulate(trials=n_trials, seed=seed, engine=engine)
+    target = result.target
+    measured = result.frequencies
+    counts = result.ensemble.outcome_counts
+    decided = result.ensemble.n_trials - counts.get(result.ensemble.UNDECIDED, 0)
 
     labels = list(target)
-    observed = [sampled.ensemble.outcome_counts.get(label, 0) for label in labels]
+    observed = [counts.get(label, 0) for label in labels]
     expected = [target[label] * decided for label in labels]
     # Chi-square needs positive expectations; merge vanishing cells into the others.
     safe_observed, safe_expected = [], []
@@ -125,15 +124,14 @@ def verify_by_sampling(
     else:
         chi2_pvalue = float("nan")
 
-    tv_distance = 0.5 * sum(
-        abs(measured.get(label, 0.0) - target.get(label, 0.0)) for label in set(target) | set(measured)
-    )
+    # With no decided trial there is no measured distribution to compare.
+    tv_distance = result.total_variation() if decided else float("nan")
     return VerificationReport(
         target=dict(target),
         measured=dict(measured),
         n_trials=decided,
         tv_distance=tv_distance,
         chi2_pvalue=chi2_pvalue,
-        passed=tv_distance <= tolerance,
+        passed=bool(decided) and tv_distance <= tolerance,
         tolerance=tolerance,
     )

@@ -26,7 +26,6 @@ from repro.sim.dependency import DependencyStats, dependency_graph, dependency_s
 from repro.sim.direct import DirectMethodSimulator
 from repro.sim.ensemble import (
     EnsembleResult,
-    EnsembleRunner,
     ParallelEnsembleRunner,
     make_simulator,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "BatchDirectEngine",
     "BatchResult",
     "EnsembleResult",
-    "EnsembleRunner",
     "ParallelEnsembleRunner",
     "make_simulator",
     "resolve_initial_counts",

@@ -4,18 +4,15 @@ Every experiment in the paper is an ensemble: run the network many times,
 classify each trajectory into an outcome (which threshold was reached, which
 working reaction won, did an error occur), and report outcome frequencies —
 the Figure-3 error estimates used 100,000 trials per γ point.  This module
-packages that loop at three execution scales:
-
-* :class:`EnsembleRunner` — the sequential baseline: one simulator running
-  each chunk of trials as one slice
-  (:meth:`~repro.sim.base.StochasticSimulator.run_slice`), per-trial
-  independent random streams;
-* ``engine="batch-direct"`` — the same runner dispatching to the vectorized
-  :class:`~repro.sim.batch.BatchDirectEngine`, which advances the whole
-  ensemble in lock-step NumPy operations;
-* :class:`ParallelEnsembleRunner` — trials sharded across ``multiprocessing``
-  workers in fixed-size chunks, with per-shard :class:`EnsembleResult`
-  outcome counts and per-trial arrays merged in chunk order.
+runs that loop through one runner, :class:`ParallelEnsembleRunner`: trials
+are split into fixed-size chunks, each chunk runs with a per-trial engine
+(one simulator running the chunk as one slice,
+:meth:`~repro.sim.base.StochasticSimulator.run_slice`, per-trial
+independent random streams) or with ``engine="batch-direct"`` (the
+vectorized :class:`~repro.sim.batch.BatchDirectEngine`, which advances the
+chunk in lock-step NumPy operations), and the per-chunk
+:class:`EnsembleResult` shards merge in chunk order.  ``workers=1`` runs the
+chunks inline; more workers pull them from a ``multiprocessing`` pool.
 
 Chunking and random-stream spawning are keyed by global trial index, so a
 given ``(seed, n_trials, chunk_size)`` produces identical results whether the
@@ -37,7 +34,6 @@ classifier without ``classify_batch``, and by engines with no kernel
 from __future__ import annotations
 
 import multiprocessing
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -61,7 +57,6 @@ __all__ = [
     "pool_context",
     "make_simulator",
     "EnsembleResult",
-    "EnsembleRunner",
     "ParallelEnsembleRunner",
 ]
 
@@ -259,15 +254,25 @@ class EnsembleResult:
         return "\n".join(lines)
 
 
-class EnsembleRunner:
+class ParallelEnsembleRunner:
     """Run many independent trajectories of one network and aggregate them.
 
-    With a per-trial engine the trials run one after another, each on its own
-    spawned child random stream (keyed by global trial index, so results are
-    independent of execution order).  With ``engine="batch-direct"`` the
-    whole ensemble advances in lock-step vectorized steps instead — same
-    exact SSA statistics, typically an order of magnitude faster for the
-    ensemble sizes the paper uses.
+    Trials are split into fixed-size chunks of the global trial index space,
+    and every chunk derives its randomness from the indices it covers: with
+    a per-trial engine each trial runs on its own spawned child stream
+    (:func:`~repro.sim.rng.spawn_children_range`, keyed by the trial's global
+    index), and ``engine="batch-direct"`` advances each chunk in lock-step
+    vectorized steps from a sub-seed derived from the chunk's bounds.
+    Results are therefore *identical* for a given ``(seed, n_trials,
+    chunk_size)`` regardless of ``workers``: ``workers=1`` runs the chunks
+    inline, more workers pull them from a ``multiprocessing`` pool.  Shards
+    merge through :meth:`EnsembleResult.merge`.
+
+    With ``workers > 1`` the network, stopping condition and outcome
+    classifier are pickled to the workers, so all three must be picklable:
+    module-level classes/functions and bound methods of picklable objects
+    work; lambdas and closures do not (run those with ``workers=1``, or
+    define the classifier at module level).
 
     Parameters
     ----------
@@ -291,6 +296,17 @@ class EnsembleRunner:
         ``stop_detail`` when it stopped on a condition.  A classifier with a
         ``classify_batch(batch)`` method labels every chunk from its columns
         (see :mod:`repro.sim.outcomes`).
+    workers:
+        Worker process count (default 1, which runs the chunks inline,
+        without spawning processes).
+    chunk_size:
+        Trials per shard (default 512): the seeding unit, so it is part of a
+        run's identity — results depend on it, never on ``workers``.  The
+        batched engine sweeps consecutive chunks together, up to
+        :func:`~repro.sim.kernels.batch.group_trials` trials of the network
+        at a time, so small chunks cost it no sweep efficiency; each group
+        is also the unit handed to a worker; a chunk wider than a group is
+        swept alone.
     engine_options:
         Typed options dataclass for the selected engine (e.g.
         :class:`~repro.sim.tau_leaping.TauLeapOptions`), validated against
@@ -304,6 +320,8 @@ class EnsembleRunner:
         stopping: "StoppingCondition | None" = None,
         options: "SimulationOptions | None" = None,
         outcome_classifier: "Callable[[Trajectory], str | None] | None" = None,
+        workers: int = 1,
+        chunk_size: int = 512,
         engine_options=None,
     ) -> None:
         self.compiled = (
@@ -323,11 +341,17 @@ class EnsembleRunner:
         # Fail fast on a backend the engine does not support (the same check
         # the per-run dispatch performs, surfaced before any trials run).
         validate_backend_request(options.backend, info.backends, engine)
+        if workers <= 0:
+            raise EnsembleError(f"workers must be positive, got {workers}")
+        if chunk_size <= 0:
+            raise EnsembleError(f"chunk_size must be positive, got {chunk_size}")
         self.engine_info = info
         self.engine_options = engine_options
         self.stopping = stopping
         self.options = options
         self.outcome_classifier = outcome_classifier or StopDetailClassifier()
+        self.workers = workers
+        self.chunk_size = chunk_size
         # Lazily-created engine instances, kept for the runner's lifetime: the
         # batched engine's columnar sweep buffers are allocated once and
         # reused across chunks and adaptive rounds (see BatchBuffers
@@ -335,8 +359,13 @@ class EnsembleRunner:
         # across slices.
         self._batch_engine = None
         self._simulator = None
-        # Trials the batched engine's buffers are sized for on first use.
-        self._reserve_trials = 0
+        # A batched group holds whole chunks up to the sweep's cell cap; the
+        # engine's buffers are sized for the widest such group on first use,
+        # so the adaptive controller's growing rounds never reallocate.
+        self._group_trials = group_trials(self.compiled.n_species, self.compiled.n_reactions)
+        self._reserve_trials = (
+            self._group_trials // chunk_size * chunk_size if info.batched else 0
+        )
 
     def run(
         self,
@@ -345,12 +374,103 @@ class EnsembleRunner:
         initial_state: "Mapping | None" = None,
         keep_trajectories: bool = False,
     ) -> EnsembleResult:
-        """Simulate ``n_trials`` independent trajectories and aggregate them."""
+        """Simulate ``n_trials`` trajectories, chunk by chunk, and merge them."""
         if n_trials <= 0:
             raise EnsembleError(f"n_trials must be positive, got {n_trials}")
-        return self._run_group(
-            n_trials, seed, [(0, n_trials)], initial_state, keep_trajectories
-        )[0]
+        bounds = [
+            (start, min(start + self.chunk_size, n_trials))
+            for start in range(0, n_trials, self.chunk_size)
+        ]
+        shards = self.run_chunks(
+            bounds,
+            seed=seed,
+            initial_state=initial_state,
+            keep_trajectories=keep_trajectories,
+        )
+        return EnsembleResult.merge(shards)
+
+    def run_chunks(
+        self,
+        bounds: "Sequence[tuple[int, int]]",
+        seed: "int | None" = None,
+        initial_state: "Mapping | None" = None,
+        keep_trajectories: bool = False,
+    ) -> "list[EnsembleResult]":
+        """Simulate explicit trial slices of the global schedule, unmerged.
+
+        Each ``(start, stop)`` pair names a slice of the same global trial
+        index space :meth:`run` uses, and draws the same random streams: the
+        per-trial stream of trial ``i`` is keyed by ``i`` alone, and a
+        batched chunk's sub-seed by its bounds — never by how many trials
+        the full ensemble will eventually hold.  The adaptive controller
+        relies on exactly this to *extend* an ensemble chunk by chunk while
+        staying bit-identical to a fixed-budget run's prefix at any worker
+        count.  Returns one shard per bound, in order.
+        """
+        bounds = [(int(start), int(stop)) for start, stop in bounds]
+        for start, stop in bounds:
+            if start < 0 or stop <= start:
+                raise EnsembleError(
+                    f"chunk bounds must satisfy 0 <= start < stop, got ({start}, {stop})"
+                )
+        if not bounds:
+            return []
+        # The sequence length forwarded to the shards: per-trial RNG ignores
+        # it beyond bounds checking, the batched engine never reads it.
+        total = max(stop for _, stop in bounds)
+        initial = None if initial_state is None else dict(initial_state)
+        groups = self._groups(bounds)
+
+        if self.workers == 1 or len(groups) == 1:
+            return [
+                shard
+                for group in groups
+                for shard in self._run_group(total, seed, group, initial, keep_trajectories)
+            ]
+
+        payloads = [
+            (
+                self.compiled.network,
+                self.engine,
+                self.stopping,
+                self.options,
+                self.outcome_classifier,
+                self.engine_options,
+                seed,
+                total,
+                group,
+                initial,
+                keep_trajectories,
+            )
+            for group in groups
+        ]
+        context = pool_context()
+        processes = min(self.workers, len(groups))
+        with context.Pool(processes=processes) as pool:
+            results = pool.map(_ensemble_group, payloads)
+        return [shard for shards in results for shard in shards]
+
+    def _groups(
+        self, bounds: "list[tuple[int, int]]"
+    ) -> "list[list[tuple[int, int]]]":
+        """Consecutive slices grouped into execution units.
+
+        A batched group holds whole slices while their trials fit the
+        sweep's cap (at least one slice); per-trial engines run each slice
+        on its own.
+        """
+        if not self.engine_info.batched:
+            return [[bound] for bound in bounds]
+        groups: list[list[tuple[int, int]]] = []
+        width = 0
+        for start, stop in bounds:
+            if groups and width + (stop - start) <= self._group_trials:
+                groups[-1].append((start, stop))
+                width += stop - start
+            else:
+                groups.append([(start, stop)])
+                width = stop - start
+        return groups
 
     # -- execution ---------------------------------------------------------------
 
@@ -364,7 +484,7 @@ class EnsembleRunner:
     ) -> "list[EnsembleResult]":
         """Simulate trial slices of an ``n_trials`` ensemble, one shard each.
 
-        The slice abstraction is what the parallel runner shards: per-trial
+        The slice abstraction is what :meth:`run_chunks` shards: per-trial
         engines derive each trial's random stream from its global index, and
         the batched engine derives one sub-seed per slice, so results depend
         only on ``(seed, n_trials, slicing)`` — never on which process runs
@@ -520,7 +640,7 @@ def _ensemble_group(payload: tuple) -> "list[EnsembleResult]":
         initial_state,
         keep_trajectories,
     ) = payload
-    runner = EnsembleRunner(
+    runner = ParallelEnsembleRunner(
         network,
         engine=engine,
         stopping=stopping,
@@ -529,174 +649,3 @@ def _ensemble_group(payload: tuple) -> "list[EnsembleResult]":
         engine_options=engine_options,
     )
     return runner._run_group(n_trials, seed, bounds, initial_state, keep_trajectories)
-
-
-class ParallelEnsembleRunner(EnsembleRunner):
-    """Ensemble runner that shards trials across ``multiprocessing`` workers.
-
-    Trials are split into fixed-size chunks; workers pull chunks from a pool
-    and each chunk derives its randomness from the global trial indices it
-    covers (:func:`~repro.sim.rng.spawn_children_range` for per-trial
-    engines, a per-slice sub-seed for the batched engine).  Results are
-    therefore *identical* for a given ``(seed, n_trials, chunk_size)``
-    regardless of ``workers`` — and, for per-trial engines, identical to the
-    sequential :class:`EnsembleRunner` too.  Shards merge through
-    :meth:`EnsembleResult.merge`.
-
-    The network, stopping condition and outcome classifier are pickled to the
-    workers, so all three must be picklable: module-level classes/functions
-    and bound methods of picklable objects work; lambdas and closures do not
-    (use the sequential runner for those, or define the classifier at module
-    level).
-
-    Parameters
-    ----------
-    workers:
-        Worker process count (default: ``os.cpu_count()``).  ``workers=1``
-        runs the same chunked schedule inline, without spawning processes.
-    chunk_size:
-        Trials per shard (default 512): the seeding unit, so it is part of a
-        run's identity — results depend on it, never on ``workers``.  The
-        batched engine sweeps consecutive chunks together, up to
-        :func:`~repro.sim.kernels.batch.group_trials` trials of the network
-        at a time, so small chunks cost it no sweep efficiency; each group
-        is also the unit handed to a worker; a chunk wider than a group is
-        swept alone.
-    """
-
-    def __init__(
-        self,
-        network: "ReactionNetwork | CompiledNetwork",
-        engine: str = "direct",
-        stopping: "StoppingCondition | None" = None,
-        options: "SimulationOptions | None" = None,
-        outcome_classifier: "Callable[[Trajectory], str | None] | None" = None,
-        workers: "int | None" = None,
-        chunk_size: int = 512,
-        engine_options=None,
-    ) -> None:
-        super().__init__(
-            network,
-            engine=engine,
-            stopping=stopping,
-            options=options,
-            outcome_classifier=outcome_classifier,
-            engine_options=engine_options,
-        )
-        if chunk_size <= 0:
-            raise EnsembleError(f"chunk_size must be positive, got {chunk_size}")
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        if self.workers <= 0:
-            raise EnsembleError(f"workers must be positive, got {self.workers}")
-        self.chunk_size = chunk_size
-        # A batched group holds whole chunks up to the sweep's cell cap; the
-        # engine's buffers are sized for the widest such group on first use,
-        # so the adaptive controller's growing rounds never reallocate.
-        self._group_trials = group_trials(self.compiled.n_species, self.compiled.n_reactions)
-        if self.engine_info.batched:
-            self._reserve_trials = self._group_trials // chunk_size * chunk_size
-
-    def run(
-        self,
-        n_trials: int,
-        seed: "int | None" = None,
-        initial_state: "Mapping | None" = None,
-        keep_trajectories: bool = False,
-    ) -> EnsembleResult:
-        """Simulate ``n_trials`` trajectories across the worker pool and merge."""
-        if n_trials <= 0:
-            raise EnsembleError(f"n_trials must be positive, got {n_trials}")
-        bounds = [
-            (start, min(start + self.chunk_size, n_trials))
-            for start in range(0, n_trials, self.chunk_size)
-        ]
-        shards = self.run_chunks(
-            bounds,
-            seed=seed,
-            initial_state=initial_state,
-            keep_trajectories=keep_trajectories,
-        )
-        return EnsembleResult.merge(shards)
-
-    def run_chunks(
-        self,
-        bounds: "Sequence[tuple[int, int]]",
-        seed: "int | None" = None,
-        initial_state: "Mapping | None" = None,
-        keep_trajectories: bool = False,
-    ) -> "list[EnsembleResult]":
-        """Simulate explicit trial slices of the global schedule, unmerged.
-
-        Each ``(start, stop)`` pair names a slice of the same global trial
-        index space :meth:`run` uses, and draws the same random streams: the
-        per-trial stream of trial ``i`` is keyed by ``i`` alone, and a
-        batched chunk's sub-seed by its bounds — never by how many trials
-        the full ensemble will eventually hold.  The adaptive controller
-        relies on exactly this to *extend* an ensemble chunk by chunk while
-        staying bit-identical to a fixed-budget run's prefix at any worker
-        count.  Returns one shard per bound, in order.
-        """
-        bounds = [(int(start), int(stop)) for start, stop in bounds]
-        for start, stop in bounds:
-            if start < 0 or stop <= start:
-                raise EnsembleError(
-                    f"chunk bounds must satisfy 0 <= start < stop, got ({start}, {stop})"
-                )
-        if not bounds:
-            return []
-        # The sequence length forwarded to the shards: per-trial RNG ignores
-        # it beyond bounds checking, the batched engine never reads it.
-        total = max(stop for _, stop in bounds)
-        initial = None if initial_state is None else dict(initial_state)
-        groups = self._groups(bounds)
-
-        if self.workers == 1 or len(groups) == 1:
-            return [
-                shard
-                for group in groups
-                for shard in self._run_group(total, seed, group, initial, keep_trajectories)
-            ]
-
-        payloads = [
-            (
-                self.compiled.network,
-                self.engine,
-                self.stopping,
-                self.options,
-                self.outcome_classifier,
-                self.engine_options,
-                seed,
-                total,
-                group,
-                initial,
-                keep_trajectories,
-            )
-            for group in groups
-        ]
-        context = pool_context()
-        processes = min(self.workers, len(groups))
-        with context.Pool(processes=processes) as pool:
-            results = pool.map(_ensemble_group, payloads)
-        return [shard for shards in results for shard in shards]
-
-    def _groups(
-        self, bounds: "list[tuple[int, int]]"
-    ) -> "list[list[tuple[int, int]]]":
-        """Consecutive slices grouped into execution units.
-
-        A batched group holds whole slices while their trials fit the
-        sweep's cap (at least one slice); per-trial engines run each slice
-        on its own.
-        """
-        if not self.engine_info.batched:
-            return [[bound] for bound in bounds]
-        groups: list[list[tuple[int, int]]] = []
-        width = 0
-        for start, stop in bounds:
-            if groups and width + (stop - start) <= self._group_trials:
-                groups[-1].append((start, stop))
-                width += stop - start
-            else:
-                groups.append([(start, stop)])
-                width = stop - start
-        return groups

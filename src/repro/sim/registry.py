@@ -26,8 +26,8 @@ Third-party engines register without touching this package::
         ...
 
 and are immediately selectable by name everywhere an engine string is
-accepted (``Experiment.simulate(engine="my-direct")``, ``EnsembleRunner``,
-the CLI ``--engine`` flag, ...).
+accepted (``Experiment.simulate(engine="my-direct")``,
+``ParallelEnsembleRunner``, the CLI ``--engine`` flag, ...).
 """
 
 from __future__ import annotations

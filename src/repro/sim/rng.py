@@ -9,21 +9,36 @@ for their trials (via :func:`spawn_children`, which uses NumPy's
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
 
+from repro.errors import SimulationError
+
 __all__ = ["make_rng", "spawn_children", "spawn_children_range", "derive_seed"]
+
+
+def _checked_seed(seed: "int | None") -> "int | None":
+    """``seed`` itself when it is ``None`` or a non-negative integer.
+
+    Every seed reaches numpy through here, so a value numpy would refuse
+    (a negative or non-integer one) raises a
+    :class:`~repro.errors.SimulationError` naming it instead.
+    """
+    if seed is None or (isinstance(seed, numbers.Integral) and seed >= 0):
+        return seed
+    raise SimulationError(f"seed must be a non-negative integer or None, got {seed!r}")
 
 
 def make_rng(seed: "int | np.random.Generator | None" = None) -> np.random.Generator:
     """Return a NumPy :class:`~numpy.random.Generator`.
 
-    Accepts ``None`` (fresh entropy), an integer seed, or an existing
-    generator (returned unchanged so callers can share a stream).
+    Accepts ``None`` (fresh entropy), a non-negative integer seed, or an
+    existing generator (returned unchanged so callers can share a stream).
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_checked_seed(seed))
 
 
 def spawn_children(seed: "int | None", count: int) -> list[np.random.Generator]:
@@ -43,9 +58,9 @@ def spawn_children_range(
     """Generators for trials ``start..stop-1`` of a ``count``-trial ensemble.
 
     Spawning is keyed by the *global* trial index, so a worker simulating a
-    shard of the ensemble draws exactly the streams the sequential runner
-    would have used for those trials — this is what makes parallel ensemble
-    results identical across worker counts (and to the sequential runner).
+    shard of the ensemble draws exactly the streams an inline run would have
+    used for those trials — this is what makes per-trial ensemble results
+    identical across worker counts and chunk widths.
 
     The child for trial ``i`` is constructed directly as
     ``SeedSequence(entropy=root.entropy, spawn_key=(i,))`` — bit-identical to
@@ -55,7 +70,7 @@ def spawn_children_range(
     """
     if not 0 <= start <= stop <= count:
         raise ValueError(f"invalid trial range [{start}, {stop}) of {count}")
-    root = np.random.SeedSequence(seed)
+    root = np.random.SeedSequence(_checked_seed(seed))
     return [
         np.random.default_rng(
             np.random.SeedSequence(
@@ -76,6 +91,7 @@ def derive_seed(seed: "int | None", *keys: "int | str") -> int:
     make the result differ between interpreter invocations and between
     spawned worker processes).
     """
+    seed = _checked_seed(seed)
     material: list[int] = [0 if seed is None else int(seed)]
     for key in keys:
         if isinstance(key, int):

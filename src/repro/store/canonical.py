@@ -28,11 +28,12 @@ The contract this buys:
   reader's own cold run would have produced.
 
 Experiments that reference opaque callables (classifier / state-classifier
-``"callable"`` descriptors, unknown stopping types) cannot be relabeled —
-the callable reads raw species names — and fall back to identity
-canonicalization: the payload is hashed as-is (everything except
-``version``), exactly the pre-canonicalization behavior, and a miss
-executes that payload like any other.
+``"callable"`` descriptors) cannot be relabeled — the callable reads raw
+species names — and fall back to identity canonicalization: the payload is
+hashed as-is (everything except ``version``), exactly the
+pre-canonicalization behavior, and a miss executes that payload like any
+other.  Canonicalizing never resolves a callable reference (that would
+import code); it only checks its form.
 
 The canonical labeling search is the expensive step, and a payload's network
 dict determines its outcome, so :func:`canonicalize_payload` keeps what it
@@ -80,17 +81,6 @@ EXPERIMENT_UNHASHED_KEYS = (
 #: Network forms :func:`canonicalize_payload` keeps, least recently used
 #: evicted first; the store's hot tier holds as many envelopes.
 _NETWORK_FORM_CAPACITY = 128
-
-#: Stopping-descriptor types the canonicalizer knows how to relabel.
-_KNOWN_STOPPING_TYPES = (
-    "species-threshold",
-    "outcome-thresholds",
-    "firing-count",
-    "category-firing",
-    "any",
-    "all",
-)
-
 
 @dataclass(frozen=True)
 class CanonicalPayload:
@@ -153,6 +143,12 @@ def _rename_stopping(
     if kind == "firing-count":
         indices = [int(i) for i in descriptor["reaction_indices"]]
         if reaction_position is not None:
+            unknown = sorted(set(indices) - set(reaction_position))
+            if unknown:
+                raise FingerprintError(
+                    f"experiment section 'stopping' counts reaction indices "
+                    f"{unknown}, which the network does not have"
+                )
             indices = [reaction_position[i] for i in indices]
         data["reaction_indices"] = sorted(indices)
         return data
@@ -220,25 +216,12 @@ def _rename_until(descriptor: "Mapping | None", rename: Mapping[str, str]) -> "d
     return data
 
 
-def _stopping_types(descriptor: "Mapping | None") -> "set[str]":
-    if descriptor is None:
-        return set()
-    kind = descriptor.get("type")
-    found = {kind}
-    if kind in ("any", "all"):
-        for child in descriptor.get("conditions", ()):
-            found |= _stopping_types(child)
-    return found
-
-
 def _is_relabelable(payload: Mapping) -> bool:
     """Whether every species reference in ``payload`` is declarative."""
-    for field in ("classifier", "state_classifier"):
-        descriptor = payload.get(field)
-        if descriptor is not None and descriptor.get("type") == "callable":
-            return False
-    unknown = _stopping_types(payload.get("stopping")) - set(_KNOWN_STOPPING_TYPES)
-    return not unknown
+    return not any(
+        (payload.get(field) or {}).get("type") == "callable"
+        for field in ("classifier", "state_classifier")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +270,10 @@ _NETWORK_FORMS_LOCK = threading.Lock()
 def _derive_network_form(network_data: Mapping) -> _NetworkForm:
     # Looked up at call time, so a wrapped ``canonical_form`` sees each search.
     from repro.crn import canonical
-    from repro.crn.serialize import network_from_dict, network_to_dict
+    from repro.crn.serialize import network_to_dict
+    from repro.store.serialize import _network_section
 
-    form = canonical.canonical_form(network_from_dict(network_data))
+    form = canonical.canonical_form(_network_section(network_data))
     return _NetworkForm(
         network_json=json.dumps(network_to_dict(form.network)),
         witness=MappingProxyType(dict(form.witness)),
@@ -347,15 +331,18 @@ def canonicalize_payload(payload: Mapping) -> CanonicalPayload:
     entries), so a network already seen in this process skips the labeling
     search.  Each call returns its own
     canonical network dict and witness: mutating them leaves the cache and
-    later calls untouched.  The ``options`` and ``simulate`` sections are
-    parsed first, as executing the payload parses them: a non-mapping
-    section, an unknown or missing option, a non-numeric ``max_time`` or a
-    non-integer count (``max_steps``, ``snapshot_stride``, ``trials``,
-    ``seed``, ``chunk_size``) raises :class:`~repro.errors.FingerprintError`
-    naming it, before any lookup.
+    later calls untouched.  Every section is parsed first, as executing the
+    payload parses it: a non-mapping section, an unknown or missing option,
+    a non-numeric ``max_time``, a non-integer count (``max_steps``,
+    ``snapshot_stride``, ``trials``, ``chunk_size``), a negative or
+    non-integer ``seed``, or a ``network``, ``stopping``, ``classifier`` or
+    ``state_classifier`` section that does not parse raises
+    :class:`~repro.errors.FingerprintError` naming it, before any lookup.
     """
     from repro.store.serialize import (
         EXPERIMENT_SCHEMA,
+        _descriptor_sections,
+        _network_section,
         _options_from_payload,
         _run_from_payload,
         is_experiment_schema,
@@ -374,6 +361,7 @@ def canonicalize_payload(payload: Mapping) -> CanonicalPayload:
     # reject it before it names a store entry.
     _options_from_payload(data)
     _run_from_payload(data)
+    _descriptor_sections(data, resolve=False)
     simulate = data["simulate"]
     if simulate.get("until") is not None:
         # Rebuilt through the target, so every spelling of one target (absent
@@ -384,13 +372,13 @@ def canonicalize_payload(payload: Mapping) -> CanonicalPayload:
         data["simulate"] = {**simulate, "until": until}
 
     if not _is_relabelable(data):
-        witness = {
-            name: name for name in (data.get("network") or {}).get("species", ())
-        }
+        # Labelled networks are parsed (once) by the form cache below.
+        _network_section(data.get("network"))
+        witness = {name: name for name in data["network"].get("species", ())}
         key = _fingerprint_identity(_identity_of(data, exact=False))
         return CanonicalPayload(key=key, payload=data, witness=witness, exact=False)
 
-    form = _network_form(data["network"])
+    form = _network_form(data.get("network"))
     rename = form.rename
 
     canonical = dict(data)

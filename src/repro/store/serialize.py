@@ -24,7 +24,8 @@ from collections.abc import Mapping
 from typing import Any
 
 from repro.adaptive.targets import integral
-from repro.errors import FingerprintError
+from repro.crn.network import ReactionNetwork
+from repro.errors import FingerprintError, ReproError
 from repro.sim.base import SimulationOptions
 from repro.sim.events import condition_from_descriptor
 from repro.sim.outcomes import WorkingOutcomeClassifier
@@ -108,7 +109,24 @@ def _reject_untrusted_ref(data: Mapping) -> None:
     )
 
 
-def _classifier_from_descriptor(data: "Mapping | None", trusted: bool = True):
+def _callable_from_descriptor(data: Mapping, trusted: bool, resolve: bool):
+    """The callable a ``callable`` descriptor names, or ``None`` unresolved.
+
+    ``resolve=False`` (canonicalization) checks the reference's form and
+    imports nothing; ``trusted=False`` (the HTTP service) refuses it.
+    """
+    if not isinstance(data["ref"], str):
+        raise TypeError(f"callable reference must be a string, got {data['ref']!r}")
+    if not resolve:
+        return None
+    if not trusted:
+        _reject_untrusted_ref(data)
+    return _resolve_callable_ref(data["ref"])
+
+
+def _classifier_from_descriptor(
+    data: "Mapping | None", trusted: bool = True, resolve: bool = True
+):
     if data is None or data.get("type") == "stop-detail":
         return None
     kind = data.get("type")
@@ -117,9 +135,7 @@ def _classifier_from_descriptor(data: "Mapping | None", trusted: bool = True):
             data["labels"], data["working"], data["catalysts"]
         )
     if kind == "callable":
-        if not trusted:
-            _reject_untrusted_ref(data)
-        return _resolve_callable_ref(data["ref"])
+        return _callable_from_descriptor(data, trusted, resolve)
     raise FingerprintError(f"unknown classifier descriptor type {kind!r}")
 
 
@@ -143,7 +159,9 @@ def _state_classifier_descriptor(classifier) -> dict:
     return {"type": "callable", "ref": _callable_ref(classifier)}
 
 
-def _state_classifier_from_descriptor(data: "Mapping | None", trusted: bool = True):
+def _state_classifier_from_descriptor(
+    data: "Mapping | None", trusted: bool = True, resolve: bool = True
+):
     if data is None:
         return None
     kind = data.get("type")
@@ -156,10 +174,63 @@ def _state_classifier_from_descriptor(data: "Mapping | None", trusted: bool = Tr
 
         return ThresholdStateClassifier(data["thresholds"])
     if kind == "callable":
-        if not trusted:
-            _reject_untrusted_ref(data)
-        return _resolve_callable_ref(data["ref"])
+        return _callable_from_descriptor(data, trusted, resolve)
     raise FingerprintError(f"unknown state-classifier descriptor type {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# network and descriptor sections <- payloads
+# ---------------------------------------------------------------------------
+
+
+def _section(name: str, parse, value):
+    """``parse(value)`` for the experiment payload's section ``name``.
+
+    Whatever ``parse`` refuses — a non-mapping, a missing key, a value of
+    the wrong type or an unknown descriptor type — raises
+    :class:`~repro.errors.FingerprintError` naming the section.
+    """
+    try:
+        return parse(value)
+    except KeyError as exc:
+        raise FingerprintError(f"experiment section {name!r} is missing key {exc}") from None
+    except (ReproError, TypeError, ValueError, AttributeError) as exc:
+        raise FingerprintError(f"experiment section {name!r}: {exc}") from exc
+
+
+def _network_section(value) -> ReactionNetwork:
+    """Parse the payload's ``network`` section (see :func:`_section`)."""
+    from repro.crn.serialize import network_from_dict
+
+    return _section("network", lambda data: network_from_dict(_mapping(data)), value)
+
+
+def _descriptor_sections(
+    payload: Mapping, trusted: bool = True, resolve: bool = True
+) -> dict:
+    """Parse the ``stopping``, ``classifier`` and ``state_classifier`` sections.
+
+    The one reader of these sections: executing a payload builds them, and
+    canonicalizing it builds them with ``resolve=False``, so a ``callable``
+    reference is checked but never imported.  Returns the
+    :class:`~repro.api.experiment.Experiment` fields they set.
+    """
+    parsers = {
+        "stopping": condition_from_descriptor,
+        "classifier": lambda data: _classifier_from_descriptor(data, trusted, resolve),
+        "state_classifier": lambda data: _state_classifier_from_descriptor(
+            data, trusted, resolve
+        ),
+    }
+    return {
+        name: _section(name, _optional_descriptor(parse), payload.get(name))
+        for name, parse in parsers.items()
+    }
+
+
+def _optional_descriptor(parse):
+    """``parse`` of a descriptor that is a mapping or null."""
+    return lambda data: parse(None if data is None else _mapping(data))
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +266,13 @@ def _mapping(value) -> Mapping:
     if not isinstance(value, Mapping):
         raise TypeError(f"expected a mapping, got {value!r}")
     return value
+
+
+def _seed(value) -> int:
+    seed = integral(value)
+    if seed < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return seed
 
 
 def _options_payload(options: SimulationOptions) -> dict:
@@ -240,16 +318,16 @@ def _run_from_payload(payload: Mapping) -> dict:
     """Parse the payload's ``simulate`` section into ``Experiment.simulate``
     arguments (``until`` and ``engine_options`` aside).
 
-    ``trials`` and ``seed`` are integers or null, ``chunk_size`` an integer
-    (fractional values refused); a malformed one raises
-    :class:`~repro.errors.FingerprintError` naming it.  Range checks are
-    left to ``simulate``.
+    ``trials`` is an integer or null, ``seed`` a non-negative integer or
+    null, ``chunk_size`` an integer (fractional values refused); a malformed
+    one raises :class:`~repro.errors.FingerprintError` naming it.  Other
+    range checks are left to ``simulate``.
     """
     data = _field(payload, "experiment", "simulate", _mapping)
     return {
         "trials": _field(data, "simulate", "trials", integral, None),
         "engine": _field(data, "simulate", "engine", str),
-        "seed": _field(data, "simulate", "seed", integral, None),
+        "seed": _field(data, "simulate", "seed", _seed, None),
         "chunk_size": _field(data, "simulate", "chunk_size", integral, 512),
         "backend": _field(data, "simulate", "backend", str, "auto"),
     }
@@ -409,7 +487,6 @@ def experiment_from_payload(payload: Mapping, trusted: bool = True):
     arbitrary installed code, which must never be reachable from the wire.
     """
     from repro.api.experiment import Experiment
-    from repro.crn.serialize import network_from_dict
 
     if not is_experiment_schema(payload.get("schema")):
         raise FingerprintError(
@@ -417,12 +494,8 @@ def experiment_from_payload(payload: Mapping, trusted: bool = True):
             f"expected one of {list(_ACCEPTED_SCHEMAS)}"
         )
     return Experiment(
-        network=network_from_dict(payload["network"]),
-        stopping=condition_from_descriptor(payload.get("stopping")),
-        classifier=_classifier_from_descriptor(payload.get("classifier"), trusted),
-        state_classifier=_state_classifier_from_descriptor(
-            payload.get("state_classifier"), trusted
-        ),
+        network=_network_section(payload.get("network")),
+        **_descriptor_sections(payload, trusted=trusted),
         options=_options_from_payload(payload),
         target=payload.get("target"),
         label=str(payload.get("label", "experiment")),

@@ -30,7 +30,6 @@ from repro.api import Experiment
 from repro.crn import Reaction, ReactionNetwork, parse_network
 from repro.sim import (
     BatchDirectEngine,
-    EnsembleRunner,
     OutcomeThresholds,
     ParallelEnsembleRunner,
     SimulationOptions,
@@ -160,7 +159,7 @@ class TestBufferReuse:
         assert engine._sweep_buffers.allocations == 2
 
     def test_ensemble_runner_reuses_one_engine(self, race_network, race_condition):
-        runner = EnsembleRunner(
+        runner = ParallelEnsembleRunner(
             race_network, engine="batch-direct", stopping=race_condition
         )
         runner.run(100, seed=3)

@@ -432,13 +432,15 @@ class TestStoreTiering:
     @staticmethod
     def _tiny_result():
         from repro.crn import Reaction
-        from repro.sim.ensemble import EnsembleRunner
+        from repro.sim.ensemble import ParallelEnsembleRunner
         from repro.sim.events import SpeciesThreshold
 
         network = ReactionNetwork(
             [Reaction({"a": 1}, {}, rate=1.0)], initial_state={"a": 1}
         )
-        runner = EnsembleRunner(network, stopping=SpeciesThreshold("a", 0, label="done"))
+        runner = ParallelEnsembleRunner(
+            network, stopping=SpeciesThreshold("a", 0, label="done")
+        )
         return runner.run(1, seed=1)
 
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.adaptive import CiHalfWidthTarget, SplittingConfig
 from repro.api import Experiment
 from repro.crn import parse_network
-from repro.sim import OutcomeThresholds
+from repro.errors import ReproError
+from repro.sim import OutcomeThresholds, make_simulator
 from repro.sim.registry import registry
 
 
@@ -85,6 +87,41 @@ def test_per_trial_engine_worker_count_invariance(race_experiment):
         trials=150, engine="direct", seed=5, workers=2, chunk_size=50
     )
     assert_identical_ensembles(single, sharded)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(
+            lambda experiment: experiment.simulate(trials=10, engine="direct", seed=-1),
+            id="per-trial",
+        ),
+        pytest.param(
+            lambda experiment: experiment.simulate(trials=10, engine="batch-direct", seed=-1),
+            id="batch-direct",
+        ),
+        pytest.param(
+            lambda experiment: experiment.simulate(
+                engine="direct", seed=-1, until=CiHalfWidthTarget(outcome="1", half_width=0.1)
+            ),
+            id="precision-target",
+        ),
+        pytest.param(
+            lambda experiment: experiment.simulate(
+                engine="direct", seed=-1, until=SplittingConfig(outcome="1", trials_per_level=8)
+            ),
+            id="splitting",
+        ),
+        pytest.param(
+            lambda experiment: make_simulator(experiment.network, seed=-1),
+            id="make_simulator",
+        ),
+    ],
+)
+def test_negative_seed_is_a_typed_error(run, race_experiment):
+    """A seed numpy refuses is a library error naming the seed, on every path."""
+    with pytest.raises(ReproError, match=r"seed .*-1"):
+        run(race_experiment)
 
 
 def test_exact_engine_is_seed_free(race_experiment):

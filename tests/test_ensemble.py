@@ -10,7 +10,6 @@ from repro.crn import parse_network
 from repro.errors import EnsembleError
 from repro.sim import (
     EnsembleResult,
-    EnsembleRunner,
     OutcomeThresholds,
     ParallelEnsembleRunner,
     SimulationOptions,
@@ -43,7 +42,7 @@ def decision_condition():
     return OutcomeThresholds({"A": ("wa", 1), "B": ("wb", 1)})
 
 
-class TestEnsembleRunner:
+class TestRunner:
     def test_outcome_distribution(self, decision_network, decision_condition):
         result = _simulate(
             decision_network, 800, stopping=decision_condition, seed=1
@@ -80,7 +79,7 @@ class TestEnsembleRunner:
         }
 
     def test_custom_classifier(self, decision_network):
-        runner = EnsembleRunner(
+        runner = ParallelEnsembleRunner(
             decision_network,
             outcome_classifier=lambda t: "big" if t.final_count("wa") > 0 else "small",
         )
@@ -120,7 +119,7 @@ class TestEnsembleRunner:
 
     def test_initial_state_override(self, decision_network, decision_condition):
         result = _simulate(decision_network, 200, stopping=decision_condition, seed=11)
-        runner = EnsembleRunner(decision_network, stopping=decision_condition)
+        runner = ParallelEnsembleRunner(decision_network, stopping=decision_condition)
         flipped = runner.run(200, seed=11, initial_state={"ea": 30, "eb": 70})
         assert flipped.outcome_distribution()["A"] < result.outcome_distribution()["A"]
 
@@ -148,19 +147,19 @@ class TestInitialStateMapping:
             initial_state={}, options=options
         )
         assert single.final_count("a") == 1
-        sequential = EnsembleRunner(net, engine=engine, options=options).run(
-            6, seed=1, initial_state={}
-        )
-        chunked = ParallelEnsembleRunner(
-            net, engine=engine, options=options, workers=1, chunk_size=4
-        ).run(6, seed=1, initial_state={})
-        for result in (sequential, chunked):
+        # One chunk (the default width) and two chunks (width 4).
+        for chunk_size in (512, 4):
+            result = ParallelEnsembleRunner(
+                net, engine=engine, options=options, chunk_size=chunk_size
+            ).run(6, seed=1, initial_state={})
             assert result.final_values("a").tolist() == [1] * 6
 
     def test_none_is_the_networks_own_state(self):
         net = parse_network(self.NETWORK)
         options = SimulationOptions(record_firings=False, max_steps=1)
-        result = EnsembleRunner(net, options=options).run(6, seed=1, initial_state=None)
+        result = ParallelEnsembleRunner(net, options=options).run(
+            6, seed=1, initial_state=None
+        )
         assert set(result.final_values("a").tolist()) <= {4, 6}
 
 
@@ -188,7 +187,36 @@ class TestShardPaths:
 
     def test_reused_runner_sees_a_mutated_condition(self, decision_network):
         condition = SpeciesThreshold("wa", 3)
-        runner = EnsembleRunner(decision_network, stopping=condition)
+        runner = ParallelEnsembleRunner(decision_network, stopping=condition)
         assert set(runner.run(20, seed=1).final_values("wa").tolist()) <= {3}
         condition.threshold = 5
         assert set(runner.run(20, seed=1).final_values("wa").tolist()) <= {5}
+
+
+class TestOneEnsemblePath:
+    """The runner and the facade are one Monte-Carlo path with one answer."""
+
+    @pytest.mark.parametrize("engine", ["direct", "batch-direct"])
+    def test_runner_equals_experiment_bitwise(self, engine):
+        from repro.core import synthesize_distribution
+
+        system = synthesize_distribution(
+            {"1": 0.3, "2": 0.4, "3": 0.3}, gamma=1e3, scale=100
+        )
+        # 1,100 trials: three chunks of the default 512-trial schedule.
+        runner = ParallelEnsembleRunner(
+            system.network_with_inputs(None),
+            engine=engine,
+            stopping=system.stopping_condition(10),
+            outcome_classifier=system.outcome_classifier(),
+        ).run(1100, seed=7)
+        facade = (
+            Experiment.from_system(system)
+            .simulate(trials=1100, engine=engine, seed=7)
+            .ensemble
+        )
+        assert list(runner.outcome_counts.items()) == list(facade.outcome_counts.items())
+        for name in ("final_counts", "final_times", "n_firings"):
+            ours, theirs = getattr(runner, name), getattr(facade, name)
+            assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
+            assert ours.tobytes() == theirs.tobytes()

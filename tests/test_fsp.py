@@ -13,7 +13,7 @@ from repro.api.results import RunResult
 from repro.core import DistributionSpec, OutcomeSpec, build_stochastic_module
 from repro.crn import parse_network
 from repro.errors import EnsembleError, ExperimentError, FspError, SimulationError
-from repro.sim import EnsembleRunner, make_simulator
+from repro.sim import ParallelEnsembleRunner, make_simulator
 from repro.sim.fsp import (
     UNDECIDED,
     AbsorptionResult,
@@ -434,7 +434,7 @@ class TestEngineProtocol:
 
     def test_ensembles_reject_fsp(self, race_to_one):
         with pytest.raises(EnsembleError):
-            EnsembleRunner(race_to_one, engine="fsp")
+            ParallelEnsembleRunner(race_to_one, engine="fsp")
 
     def test_with_options_copy(self, race_to_one):
         engine = FspEngine(race_to_one)

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import decision_time_statistics, decision_time_vs_gamma
+from repro.analysis import decision_time_vs_gamma
+from repro.api import Experiment
 from repro.core import design_report, synthesize_distribution, verify_by_sampling
 from repro.crn import bipartite_graph, graph_summary, parse_network, to_dot
-from repro.errors import AnalysisError
+from repro.errors import EnsembleError
 
 
 class TestBipartiteGraph:
@@ -76,19 +77,16 @@ class TestDesignReport:
 class TestDecisionTime:
     def test_statistics_shape(self):
         system = synthesize_distribution({"a": 0.4, "b": 0.6}, gamma=1e3, scale=60)
-        stats = decision_time_statistics(system, n_trials=80, seed=5)
-        assert stats.n_trials > 0
-        assert stats.mean > 0
-        assert stats.p95 >= stats.median > 0
-        assert stats.mean_firings > 10
-        assert set(stats.as_dict()) == {
-            "mean", "std", "median", "p95", "mean_firings", "n_trials"
-        }
+        stats = Experiment.from_system(system).simulate(trials=80, seed=5).decision_times()
+        assert stats["n_trials"] > 0
+        assert stats["mean"] > 0
+        assert stats["p95"] >= stats["median"] > 0
+        assert stats["mean_firings"] > 10
+        assert set(stats) == {"mean", "std", "median", "p95", "mean_firings", "n_trials"}
 
     def test_invalid_trials(self):
-        system = synthesize_distribution({"a": 0.4, "b": 0.6})
-        with pytest.raises(AnalysisError):
-            decision_time_statistics(system, n_trials=0)
+        with pytest.raises(EnsembleError):
+            decision_time_vs_gamma({"a": 0.4, "b": 0.6}, gammas=[10.0], n_trials=0)
 
     def test_gamma_sweep_latency_accuracy_tradeoff(self):
         rows = decision_time_vs_gamma(

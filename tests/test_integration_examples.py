@@ -36,7 +36,7 @@ class TestExample1EndToEnd:
         """'Should we want a different probability distribution, we simply
         change the ratio of these initial quantities.' (Example 1)"""
         system = synthesize_distribution({"1": 0.6, "2": 0.2, "3": 0.2}, gamma=1e3)
-        sampled = system.sample_distribution(n_trials=400, seed=3)
+        sampled = Experiment.from_system(system).simulate(trials=400, seed=3)
         assert sampled.frequencies["1"] == pytest.approx(0.6, abs=0.07)
 
     def test_outcome_exclusivity(self):
@@ -66,16 +66,22 @@ class TestExample2EndToEnd:
 
     @pytest.mark.parametrize("inputs", [{}, {"x1": 5}, {"x1": 5, "x2": 4}, {"x2": 8}])
     def test_programmed_response_tracks_affine_target(self, system, inputs):
-        sampled = system.sample_distribution(n_trials=350, seed=sum(inputs.values()) + 7,
-                                             inputs=inputs)
+        sampled = (
+            Experiment.from_system(system)
+            .program(inputs)
+            .simulate(trials=350, seed=sum(inputs.values()) + 7)
+        )
         assert total_variation(sampled.frequencies, sampled.target) < 0.11
 
     def test_monotone_response_in_x1(self, system):
         """p1 grows by 0.02 per molecule of x1 (and p3 shrinks)."""
         values = []
         for x1 in (0, 5, 10):
-            sampled = system.sample_distribution(n_trials=300, seed=50 + x1,
-                                                 inputs={"x1": x1})
+            sampled = (
+                Experiment.from_system(system)
+                .program({"x1": x1})
+                .simulate(trials=300, seed=50 + x1)
+            )
             values.append(sampled.frequencies["1"])
         assert values[0] < values[1] < values[2]
 
@@ -97,6 +103,8 @@ class TestFullPipelineRoundTrip:
         system = synthesize_distribution({"a": 0.25, "b": 0.75}, gamma=1e3, scale=80)
         frequencies = {}
         for engine in ("direct", "next-reaction"):
-            sampled = system.sample_distribution(n_trials=300, seed=13, engine=engine)
+            sampled = Experiment.from_system(system).simulate(
+                trials=300, seed=13, engine=engine
+            )
             frequencies[engine] = sampled.frequencies["b"]
         assert frequencies["direct"] == pytest.approx(frequencies["next-reaction"], abs=0.09)

@@ -19,9 +19,9 @@ from repro.crn import parse_network
 from repro.errors import SimulationError
 from repro.sim import (
     CategoryFiringCondition,
-    EnsembleRunner,
     FiringCountCondition,
     OutcomeThresholds,
+    ParallelEnsembleRunner,
     SimulationOptions,
     SpeciesThreshold,
     StopReason,
@@ -240,7 +240,7 @@ class TestBackendResolution:
                 backend="python", record_firings=False
             )
         with pytest.raises(SimulationError, match="unknown kernel backend 'python'"):
-            EnsembleRunner(
+            ParallelEnsembleRunner(
                 _death(),
                 engine=engine,
                 options=SimulationOptions(record_firings=False, backend="python"),

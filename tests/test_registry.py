@@ -6,7 +6,7 @@ import pytest
 
 from repro.crn import parse_network
 from repro.errors import EnsembleError
-from repro.sim import EnsembleRunner, TauLeapOptions, make_simulator
+from repro.sim import ParallelEnsembleRunner, TauLeapOptions, make_simulator
 from repro.sim.direct import DirectMethodSimulator
 from repro.sim.ode import OdeOptions
 from repro.sim.registry import EngineRegistry, register_engine, registry
@@ -90,11 +90,11 @@ class TestResolution:
 
     def test_ensemble_runner_validates_options_at_construction(self, race_net):
         with pytest.raises(EnsembleError, match="does not accept engine options"):
-            EnsembleRunner(race_net, engine="direct", engine_options=TauLeapOptions())
+            ParallelEnsembleRunner(race_net, engine="direct", engine_options=TauLeapOptions())
 
     def test_ensemble_rejects_deterministic_engine(self, race_net):
         with pytest.raises(EnsembleError, match="deterministic"):
-            EnsembleRunner(race_net, engine="ode")
+            ParallelEnsembleRunner(race_net, engine="ode")
 
 
 class TestThirdPartyRegistration:
@@ -106,7 +106,7 @@ class TestThirdPartyRegistration:
         try:
             assert "test-custom-direct" in registry
             # Selectable through the ensemble layer without editing it.
-            result = EnsembleRunner(race_net, engine="test-custom-direct").run(
+            result = ParallelEnsembleRunner(race_net, engine="test-custom-direct").run(
                 20, seed=3
             )
             assert result.n_trials == 20

@@ -143,13 +143,31 @@ class TestEndpoints:
             pytest.param("simulate", "trials", 50.5, id="trials-fractional"),
             pytest.param("simulate", "seed", "x", id="seed-text"),
             pytest.param("simulate", "seed", 3.5, id="seed-fractional"),
+            pytest.param("simulate", "seed", -1, id="seed-negative"),
             pytest.param("simulate", "chunk_size", 100.5, id="chunk_size-fractional"),
+            pytest.param(None, "classifier", 5, id="classifier-number"),
+            pytest.param(None, "stopping", 5, id="stopping-number"),
+            pytest.param(None, "network", 5, id="network-number"),
+            pytest.param(None, "state_classifier", 5, id="state_classifier-number"),
+            pytest.param(
+                None, "stopping", {"type": "species-threshold", "threshold": 3},
+                id="species-threshold-without-species",
+            ),
+            pytest.param(
+                None, "stopping", {"type": "any", "conditions": 5}, id="any-conditions-number"
+            ),
+            pytest.param(
+                None, "stopping", {"type": "outcome-thresholds", "thresholds": {"a": 5}},
+                id="outcome-threshold-number",
+            ),
         ],
     )
     def test_unknown_option_key_is_400_naming_it(self, service, experiment, section, key, value):
         """A malformed ``options`` or ``simulate`` field — an unknown key, a
-        non-mapping section, a missing field, a non-number or a fractional
-        count — is rejected before lookup or compute, naming the field."""
+        non-mapping section, a missing field, a non-number, a fractional
+        count or a negative seed — or a ``network``, ``stopping``,
+        ``classifier`` or ``state_classifier`` section that does not parse is
+        rejected before lookup or compute, naming the field."""
         from repro.errors import FingerprintError
         from repro.store import canonicalize_payload, compute_payload, experiment_to_payload
 
@@ -173,6 +191,23 @@ class TestEndpoints:
             assert response.code == 400
             message = json.loads(response.read())["error"]
         assert repr(key) in message
+        assert ServiceClient(service.url).healthz()["artifacts"] == 0
+
+    def test_firing_count_past_the_network_is_400(self, service, experiment):
+        """A firing-count descriptor naming a reaction the network lacks is
+        refused while canonicalizing, before lookup or compute."""
+        from repro.errors import FingerprintError
+        from repro.store import canonicalize_payload, experiment_to_payload
+
+        payload = experiment_to_payload(experiment, trials=10, engine="batch-direct", seed=1)
+        n_reactions = len(payload["network"]["reactions"])
+        payload["stopping"] = {
+            "type": "firing-count", "reaction_indices": [n_reactions], "count": 3, "label": ""
+        }
+        with pytest.raises(FingerprintError, match="stopping"):
+            canonicalize_payload(payload)
+        with pytest.raises(ServiceError, match="400"):
+            ServiceClient(service.url)._request("/simulate", body={"experiment": payload})
         assert ServiceClient(service.url).healthz()["artifacts"] == 0
 
     def test_malformed_json_is_400(self, service):

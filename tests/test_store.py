@@ -18,7 +18,7 @@ from repro.errors import (
     StoppingConditionError,
 )
 from repro.sim import SimulationOptions
-from repro.sim.ensemble import EnsembleRunner
+from repro.sim.ensemble import ParallelEnsembleRunner
 from repro.sim.events import (
     AllCondition,
     AnyCondition,
@@ -278,7 +278,7 @@ class TestArtifactRoundTrips:
         assert json.loads(result.to_json())["version"] == repro.__version__
 
     def test_bare_ensemble_round_trip(self, store, race_network):
-        runner = EnsembleRunner(
+        runner = ParallelEnsembleRunner(
             race_network,
             stopping=SpeciesThreshold("d2", 20),
             options=SimulationOptions(record_firings=False),
@@ -373,7 +373,7 @@ class TestStoreMechanics:
             reader.get_envelope(key)
 
     def test_wrong_kind_for_load_run(self, store, race_network):
-        runner = EnsembleRunner(race_network, stopping=SpeciesThreshold("d1", 5))
+        runner = ParallelEnsembleRunner(race_network, stopping=SpeciesThreshold("d1", 5))
         store.put("aa" * 32, runner.run(5, seed=1))
         with pytest.raises(StoreError, match="run-result"):
             store.load_run("aa" * 32)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.api import Experiment
 from repro.core import (
     AffineResponseSpec,
     OutcomeSpec,
@@ -44,9 +47,10 @@ class TestSynthesizeDistribution:
 
     def test_sampled_distribution_matches_target(self):
         system = synthesize_distribution({"a": 0.2, "b": 0.8}, gamma=1e3, scale=100)
-        sampled = system.sample_distribution(n_trials=400, seed=21)
+        sampled = Experiment.from_system(system).simulate(trials=400, seed=21)
+        assert sampled.target == {"a": 0.2, "b": 0.8}
         assert sampled.frequencies["b"] == pytest.approx(0.8, abs=0.07)
-        assert sampled.total_variation_distance() < 0.08
+        assert sampled.total_variation() < 0.08
         assert "TV distance" in sampled.summary()
 
     def test_classify_outcome_fallback_uses_catalyst(self):
@@ -72,6 +76,18 @@ class TestSynthesizeDistribution:
         assert report.tv_distance < 0.1
         assert 0 <= report.chi2_pvalue <= 1
         assert "PASS" in report.summary()
+
+    def test_verification_without_decided_trials_fails(self):
+        """A run in which no trial decides reports a failure; it does not raise."""
+        system = synthesize_distribution({"a": 0.3, "b": 0.7}, gamma=1e3)
+        # No input molecules: nothing fires, and every catalyst ends at 0.
+        report = verify_by_sampling(
+            system, n_trials=20, seed=5, inputs={"e_a": 0, "e_b": 0}, tolerance=1.0
+        )
+        assert report.n_trials == 0 and report.measured == {}
+        assert not report.passed
+        assert math.isnan(report.tv_distance) and math.isnan(report.chi2_pvalue)
+        assert "FAIL" in report.summary()
 
 
 class TestSynthesizeAffineResponse:
@@ -118,11 +134,13 @@ class TestSynthesizeAffineResponse:
 
     def test_sampling_with_inputs_shifts_distribution(self, example2):
         system = synthesize_affine_response(example2, gamma=1e3)
-        baseline = system.sample_distribution(n_trials=300, seed=31)
-        shifted = system.sample_distribution(n_trials=300, seed=32, inputs={"x1": 10})
+        experiment = Experiment.from_system(system)
+        baseline = experiment.simulate(trials=300, seed=31)
+        shifted = experiment.program({"x1": 10}).simulate(trials=300, seed=32)
+        assert shifted.target == system.target_distribution({"x1": 10})
         assert shifted.frequencies["1"] > baseline.frequencies["1"]
         assert shifted.frequencies["3"] < baseline.frequencies["3"]
-        assert shifted.total_variation_distance() < 0.1
+        assert shifted.total_variation() < 0.1
 
     def test_non_representable_slope_rejected(self):
         spec = AffineResponseSpec(
