@@ -25,7 +25,6 @@ from repro.analysis.distance import total_variation
 from repro.api.experiment import Experiment
 from repro.core.synthesizer import SynthesizedSystem
 from repro.crn.network import ReactionNetwork
-from repro.crn.reaction import Reaction
 from repro.errors import AnalysisError
 from repro.sim.rng import make_rng
 

@@ -48,11 +48,12 @@ from repro.errors import ExperimentError, FingerprintError
 from repro.sim.base import SimulationOptions, merge_options
 from repro.sim.ensemble import EnsembleResult, ParallelEnsembleRunner
 from repro.sim.events import StoppingCondition
+from repro.sim.outcomes import apportion
 from repro.api.results import RunResult
 
 __all__ = ["Experiment"]
 
-#: max_steps safety bound used when settling modules (matches settle_module).
+#: max_steps safety bound used when settling modules (settle_module's default).
 _MODULE_MAX_STEPS = 2_000_000
 
 
@@ -793,17 +794,9 @@ class Experiment:
         solver = info.create(network, engine_options=engine_options)
         absorption = solver.outcome_probabilities(classify)
 
-        # Nominal outcome counts: largest-remainder rounding of p·trials, so
-        # the synthetic ensemble sums to exactly `trials` decided+undecided.
-        labels = sorted(absorption.probabilities)
-        ideal = {k: absorption.probabilities[k] * trials for k in labels}
-        counts = {k: int(ideal[k]) for k in labels}
-        for k in sorted(labels, key=lambda k: ideal[k] - counts[k], reverse=True):
-            if sum(counts.values()) >= trials:
-                break
-            counts[k] += 1
+        # Nominal outcome counts, summing to exactly `trials` decided+undecided.
         ensemble = _unsampled_ensemble(
-            solver.compiled, trials, {k: v for k, v in counts.items() if v > 0}
+            solver.compiled, trials, apportion(absorption.probabilities, trials)
         )
         return RunResult(
             ensemble=ensemble,

@@ -14,8 +14,8 @@ from repro.core.error_model import (
     ErrorEstimate,
     GammaSweepPoint,
     build_error_experiment_network,
-    classify_trial,
     estimate_error_rate,
+    first_events,
     gamma_sweep,
 )
 from repro.core.rates import STOCHASTIC_CATEGORIES, RateLadder, TierScheme
@@ -66,7 +66,7 @@ __all__ = [
     "GammaSweepPoint",
     "estimate_error_rate",
     "gamma_sweep",
-    "classify_trial",
+    "first_events",
     "build_error_experiment_network",
     "PAPER_GAMMA_VALUES",
 ]

@@ -11,14 +11,16 @@ of the rate-separation factor γ by Monte-Carlo simulation:
 * an outcome is declared once a working reaction has fired 10 times;
 * 100,000 trials per γ, γ swept from 1 to 10⁵ (Figure 3).
 
-This module reproduces that experiment.  The trial count is configurable
-because 100,000 Python-level SSA trials per γ point is slow; the *shape*
-(error falling roughly as a power of γ) is already clear at a few thousand
-trials for the smaller γ values.
+Each trial is split at its first event, which only chooses a start state
+(the strong Markov property): P(error) = Σ_i π_i · P(outcome ≠ i | start_i)
+over the :func:`first_events` branches.  Each branch is one ordinary
+``Experiment.simulate`` ensemble on any sampling engine, and the ``fsp``
+engine solves the same branches exactly at reduced size (docs/testing.md).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,19 +28,18 @@ from repro.core.spec import DistributionSpec, OutcomeSpec
 from repro.core.stochastic_module import build_stochastic_module
 from repro.crn.network import ReactionNetwork
 from repro.errors import SynthesisError
-from repro.sim.base import SimulationOptions
-from repro.sim.ensemble import make_simulator
 from repro.sim.events import CategoryFiringCondition
+from repro.sim.outcomes import UNDECIDED, apportion
+from repro.sim.propensity import reaction_propensity
 from repro.sim.registry import registry
-from repro.sim.rng import spawn_children
-from repro.sim.trajectory import Trajectory
+from repro.sim.rng import derive_seed
 
 __all__ = [
     "ErrorEstimate",
     "GammaSweepPoint",
     "build_error_experiment_network",
-    "classify_trial",
     "estimate_error_rate",
+    "first_events",
     "gamma_sweep",
     "PAPER_GAMMA_VALUES",
 ]
@@ -115,32 +116,34 @@ def build_error_experiment_network(
     )
 
 
-def classify_trial(trajectory: Trajectory, network: ReactionNetwork) -> "tuple[str, str] | None":
-    """Return ``(intended, actual)`` outcome labels for one trial.
+def first_events(network: ReactionNetwork) -> "list[tuple[str, float, dict[str, int]]]":
+    """``(label, π_i, start_i)`` for each reaction that can fire first.
 
-    * *intended* — the outcome of the first initializing reaction that fired;
-    * *actual* — the outcome whose working reaction reached the declaration
-      count (taken from the trajectory's stop detail).
-
-    Returns ``None`` when the trial is undecided (no initializing firing or no
-    declared outcome).
+    ``π_i = a_i / Σ_j a_j`` over the initial propensities; ``start_i`` is the
+    initial state after reaction ``i``, by species name, zeros included.  An
+    enabled reaction that is not ``initializing[<label>]`` is an error.
     """
-    initializing = network.reactions_in_category("initializing")
-    index_to_label = {}
-    for index, reaction in initializing:
-        # names are "initializing[<label>]"
-        label = reaction.name.split("[", 1)[1].rstrip("]")
-        index_to_label[index] = label
-    first = trajectory.first_firing(list(index_to_label))
-    if first is None:
-        return None
-    intended = index_to_label[first]
-
-    detail = trajectory.stop_detail
-    if not detail.startswith("working["):
-        return None
-    actual = detail.split("[", 1)[1].rstrip("]")
-    return intended, actual
+    state = network.initial_state
+    enabled = []
+    for reaction in network.reactions:
+        propensity = reaction_propensity(reaction, state)
+        if propensity <= 0:
+            continue
+        match = re.fullmatch(r"initializing\[(.+)\]", reaction.name)
+        if match is None:
+            raise SynthesisError(
+                f"reaction {reaction.name or str(reaction)!r} can fire at the initial "
+                "state but is not an initializing[<label>] reaction"
+            )
+        enabled.append((match.group(1), propensity, state.applied(reaction)))
+    if not enabled:
+        raise SynthesisError("no reaction can fire at the network's initial state")
+    total = sum(propensity for _, propensity, _ in enabled)
+    species = network.species_order
+    return [
+        (label, propensity / total, {s.name: after[s] for s in species})
+        for label, propensity, after in enabled
+    ]
 
 
 def estimate_error_rate(
@@ -157,43 +160,44 @@ def estimate_error_rate(
 ) -> ErrorEstimate:
     """Estimate the stochastic-module error probability at one γ.
 
-    Follows the paper's protocol: equal initializing rates, equal input
-    quantities, outcome declared after ``declare_after`` working firings,
-    error when the first initializing firing and the declared outcome differ.
+    ``n_trials`` are shared over the :func:`first_events` branches by
+    :func:`~repro.sim.outcomes.apportion`; branch ``i`` runs its share from
+    ``start_i``, seeded by ``derive_seed(seed, i)``.  A decided trial is in
+    error when another branch's working reaction declares the outcome.
     """
+    from repro.api.experiment import Experiment
+
     if n_trials <= 0:
         raise SynthesisError(f"n_trials must be positive, got {n_trials}")
-    # Classifying a trial needs the per-event firing log (first initializing
-    # firing vs declared outcome), which batched engines do not record and a
-    # deterministic mean field cannot produce.
-    info = registry.get(engine)
-    if info.batched or info.deterministic:
+    if registry.get(engine).deterministic:
         raise SynthesisError(
-            f"the error experiment needs a per-trial stochastic engine with a "
-            f"firing log; {engine!r} is "
-            f"{'batched' if info.batched else 'deterministic'} — use one of "
-            f"{[n for n in registry.per_trial_names() if not registry.get(n).deterministic]}"
+            f"the error experiment samples trials; {engine!r} is deterministic"
         )
     network = build_error_experiment_network(
         gamma, n_outcomes=n_outcomes, input_quantity=input_quantity
     )
-    simulator = make_simulator(network, engine=engine, engine_options=engine_options)
-    stopping = CategoryFiringCondition("working", declare_after)
-    options = SimulationOptions(
-        record_firings=True, max_steps=max_steps, backend=backend
-    )
+    experiment = Experiment.from_network(
+        network, stopping=CategoryFiringCondition("working", declare_after)
+    ).configure(max_steps=max_steps)
+    branches = first_events(network)
+    shares = apportion({label: p for label, p, _ in branches}, n_trials)
 
     n_errors = 0
     n_undecided = 0
-    for rng in spawn_children(seed, n_trials):
-        trajectory = simulator.run(stopping=stopping, options=options, seed=rng)
-        classified = classify_trial(trajectory, network)
-        if classified is None:
-            n_undecided += 1
+    for index, (label, _, start) in enumerate(branches):
+        share = shares.get(label, 0)
+        if share == 0:
             continue
-        intended, actual = classified
-        if intended != actual:
-            n_errors += 1
+        counts = experiment.program(start).simulate(
+            trials=share,
+            engine=engine,
+            seed=None if seed is None else derive_seed(seed, index),
+            engine_options=engine_options,
+            backend=backend,
+        ).ensemble.outcome_counts
+        undecided = counts.get(UNDECIDED, 0)
+        n_undecided += undecided
+        n_errors += share - undecided - counts.get(f"working[{label}]", 0)
     return ErrorEstimate(
         gamma=gamma, n_trials=n_trials, n_errors=n_errors, n_undecided=n_undecided
     )

@@ -19,8 +19,6 @@ from typing import Mapping
 
 from repro.core.modules.base import FunctionalModule
 from repro.errors import SimulationError
-from repro.sim.base import SimulationOptions
-from repro.sim.ensemble import make_simulator
 
 __all__ = ["SettleResult", "settle_module", "default_horizon"]
 
@@ -76,6 +74,10 @@ def settle_module(
 ) -> SettleResult:
     """Run a module once and return its settled output quantities.
 
+    This is ``Experiment.from_module(module, horizon).program(inputs)
+    .configure(max_steps=max_steps).run_once(...)``, reduced to the settled
+    quantities.
+
     Parameters
     ----------
     module:
@@ -83,35 +85,22 @@ def settle_module(
     inputs:
         Initial quantities of the module's input ports, keyed by role
         (``{"x": 8}``, ``{"x": 3, "p": 2}``).
-    seed / engine:
-        Random seed and simulation engine (any registry name, including the
-        deterministic ``"ode"`` mean-field baseline).
     horizon:
         Simulated-time limit; defaults to :func:`default_horizon`.
     max_steps:
         Safety bound on the number of firings.
-    engine_options:
-        Typed options for the selected engine (e.g.
-        :class:`~repro.sim.tau_leaping.TauLeapOptions`).
-    backend:
-        Simulation-kernel backend for engines that support one.
+    seed / engine / engine_options / backend:
+        As for :meth:`repro.api.experiment.Experiment.run_once`: any registry
+        engine, including the deterministic ``"ode"`` mean-field baseline.
     """
-    prepared = module.with_input_quantities(dict(inputs or {}))
-    if backend != "auto":
-        from repro.sim.kernels.backend import validate_backend_request
-        from repro.sim.registry import registry
+    from repro.api.experiment import Experiment
 
-        validate_backend_request(backend, registry.get(engine).backends, engine)
-    simulator = make_simulator(
-        prepared.network, engine=engine, seed=seed, engine_options=engine_options
+    trajectory = (
+        Experiment.from_module(module, horizon)
+        .program(dict(inputs or {}))
+        .configure(max_steps=max_steps)
+        .run_once(engine=engine, seed=seed, engine_options=engine_options, backend=backend)
     )
-    options = SimulationOptions(
-        max_time=horizon if horizon is not None else default_horizon(module),
-        max_steps=max_steps,
-        record_firings=False,
-        backend=backend,
-    )
-    trajectory = simulator.run(options=options)
     final = trajectory.final_state.to_dict()
     outputs = {
         role: int(final.get(species, 0)) for role, species in module.outputs.items()

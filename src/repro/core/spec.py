@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from repro.errors import SpecificationError
+from repro.sim.outcomes import apportion
 
 __all__ = [
     "OutcomeSpec",
@@ -204,15 +205,8 @@ def quantize_distribution(probabilities: Sequence[float], scale: int) -> list[in
     """
     if scale <= 0:
         raise SpecificationError(f"scale must be positive, got {scale}")
-    raw = [p * scale for p in probabilities]
-    floors = [int(math.floor(value)) for value in raw]
-    remainder = scale - sum(floors)
-    order = sorted(
-        range(len(raw)), key=lambda i: (raw[i] - floors[i]), reverse=True
-    )
-    counts = list(floors)
-    for i in order[:remainder]:
-        counts[i] += 1
+    shares = apportion(dict(enumerate(probabilities)), scale)
+    counts = [shares.get(i, 0) for i in range(len(probabilities))]
     # Give starved positive-probability outcomes one unit, taken from the largest.
     for i, probability in enumerate(probabilities):
         if probability > 0 and counts[i] == 0:

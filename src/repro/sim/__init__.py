@@ -63,7 +63,7 @@ from repro.sim.ode import OdeEngine, OdeIntegrator, OdeOptions, OdeResult, simul
 from repro.sim.priority_queue import ArrayHeap
 from repro.sim.registry import EngineInfo, EngineRegistry, register_engine, registry
 from repro.sim.propensity import CompiledNetwork, combinations, reaction_propensity
-from repro.sim.rng import derive_seed, make_rng, spawn_children, spawn_children_range
+from repro.sim.rng import derive_seed, make_rng, spawn_children_range
 from repro.sim.stats import RunningMoments
 from repro.sim.tau_leaping import TauLeapingSimulator, TauLeapOptions
 from repro.sim.trajectory import FiringLog, FiringRecord, StopReason, Trajectory
@@ -127,7 +127,6 @@ __all__ = [
     "resolve_initial_counts",
     "RunningMoments",
     "make_rng",
-    "spawn_children",
     "spawn_children_range",
     "derive_seed",
 ]

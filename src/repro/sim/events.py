@@ -203,6 +203,14 @@ class FiringCountCondition(StoppingCondition):
         self.count = int(count)
         self.label = label or f"firings>={count}"
 
+    def reset(self, compiled: CompiledNetwork) -> None:
+        outside = [i for i in self.reaction_indices if not 0 <= i < compiled.n_reactions]
+        if outside:
+            raise StoppingConditionError(
+                f"reaction indices {outside} are outside the network's "
+                f"{compiled.n_reactions} reactions"
+            )
+
     def check(self, time, counts, compiled, firing_counts):
         total = int(sum(firing_counts[i] for i in self.reaction_indices))
         if total >= self.count:

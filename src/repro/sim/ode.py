@@ -26,6 +26,7 @@ from repro.crn.network import ReactionNetwork
 from repro.crn.species import Species, as_species
 from repro.crn.state import State
 from repro.errors import SimulationError
+from repro.sim.base import merge_options, resolve_initial_counts
 from repro.sim.propensity import CompiledNetwork
 from repro.sim.registry import register_engine
 
@@ -102,11 +103,7 @@ class OdeIntegrator:
         if t_final <= 0:
             raise SimulationError(f"t_final must be positive, got {t_final}")
         compiled = self.compiled
-        if initial_state is None:
-            x0 = compiled.initial_counts().astype(float)
-        else:
-            state = initial_state if isinstance(initial_state, State) else State(initial_state)
-            x0 = state.to_vector(compiled.species).astype(float)
+        x0 = resolve_initial_counts(compiled, initial_state).astype(float)
         grid = np.linspace(0.0, t_final, max(int(n_points), 2))
         solution = solve_ivp(
             self.right_hand_side,
@@ -167,19 +164,17 @@ class OdeOptions:
     summary="deterministic mean-field (reaction-rate equation) integration",
 )
 class OdeEngine:
-    """Adapter giving the mean-field integrator the engine ``run()`` protocol.
+    """The mean-field integrator behind the engine ``run()`` protocol.
 
-    This makes the ODE baseline selectable by name (``engine="ode"``) wherever
-    a single-trajectory engine is accepted — :func:`make_simulator`,
-    ``settle_module``, the CLI ``settle --engine ode`` — returning the bulk
-    prediction as a (log-free) trajectory with counts rounded to integers.
-
-    The engine is *deterministic*: every run yields the same trajectory, the
-    seed is ignored, and Monte-Carlo ensembles reject it (repeating a
-    deterministic run estimates nothing).  Stopping conditions are not
-    supported; a finite ``max_time`` must be given via
-    :class:`~repro.sim.base.SimulationOptions` since the mean field of a
-    catalytic module never exhausts on its own.
+    ``engine="ode"`` works wherever one trajectory is asked for
+    (:func:`make_simulator`, ``Experiment.run_once``, ``settle_module``) and
+    returns the bulk prediction as a log-free trajectory, counts rounded to
+    integers.  It resolves the start and merges options through the helpers
+    every engine shares, so an unknown species or option is a
+    :class:`~repro.errors.SimulationError`, and so is a mean field that
+    diverges past any count.  It is *deterministic* (the seed is ignored, and
+    ensembles reject it), takes no stopping condition, and needs a finite
+    ``max_time``: the mean field of a catalytic module never exhausts.
     """
 
     method_name = "ode"
@@ -208,7 +203,6 @@ class OdeEngine:
         **option_overrides,
     ):
         """Integrate the mean field to ``options.max_time``; return a Trajectory."""
-        from repro.sim.base import SimulationOptions
         from repro.sim.trajectory import StopReason, Trajectory
 
         if stopping is not None:
@@ -216,9 +210,7 @@ class OdeEngine:
                 "the 'ode' engine does not support stopping conditions; "
                 "integrate to a finite max_time instead"
             )
-        opts = options or SimulationOptions()
-        if option_overrides:
-            opts = SimulationOptions(**{**opts.__dict__, **option_overrides})
+        opts = merge_options(options, option_overrides)
         if not math.isfinite(opts.max_time):
             raise SimulationError(
                 "the 'ode' engine needs a finite max_time "
@@ -233,6 +225,14 @@ class OdeEngine:
             rtol=ode.rtol,
             atol=ode.atol,
         )
+        # An unbounded mean field overflows; no int64 count can hold it.
+        unbounded = np.argwhere(~(np.abs(result.concentrations) < 2.0**63))
+        if unbounded.size:
+            row, column = unbounded[0]
+            raise SimulationError(
+                f"the mean field diverged: species {result.species[column].name!r} "
+                f"reached {result.concentrations[row, column]:g} at t={result.times[row]:g}"
+            )
         counts = np.rint(result.concentrations[-1]).astype(np.int64)
         return Trajectory(
             times=np.empty(0, dtype=float),

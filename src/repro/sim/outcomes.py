@@ -32,6 +32,7 @@ __all__ = [
     "UNDECIDED",
     "StopDetailClassifier",
     "WorkingOutcomeClassifier",
+    "apportion",
     "count_outcomes",
 ]
 
@@ -47,6 +48,23 @@ def count_outcomes(labels: Iterable) -> "dict[str, int]":
         key = UNDECIDED if label is None else str(label)
         counts[key] = counts.get(key, 0) + n
     return counts
+
+
+def apportion(probabilities: Mapping, total: int) -> dict:
+    """``p · total`` rounded by largest remainder to counts summing to ``total``.
+
+    Ties go in sorted key order, and keys left at 0 are dropped.  Exact
+    solves, Figure-3 trial shares and programmed input quantities all round
+    through here.
+    """
+    labels = sorted(probabilities)
+    ideal = {k: probabilities[k] * total for k in labels}
+    counts = {k: int(ideal[k]) for k in labels}
+    for k in sorted(labels, key=lambda k: ideal[k] - counts[k], reverse=True):
+        if sum(counts.values()) >= total:
+            break
+        counts[k] += 1
+    return {k: v for k, v in counts.items() if v > 0}
 
 
 class StopDetailClassifier:

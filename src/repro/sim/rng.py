@@ -1,9 +1,10 @@
 """Random number sourcing for the stochastic simulators.
 
 All simulators draw randomness through :func:`make_rng`, so experiments are
-reproducible given a seed and ensembles can derive independent child streams
-for their trials (via :func:`spawn_children`, which uses NumPy's
-``SeedSequence`` spawning so trial streams are statistically independent).
+reproducible given a seed.  Per-trial ensembles give every trial its own
+child stream (:func:`spawn_children_range`, NumPy ``SeedSequence`` spawning,
+so trial streams are statistically independent), and batched chunks and
+sweep points take integer sub-seeds from :func:`derive_seed`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 
-__all__ = ["make_rng", "spawn_children", "spawn_children_range", "derive_seed"]
+__all__ = ["make_rng", "spawn_children_range", "derive_seed"]
 
 
 def _checked_seed(seed: "int | None") -> "int | None":
@@ -39,17 +40,6 @@ def make_rng(seed: "int | np.random.Generator | None" = None) -> np.random.Gener
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(_checked_seed(seed))
-
-
-def spawn_children(seed: "int | None", count: int) -> list[np.random.Generator]:
-    """Create ``count`` independent generators derived from ``seed``.
-
-    Used by the ensemble runner: each Monte-Carlo trial gets its own child
-    stream, so results do not depend on the order in which trials execute.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    return spawn_children_range(seed, count, 0, count)
 
 
 def spawn_children_range(

@@ -266,12 +266,19 @@ class TestExperimentCommands:
         assert code == 0
         assert "Figure 3" in out
 
-    def test_figure3_rejects_logless_engines(self, capsys):
-        code = main(["figure3", "--gammas", "10", "--trials", "10",
-                     "--engine", "batch-direct"])
+    def test_figure3_on_batch_direct_prints_each_gamma(self, capsys):
+        code = main(["figure3", "--trials", "300", "--gammas", "1,100",
+                     "--engine", "batch-direct", "--seed", "3"])
+        out = capsys.readouterr().out
+        assert code == 0
+        rows = [line.split()[:2] for line in out.splitlines()]
+        assert ["1", "300"] in rows and ["100", "300"] in rows
+
+    def test_figure3_rejects_deterministic_engines(self, capsys):
+        code = main(["figure3", "--gammas", "10", "--trials", "10", "--engine", "ode"])
         captured = capsys.readouterr()
         assert code == 1
-        assert "firing log" in captured.err
+        assert "error:" in captured.err and "'ode'" in captured.err
 
     def test_figure5_tau_flags_validated(self, capsys):
         code = main(["figure5", "--moi", "1", "--trials", "5", "--skip-natural",

@@ -100,6 +100,26 @@ class TestFiringConditions:
         with pytest.raises(StoppingConditionError):
             FiringCountCondition([0], 0)
 
+    @pytest.mark.parametrize("index", [999, -1])
+    @pytest.mark.parametrize(
+        "path", ["direct", "batch-direct", "tau-leaping", "compute_payload"]
+    )
+    def test_firing_count_index_outside_network(self, example1_network, index, path):
+        """An index past the reactions (or a negative one) is refused on every path."""
+        from repro.api import Experiment
+        from repro.store.serialize import compute_payload, experiment_to_payload
+
+        experiment = Experiment.from_network(
+            example1_network, stopping=FiringCountCondition([index], 3)
+        )
+        with pytest.raises(StoppingConditionError, match=rf"\[{index}\] are outside"):
+            if path == "compute_payload":
+                compute_payload(
+                    experiment_to_payload(experiment, trials=5, seed=1, engine="direct")
+                )
+            else:
+                experiment.simulate(trials=5, seed=1, engine=path)
+
     def test_category_condition_reports_reaction_name(self, compiled):
         condition = CategoryFiringCondition("working", 10)
         condition.reset(compiled)

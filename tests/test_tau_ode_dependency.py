@@ -5,15 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import settle_module
+from repro.core.modules import exponentiation_module
 from repro.crn import parse_network
 from repro.errors import SimulationError
 from repro.sim import (
     OdeIntegrator,
+    SimulationOptions,
     SpeciesThreshold,
     TauLeapingSimulator,
     TauLeapOptions,
     dependency_graph,
     dependency_stats,
+    make_simulator,
     simulate_ode,
 )
 
@@ -94,6 +98,30 @@ class TestOde:
         net = parse_network("x ->{1} 0\ninit: x = 100")
         result = simulate_ode(net, t_final=0.5, initial_state={"x": 10})
         assert result.series("x")[0] == pytest.approx(10.0)
+
+    def test_unknown_start_species_raises(self, production_decay):
+        """Like every sampling engine, an unknown species is refused, not dropped."""
+        with pytest.raises(SimulationError, match="zzz"):
+            simulate_ode(production_decay, t_final=1.0, initial_state={"zzz": 5})
+        engine = make_simulator(production_decay, engine="ode")
+        with pytest.raises(SimulationError, match="zzz"):
+            engine.run(initial_state={"zzz": 5}, options=SimulationOptions(max_time=1.0))
+
+    def test_unknown_option_raises(self, production_decay):
+        engine = make_simulator(production_decay, engine="ode")
+        with pytest.raises(SimulationError, match="bogus"):
+            engine.run(options=SimulationOptions(max_time=1.0), bogus=3)
+        assert engine.run(options=SimulationOptions(max_time=1.0), max_time=2.0).final_time == 2.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_diverging_mean_field_raises(self):
+        """The exponentiation module's mean field overflows within microseconds.
+
+        The rounded counts used to be int64's minimum; now the run stops
+        with an error naming the species and the time.
+        """
+        with pytest.raises(SimulationError, match=r"mean field diverged: species 'y'.* at t="):
+            settle_module(exponentiation_module(), {"x": 4}, engine="ode")
 
     def test_final_state_dict(self, production_decay):
         result = simulate_ode(production_decay, t_final=1.0)
