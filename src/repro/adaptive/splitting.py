@@ -305,11 +305,7 @@ def run_splitting(
     condition (every competing outcome absorbs a stage trajectory as a
     failure).  The run is sequential and deterministic for a given ``seed``.
     """
-    compiled = (
-        network
-        if isinstance(network, CompiledNetwork)
-        else CompiledNetwork.compile(network)
-    )
+    compiled = CompiledNetwork.coerce(network)
     simulator = make_simulator(compiled, engine=engine, engine_options=engine_options)
     options = options or SimulationOptions(record_firings=False)
 

@@ -127,11 +127,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser, workers: bool = True)
              "default 0.03)",
     )
     parser.add_argument(
-        "--tau-n-critical", type=int, default=None, metavar="N",
-        help="tau-leaping critical-reaction threshold (requires --engine "
-             "tau-leaping; default 10)",
-    )
-    parser.add_argument(
         "--fsp-max-states", type=int, default=None, metavar="N",
         help="finite-state-projection state budget (requires --engine fsp; "
              "default 200000)",
@@ -266,27 +261,19 @@ def _add_store_argument(parser: argparse.ArgumentParser) -> None:
 def _engine_options_from(args) -> "TauLeapOptions | FspOptions | None":
     """Build the typed ``engine_options`` payload from the CLI flags."""
     epsilon = getattr(args, "tau_epsilon", None)
-    n_critical = getattr(args, "tau_n_critical", None)
     fsp_max_states = getattr(args, "fsp_max_states", None)
     fsp_tolerance = getattr(args, "fsp_tolerance", None)
-    if (epsilon is not None or n_critical is not None) and args.engine != "tau-leaping":
+    if epsilon is not None and args.engine != "tau-leaping":
         raise argparse.ArgumentTypeError(
-            "--tau-epsilon/--tau-n-critical require --engine tau-leaping "
-            f"(got --engine {args.engine})"
+            f"--tau-epsilon requires --engine tau-leaping (got --engine {args.engine})"
         )
     if (fsp_max_states is not None or fsp_tolerance is not None) and args.engine != "fsp":
         raise argparse.ArgumentTypeError(
             "--fsp-max-states/--fsp-tolerance require --engine fsp "
             f"(got --engine {args.engine})"
         )
-    if epsilon is not None or n_critical is not None:
-        defaults = TauLeapOptions()
-        return TauLeapOptions(
-            epsilon=epsilon if epsilon is not None else defaults.epsilon,
-            critical_threshold=(
-                n_critical if n_critical is not None else defaults.critical_threshold
-            ),
-        )
+    if epsilon is not None:
+        return TauLeapOptions(epsilon=epsilon)
     if fsp_max_states is not None or fsp_tolerance is not None:
         fsp_defaults = FspOptions()
         return FspOptions(

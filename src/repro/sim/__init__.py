@@ -4,15 +4,20 @@ Exact SSA engines (Gillespie direct, first-reaction, Gibson–Bruck
 next-reaction, and a vectorized batched direct method), approximate
 tau-leaping, deterministic mean-field ODE integration, a sparse
 finite-state-projection solver for exact distributions, stopping conditions,
-trajectory records, and Monte-Carlo ensemble runners (sequential, batched
-and multiprocess-sharded).
+trajectory records, and the Monte-Carlo ensemble runner (chunked, inline or
+multiprocess-sharded).
 
-The exact engines execute on a pluggable kernel-backend layer
-(:mod:`repro.sim.kernels`): preallocated columnar buffers, chunked random
-blocks and compiled stopping plans, with an always-available ``numpy``
-reference backend and an optional, bit-identical ``numba`` JIT backend —
-selected via ``SimulationOptions.backend`` /
+Every engine reads one :class:`CompiledNetwork` per network (padded arrays,
+CSR dependents, scan order and Python views, built once by
+:meth:`CompiledNetwork.compile`).  The exact engines execute on a pluggable
+kernel-backend layer (:mod:`repro.sim.kernels`): preallocated columnar
+buffers, chunked random blocks and compiled stopping plans, with an
+always-available ``numpy`` reference backend and an optional, bit-identical
+``numba`` JIT backend — selected via ``SimulationOptions.backend`` /
 ``Experiment.simulate(backend=...)`` / the CLI ``--backend`` flag.
+Tau-leaping shares the per-trial protocol (:meth:`StochasticSimulator.run` /
+:meth:`~StochasticSimulator.run_slice`) with its own leap loop in place of
+a kernel.
 """
 
 from repro.sim.base import (
@@ -42,7 +47,6 @@ from repro.sim.events import (
 from repro.sim.first_reaction import FirstReactionSimulator
 from repro.sim.kernels import (
     KernelBackend,
-    KernelNetwork,
     RandomBlocks,
     StoppingPlan,
     TrajectoryBuffers,
@@ -110,7 +114,6 @@ __all__ = [
     "FiringLog",
     "FiringRecord",
     "KernelBackend",
-    "KernelNetwork",
     "RandomBlocks",
     "StoppingPlan",
     "TrajectoryBuffers",

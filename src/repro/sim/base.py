@@ -2,13 +2,16 @@
 
 The paper's experimental methodology is Monte-Carlo stochastic simulation —
 it cites Gillespie's SSA as [6] and the Gibson–Bruck next-reaction method as
-[7].  Every per-trial exact engine here (direct, first-reaction,
-next-reaction) runs the same way: resolve the starting counts, compile the
-stopping condition into a :class:`~repro.sim.kernels.plan.StoppingPlan`,
-check it once at t=0, and hand the whole firing loop to a pluggable
+[7].  Every per-trial engine here runs the same trial protocol: resolve the
+starting counts, compile the stopping condition into a
+:class:`~repro.sim.kernels.plan.StoppingPlan`, check it once at t=0, and
+run the trial's step loop.  The exact engines (direct, first-reaction,
+next-reaction) hand that loop to a pluggable
 :class:`~repro.sim.kernels.backend.KernelBackend` (``numpy`` reference or
 optional ``numba`` JIT), which runs the engine's kernel over preallocated
-columnar buffers and chunked random blocks.
+columnar buffers and chunked random blocks; tau-leaping
+(:mod:`repro.sim.tau_leaping`) overrides only that per-trial step with its
+own leap loop.
 
 :meth:`StochasticSimulator.run` simulates one trial and returns a
 :class:`~repro.sim.trajectory.Trajectory`.
@@ -21,15 +24,14 @@ Backend selection flows through :attr:`SimulationOptions.backend`
 (``"auto"`` prefers the fastest available kernel backend the engine
 supports).  The batched engine (:mod:`repro.sim.batch`) replaces the
 per-event loop with a lock-step columnar sweep but reuses the options and
-initial-state semantics defined here; tau-leaping (:mod:`repro.sim
-.tau_leaping`) overrides :meth:`StochasticSimulator.run` with its own leap
-loop.
+initial-state semantics defined here.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,7 +49,6 @@ from repro.sim.kernels.backend import (
 )
 from repro.sim.kernels.blocks import RandomBlocks
 from repro.sim.kernels.buffers import TrajectoryBuffers
-from repro.sim.kernels.network import KernelNetwork
 from repro.sim.kernels.plan import StoppingPlan, compile_stopping_plan
 from repro.sim.propensity import CompiledNetwork
 from repro.sim.rng import make_rng
@@ -168,6 +169,16 @@ def merge_options(
     return dataclasses.replace(base, **overrides)
 
 
+def check_number(name: str, value, positive: bool = True) -> None:
+    """Refuse an options field that is not a finite real number above zero
+    (at or above zero when not ``positive``), naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SimulationError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        bound = "positive" if positive else "non-negative"
+        raise SimulationError(f"{name} must be finite and {bound}, got {value!r}")
+
+
 class StochasticSimulator:
     """Base class for exact per-trial stochastic simulation engines.
 
@@ -184,7 +195,7 @@ class StochasticSimulator:
 
     #: human-readable algorithm name, overridden by engines
     method_name = "base"
-    #: kernel this engine dispatches to (engines without one override :meth:`run`)
+    #: kernel this engine dispatches to (engines without one override :meth:`_trial`)
     kernel_name: "str | None" = None
     #: backends this engine supports (mirrored into the registry's EngineInfo)
     supported_backends: tuple = ()
@@ -194,14 +205,7 @@ class StochasticSimulator:
         network: "ReactionNetwork | CompiledNetwork",
         seed: "int | np.random.Generator | None" = None,
     ) -> None:
-        if isinstance(network, CompiledNetwork):
-            self.compiled = network
-        elif isinstance(network, ReactionNetwork):
-            self.compiled = CompiledNetwork.compile(network)
-        else:
-            raise SimulationError(
-                f"expected a ReactionNetwork or CompiledNetwork, got {type(network).__name__}"
-            )
+        self.compiled = CompiledNetwork.coerce(network)
         self._default_rng = make_rng(seed)
         self._kernel_buffers: "TrajectoryBuffers | None" = None
 
@@ -250,7 +254,7 @@ class StochasticSimulator:
             times=times,
             reaction_indices=fired,
             final_state=self.compiled.counts_to_state(counts),
-            final_time=final_time,
+            final_time=float(final_time),
             stop_reason=stop_reason,
             stop_detail=stop_detail,
             species_order=self.compiled.species,
@@ -307,12 +311,8 @@ class StochasticSimulator:
         stopping: "StoppingCondition | None",
         options: "SimulationOptions | None",
         option_overrides: dict,
-    ) -> "_KernelSetup":
+    ) -> "_TrialSetup":
         """Resolve what every trial of one call shares."""
-        if self.kernel_name is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} declares no kernel; override run()"
-            )
         opts = merge_options(options, option_overrides)
         compiled = self.compiled
         start = resolve_initial_counts(compiled, initial_state)
@@ -324,7 +324,6 @@ class StochasticSimulator:
         backend = resolve_run_backend(
             opts.backend, self.supported_backends, plan, self.method_name
         )
-        knet = compiled.kernel_network()
         # A condition with a clause encoding keeps no per-run state, so its
         # t=0 check, which reads only the starting counts, holds for every
         # trial.
@@ -335,20 +334,46 @@ class StochasticSimulator:
             )
         if self._kernel_buffers is None:
             self._kernel_buffers = TrajectoryBuffers(compiled.n_species)
-        return _KernelSetup(
+        return _TrialSetup(
             opts=opts,
             start=start,
             plan=plan,
             backend=backend,
-            knet=knet,
             buffers=self._kernel_buffers,
             start_detail=start_detail,
-            block_size=max(64, min(2 * knet.n_reactions, 4096)),
+            block_size=max(64, min(2 * compiled.n_reactions, 4096)),
+        )
+
+    def _stopped_at_start(
+        self,
+        setup: "_TrialSetup",
+        stopping: "StoppingCondition | None",
+        counts: np.ndarray,
+    ) -> "tuple[str, str, float, np.ndarray] | None":
+        """The trial's result if its condition already holds at t=0, else None.
+
+        A trial stopped here draws no randomness; every :meth:`_trial`
+        calls this first.
+        """
+        compiled = self.compiled
+        if setup.plan.callback is None:
+            detail = setup.start_detail
+        else:
+            # A user condition may hold per-run state: reset it for every trial.
+            stopping.reset(compiled)
+            detail = stopping.check(
+                0.0, counts, compiled, np.zeros(compiled.n_reactions, dtype=np.int64)
+            )
+        if detail is None:
+            return None
+        return (
+            StopReason.CONDITION, detail, 0.0,
+            np.zeros(compiled.n_reactions, dtype=np.int64),
         )
 
     def _trial(
         self,
-        setup: "_KernelSetup",
+        setup: "_TrialSetup",
         stopping: "StoppingCondition | None",
         rng: np.random.Generator,
         counts: np.ndarray,
@@ -358,30 +383,19 @@ class StochasticSimulator:
 
         Returns the stop reason and detail, the final time and the firing
         totals.  The kernels check the condition only after each firing, so
-        it is checked here at t=0 first; a trial it already stops draws no
-        randomness.  ``record`` keeps the firing log and snapshots the
-        options ask for.
+        it is checked at t=0 first.  ``record`` keeps the firing log and
+        snapshots the options ask for.  This is the per-trial step an engine
+        without a kernel overrides.
         """
+        stopped = self._stopped_at_start(setup, stopping, counts)
+        if stopped is not None:
+            return stopped
         plan = setup.plan
-        compiled = self.compiled
-        if plan.callback is None:
-            detail = setup.start_detail
-        else:
-            # A user condition may hold per-run state: reset it for every trial.
-            stopping.reset(compiled)
-            detail = stopping.check(
-                0.0, counts, compiled, np.zeros(compiled.n_reactions, dtype=np.int64)
-            )
-        if detail is not None:
-            return (
-                StopReason.CONDITION, detail, 0.0,
-                np.zeros(compiled.n_reactions, dtype=np.int64),
-            )
         opts = setup.opts
         outcome = setup.backend.run(
             self.kernel_name,
             KernelJob(
-                knet=setup.knet,
+                compiled=self.compiled,
                 counts=counts,
                 plan=plan,
                 buffers=setup.buffers,
@@ -398,7 +412,7 @@ class StochasticSimulator:
 
 
 @dataclass
-class _KernelSetup:
+class _TrialSetup:
     """Everything the trials of one :meth:`StochasticSimulator.run` or
     :meth:`~StochasticSimulator.run_slice` call share."""
 
@@ -406,7 +420,6 @@ class _KernelSetup:
     start: np.ndarray
     plan: StoppingPlan
     backend: KernelBackend
-    knet: KernelNetwork
     buffers: TrajectoryBuffers
     #: the clause plan's detail when it already holds at the start
     start_detail: "str | None"

@@ -101,19 +101,8 @@ class BatchDirectEngine:
         network: "ReactionNetwork | CompiledNetwork",
         seed: "int | np.random.Generator | None" = None,
     ) -> None:
-        if isinstance(network, CompiledNetwork):
-            self.compiled = network
-        elif isinstance(network, ReactionNetwork):
-            self.compiled = CompiledNetwork.compile(network)
-        else:
-            raise SimulationError(
-                f"expected a ReactionNetwork or CompiledNetwork, got {type(network).__name__}"
-            )
+        self.compiled = CompiledNetwork.coerce(network)
         self._default_rng = make_rng(seed)
-        # Shared dense arrays (state-change matrix, padded reactant structure)
-        # come from the kernel layer; applying the chosen reactions of a whole
-        # batch is one fancy-indexed add over knet.delta_matrix.
-        self._knet = self.compiled.kernel_network()
         # Cross-trial sweep buffers, allocated once per chunk width and
         # reused across run_batch calls on this engine (the ensemble runner
         # keeps one engine per runner, so the adaptive controller's adaptive
@@ -245,7 +234,7 @@ class BatchDirectEngine:
         # bit-identical across the two).
         backend.run_batch(
             BatchSweepJob(
-                knet=self._knet,
+                compiled=compiled,
                 plan=plan,
                 buffers=buffers,
                 segments=tuple(segments),

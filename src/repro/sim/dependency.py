@@ -3,11 +3,11 @@
 The dependency graph has one node per reaction and an edge ``r → s`` whenever
 firing ``r`` changes the count of some species that appears among the
 reactants of ``s`` (so ``s``'s propensity must be refreshed).  The compiled
-network already stores the adjacency as flat tuples for the simulators; this
-module exposes the same structure as a :mod:`networkx` digraph for analysis,
-visualization and tests, plus a couple of graph-level statistics that explain
-*why* the next-reaction method pays off (sparse graphs → few updates per
-firing).
+network already stores the adjacency (CSR arrays and Python views) for the
+kernels; this module exposes the same structure as a :mod:`networkx` digraph
+for analysis, visualization and tests, plus a couple of graph-level
+statistics that explain *why* the next-reaction method pays off (sparse
+graphs → few updates per firing).
 """
 
 from __future__ import annotations
@@ -29,13 +29,11 @@ def dependency_graph(network: "ReactionNetwork | CompiledNetwork") -> nx.DiGraph
     and ``category`` as attributes.  Self-loops are included (a reaction always
     affects its own propensity), matching the convention of Gibson & Bruck.
     """
-    compiled = (
-        network if isinstance(network, CompiledNetwork) else CompiledNetwork.compile(network)
-    )
+    compiled = CompiledNetwork.coerce(network)
     graph = nx.DiGraph()
     for index, reaction in enumerate(compiled.network.reactions):
         graph.add_node(index, name=reaction.name, category=reaction.category)
-    for index, affected in enumerate(compiled.dependents):
+    for index, affected in enumerate(compiled.py_views()["dependents"]):
         for target in affected:
             graph.add_edge(index, target)
     return graph

@@ -26,9 +26,10 @@ Both engine kinds deliver a chunk's trials as the columns of one
 splits.  Trials are labelled by an outcome classifier
 (:mod:`repro.sim.outcomes`); one with a ``classify_batch`` method labels the
 columns, without a per-trial :class:`~repro.sim.trajectory.Trajectory`.
-Trajectories are built only when kept (``keep_trajectories=True``), for a
-classifier without ``classify_batch``, and by engines with no kernel
-(tau-leaping).
+Trajectories are built only when kept (``keep_trajectories=True``) or for a
+classifier without ``classify_batch``, and on every engine they are
+log-free views of the columns
+(:meth:`~repro.sim.trajectory.BatchResult.trajectory`).
 """
 
 from __future__ import annotations
@@ -285,10 +286,11 @@ class ParallelEnsembleRunner:
     stopping:
         Stopping condition applied to every trial.
     options:
-        Simulation options applied to every trial.  The firing log is disabled
-        by default inside ensembles (per-reaction totals are always recorded),
-        pass ``options=SimulationOptions(record_firings=True)`` to keep it
-        (per-trial engines only; the batched engine records totals only).
+        Simulation options applied to every trial (default: no firing log).
+        Ensembles keep per-reaction totals only: a kept or classified
+        trajectory is a log-free view of its trial's columns, with no firing
+        log or snapshots, whatever ``record_firings`` / ``record_states``
+        say (a single ``run()`` of a per-trial engine records them).
     outcome_classifier:
         Callable mapping a :class:`Trajectory` to an outcome label (or
         ``None`` for undecided).  Default:
@@ -324,11 +326,7 @@ class ParallelEnsembleRunner:
         chunk_size: int = 512,
         engine_options=None,
     ) -> None:
-        self.compiled = (
-            network
-            if isinstance(network, CompiledNetwork)
-            else CompiledNetwork.compile(network)
-        )
+        self.compiled = CompiledNetwork.coerce(network)
         info = registry.get(engine)
         if info.deterministic:
             raise EnsembleError(
@@ -495,22 +493,16 @@ class ParallelEnsembleRunner:
         :meth:`_shards` labels and splits.
         """
         initial = None if initial_state is None else dict(initial_state)
-        # Trajectory objects are built only where something reads them.
-        with_trajectories = keep_trajectories or getattr(
-            self.outcome_classifier, "classify_batch", None
-        ) is None
         if self.engine_info.batched:
             return self._shards(
-                bounds,
-                *self._run_batched(seed, bounds, initial, with_trajectories),
-                keep_trajectories,
+                bounds, self._run_batched(seed, bounds, initial), keep_trajectories
             )
         return [
             shard
             for start, stop in bounds
             for shard in self._shards(
                 [(start, stop)],
-                *self._run_slice(n_trials, seed, start, stop, initial, with_trajectories),
+                self._run_slice(n_trials, seed, start, stop, initial),
                 keep_trajectories,
             )
         ]
@@ -522,42 +514,22 @@ class ParallelEnsembleRunner:
         start: int,
         stop: int,
         initial_state: "dict | None",
-        with_trajectories: bool,
-    ) -> "tuple[BatchResult, list[Trajectory] | None]":
-        """Simulate the trial slice ``[start, stop)`` with a per-trial engine.
-
-        A kernel engine runs the slice through
-        :meth:`~repro.sim.base.StochasticSimulator.run_slice`.  Trajectories
-        needed by the caller, and engines with no kernel (tau-leaping), run
-        one ``run`` per trial instead, and their columns are read off the
-        trajectories.
-        """
+    ) -> BatchResult:
+        """Simulate the trial slice ``[start, stop)`` with a per-trial engine,
+        through :meth:`~repro.sim.base.StochasticSimulator.run_slice`."""
         if self._simulator is None:
             self._simulator = self.engine_info.create(
                 self.compiled, engine_options=self.engine_options
             )
-        simulator = self._simulator
         streams = spawn_children_range(seed, n_trials, start, stop)
-        if not with_trajectories and getattr(simulator, "kernel_name", None) is not None:
-            return simulator.run_slice(streams, initial_state, self.stopping, self.options), None
-        trajectories = [
-            simulator.run(
-                initial_state=initial_state,
-                stopping=self.stopping,
-                options=self.options,
-                seed=rng,
-            )
-            for rng in streams
-        ]
-        return BatchResult.from_trajectories(trajectories, self.compiled.species), trajectories
+        return self._simulator.run_slice(streams, initial_state, self.stopping, self.options)
 
     def _run_batched(
         self,
         seed: "int | None",
         bounds: "Sequence[tuple[int, int]]",
         initial_state: "dict | None",
-        with_trajectories: bool,
-    ) -> "tuple[BatchResult, list[Trajectory] | None]":
+    ) -> BatchResult:
         """Run the trial slices ``bounds`` as one fused sweep."""
         # The batch shares one generator per slice, so each slice (not each
         # trial) gets a deterministic sub-seed from its bounds; fixed
@@ -573,33 +545,33 @@ class ParallelEnsembleRunner:
             )
             if self._reserve_trials:
                 self._batch_engine.reserve(self._reserve_trials)
-        batch = self._batch_engine.run_group(
+        return self._batch_engine.run_group(
             chunks,
             initial_state=initial_state,
             stopping=self.stopping,
             options=self.options,
         )
-        if not with_trajectories:
-            return batch, None
-        return batch, [batch.trajectory(trial) for trial in range(batch.n_trials)]
 
     def _shards(
         self,
         bounds: "Sequence[tuple[int, int]]",
         batch: BatchResult,
-        trajectories: "list[Trajectory] | None",
         keep_trajectories: bool,
     ) -> "list[EnsembleResult]":
         """Label the rows of ``batch`` and split them into one shard per bound.
 
-        The classifier's ``classify_batch`` labels the columns; trials that
-        were built as trajectories anyway are labelled one by one, by the
-        classifier itself.
+        The classifier's ``classify_batch`` labels the columns.  Trajectory
+        views (:meth:`~repro.sim.trajectory.BatchResult.trajectory`) are
+        built only where something reads them, when they are kept or the
+        classifier has no ``classify_batch``; the classifier itself then
+        labels them one by one.
         """
-        if trajectories is None:
-            labels = self.outcome_classifier.classify_batch(batch).tolist()
-        else:
+        trajectories = None
+        if keep_trajectories or getattr(self.outcome_classifier, "classify_batch", None) is None:
+            trajectories = [batch.trajectory(trial) for trial in range(batch.n_trials)]
             labels = [self.outcome_classifier(t) for t in trajectories]
+        else:
+            labels = self.outcome_classifier.classify_batch(batch).tolist()
         n_firings = batch.firing_counts.sum(axis=1)
         shards = []
         row = 0

@@ -8,11 +8,11 @@ initial state, the CME generator is assembled as a sparse CSR matrix, and the
 time-dependent distribution ``p(t)`` is advanced with
 :func:`scipy.sparse.linalg.expm_multiply` over a checkpointed time grid.
 
-Enumeration works one breadth-first layer at a time on the network's kernel
-arrays (:class:`~repro.sim.kernels.network.KernelNetwork`, the same arrays
-the batch sweep uses): one ``propensity_matrix`` call gives every reaction's
-propensity on every frontier state, ``delta_matrix`` gives the successors,
-and each layer's new states are labelled in one call —
+Enumeration works one breadth-first layer at a time on the compiled
+network's arrays (:class:`~repro.sim.propensity.CompiledNetwork`, the same
+arrays the batch sweep uses): one ``propensity_matrix`` call gives every
+reaction's propensity on every frontier state, ``delta_matrix`` gives the
+successors, and each layer's new states are labelled in one call —
 :class:`ThresholdStateClassifier` and :class:`DominantSpeciesClassifier`
 label a whole count matrix through ``classify_matrix``; any other classifier
 is called once per state.
@@ -413,7 +413,7 @@ def enumerate_states(
     """Breadth-first enumeration of the (truncated) reachable state space.
 
     Each breadth-first layer is expanded as one matrix: the frontier is a
-    ``(states, species)`` block, :meth:`KernelNetwork.propensity_matrix`
+    ``(states, species)`` block, :meth:`CompiledNetwork.propensity_matrix`
     gives every reaction's propensity on every frontier state, and the
     layer's edges are its positive entries, by reaction and then by frontier
     row.  Successors are numbered through the ``index`` dict in that order of
@@ -445,7 +445,6 @@ def enumerate_states(
             dtype=np.int64,
         )
     label_rows = _state_labeller(classify, names)
-    knet = compiled.kernel_network()
 
     start = np.asarray(initial_counts, dtype=np.int64).reshape(1, -1)
     if caps is not None and np.any(start > caps):
@@ -461,14 +460,14 @@ def enumerate_states(
     frontier = start if labels[0] is None else start[:0]
     frontier_rows = np.zeros(frontier.shape[0], dtype=np.int64)
     while frontier.shape[0]:
-        propensities = knet.propensity_matrix(frontier.T)
+        propensities = compiled.propensity_matrix(frontier.T)
         totals = propensities.sum(axis=0)
         active = totals > 0.0
         outflow_src.append(frontier_rows[active])
         outflow_rate.append(totals[active])
 
         reaction, column = np.nonzero(propensities > 0.0)
-        successors = frontier[column] + knet.delta_matrix[reaction]
+        successors = frontier[column] + compiled.delta_matrix[reaction]
         sources = frontier_rows[column]
         rates = propensities[reaction, column]
         if caps is not None:
@@ -877,11 +876,7 @@ class FspEngine:
         seed=None,
         fsp_options: "FspOptions | None" = None,
     ) -> None:
-        self.compiled = (
-            network
-            if isinstance(network, CompiledNetwork)
-            else CompiledNetwork.compile(network)
-        )
+        self.compiled = CompiledNetwork.coerce(network)
         self.options = fsp_options or FspOptions()
 
     @property

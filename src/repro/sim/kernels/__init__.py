@@ -5,8 +5,8 @@ per-algorithm firing loops (*kernels*) that
 :class:`~repro.sim.base.StochasticSimulator` and the batched engine run,
 operating on
 
-* :class:`KernelNetwork` — the reaction structure flattened to padded
-  ndarrays (plus Python-native views for the interpreted backend);
+* :class:`~repro.sim.propensity.CompiledNetwork` — the reaction structure
+  as padded ndarrays (plus Python-native views for the interpreted backend);
 * :class:`TrajectoryBuffers` — preallocated, growable columnar event and
   snapshot storage, reused across ensemble trials;
 * :class:`RandomBlocks` — chunked, compacting pre-draws from the run's
@@ -39,7 +39,6 @@ from repro.sim.kernels.backend import (
 )
 from repro.sim.kernels.blocks import RandomBlocks
 from repro.sim.kernels.buffers import TrajectoryBuffers
-from repro.sim.kernels.network import KernelNetwork
 from repro.sim.kernels.plan import StoppingPlan, compile_stopping_plan
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "KernelBackend",
     "KernelJob",
     "KernelOutcome",
-    "KernelNetwork",
     "RandomBlocks",
     "StoppingPlan",
     "TrajectoryBuffers",

@@ -1,7 +1,7 @@
 """The pluggable kernel-backend abstraction and backend resolution policy.
 
 A *kernel* is the inner firing loop of one SSA algorithm, operating on the
-flat arrays of a :class:`~repro.sim.kernels.network.KernelNetwork`: it
+flat arrays of a :class:`~repro.sim.propensity.CompiledNetwork`: it
 consumes pre-drawn randomness from :class:`~repro.sim.kernels.blocks
 .RandomBlocks`, records events into :class:`~repro.sim.kernels.buffers
 .TrajectoryBuffers`, and checks a compiled :class:`~repro.sim.kernels.plan
@@ -35,8 +35,8 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.sim.kernels.blocks import RandomBlocks
 from repro.sim.kernels.buffers import TrajectoryBuffers
-from repro.sim.kernels.network import KernelNetwork
 from repro.sim.kernels.plan import StoppingPlan
+from repro.sim.propensity import CompiledNetwork
 from repro.sim.trajectory import StopReason
 
 __all__ = [
@@ -82,7 +82,7 @@ class KernelJob:
     ``buffers`` and ``blocks`` are driven by the kernel directly.
     """
 
-    knet: KernelNetwork
+    compiled: CompiledNetwork
     counts: np.ndarray
     plan: StoppingPlan
     buffers: TrajectoryBuffers

@@ -51,7 +51,7 @@ clause levels compare exactly against it), firing totals as a reactions ×
 trials int64 array, plus per-trial clocks and step counters.  Every
 per-step operation then runs on contiguous rows: one or two row multiplies
 per reaction for the propensities
-(:meth:`~repro.sim.kernels.network.KernelNetwork.propensity_matrix`), the
+(:meth:`~repro.sim.propensity.CompiledNetwork.propensity_matrix`), the
 CDF accumulated row by row in place, one compare-and-count over the CDF
 rows for the pick, the deltas gathered for all species rows at once, and
 the plan clauses checked on rows.  A trial reaches its buffer rows once,
@@ -115,8 +115,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sim.kernels.blocks import MAX_BLOCK, RandomBlocks
-from repro.sim.kernels.network import KernelNetwork
 from repro.sim.kernels.plan import StoppingPlan
+from repro.sim.propensity import CompiledNetwork
 
 __all__ = [
     "GROUP_CELLS",
@@ -247,7 +247,7 @@ class BatchSweepJob:
     ``n_trials``) receives each condition stop's detail.
     """
 
-    knet: KernelNetwork
+    compiled: CompiledNetwork
     plan: StoppingPlan
     buffers: BatchBuffers
     segments: "tuple[BatchSegment, ...]"
@@ -417,10 +417,10 @@ def run_batch_sweep(job: BatchSweepJob) -> None:
     stop code.  See the module docstring for the op-order contract the
     numba batch kernel mirrors.
     """
-    knet = job.knet
+    compiled = job.compiled
     plan = job.plan
     segments = job.segments
-    nr = knet.n_reactions
+    nr = compiled.n_reactions
     max_time = job.max_time
     max_steps = job.max_steps
     n_clauses = plan.n_clauses
@@ -446,12 +446,12 @@ def run_batch_sweep(job: BatchSweepJob) -> None:
     work = _Columns(job.buffers, np.concatenate(
         [job.buffers.active[s.start : s.start + s.n_active] for s in segments]
     ))
-    deltas = knet.delta_matrix.T.astype(np.float64)  # species × reactions
+    deltas = compiled.delta_matrix.T.astype(np.float64)  # species × reactions
     # Compare-and-count sums a bool matrix as bytes when the count fits one.
     count_dtype = np.uint8 if nr < 256 else np.intp
     sizes = _segment_sizes(work.rows, starts)
     while work.size:
-        cdf = knet.propensity_matrix(work.counts)
+        cdf = compiled.propensity_matrix(work.counts)
         # Only a clamped pick can land on a zero propensity, and it lands
         # on the last reaction: keep that row for the fallback check.
         last = cdf[nr - 1].copy()
@@ -510,7 +510,7 @@ def run_batch_sweep(job: BatchSweepJob) -> None:
                 # entry; fall back to the largest-propensity reaction (first
                 # max).
                 chosen[zero] = np.argmax(
-                    knet.propensity_matrix(work.counts[:, zero]), axis=0
+                    compiled.propensity_matrix(work.counts[:, zero]), axis=0
                 )
         # Free the step's CDF before the state update and any compaction
         # allocate theirs: this bounds the sweep's peak memory.

@@ -529,7 +529,7 @@ def _build_kernels(numba):
 
         while n_active > 0:
             # Propensity rows (each element rate·f(c₁)·f(c₂)… left to right,
-            # the expressions KernelNetwork.propensity_matrix builds row by
+            # the expressions CompiledNetwork.propensity_matrix builds row by
             # row) + running totals (the numpy sweep's last CDF row) +
             # dead-trial compaction.
             write = 0
@@ -675,8 +675,8 @@ class NumbaKernelBackend(KernelBackend):
         if kernel_name == "next-reaction":
             return self._run_next_reaction(job)
         step = self._kernels[kernel_name]
-        knet = job.knet
-        nr = knet.n_reactions
+        compiled = job.compiled
+        nr = compiled.n_reactions
         # Worst-case exponential draws per event (must mirror the numpy
         # backend's refill policy so both consume the same stream).
         exp_need = nr if kernel_name == "first-reaction" else 1
@@ -686,7 +686,7 @@ class NumbaKernelBackend(KernelBackend):
 
         # Initial propensities via the exact-integer reference path, so the
         # starting floats match the numpy backend bit for bit.
-        views = knet.py_views()
+        views = compiled.py_views()
         prop = np.array(
             [_propensity(views["rates"], views["reactants"], job.counts.tolist(), j)
              for j in range(nr)],
@@ -698,9 +698,10 @@ class NumbaKernelBackend(KernelBackend):
 
         while True:
             status = step(
-                knet.rates, knet.reactant_species, knet.reactant_coeffs,
-                knet.change_species, knet.change_deltas, knet.dep_ptr, knet.dep_idx,
-                knet.scan_order,
+                compiled.rates, compiled.reactant_species, compiled.reactant_coeffs,
+                compiled.change_species, compiled.change_deltas,
+                compiled.dep_ptr, compiled.dep_idx,
+                compiled.scan_order,
                 job.counts, prop, firing_counts,
                 plan.kinds, plan.targets, plan.levels, plan.member_ptr, plan.member_idx,
                 blocks.exponential, blocks.uniform,
@@ -748,8 +749,8 @@ class NumbaKernelBackend(KernelBackend):
         from repro.sim.priority_queue import ArrayHeap
 
         step = self._kernels["next-reaction"]
-        knet = job.knet
-        nr = knet.n_reactions
+        compiled = job.compiled
+        nr = compiled.n_reactions
         plan = job.plan
         buffers = job.buffers
         blocks = job.blocks
@@ -759,7 +760,7 @@ class NumbaKernelBackend(KernelBackend):
         exp_block = blocks.exponential
         exp_pos = 0
 
-        views = knet.py_views()
+        views = compiled.py_views()
         counts_list = job.counts.tolist()
         prop_list = [
             _propensity(views["rates"], views["reactants"], counts_list, j)
@@ -783,8 +784,9 @@ class NumbaKernelBackend(KernelBackend):
 
         while True:
             status = step(
-                knet.rates, knet.reactant_species, knet.reactant_coeffs,
-                knet.change_species, knet.change_deltas, knet.dep_ptr, knet.dep_idx,
+                compiled.rates, compiled.reactant_species, compiled.reactant_coeffs,
+                compiled.change_species, compiled.change_deltas,
+                compiled.dep_ptr, compiled.dep_idx,
                 job.counts, prop, firing_counts,
                 plan.kinds, plan.targets, plan.levels, plan.member_ptr, plan.member_idx,
                 blocks.exponential,
@@ -830,7 +832,7 @@ class NumbaKernelBackend(KernelBackend):
         segment has stopped.
         """
         step = self._kernels["batch-direct"]
-        knet = job.knet
+        compiled = job.compiled
         plan = job.plan
         buffers = job.buffers
         for segment in job.segments:
@@ -839,8 +841,8 @@ class NumbaKernelBackend(KernelBackend):
             state = np.array([segment.n_active, 0, 0, 0], dtype=np.int64)
             while True:
                 status = step(
-                    knet.rates, knet.reactant_species, knet.reactant_coeffs,
-                    knet.change_species, knet.change_deltas,
+                    compiled.rates, compiled.reactant_species, compiled.reactant_coeffs,
+                    compiled.change_species, compiled.change_deltas,
                     plan.kinds, plan.targets, plan.levels,
                     plan.member_ptr, plan.member_idx,
                     buffers.counts, buffers.times, buffers.steps, buffers.firings,

@@ -44,8 +44,8 @@ _INF = math.inf
 
 
 def _propensity(rates, reactants, counts, j) -> float:
-    """Propensity of reaction ``j`` (exact integer combinatorics, like
-    :meth:`CompiledNetwork.propensity`)."""
+    """Propensity of reaction ``j`` in ``counts`` (a list of ints), by exact
+    integer combinatorics over the compiled network's Python views."""
     h = 1
     for s, n in reactants[j]:
         c = counts[s]
@@ -94,15 +94,15 @@ def _callback_detail(callback, time, counts, firing_counts) -> "str | None":
 
 def _run_direct(job: KernelJob) -> KernelOutcome:
     """Gillespie direct method over preallocated buffers and random blocks."""
-    knet = job.knet
-    views = knet.py_views()
+    compiled = job.compiled
+    views = compiled.py_views()
     rates = views["rates"]
     reactants = views["reactants"]
     changes = views["changes"]
     dependents = views["dependents"]
     scan_order = views["scan_order"]
     specs = views["specs"]
-    nr = knet.n_reactions
+    nr = compiled.n_reactions
     counts = job.counts.tolist()
     firing_counts = [0] * nr
     plan_rows = job.plan.py_clauses()
@@ -180,7 +180,7 @@ def _run_direct(job: KernelJob) -> KernelOutcome:
         uni_pos += 1
 
         # Select the firing reaction by inverting the propensity CDF, probing
-        # in descending-rate order (knet.scan_order) so the dominant
+        # in descending-rate order (compiled.scan_order) so the dominant
         # reactions terminate the scan after a comparison or two.
         cumulative = 0.0
         chosen = scan_order[nr - 1]
@@ -218,7 +218,7 @@ def _run_direct(job: KernelJob) -> KernelOutcome:
         for j in dependents[chosen]:
             # Specialized closed forms for the dominant reaction shapes (the
             # generic reactant loop computes identical integers — see
-            # KernelNetwork.py_views).
+            # CompiledNetwork.compile).
             spec = specs[j]
             code = spec[0]
             if code == 3:
@@ -301,13 +301,13 @@ def _run_direct(job: KernelJob) -> KernelOutcome:
 
 def _run_first_reaction(job: KernelJob) -> KernelOutcome:
     """First-reaction method: one tentative exponential per positive propensity."""
-    knet = job.knet
-    views = knet.py_views()
+    compiled = job.compiled
+    views = compiled.py_views()
     rates = views["rates"]
     reactants = views["reactants"]
     changes = views["changes"]
     specs = views["specs"]
-    nr = knet.n_reactions
+    nr = compiled.n_reactions
     counts = job.counts.tolist()
     firing_counts = [0] * nr
     plan_rows = job.plan.py_clauses()
@@ -445,13 +445,13 @@ def _run_next_reaction(job: KernelJob) -> KernelOutcome:
     same layout the numba kernel mutates directly — driven here through its
     method API.
     """
-    knet = job.knet
-    views = knet.py_views()
+    compiled = job.compiled
+    views = compiled.py_views()
     rates = views["rates"]
     reactants = views["reactants"]
     changes = views["changes"]
     dependents = views["dependents"]
-    nr = knet.n_reactions
+    nr = compiled.n_reactions
     counts = job.counts.tolist()
     firing_counts = [0] * nr
     plan_rows = job.plan.py_clauses()

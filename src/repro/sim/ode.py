@@ -17,20 +17,24 @@ copes with the stiff rate separations the synthesis method relies on).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolver, solve_ivp
 
 from repro.crn.network import ReactionNetwork
 from repro.crn.species import Species, as_species
 from repro.crn.state import State
 from repro.errors import SimulationError
-from repro.sim.base import merge_options, resolve_initial_counts
+from repro.sim.base import check_number, merge_options, resolve_initial_counts
 from repro.sim.propensity import CompiledNetwork
 from repro.sim.registry import register_engine
 
 __all__ = ["OdeResult", "OdeIntegrator", "OdeOptions", "OdeEngine", "simulate_ode"]
+
+#: No int64 count can hold a concentration at or past this bound.
+_COUNT_BOUND = 2.0**63
 
 
 @dataclass
@@ -73,22 +77,27 @@ class OdeIntegrator:
     """Mean-field integrator for a reaction network."""
 
     def __init__(self, network: "ReactionNetwork | CompiledNetwork") -> None:
-        self.compiled = (
-            network
-            if isinstance(network, CompiledNetwork)
-            else CompiledNetwork.compile(network)
-        )
+        self.compiled = CompiledNetwork.coerce(network)
         # Net stoichiometry matrix (species x reactions) for the RHS.
-        compiled = self.compiled
-        self._net = np.zeros((compiled.n_species, compiled.n_reactions))
-        for j in range(compiled.n_reactions):
-            for s, delta in zip(compiled.change_species[j], compiled.change_deltas[j]):
-                self._net[s, j] = delta
+        self._net = np.ascontiguousarray(self.compiled.delta_matrix.T, dtype=np.float64)
+
+    def mass_action_rates(self, concentrations: np.ndarray) -> np.ndarray:
+        """Deterministic mass-action rate of each reaction given concentrations.
+
+        Rate ``c * prod(x_s ** n_s)`` (continuous approximation, no
+        combinatorial correction).
+        """
+        rates = np.array(self.compiled.rates, dtype=float)
+        for j, reactants in enumerate(self.compiled.py_views()["reactants"]):
+            value = 1.0
+            for s, n in reactants:
+                value *= max(concentrations[s], 0.0) ** n
+            rates[j] *= value
+        return rates
 
     def right_hand_side(self, _time: float, concentrations: np.ndarray) -> np.ndarray:
         """dx/dt = N · v(x) under deterministic mass action."""
-        rates = self.compiled.mass_action_rates(concentrations)
-        return self._net @ rates
+        return self._net @ self.mass_action_rates(concentrations)
 
     def run(
         self,
@@ -99,12 +108,21 @@ class OdeIntegrator:
         rtol: float = 1e-6,
         atol: float = 1e-9,
     ) -> OdeResult:
-        """Integrate from 0 to ``t_final`` and return an :class:`OdeResult`."""
+        """Integrate from 0 to ``t_final`` and return an :class:`OdeResult`.
+
+        A mean field that diverges past any int64 count stops the solve
+        there, with a :class:`SimulationError` naming the species.
+        """
         if t_final <= 0:
             raise SimulationError(f"t_final must be positive, got {t_final}")
         compiled = self.compiled
         x0 = resolve_initial_counts(compiled, initial_state).astype(float)
         grid = np.linspace(0.0, t_final, max(int(n_points), 2))
+
+        def diverged(_time: float, concentrations: np.ndarray) -> float:
+            return _COUNT_BOUND - np.max(np.abs(concentrations))
+
+        diverged.terminal = True
         solution = solve_ivp(
             self.right_hand_side,
             (0.0, t_final),
@@ -113,9 +131,17 @@ class OdeIntegrator:
             method=method,
             rtol=rtol,
             atol=atol,
+            events=diverged,
         )
         if not solution.success:
             raise SimulationError(f"ODE integration failed: {solution.message}")
+        if solution.status == 1:
+            state = solution.y_events[0][0]
+            column = int(np.argmax(np.abs(state)))
+            raise SimulationError(
+                f"the mean field diverged: species {compiled.species[column].name!r} "
+                f"reached {state[column]:g} at t={solution.t_events[0][0]:g}"
+            )
         return OdeResult(
             times=solution.t,
             concentrations=solution.y.T,
@@ -131,6 +157,10 @@ def simulate_ode(
 ) -> OdeResult:
     """One-call convenience wrapper around :class:`OdeIntegrator`."""
     return OdeIntegrator(network).run(t_final, initial_state=initial_state, n_points=n_points)
+
+
+#: The integrators :func:`scipy.integrate.solve_ivp` selects by name.
+_SOLVE_IVP_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF", "LSODA")
 
 
 @dataclass
@@ -150,6 +180,26 @@ class OdeOptions:
     rtol: float = 1e-6
     atol: float = 1e-9
     n_points: int = 200
+
+    def __post_init__(self) -> None:
+        if not (
+            self.method in _SOLVE_IVP_METHODS
+            or (isinstance(self.method, type) and issubclass(self.method, OdeSolver))
+        ):
+            raise SimulationError(
+                f"method must be one of {list(_SOLVE_IVP_METHODS)} or an OdeSolver "
+                f"class, got {self.method!r}"
+            )
+        check_number("rtol", self.rtol)
+        check_number("atol", self.atol)
+        if (
+            isinstance(self.n_points, bool)
+            or not isinstance(self.n_points, numbers.Integral)
+            or self.n_points <= 0
+        ):
+            raise SimulationError(
+                f"n_points must be a positive integer, got {self.n_points!r}"
+            )
 
 
 @register_engine(
@@ -225,14 +275,6 @@ class OdeEngine:
             rtol=ode.rtol,
             atol=ode.atol,
         )
-        # An unbounded mean field overflows; no int64 count can hold it.
-        unbounded = np.argwhere(~(np.abs(result.concentrations) < 2.0**63))
-        if unbounded.size:
-            row, column = unbounded[0]
-            raise SimulationError(
-                f"the mean field diverged: species {result.species[column].name!r} "
-                f"reached {result.concentrations[row, column]:g} at t={result.times[row]:g}"
-            )
         counts = np.rint(result.concentrations[-1]).astype(np.int64)
         return Trajectory(
             times=np.empty(0, dtype=float),

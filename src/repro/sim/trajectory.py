@@ -219,24 +219,6 @@ class BatchResult:
         """Number of trials in the batch."""
         return self.final_counts.shape[0]
 
-    @classmethod
-    def from_trajectories(
-        cls, trajectories: "Sequence[Trajectory]", species: tuple
-    ) -> "BatchResult":
-        """The columns of ``trajectories`` (at least one), in order."""
-        return cls(
-            species=species,
-            final_counts=np.array(
-                [t.final_state.to_vector(species) for t in trajectories], dtype=np.int64
-            ),
-            final_times=np.array([t.final_time for t in trajectories], dtype=np.float64),
-            firing_counts=np.array(
-                [t.firing_counts for t in trajectories], dtype=np.int64
-            ),
-            stop_reasons=np.array([t.stop_reason for t in trajectories], dtype=object),
-            stop_details=np.array([t.stop_detail for t in trajectories], dtype=object),
-        )
-
     def trajectory(self, trial: int) -> Trajectory:
         """View one trial as a :class:`Trajectory` (no firing log, totals only)."""
         return Trajectory(

@@ -335,13 +335,17 @@ def canonicalize_payload(payload: Mapping) -> CanonicalPayload:
     payload parses it: a non-mapping section, an unknown or missing option,
     a non-numeric ``max_time``, a non-integer count (``max_steps``,
     ``snapshot_stride``, ``trials``, ``chunk_size``), a negative or
-    non-integer ``seed``, or a ``network``, ``stopping``, ``classifier`` or
-    ``state_classifier`` section that does not parse raises
-    :class:`~repro.errors.FingerprintError` naming it, before any lookup.
+    non-integer ``seed``, ``engine_options`` that do not build the
+    engine's options dataclass, or a ``network``, ``stopping``,
+    ``classifier`` or ``state_classifier`` section that does not parse
+    raises :class:`~repro.errors.FingerprintError` naming it, before any
+    lookup.  Engine options are rebuilt through their dataclass, so every
+    spelling of one options object shares a key.
     """
     from repro.store.serialize import (
         EXPERIMENT_SCHEMA,
         _descriptor_sections,
+        _engine_options_payload,
         _network_section,
         _options_from_payload,
         _run_from_payload,
@@ -360,9 +364,13 @@ def canonicalize_payload(payload: Mapping) -> CanonicalPayload:
     # A value the run would drop or round is hashed but never executed:
     # reject it before it names a store entry.
     _options_from_payload(data)
-    _run_from_payload(data)
+    run = _run_from_payload(data)
     _descriptor_sections(data, resolve=False)
     simulate = data["simulate"]
+    if simulate.get("engine_options") is not None:
+        simulate = data["simulate"] = {
+            **simulate, "engine_options": _engine_options_payload(run["engine_options"])
+        }
     if simulate.get("until") is not None:
         # Rebuilt through the target, so every spelling of one target (absent
         # defaults included) shares a key and an invalid one fails here.

@@ -316,20 +316,27 @@ def _options_from_payload(payload: Mapping) -> SimulationOptions:
 
 def _run_from_payload(payload: Mapping) -> dict:
     """Parse the payload's ``simulate`` section into ``Experiment.simulate``
-    arguments (``until`` and ``engine_options`` aside).
+    arguments (``until`` aside).
 
     ``trials`` is an integer or null, ``seed`` a non-negative integer or
-    null, ``chunk_size`` an integer (fractional values refused); a malformed
-    one raises :class:`~repro.errors.FingerprintError` naming it.  Other
-    range checks are left to ``simulate``.
+    null, ``chunk_size`` an integer (fractional values refused), and
+    ``engine_options`` null or the engine's typed options, rebuilt through
+    their dataclass; a malformed one raises
+    :class:`~repro.errors.FingerprintError` naming it.  Other range checks
+    are left to ``simulate``.
     """
     data = _field(payload, "experiment", "simulate", _mapping)
+    engine = _field(data, "simulate", "engine", str)
     return {
         "trials": _field(data, "simulate", "trials", integral, None),
-        "engine": _field(data, "simulate", "engine", str),
+        "engine": engine,
         "seed": _field(data, "simulate", "seed", _seed, None),
         "chunk_size": _field(data, "simulate", "chunk_size", integral, 512),
         "backend": _field(data, "simulate", "backend", str, "auto"),
+        "engine_options": _field(
+            data, "simulate", "engine_options",
+            lambda value: _engine_options_from_payload(value, engine), None,
+        ),
     }
 
 
@@ -350,18 +357,25 @@ def _engine_options_payload(engine_options: Any) -> "dict | None":
     return {"type": type(engine_options).__name__, "fields": fields}
 
 
-def _engine_options_from_payload(data: "Mapping | None", engine: str) -> Any:
-    if data is None:
-        return None
+def _engine_options_from_payload(data, engine: str) -> Any:
+    """``engine``'s typed options from their ``{"type", "fields"}`` payload.
+
+    The fields go through the engine's options dataclass, whose own checks
+    apply; every refusal is a ``TypeError`` / ``ValueError``.
+    """
     from repro.sim.registry import registry
 
+    data = _mapping(data)
     options_type = registry.get(engine).options_type
     if options_type is None or options_type.__name__ != data.get("type"):
-        raise FingerprintError(
+        raise ValueError(
             f"engine {engine!r} does not accept engine options of type "
             f"{data.get('type')!r}"
         )
-    return options_type(**data["fields"])
+    try:
+        return options_type(**_mapping(data.get("fields")))
+    except ReproError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +541,7 @@ def compute_payload(payload: Mapping, workers: int = 1, trusted: bool = True):
         engine=run["engine"],
         workers=workers,
         seed=run["seed"],
-        engine_options=_engine_options_from_payload(
-            sim.get("engine_options"), run["engine"]
-        ),
+        engine_options=run["engine_options"],
         chunk_size=run["chunk_size"],
         backend=run["backend"],
         until=until,

@@ -316,6 +316,28 @@ class TestRenamedWarmHits:
         assert fingerprint_payload(legacy) == fingerprint_payload(payload)
         assert canonicalize_payload(legacy).payload["schema"] == "repro.experiment/v2"
 
+    def test_equivalent_engine_options_spellings_share_a_key(self):
+        """Engine options are rebuilt through their dataclass before hashing,
+        so absent defaults and the full field set name one entry."""
+        from repro.sim import TauLeapOptions
+
+        full = experiment_to_payload(
+            Experiment.from_zoo("toggle-switch"), trials=10, engine="tau-leaping", seed=2,
+            engine_options=TauLeapOptions(epsilon=0.01),
+        )
+        assert full["simulate"]["engine_options"]["fields"] == {
+            "epsilon": 0.01, "exact_step_multiplier": 10.0
+        }
+        keys = {fingerprint_payload(full)}
+        for fields in ({"epsilon": 0.01}, {"exact_step_multiplier": 10, "epsilon": 0.01}):
+            payload = dict(full)
+            payload["simulate"] = {
+                **full["simulate"],
+                "engine_options": {"type": "TauLeapOptions", "fields": fields},
+            }
+            keys.add(fingerprint_payload(payload))
+        assert len(keys) == 1
+
 
 # ---------------------------------------------------------------------------
 # fingerprint numeric aliasing (regression)

@@ -184,8 +184,7 @@ class TestEngineSelection:
 
     def test_simulate_tau_options_are_threaded(self, design_file, capsys):
         code = main(["simulate", str(design_file), "--trials", "30", "--seed", "3",
-                     "--engine", "tau-leaping",
-                     "--tau-epsilon", "0.01", "--tau-n-critical", "5"])
+                     "--engine", "tau-leaping", "--tau-epsilon", "0.01"])
         out = capsys.readouterr().out
         assert code == 0
         assert "Ensemble of 30 trials" in out

@@ -166,7 +166,9 @@ class TestInitialStateMapping:
 class TestShardPaths:
     """Columnar slices and per-trial trajectories give the same ensemble."""
 
-    @pytest.mark.parametrize("engine", ["direct", "first-reaction", "next-reaction"])
+    @pytest.mark.parametrize(
+        "engine", ["direct", "first-reaction", "next-reaction", "tau-leaping"]
+    )
     def test_trajectory_path_matches_columns(self, engine, decision_network,
                                              decision_condition):
         def runner(classifier=None):

@@ -1,8 +1,9 @@
 """The FSP enumeration, batch labels and absorption solve against references.
 
 * **Enumeration** — :func:`enumerate_states` expands a whole breadth-first
-  layer through the kernel arrays.  The reference here expands one state at
-  a time through :meth:`CompiledNetwork.propensity`, with the same frontier
+  layer through the compiled arrays.  The reference here expands one state
+  at a time through the tests-only ``propensity_reference`` (the source
+  network's reactions, not the compiled arrays), with the same frontier
   and reaction order, on random networks with reversible reactions and
   coefficients 1–3, with and without count caps, under a small
   ``max_states`` in both ``on_overflow`` modes.  States, labels, edges and
@@ -32,6 +33,8 @@ from repro.sim.fsp import (
     enumerate_states,
 )
 from repro.sim.propensity import CompiledNetwork
+
+import propensity_reference as reference
 
 SPECIES = ("a", "b", "c", "w")
 #: Species the classifiers may name: the network's, plus one never present.
@@ -91,7 +94,8 @@ def reference_enumeration(compiled, start, classify, caps, max_states, on_overfl
     frontier = [0] if labels[0] is None else []
     while frontier:
         propensities = {
-            row: [compiled.propensity(j, states[row]) for j in range(compiled.n_reactions)]
+            row: [reference.propensity(compiled, j, states[row])
+                  for j in range(compiled.n_reactions)]
             for row in frontier
         }
         for row in frontier:
@@ -103,8 +107,7 @@ def reference_enumeration(compiled, start, classify, caps, max_states, on_overfl
                 if rate <= 0.0:
                     continue
                 successor = list(states[row])
-                for s, d in zip(compiled.change_species[j], compiled.change_deltas[j]):
-                    successor[s] += d
+                reference.apply(compiled, j, successor)
                 successor = tuple(successor)
                 if caps is not None and any(c > cap for c, cap in zip(successor, caps)):
                     truncated = True

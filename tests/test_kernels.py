@@ -40,6 +40,8 @@ from repro.sim.propensity import CompiledNetwork
 from repro.sim.registry import registry
 from repro.sim.trajectory import FiringRecord
 
+import propensity_reference as reference
+
 KERNEL_BACKENDS = ["numpy"] + (["numba"] if numba_available() else [])
 KERNEL_ENGINES = {
     "numpy": ["direct", "first-reaction", "next-reaction"],
@@ -469,6 +471,8 @@ class TestRandomBlocks:
 
 
 class TestKernelNetworkParity:
+    """The compiled network's arrays and views against the tests-only reference."""
+
     @pytest.fixture()
     def compiled(self):
         return CompiledNetwork.compile(
@@ -485,25 +489,23 @@ class TestKernelNetworkParity:
             )
         )
 
-    def test_propensities_match_compiled(self, compiled):
+    def test_propensities_match_reference(self, compiled):
         # The vectorized path evaluates the combinatorial factor in float
         # (falling-factorial product) rather than exact integers, so allow
         # ulp-level differences for molecularity ≥ 3.
-        knet = compiled.kernel_network()
         rng = np.random.default_rng(1)
         for _ in range(25):
             counts = rng.integers(0, 40, size=compiled.n_species).astype(np.int64)
-            expected = compiled.all_propensities(counts)
-            np.testing.assert_allclose(knet.propensities(counts), expected, rtol=1e-12)
+            expected = reference.all_propensities(compiled, counts)
+            np.testing.assert_allclose(compiled.propensities(counts), expected, rtol=1e-12)
 
     def test_specs_match_generic_path(self, compiled):
-        knet = compiled.kernel_network()
-        views = knet.py_views()
+        views = compiled.py_views()
         rng = np.random.default_rng(2)
         for _ in range(25):
             counts = [int(c) for c in rng.integers(0, 40, size=compiled.n_species)]
             for j, spec in enumerate(views["specs"]):
-                expected = compiled.propensity(j, counts)
+                expected = reference.propensity(compiled, j, counts)
                 if spec[0] == 1:
                     value = spec[2] * counts[spec[1]]
                 elif spec[0] == 2:
@@ -516,19 +518,33 @@ class TestKernelNetworkParity:
                 assert value == expected
 
     def test_delta_matrix_matches_apply(self, compiled):
-        knet = compiled.kernel_network()
         for j in range(compiled.n_reactions):
             counts = np.full(compiled.n_species, 10, dtype=np.int64)
-            compiled.apply(j, counts)
+            reference.apply(compiled, j, counts)
             np.testing.assert_array_equal(
-                counts, np.full(compiled.n_species, 10, dtype=np.int64) + knet.delta_matrix[j]
+                counts, np.full(compiled.n_species, 10, dtype=np.int64) + compiled.delta_matrix[j]
             )
 
+    def test_views_match_padded_arrays(self, compiled):
+        views = compiled.py_views()
+        for j in range(compiled.n_reactions):
+            for pairs, species, values in (
+                (views["reactants"][j], compiled.reactant_species[j], compiled.reactant_coeffs[j]),
+                (views["changes"][j], compiled.change_species[j], compiled.change_deltas[j]),
+            ):
+                width = len(pairs)
+                assert [s for s, _ in pairs] == species[:width].tolist()
+                assert [v for _, v in pairs] == values[:width].tolist()
+                assert (species[width:] == -1).all() and (values[width:] == 0).all()
+            dependents = compiled.dep_idx[compiled.dep_ptr[j] : compiled.dep_ptr[j + 1]]
+            assert views["dependents"][j] == tuple(dependents.tolist())
+        assert views["rates"] == tuple(compiled.rates.tolist())
+        assert views["scan_order"] == tuple(compiled.scan_order.tolist())
+
     def test_scan_order_is_a_permutation_by_descending_rate(self, compiled):
-        knet = compiled.kernel_network()
-        order = list(knet.scan_order)
+        order = list(compiled.scan_order)
         assert sorted(order) == list(range(compiled.n_reactions))
-        rates = [float(knet.rates[j]) for j in order]
+        rates = [float(compiled.rates[j]) for j in order]
         assert rates == sorted(rates, reverse=True)
 
 

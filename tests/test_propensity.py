@@ -5,9 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.adaptive import SplittingConfig, run_splitting
 from repro.crn import Reaction, ReactionNetwork, State, parse_network
-from repro.errors import PropensityError
-from repro.sim import CompiledNetwork, combinations, reaction_propensity
+from repro.errors import PropensityError, SimulationError
+from repro.sim import (
+    BatchDirectEngine,
+    CompiledNetwork,
+    DirectMethodSimulator,
+    FspEngine,
+    OdeIntegrator,
+    ParallelEnsembleRunner,
+    TauLeapingSimulator,
+    combinations,
+    dependency_graph,
+    reaction_propensity,
+)
+from repro.sim.kernels.numpy_backend import _propensity
+
+import propensity_reference as reference
 
 
 class TestCombinations:
@@ -55,7 +70,39 @@ class TestReactionPropensity:
         assert reaction_propensity(r, State()) == pytest.approx(3.0)
 
 
+def _splitting(network):
+    return run_splitting(
+        network, config=SplittingConfig(outcome="a"), species="a", threshold=3,
+        stopping=None, seed=1,
+    )
+
+
+#: Every entry point that takes a network or a compiled network.
+NETWORK_ENTRY_POINTS = {
+    "coerce": CompiledNetwork.coerce,
+    "direct": DirectMethodSimulator,
+    "tau-leaping": TauLeapingSimulator,
+    "batch-direct": BatchDirectEngine,
+    "ensemble": ParallelEnsembleRunner,
+    "fsp": FspEngine,
+    "ode": OdeIntegrator,
+    "splitting": _splitting,
+    "dependency-graph": dependency_graph,
+}
+
+
 class TestCompiledNetwork:
+    @pytest.mark.parametrize("entry", sorted(NETWORK_ENTRY_POINTS))
+    def test_non_network_is_refused(self, entry):
+        """Each entry point refuses anything but a network or a compiled one
+        with a SimulationError naming the type."""
+        with pytest.raises(SimulationError, match="got int"):
+            NETWORK_ENTRY_POINTS[entry](5)
+
+    def test_coerce_keeps_a_compiled_network(self, race_network):
+        compiled = CompiledNetwork.coerce(race_network)
+        assert CompiledNetwork.coerce(compiled) is compiled
+
     def test_compile_empty_rejected(self):
         with pytest.raises(PropensityError):
             CompiledNetwork.compile(ReactionNetwork())
@@ -70,22 +117,31 @@ class TestCompiledNetwork:
         compiled = CompiledNetwork.compile(example1_network)
         counts = compiled.initial_counts()
         state = compiled.counts_to_state(counts)
-        reference = np.array(
+        expected = np.array(
             [reaction_propensity(r, state) for r in example1_network.reactions]
         )
-        np.testing.assert_allclose(compiled.all_propensities(counts), reference)
+        views = compiled.py_views()
+        exact = [
+            _propensity(views["rates"], views["reactants"], counts.tolist(), j)
+            for j in range(compiled.n_reactions)
+        ]
+        np.testing.assert_array_equal(exact, expected)
+        np.testing.assert_allclose(compiled.propensities(counts), expected, rtol=1e-12)
 
     def test_apply_matches_state_apply(self, example1_network):
         compiled = CompiledNetwork.compile(example1_network)
         counts = compiled.initial_counts()
-        compiled.apply(0, counts)
+        reference.apply(compiled, 0, counts)
         expected = example1_network.initial_state
         expected.apply(example1_network.reaction(0))
         assert compiled.counts_to_state(counts) == expected
+        assert compiled.counts_to_state(compiled.initial_counts() + compiled.delta_matrix[0]) == (
+            expected
+        )
 
     def test_dependents_include_self(self, example1_network):
         compiled = CompiledNetwork.compile(example1_network)
-        for j, affected in enumerate(compiled.dependents):
+        for j, affected in enumerate(compiled.py_views()["dependents"]):
             assert j in affected
 
     def test_dependents_cover_shared_species(self):
@@ -98,11 +154,11 @@ class TestCompiledNetwork:
             c ->{1} d
             """
         )
-        compiled = CompiledNetwork.compile(net)
+        dependents = CompiledNetwork.compile(net).py_views()["dependents"]
         # firing reaction 0 changes a and b -> must include reaction 1 (consumes b)
-        assert 1 in compiled.dependents[0]
+        assert 1 in dependents[0]
         # firing reaction 0 does not touch c -> reaction 2 unaffected
-        assert 2 not in compiled.dependents[0]
+        assert 2 not in dependents[0]
 
     def test_mass_action_rates_continuous(self):
         net = parse_network("2 x ->{3} y\ninit: x = 4")
@@ -110,5 +166,5 @@ class TestCompiledNetwork:
         concentrations = np.array([0.0, 0.0], dtype=float)
         x_index = compiled.species_index()[[s for s in compiled.species if s.name == "x"][0]]
         concentrations[x_index] = 2.0
-        rates = compiled.mass_action_rates(concentrations)
+        rates = OdeIntegrator(compiled).mass_action_rates(concentrations)
         assert rates[0] == pytest.approx(3 * 2.0**2)

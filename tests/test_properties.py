@@ -31,6 +31,9 @@ from repro.crn import (
     network_to_json,
 )
 from repro.sim import CompiledNetwork, combinations, reaction_propensity
+from repro.sim.kernels.numpy_backend import _propensity
+
+import propensity_reference as reference
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -238,24 +241,25 @@ def random_networks(draw):
 def test_compiled_propensities_match_reference(network, counts):
     """CompiledNetwork's flat-array fast path equals reaction_propensity.
 
-    The compiled evaluator, the per-reaction ``all_propensities`` vector and
-    the kernel arrays' ``propensity_matrix`` column (which the FSP
-    enumeration expands each layer through) must all agree with the plain
-    per-reaction reference on every (network, state) pair.
+    The interpreted kernels' exact-integer evaluator over the Python views,
+    the tests-only reference vector and the ``propensity_matrix`` column
+    (which the batch sweep and FSP enumeration expand through) must all
+    agree with the plain per-reaction reference on every (network, state)
+    pair.
     """
     compiled = CompiledNetwork.compile(network)
     state = State({s.name: counts.get(s.name, 0) for s in compiled.species})
     vector = state.to_vector(compiled.species)
-    reference = [
+    expected = [
         reaction_propensity(reaction, state) for reaction in network.reactions
     ]
-    for j, expected in enumerate(reference):
-        assert compiled.propensity(j, vector) == pytest.approx(expected, rel=1e-12)
-    assert compiled.all_propensities(vector) == pytest.approx(reference, rel=1e-12)
-    matrix = compiled.kernel_network().propensity_matrix(
-        np.asarray([vector], dtype=np.int64).T
-    )
-    assert matrix[:, 0] == pytest.approx(reference, rel=1e-12)
+    views = compiled.py_views()
+    for j, value in enumerate(expected):
+        exact = _propensity(views["rates"], views["reactants"], vector.tolist(), j)
+        assert exact == pytest.approx(value, rel=1e-12)
+    assert reference.all_propensities(compiled, vector) == pytest.approx(expected, rel=1e-12)
+    matrix = compiled.propensity_matrix(np.asarray([vector], dtype=np.int64).T)
+    assert matrix[:, 0] == pytest.approx(expected, rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -264,8 +268,9 @@ def test_propensities_are_nonnegative_and_zero_without_reactants(network, counts
     compiled = CompiledNetwork.compile(network)
     state = State({s.name: counts.get(s.name, 0) for s in compiled.species})
     vector = state.to_vector(compiled.species)
+    views = compiled.py_views()
     for j, reaction in enumerate(network.reactions):
-        propensity = compiled.propensity(j, vector)
+        propensity = _propensity(views["rates"], views["reactants"], vector.tolist(), j)
         assert propensity >= 0.0
         if not state.can_fire(reaction):
             assert propensity == 0.0

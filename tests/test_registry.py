@@ -75,10 +75,9 @@ class TestResolution:
         assert "did you mean" not in str(excinfo.value)
 
     def test_engine_options_reach_the_engine(self, race_net):
-        options = TauLeapOptions(epsilon=0.01, critical_threshold=5)
+        options = TauLeapOptions(epsilon=0.01)
         simulator = make_simulator(race_net, engine="tau-leaping", engine_options=options)
         assert simulator.leap_options.epsilon == 0.01
-        assert simulator.leap_options.critical_threshold == 5
 
     def test_engine_options_rejected_by_optionless_engine(self, race_net):
         with pytest.raises(EnsembleError, match="does not accept engine options"):

@@ -160,18 +160,49 @@ class TestEndpoints:
                 None, "stopping", {"type": "outcome-thresholds", "thresholds": {"a": 5}},
                 id="outcome-threshold-number",
             ),
+            # engine_options go with engine="tau-leaping" (see below).
+            pytest.param("simulate", "engine_options", 5, id="engine_options-number"),
+            pytest.param(
+                "simulate", "engine_options", {"type": "TauLeapOptions"},
+                id="engine_options-without-fields",
+            ),
+            pytest.param(
+                "simulate", "engine_options", {"fields": {"epsilon": 0.01}},
+                id="engine_options-without-type",
+            ),
+            pytest.param(
+                "simulate", "engine_options",
+                {"type": "TauLeapOptions", "fields": {"bogus": 1}},
+                id="engine_options-unknown-field",
+            ),
+            pytest.param(
+                "simulate", "engine_options", {"type": "TauLeapOptions", "fields": 5},
+                id="engine_options-fields-number",
+            ),
+            pytest.param(
+                "simulate", "engine_options",
+                {"type": "TauLeapOptions", "fields": {"epsilon": "abc"}},
+                id="engine_options-epsilon-text",
+            ),
+            pytest.param(
+                "simulate", "engine_options",
+                {"type": "TauLeapOptions", "fields": {"critical_threshold": 10}},
+                id="engine_options-removed-field",
+            ),
         ],
     )
     def test_unknown_option_key_is_400_naming_it(self, service, experiment, section, key, value):
         """A malformed ``options`` or ``simulate`` field — an unknown key, a
         non-mapping section, a missing field, a non-number, a fractional
-        count or a negative seed — or a ``network``, ``stopping``,
+        count, a negative seed or engine options that do not build the
+        engine's options dataclass — or a ``network``, ``stopping``,
         ``classifier`` or ``state_classifier`` section that does not parse is
         rejected before lookup or compute, naming the field."""
         from repro.errors import FingerprintError
         from repro.store import canonicalize_payload, compute_payload, experiment_to_payload
 
-        payload = experiment_to_payload(experiment, trials=10, engine="batch-direct", seed=1)
+        engine = "tau-leaping" if key == "engine_options" else "batch-direct"
+        payload = experiment_to_payload(experiment, trials=10, engine=engine, seed=1)
         target = payload if section is None else payload[section]
         if value is MISSING:
             del target[key]

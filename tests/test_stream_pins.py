@@ -22,7 +22,9 @@ schedule, the per-chunk sub-seeds, the grouping of chunks into sweeps and
 the outcome classification together.  The per-trial ensemble pins do the
 same for ``direct``, ``first-reaction`` and ``next-reaction`` over a few
 chunks each: the spawned per-trial streams, the t=0 stopping check, the
-outcome classification and the assembly of chunks into shards.
+outcome classification and the assembly of chunks into shards.  The
+tau-leaping ensemble pins run the same cases at ε = 0.03 through the same
+per-trial chunk path.
 
 To refresh a digest after a *deliberate* stream change, print the current
 values with ``PYTHONPATH=src python tests/test_stream_pins.py`` and name the
@@ -448,6 +450,53 @@ PER_TRIAL_ENSEMBLE_EXPECTED: "dict[tuple[str, str], str]" = {
 }
 
 
+# ---------------------------------------------------------------------------
+# tau-leaping ensemble pins: seeded tau-leaping Experiment.simulate runs
+# ---------------------------------------------------------------------------
+
+TAU_ENSEMBLE_EPSILON = 0.03
+
+
+def tau_ensemble_digest(case: str, cases: dict) -> str:
+    """Digest of one seeded tau-leaping ensemble run (same chunks as above)."""
+    experiment, _backend = cases[case]
+    return _simulation_digest(
+        experiment, "tau-leaping", trials=PER_TRIAL_ENSEMBLE_TRIALS,
+        seed=_seed(case, "ensemble/tau-leaping"),
+        chunk_size=PER_TRIAL_ENSEMBLE_CHUNK, backend="auto",
+        engine_options=TauLeapOptions(epsilon=TAU_ENSEMBLE_EPSILON),
+    )
+
+
+#: Digests captured while each chunk still ran one ``simulator.run`` per
+#: trial, except the two rows marked below.
+TAU_ENSEMBLE_EXPECTED: "dict[str, str]" = {
+    'example-1': '23ea73a56bab270750dd84abd2ddc6e4b564bb7d712c0a764b3f11e2e522d44d',
+    'birth-death': 'e93881a853929b6f97f9e8f86ff854a4f87cfa529549c7c0c0d933db03b999e8',
+    'cross-catalysis': '5356b3ef05b052fe9945bdd3200e6c8b689c1f2f4a919c679f84982958d64ee6',
+    'dimerization': 'd7136f334f0bdb74df16ddcc51cd666cd1d62f8d93759317412e031453cd2192',
+    'lambda-decision': '63d31471cdc023c7993f2d01e82831a33b0c6653bbb08767f7b0617cb501446d',
+    'lambda-moi2': '6589c906be04e7ed04355ffbb453307731e722fe63e1a2511970e27694fdd843',
+    'polya-urn': '4afa696a47b0debed8133616c325281966b55b82e7b2dfe718559b4251a556ca',
+    'stiff-cascade': 'eb0028cf3e98d6bb19a5738a761ab1fb35ff6390f407977d2b52982e8c813f30',
+    'toggle-switch': '08cd559315b1b1526a33a0bbb328fca43448c5cf7dd28a33a5960e42da4b2d69',
+    'triple-race': '3c886f25a631b31eb0d0f81e1a51623c41c8c4267864cd56f52b47396ce2c34c',
+    'gen-k2-L1-x0-c0-n16-seed3': '1dd3cc0ed068ae9c6ecb9645aa6c6c587cfd84510db622ff7d6bd4e001fe1713',
+    'gen-k3-L2-x2-c0-n15-seed3': '3991bdfd36a5e3d592605fcce80a192d8968218ae7e907bc81fbf4dfd374be2a',
+    'gen-k2-L3-x1-c1-n14-seed6': 'b3e8ea9d04b54d647a86e6b12b18f37333278310cb209711721059b7194aa629',
+    'max-time': '9754283f9e7f35847cfc3b8d47565e6b3615f53583bbf1450f44363b99472b45',
+    # Recaptured when the exact-step fallback began to count its firings
+    # against max_steps: before, 144 of these trials ran past the cap of 15
+    # (by up to 30 firings) and 174 of the coefficients case past 30.
+    'max-steps': '1d784ccc45e8a87e1c5e0d295543ddfce036c22b2514299494126f2615ac8845',
+    'predicate': '76387284363ad4be80dd8ca87fb157a2baa1a46e94a093293cb7dd056446a02b',
+    'all-condition': '5a3f079b5197df2ce3a43ac60c9699ffd06bd9dd5854b70785a412b666968cdb',
+    'stop-at-t0': 'c371049403a167f57136b8975d42d1fcecdeb6b776bb0d50d94eaaa77eb3f3e5',
+    'exhaustion': 'b5492e4aeb6bedd6cd4fb68e87fde917773a04c3a43a3fc89be4619c9a2aa11b',
+    'coefficients': '9031896564008d715e0b9496fa4e5137ffb1cf941bfc48fcf9468caf5deb094d',
+}
+
+
 @pytest.fixture(scope="module")
 def models():
     return _models()
@@ -493,6 +542,16 @@ def test_per_trial_ensemble_pin(per_trial_ensemble_cases, case, engine):
     assert digest == PER_TRIAL_ENSEMBLE_EXPECTED[(case, engine)]
 
 
+def test_every_tau_ensemble_case_is_pinned(per_trial_ensemble_cases):
+    assert sorted(TAU_ENSEMBLE_EXPECTED) == sorted(per_trial_ensemble_cases)
+
+
+@pytest.mark.parametrize("case", sorted(TAU_ENSEMBLE_EXPECTED))
+def test_tau_ensemble_pin(per_trial_ensemble_cases, case):
+    digest = tau_ensemble_digest(case, per_trial_ensemble_cases)
+    assert digest == TAU_ENSEMBLE_EXPECTED[case]
+
+
 if __name__ == "__main__":
     all_models = _models()
     for key in pin_keys(all_models):
@@ -503,3 +562,5 @@ if __name__ == "__main__":
     per_trial_cases = _per_trial_ensemble_cases()
     for key in per_trial_ensemble_keys(per_trial_cases):
         print(f"    {key!r}: {per_trial_ensemble_digest(*key, per_trial_cases)!r},")
+    for case in per_trial_cases:
+        print(f"    {case!r}: {tau_ensemble_digest(case, per_trial_cases)!r},")

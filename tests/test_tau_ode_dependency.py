@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,7 @@ from repro.crn import parse_network
 from repro.errors import SimulationError
 from repro.sim import (
     OdeIntegrator,
+    OdeOptions,
     SimulationOptions,
     SpeciesThreshold,
     TauLeapingSimulator,
@@ -60,6 +66,31 @@ class TestTauLeaping:
         net = parse_network("a + b ->{1} c\ninit: a = 3\ninit: b = 3")
         trajectory = TauLeapingSimulator(net, seed=7).run(max_time=100.0)
         assert trajectory.final_count("c") == 3
+
+    def test_exact_steps_honour_max_steps(self):
+        """A run that never leaps stops on ``max_steps``, as the kernels do.
+
+        Around x = 1 the selected tau is always below the exact-step
+        threshold, so every firing is an exact step, and each counts
+        against ``max_steps``.  ``max_time`` is finite so that uncounted
+        steps end the run on ``max_time`` instead of never returning.
+        """
+        net = parse_network("0 ->{1} x\nx ->{1} 0\ninit: x = 2")
+        options = SimulationOptions(max_steps=100, max_time=500.0)
+        trajectory = TauLeapingSimulator(net, seed=8).run(options=options)
+        assert trajectory.stop_reason == "max_steps"
+        assert int(trajectory.firing_counts.sum()) == 100
+        direct = make_simulator(net, engine="direct", seed=8).run(options=options)
+        assert direct.stop_reason == "max_steps"
+        assert int(direct.firing_counts.sum()) == 100
+
+    def test_options_are_checked(self):
+        for fields in ({"epsilon": 0.0}, {"epsilon": "abc"}, {"epsilon": float("nan")},
+                       {"exact_step_multiplier": -1.0}, {"exact_step_multiplier": True}):
+            with pytest.raises(SimulationError, match=next(iter(fields))):
+                TauLeapOptions(**fields)
+        with pytest.raises(TypeError, match="critical_threshold"):
+            TauLeapOptions(critical_threshold=5)
 
     def test_options_dataclass(self):
         options = TauLeapOptions(epsilon=0.01)
@@ -113,15 +144,60 @@ class TestOde:
             engine.run(options=SimulationOptions(max_time=1.0), bogus=3)
         assert engine.run(options=SimulationOptions(max_time=1.0), max_time=2.0).final_time == 2.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_diverging_mean_field_raises(self):
         """The exponentiation module's mean field overflows within microseconds.
 
-        The rounded counts used to be int64's minimum; now the run stops
-        with an error naming the species and the time.
+        The solve stops where a count first crosses 2⁶³, with an error
+        naming the species that crossed (the staged copy of ``y``, which
+        leads ``y``) and the time, instead of rounding an overflowed count.
         """
-        with pytest.raises(SimulationError, match=r"mean field diverged: species 'y'.* at t="):
+        with pytest.raises(
+            SimulationError, match=r"mean field diverged: species 'y_staged'.* at t="
+        ):
             settle_module(exponentiation_module(), {"x": 4}, engine="ode")
+
+    def test_diverging_mean_field_stops_in_bounded_time(self):
+        """A mean field that blows up in finite time raises, and returns.
+
+        ``x -> 2x`` at rate 1000 crosses 2⁶³ at t ≈ 0.0414, between two
+        evaluation-grid points, so only a check during the solve sees it.
+        It runs in a subprocess, so a hang fails instead of holding the
+        suite.
+        """
+        script = (
+            "from repro.crn import parse_network\n"
+            "from repro.errors import SimulationError\n"
+            "from repro.sim import OdeIntegrator, SimulationOptions, make_simulator, simulate_ode\n"
+            "net = parse_network('x ->{1000} x + x\\ninit: x = 10')\n"
+            "runs = [\n"
+            "    lambda: make_simulator(net, engine='ode').run("
+            "options=SimulationOptions(max_time=1.0)),\n"
+            "    lambda: simulate_ode(net, t_final=1.0),\n"
+            "    lambda: OdeIntegrator(net).run(1.0),\n"
+            "]\n"
+            "for run in runs:\n"
+            "    try:\n"
+            "        run()\n"
+            "    except SimulationError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            assert line.startswith("the mean field diverged: species 'x' reached")
+
+    def test_options_are_checked(self):
+        for fields in ({"rtol": 0.0}, {"atol": "abc"}, {"n_points": 2.5},
+                       {"method": "Euler"}):
+            with pytest.raises(SimulationError, match=next(iter(fields))):
+                OdeOptions(**fields)
 
     def test_final_state_dict(self, production_decay):
         result = simulate_ode(production_decay, t_final=1.0)
