@@ -1,9 +1,9 @@
 """Parameter sweeps: run an experiment over a grid and collect tabular results.
 
-The benchmark harnesses all have the same shape — sweep a parameter (γ, MOI,
-trial count), run a measurement at each point, and report a table of rows —
-so that shape is factored out here.  Results are plain lists of dictionaries,
-renderable as aligned text (:func:`repro.analysis.tables.format_table`) or CSV.
+A sweep varies one parameter (γ, MOI, trial count), runs a measurement at
+each point and reports a table of rows.  Results are plain lists of
+dictionaries, renderable as aligned text
+(:func:`repro.analysis.tables.format_table`) or CSV.
 
 Grid points are independent measurements, so a sweep parallelizes the same
 way an ensemble does: ``ParameterSweep.run(workers=N)`` distributes the grid

@@ -126,7 +126,6 @@ def decode_column(column: object, dtype: str, field: str) -> np.ndarray:
 def ensemble_to_payload(ensemble: EnsembleResult) -> dict:
     """JSON-compatible payload of an :class:`EnsembleResult` (sans trajectories).
 
-    The result store persists bare ensembles with this shape, and
     :meth:`RunResult.to_payload` embeds it under its ``"ensemble"`` key.
     The per-trial arrays are typed columns (:func:`encode_column`), the
     integer ones at their narrowest width (:func:`column_dtype`).

@@ -109,6 +109,6 @@ def settle_module(
         outputs=outputs,
         final_state={k: int(v) for k, v in final.items()},
         final_time=trajectory.final_time,
-        n_firings=int(trajectory.firing_counts.sum()),
+        n_firings=trajectory.n_firings,
         stop_reason=trajectory.stop_reason,
     )

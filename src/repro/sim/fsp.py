@@ -49,6 +49,8 @@ to the absorption solver instead of the Monte-Carlo runners.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
@@ -67,7 +69,6 @@ from repro.sim.registry import register_engine
 
 __all__ = [
     "UNDECIDED",
-    "FSP_RESULT_SCHEMA",
     "FspOptions",
     "StateSpace",
     "AbsorptionResult",
@@ -79,10 +80,6 @@ __all__ = [
     "build_generator",
     "absorption_probabilities",
 ]
-
-#: Schema tag of :meth:`FspResult.to_payload` artifacts.
-FSP_RESULT_SCHEMA = "repro.fsp-result/v1"
-
 
 @dataclass(frozen=True)
 class FspOptions:
@@ -121,12 +118,37 @@ class FspOptions:
     strict: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_states <= 0:
-            raise FspError(f"max_states must be positive, got {self.max_states}")
-        if self.tolerance < 0:
-            raise FspError(f"tolerance must be non-negative, got {self.tolerance}")
-        if self.checkpoints < 2:
-            raise FspError(f"checkpoints must be at least 2, got {self.checkpoints}")
+        _check_integer("max_states", self.max_states, least=1)
+        _check_integer("checkpoints", self.checkpoints, least=2)
+        tolerance = self.tolerance
+        if (
+            isinstance(tolerance, bool)
+            or not isinstance(tolerance, numbers.Real)
+            or not (math.isfinite(tolerance) and tolerance >= 0)
+        ):
+            raise FspError(
+                f"tolerance must be a finite non-negative number, got {tolerance!r}"
+            )
+        for name in ("expand", "strict"):
+            if not isinstance(getattr(self, name), bool):
+                raise FspError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if self.count_caps is not None:
+            if not isinstance(self.count_caps, Mapping):
+                raise FspError(
+                    f"count_caps must be None or a mapping, got {self.count_caps!r}"
+                )
+            for species, cap in self.count_caps.items():
+                if not isinstance(species, str):
+                    raise FspError(f"count_caps key {species!r} is not a species name")
+                _check_integer(f"count_caps[{species!r}]", cap, least=0)
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    """Refuse an options field that is not an integer of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise FspError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise FspError(f"{name} must be at least {least}, got {value!r}")
 
 
 def _species_column(
@@ -340,49 +362,6 @@ class StateSpace:
         kept = np.zeros(self.n_states)
         np.add.at(kept, self.edge_src, self.edge_rate)
         return np.maximum(self.outflow - kept, 0.0)
-
-    def to_payload(self) -> dict:
-        """JSON-compatible payload (states, labels, edges; network included).
-
-        Together with :meth:`from_payload` this gives the result store a full
-        round trip of the enumerated space — the compiled network is rebuilt
-        from its serialized form, the index from the state matrix.
-        """
-        from repro.crn.serialize import network_to_dict
-
-        return {
-            "network": network_to_dict(self.compiled.network),
-            "states": self.states.tolist(),
-            "labels": list(self.labels),
-            "edge_src": self.edge_src.tolist(),
-            "edge_dst": self.edge_dst.tolist(),
-            "edge_rate": self.edge_rate.tolist(),
-            "outflow": self.outflow.tolist(),
-            "truncated": bool(self.truncated),
-        }
-
-    @classmethod
-    def from_payload(cls, data: Mapping) -> "StateSpace":
-        """Rebuild a :class:`StateSpace` from :meth:`to_payload` output."""
-        from repro.crn.serialize import network_from_dict
-
-        compiled = CompiledNetwork.compile(network_from_dict(data["network"]))
-        states = np.asarray(data["states"], dtype=np.int64)
-        if states.size == 0:
-            states = states.reshape(0, compiled.n_species)
-        return cls(
-            compiled=compiled,
-            states=states,
-            index={tuple(int(c) for c in row): i for i, row in enumerate(states)},
-            labels=[
-                None if label is None else str(label) for label in data["labels"]
-            ],
-            edge_src=np.asarray(data["edge_src"], dtype=np.int64),
-            edge_dst=np.asarray(data["edge_dst"], dtype=np.int64),
-            edge_rate=np.asarray(data["edge_rate"], dtype=float),
-            outflow=np.asarray(data["outflow"], dtype=float),
-            truncated=bool(data.get("truncated", False)),
-        )
 
 
 def _state_labeller(
@@ -804,41 +783,6 @@ class FspResult:
         if leaked > 0.0:
             totals[UNDECIDED] = totals.get(UNDECIDED, 0.0) + leaked
         return totals
-
-    def to_payload(self) -> dict:
-        """JSON-compatible payload for the result store (full round trip).
-
-        The checkpoint grid, the probability matrix and the enumerated state
-        space (including the serialized network) are all preserved, so a
-        reloaded result answers :meth:`marginal` / :meth:`mean` /
-        :meth:`state_probability` / :meth:`outcome_probabilities` identically
-        to the live object.  ``version`` records the library version that
-        wrote the payload.
-        """
-        from repro import __version__
-
-        return {
-            "schema": FSP_RESULT_SCHEMA,
-            "version": __version__,
-            "times": self.times.tolist(),
-            "probabilities": self.probabilities.tolist(),
-            "space": self.space.to_payload(),
-        }
-
-    @classmethod
-    def from_payload(cls, data: Mapping) -> "FspResult":
-        """Rebuild an :class:`FspResult` from :meth:`to_payload` output."""
-        if data.get("schema") != FSP_RESULT_SCHEMA:
-            raise FspError(
-                f"unrecognized FSP result schema {data.get('schema')!r}; "
-                f"expected {FSP_RESULT_SCHEMA!r}"
-            )
-        times = np.asarray(data["times"], dtype=float)
-        probabilities = np.asarray(data["probabilities"], dtype=float)
-        space = StateSpace.from_payload(data["space"])
-        if probabilities.size == 0:
-            probabilities = probabilities.reshape(len(times), space.n_states)
-        return cls(times=times, probabilities=probabilities, space=space)
 
 
 @register_engine(

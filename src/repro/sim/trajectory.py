@@ -120,7 +120,13 @@ class Trajectory:
 
     @property
     def n_firings(self) -> int:
-        """Total number of reaction firings in the run."""
+        """Total number of reaction firings in the run.
+
+        Read from the per-reaction totals, which every run keeps, so a run
+        or ensemble view without a firing log reports its firings too.
+        """
+        if self.firing_counts.size:
+            return int(self.firing_counts.sum())
         return int(len(self.reaction_indices))
 
     @property

@@ -12,8 +12,9 @@ simulation a pure function of its serialized inputs, so results are
 * :mod:`repro.store.serialize` — experiments ⇄ JSON payloads (the unit that
   is hashed, shipped to workers, and POSTed to the service);
 * :mod:`repro.store.store` — :class:`ResultStore`, the tiered on-disk
-  artifact store (in-process hot LRU over gzip-compressed cold JSON) with
-  index, cache lookup, eviction/GC and campaign manifests;
+  store of run-result artifacts (in-process hot LRU over gzip-compressed
+  cold JSON files, which are its only record) with cache lookup,
+  eviction/GC and campaign manifests;
 * :mod:`repro.store.campaign` — :class:`Campaign` grids scheduled by the
   cache-aware, resumable :class:`CampaignRunner`.
 

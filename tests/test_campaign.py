@@ -7,7 +7,7 @@ import asyncio
 import pytest
 
 from repro.api import Experiment
-from repro.errors import CampaignError
+from repro.errors import CampaignError, StoreError
 from repro.store import (
     Campaign,
     CampaignCell,
@@ -149,6 +149,16 @@ class TestCampaignRun:
         rerun = runner.run(campaign)
         manifest = store.load_campaign(rerun.campaign_id)
         assert {cell["status"] for cell in manifest["cells"]} == {"cached"}
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", "not json"])
+    def test_manifest_that_is_not_an_object_is_a_store_error(self, store, campaign, text):
+        campaign_id = CampaignRunner(store).run(campaign).campaign_id
+        path = store.root / "campaigns" / f"{campaign_id}.json"
+        path.write_text(text)
+        with pytest.raises(StoreError, match=f"corrupt campaign manifest .*{campaign_id}"):
+            store.load_campaign(campaign_id)
+        with pytest.raises(StoreError, match="corrupt campaign manifest"):
+            CampaignRunner(store).run(campaign)
 
     def test_interrupted_campaign_resumes_only_missing(self, store, campaign):
         # Interrupt: the runner dies after two successful computes.

@@ -406,13 +406,24 @@ class TestStoreTiering:
         assert path.read_bytes() == first  # gzip mtime=0: content-addressed bytes
 
     def test_legacy_uncompressed_artifacts_stay_readable(self, tmp_path):
-        legacy = ResultStore(tmp_path / "store", compress=False)
-        key = self._seed_artifact(legacy)
-        assert legacy._artifact_path(key).suffix == ".json"
-        modern = ResultStore(tmp_path / "store")
-        assert modern.get_envelope(key) is not None
-        assert key in modern.keys()
-        assert modern.has(key)
+        store = ResultStore(tmp_path / "store")
+        key = self._seed_artifact(store)
+        compressed = store._artifact_path(key)
+        written = compressed.read_bytes()
+        legacy = compressed.with_name(f"{key}.json")
+        legacy.write_bytes(gzip.decompress(written))
+        compressed.unlink()
+        reader = ResultStore(tmp_path / "store")
+        envelope = reader.get_envelope(key)
+        assert envelope == store.get_envelope(key)
+        assert reader.keys() == [key]
+        assert reader.has(key)
+        assert reader.stats()["bytes"] == legacy.stat().st_size
+        # A put of the key replaces the legacy copy with the same gzip bytes.
+        reader.put(
+            key, reader.load_run(key), envelope["descriptor"], envelope["witness"]
+        )
+        assert compressed.read_bytes() == written and not legacy.exists()
 
     def test_hot_tier_serves_repeat_reads(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -453,6 +464,7 @@ class TestStoreTiering:
 
     @staticmethod
     def _tiny_result():
+        from repro.api.results import RunResult
         from repro.crn import Reaction
         from repro.sim.ensemble import ParallelEnsembleRunner
         from repro.sim.events import SpeciesThreshold
@@ -463,26 +475,25 @@ class TestStoreTiering:
         runner = ParallelEnsembleRunner(
             network, stopping=SpeciesThreshold("a", 0, label="done")
         )
-        return runner.run(1, seed=1)
+        return RunResult(ensemble=runner.run(1, seed=1))
 
 
 # ---------------------------------------------------------------------------
-# evict() regression: stale index entries
+# evict() answers from the artifact files
 # ---------------------------------------------------------------------------
 
 
 class TestEvictReconciliation:
-    def test_evict_true_for_stale_index_entry(self, tmp_path):
+    def test_evict_false_after_external_delete(self, tmp_path):
         store = ResultStore(tmp_path / "store", hot_capacity=0)
         experiment = Experiment.from_zoo("toggle-switch")
         experiment.simulate(trials=10, engine="direct", seed=3, store=store)
         [key] = store.keys()
-        # The artifact file vanishes externally; only the index entry remains.
+        # The artifact file vanishes externally: nothing records it any more.
         store._artifact_path(key).unlink()
-        assert key in json.loads(store._index_path.read_text())["artifacts"]
-        assert store.evict(key) is True  # it removed the index entry
-        assert key not in json.loads(store._index_path.read_text())["artifacts"]
-        assert store.evict(key) is False  # nothing left to remove
+        assert store.keys() == [] and len(store) == 0
+        assert store.stats()["artifacts"] == 0 and store.stats()["bytes"] == 0
+        assert store.evict(key) is False  # no file was deleted
 
     def test_evict_false_for_unknown_key(self, tmp_path):
         store = ResultStore(tmp_path / "store")

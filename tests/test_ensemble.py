@@ -187,6 +187,24 @@ class TestShardPaths:
             np.testing.assert_array_equal(other.n_firings, columns.n_firings)
         assert len(kept.trajectories) == 100 and not columns.trajectories
 
+    def test_log_free_trajectories_report_their_firings(
+        self, decision_network, decision_condition
+    ):
+        """Ensemble trajectory views (per-trial and batched engines) and a
+        batch-direct ``run()`` keep no firing log, yet report their firings."""
+        for engine in ("direct", "batch-direct"):
+            result = ParallelEnsembleRunner(
+                decision_network, engine=engine, stopping=decision_condition
+            ).run(3, seed=1, keep_trajectories=True)
+            for trajectory, fired in zip(result.trajectories, result.n_firings):
+                assert len(trajectory.reaction_indices) == 0
+                assert trajectory.n_firings == trajectory.firing_counts.sum() == fired > 0
+                assert f"firings={fired}," in repr(trajectory)
+        run = make_simulator(decision_network, engine="batch-direct", seed=1).run(
+            stopping=decision_condition
+        )
+        assert run.n_firings == run.firing_counts.sum() > 0
+
     def test_reused_runner_sees_a_mutated_condition(self, decision_network):
         condition = SpeciesThreshold("wa", 3)
         runner = ParallelEnsembleRunner(decision_network, stopping=condition)

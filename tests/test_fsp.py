@@ -409,6 +409,34 @@ class TestOptionsAndClassifier:
         with pytest.raises(FspError):
             FspOptions(checkpoints=1)
 
+    @pytest.mark.parametrize("fields", [
+        {"max_states": 10.5},
+        {"max_states": True},
+        {"checkpoints": 2.5},
+        {"checkpoints": "3"},
+        {"tolerance": "abc"},
+        {"tolerance": float("nan")},
+        {"tolerance": float("inf")},
+        {"expand": "yes"},
+        {"strict": 3},
+        {"count_caps": 5},
+        {"count_caps": {"x": 1.5}},
+        {"count_caps": {"x": -1}},
+        {"count_caps": {1: 3}},
+    ], ids=repr)
+    def test_options_refuse_wrong_types(self, fields):
+        """Every field is type-checked, naming it; a fractional count is refused."""
+        (name,) = fields
+        with pytest.raises(FspError, match=name):
+            FspOptions(**fields)
+
+    def test_options_accept_numpy_integers(self):
+        options = FspOptions(
+            max_states=np.int64(10), checkpoints=np.int32(2), tolerance=0,
+            count_caps={"x": np.int64(0)},
+        )
+        assert options.max_states == 10 and options.count_caps == {"x": 0}
+
     def test_dominant_species_classifier(self):
         classify = DominantSpeciesClassifier({"A": "d_A", "B": "d_B"})
         assert classify({"d_A": 2, "d_B": 0}) == "A"

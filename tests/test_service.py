@@ -160,7 +160,8 @@ class TestEndpoints:
                 None, "stopping", {"type": "outcome-thresholds", "thresholds": {"a": 5}},
                 id="outcome-threshold-number",
             ),
-            # engine_options go with engine="tau-leaping" (see below).
+            # engine_options go with engine="tau-leaping", FspOptions with
+            # engine="fsp" (see below).
             pytest.param("simulate", "engine_options", 5, id="engine_options-number"),
             pytest.param(
                 "simulate", "engine_options", {"type": "TauLeapOptions"},
@@ -189,6 +190,21 @@ class TestEndpoints:
                 {"type": "TauLeapOptions", "fields": {"critical_threshold": 10}},
                 id="engine_options-removed-field",
             ),
+            *(
+                pytest.param(
+                    "simulate", "engine_options",
+                    {"type": "FspOptions", "fields": fields}, id=f"fsp-{case}",
+                )
+                for case, fields in (
+                    ("max_states-fraction", {"max_states": 10.5}),
+                    ("checkpoints-fraction", {"checkpoints": 2.5}),
+                    ("tolerance-text", {"tolerance": "abc"}),
+                    ("expand-text", {"expand": "yes"}),
+                    ("strict-number", {"strict": 3}),
+                    ("count_caps-number", {"count_caps": 5}),
+                    ("count_caps-fraction", {"count_caps": {"u": 1.5}}),
+                )
+            ),
         ],
     )
     def test_unknown_option_key_is_400_naming_it(self, service, experiment, section, key, value):
@@ -201,7 +217,10 @@ class TestEndpoints:
         from repro.errors import FingerprintError
         from repro.store import canonicalize_payload, compute_payload, experiment_to_payload
 
-        engine = "tau-leaping" if key == "engine_options" else "batch-direct"
+        engine = "batch-direct"
+        if key == "engine_options":
+            fsp = isinstance(value, dict) and value.get("type") == "FspOptions"
+            engine = "fsp" if fsp else "tau-leaping"
         payload = experiment_to_payload(experiment, trials=10, engine=engine, seed=1)
         target = payload if section is None else payload[section]
         if value is MISSING:
@@ -343,6 +362,12 @@ class TestSimulateRoundTrip:
         manifest = client.campaign(result.campaign_id)
         assert manifest["name"] == "served"
         assert len(manifest["cells"]) == 2
+
+    def test_campaign_manifest_not_an_object_is_400(self, service, client):
+        (service.store.root / "campaigns").mkdir()
+        (service.store.root / "campaigns" / "de-ad.json").write_text("[1, 2]")
+        with pytest.raises(ServiceError, match="HTTP 400: corrupt campaign manifest"):
+            client.campaign("de-ad")
 
 
 class TestKeepAlive:

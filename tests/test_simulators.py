@@ -93,8 +93,9 @@ class TestRunMechanics:
     def test_record_firings_off(self):
         net = parse_network("x ->{1} 0\ninit: x = 10")
         trajectory = DirectMethodSimulator(net, seed=10).run(record_firings=False)
-        assert trajectory.n_firings == 0            # log disabled...
-        assert trajectory.firing_counts.sum() == 10  # ...but totals still tracked
+        assert len(trajectory.reaction_indices) == 0  # log disabled...
+        assert trajectory.n_firings == 10              # ...but totals still tracked
+        assert trajectory.firing_counts.sum() == 10
 
     def test_reproducible_with_same_seed(self):
         net = parse_network("x ->{1} 0\ninit: x = 15")

@@ -10,15 +10,12 @@ import pytest
 
 import repro
 from repro.api import Experiment
-from repro.crn import parse_network
 from repro.errors import (
     ExperimentError,
     FingerprintError,
     StoreError,
     StoppingConditionError,
 )
-from repro.sim import SimulationOptions
-from repro.sim.ensemble import ParallelEnsembleRunner
 from repro.sim.events import (
     AllCondition,
     AnyCondition,
@@ -30,7 +27,6 @@ from repro.sim.events import (
     StoppingCondition,
     condition_from_descriptor,
 )
-from repro.sim.fsp import FspEngine, FspOptions, FspResult
 from repro.sim.registry import registry
 from repro.store import (
     ResultStore,
@@ -277,53 +273,16 @@ class TestArtifactRoundTrips:
         assert payload["version"] == repro.__version__
         assert json.loads(result.to_json())["version"] == repro.__version__
 
-    def test_bare_ensemble_round_trip(self, store, race_network):
-        runner = ParallelEnsembleRunner(
-            race_network,
-            stopping=SpeciesThreshold("d2", 20),
-            options=SimulationOptions(record_firings=False),
-        )
-        ensemble = runner.run(30, seed=4)
-        store.put("ab" * 32, ensemble)
-        loaded = store.get("ab" * 32)
-        assert loaded.n_trials == ensemble.n_trials
-        assert loaded.outcome_counts == ensemble.outcome_counts
-        assert loaded.final_counts.tolist() == ensemble.final_counts.tolist()
-        assert loaded.final_times.tolist() == ensemble.final_times.tolist()
-
-    def test_fsp_result_round_trip(self, store):
-        network = parse_network(
-            """
-            init: x = 0
-            src ->{2} src + x
-            x ->{1} 0
-            init: src = 1
-            """,
-            name="birth-death",
-        )
-        solved = FspEngine(
-            network, fsp_options=FspOptions(count_caps={"x": 30}, checkpoints=5)
-        ).solve(t_final=2.0)
-        store.put("cd" * 32, solved)
-        loaded = store.get("cd" * 32)
-        assert isinstance(loaded, FspResult)
-        assert loaded.times.tolist() == solved.times.tolist()
-        assert loaded.probabilities.tolist() == solved.probabilities.tolist()
-        assert loaded.marginal("x") == solved.marginal("x")
-        assert loaded.mean("x") == solved.mean("x")
-        assert loaded.state_probability({"x": 2, "src": 1}) == solved.state_probability(
-            {"x": 2, "src": 1}
-        )
-        assert loaded.error_bound() == solved.error_bound()
-        assert loaded.outcome_probabilities() == solved.outcome_probabilities()
-
-    def test_unsupported_result_type_rejected(self, store):
-        with pytest.raises(StoreError, match="cannot store"):
-            store.put("ef" * 32, {"not": "a result"})
+    def test_unsupported_result_type_rejected(self, store, experiment):
+        ensemble = experiment.simulate(trials=10, seed=1).ensemble
+        for result in ({"not": "a result"}, ensemble):
+            with pytest.raises(StoreError, match="cannot store .* expected a RunResult"):
+                store.put("ef" * 32, result)
+        assert store.keys() == []
 
 
 # ---------------------------------------------------------------------------
-# store mechanics: index, versioning, eviction
+# store mechanics: listing, versioning, eviction
 # ---------------------------------------------------------------------------
 
 
@@ -336,7 +295,7 @@ class TestStoreMechanics:
 
     def test_miss_returns_none(self, store):
         assert store.load_run("aa" * 32) is None
-        assert store.get("aa" * 32) is None
+        assert store.get_envelope("aa" * 32) is None
         assert not store.has("aa" * 32)
 
     def test_malformed_key_rejected(self, store):
@@ -372,17 +331,58 @@ class TestStoreMechanics:
         with pytest.raises(StoreError, match="9.9.9"):
             reader.get_envelope(key)
 
-    def test_wrong_kind_for_load_run(self, store, race_network):
-        runner = ParallelEnsembleRunner(race_network, stopping=SpeciesThreshold("d1", 5))
-        store.put("aa" * 32, runner.run(5, seed=1))
-        with pytest.raises(StoreError, match="run-result"):
-            store.load_run("aa" * 32)
+    def test_wrong_kind_for_load_run(self, store, experiment):
+        """An older store may hold a bare ensemble: it is listed, readable as
+        an envelope and evictable, but no typed read or hit accepts it."""
+        from repro.store.canonical import cached_run
 
-    def test_index_self_heals_from_artifact_files(self, store, experiment):
-        key = self._put_run(store, experiment, seed=1)
-        store._index_path.unlink()
-        assert store.load_run(key) is not None
-        assert key in store.keys()
+        experiment.simulate(store=store, trials=10, engine="direct", seed=11)
+        (key,) = store.keys()
+        path = store._artifact_path(key)
+        envelope = json.loads(gzip.decompress(path.read_bytes()))
+        envelope["kind"] = "ensemble-result"
+        path.write_bytes(gzip.compress(json.dumps(envelope).encode(), mtime=0))
+        reader = ResultStore(store.root)
+        assert reader.keys() == [key]
+        assert reader.get_envelope(key)["kind"] == "ensemble-result"
+        with pytest.raises(StoreError, match="'ensemble-result', not a run-result"):
+            reader.load_run(key)
+        payload = payload_of(experiment, trials=10)
+        with pytest.raises(StoreError, match="'ensemble-result', not a run-result"):
+            cached_run(ResultStore(store.root), payload)
+        assert reader.evict(key)
+        assert reader.keys() == []
+
+    def test_external_delete_leaves_the_listing(self, store, experiment):
+        """The artifact files are the only record: a file deleted outside the
+        store is gone from ``keys()``, ``len()`` and ``stats()`` at once."""
+        kept, gone = (self._put_run(store, experiment, seed=seed) for seed in (1, 2))
+        kept_bytes = store._artifact_path(kept).stat().st_size
+        store._artifact_path(gone).unlink()
+        reader = ResultStore(store.root)
+        assert reader.keys() == [kept]
+        assert len(reader) == 1
+        assert reader.stats()["artifacts"] == 1
+        assert reader.stats()["bytes"] == kept_bytes
+        assert not reader.has(gone) and reader.load_run(gone) is None
+        assert reader.evict(gone) is False
+
+    def test_store_writes_no_index(self, store, experiment):
+        self._put_run(store, experiment, seed=1)
+        store.gc(max_artifacts=5)
+        assert sorted(path.name for path in store.root.iterdir()) == ["artifacts"]
+
+    def test_old_index_is_ignored(self, store, experiment):
+        """An ``index.json`` an older store left, however malformed, is left
+        in place and changes no answer."""
+        index = store.root / "index.json"
+        index.write_text("[1, 2]")
+        keys = [self._put_run(store, experiment, seed=seed) for seed in (1, 2)]
+        assert store.keys() == sorted(keys)
+        assert store.stats()["artifacts"] == 2
+        assert store.gc(max_artifacts=1) == [keys[0]]
+        assert ResultStore(store.root).keys() == [keys[1]]
+        assert index.read_text() == "[1, 2]"
 
     def test_evict(self, store, experiment):
         key = self._put_run(store, experiment, seed=1)
@@ -392,10 +392,34 @@ class TestStoreMechanics:
 
     def test_gc_by_count_evicts_lru(self, store, experiment):
         keys = [self._put_run(store, experiment, seed=seed) for seed in (1, 2, 3)]
-        store.get(keys[0])  # refresh key 0: key 1 becomes the LRU
+        store.load_run(keys[0])  # refresh key 0: key 1 becomes the LRU
         evicted = store.gc(max_artifacts=2)
         assert evicted == [keys[1]]
         assert store.has(keys[0]) and store.has(keys[2])
+
+    def test_reads_order_another_handles_gc(self, store, experiment):
+        """A read is written onto its artifact by the reader's next put, so
+        a third handle's gc sees it."""
+        writer, reader = store, ResultStore(store.root)
+        keys = [self._put_run(writer, experiment, seed=seed) for seed in (1, 2, 3)]
+        reader.load_run(keys[0])
+        keys.append(self._put_run(reader, experiment, seed=4))
+        assert ResultStore(store.root).gc(max_artifacts=3) == [keys[1]]
+        assert sorted(store.keys()) == sorted(keys[:1] + keys[2:])
+
+    def test_gc_without_limits_evicts_nothing(self, store, experiment):
+        self._put_run(store, experiment, seed=1)
+        assert store.gc() == []
+        assert len(store) == 1
+
+    def test_listing_skips_a_file_evicted_meanwhile(self, store, experiment, monkeypatch):
+        """``stats()`` and ``gc()`` skip a listed file that another process
+        deleted before its ``stat``."""
+        key = self._put_run(store, experiment, seed=1)
+        listed = store._artifact_files() + [store._artifact_path("ab" * 32)]
+        monkeypatch.setattr(store, "_artifact_files", lambda: listed)
+        assert store.stats()["artifacts"] == 1
+        assert store.gc(max_artifacts=0) == [key]
 
     def test_gc_by_bytes(self, store, experiment):
         for seed in (1, 2, 3):
@@ -403,12 +427,6 @@ class TestStoreMechanics:
         evicted = store.gc(max_bytes=0)
         assert len(evicted) == 3
         assert store.keys() == []
-
-    def test_standing_limit_applies_on_put(self, tmp_path, experiment):
-        store = ResultStore(tmp_path / "bounded", max_artifacts=2)
-        for seed in (1, 2, 3, 4):
-            self._put_run(store, experiment, seed=seed)
-        assert len(store.keys()) == 2
 
     def test_stats(self, store, experiment):
         self._put_run(store, experiment, seed=1)

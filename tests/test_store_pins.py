@@ -1,11 +1,14 @@
-"""Store pins: the key and artifact digest of seeded ``simulate(store=)`` runs.
+"""Store pins: the key, result digest and envelope digest of seeded
+``simulate(store=)`` runs.
 
 Each case is one cold ``Experiment.simulate(store=)`` call against a fresh
-store.  Its pin is the store key the call lands on and the SHA-256 of the
-returned result's ``to_json()`` text, so together the pins hold the store's
-contract: a key names exactly one realization, and every caller reads that
-realization byte for byte.  The cases cover every way a run reaches the
-store:
+store.  Its pin is the store key the call lands on, the SHA-256 of the
+returned result's ``to_json()`` text and the SHA-256 of the stored artifact
+envelope, read back through a new store handle.  Together the pins hold the
+store's contract: a key names exactly one realization, every caller reads
+that realization byte for byte, and the envelope around it records the same
+``kind``, ``label``, ``engine``, ``descriptor`` and ``witness``.  The cases
+cover every way a run reaches the store:
 
 * the paper's Example 1 on ``batch-direct`` with a fixed budget;
 * one corpus model on each of ``direct``, ``first-reaction``,
@@ -20,8 +23,8 @@ store:
   (identity canonicalization) and executes from that payload.
 
 The callable case is also run as a ``Campaign`` cell, which must land on the
-same key and bytes.  The digest leaves out the ``version`` field a result
-records, so a release bump moves no pin.
+same key and bytes.  The digests leave out the ``version`` fields a result,
+an envelope and its descriptor record, so a release bump moves no pin.
 
 To refresh a pin after a *deliberate* change, print the current values with
 ``PYTHONPATH=src python tests/test_store_pins.py`` and name the change in
@@ -93,27 +96,92 @@ def result_digest(result) -> str:
     return hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
 
 
-def cold_pin(store, experiment, simulate: dict) -> "tuple[str, str, object]":
-    """``(key, digest, result)`` of one cold ``simulate(store=)`` call."""
+def without_version(document: dict) -> dict:
+    return {k: v for k, v in document.items() if k != "version"}
+
+
+def envelope_digest(root, key: str) -> str:
+    """SHA-256 of the envelope stored under ``key``, read through a new handle.
+
+    The ``version`` fields of the envelope, its payload and its descriptor
+    are left out.
+    """
+    from repro.store import ResultStore
+
+    envelope = without_version(ResultStore(root).get_envelope(key))
+    envelope["payload"] = without_version(envelope["payload"])
+    if envelope["descriptor"] is not None:
+        envelope["descriptor"] = without_version(envelope["descriptor"])
+    return hashlib.sha256(json.dumps(envelope, indent=2).encode()).hexdigest()
+
+
+def cold_pin(store, experiment, simulate: dict) -> "tuple[str, str, str, object]":
+    """``(key, result digest, envelope digest, result)`` of one cold
+    ``simulate(store=)`` call."""
     result = experiment.simulate(store=store, **simulate)
     keys = store.keys()
     assert len(keys) == 1, keys
-    return keys[0], result_digest(result), result
+    key = keys[0]
+    return key, result_digest(result), envelope_digest(store.root, key), result
 
 
-#: ``{case: (store key, result digest)}``.
+#: ``{case: (store key, result digest, envelope digest)}``.
 PINS = {
-    'example-1/batch-direct': ('bd0bb59ad679e62ec14623fe52c05566f8937cac3b37d908890f8b3833645cdb', 'd4f51c6a00a3688251a9d73e5f90977b82e795bf745d27f9d017a02c233c8023'),
-    'example-1/ci-half-width': ('a484452fc8f287960a5debe392e1fa13e56e6f0858c78a39141c1195b82fec33', '729355d775d34f7fde94c38e54c7ed545adcad07138757422dd23e7fafcfafee'),
-    'toggle-switch/direct': ('203e31ad46ca8199bb8945ffe3b5cb7f0f7ef07551bb8dc1f976cac05e5136c4', '3f2bf9ec698911258f086af95cd49b096eefe7a6a1a1b8221e816376b7248a2d'),
-    'toggle-switch/first-reaction': ('6a4941ff45248121c707b6a27d9f1e8597be2ba47a7f7f1bf2331e3492dfe30b', '0a9a2fc5c2990d96552dd3e4c7f8fb13c2aec57918ccf428c7aaa5b30e0e093c'),
-    'toggle-switch/next-reaction': ('73e57cdb7300558f07027f2476365befdd68584cf84e97588a9e30fbc15cb937', '70973bd5beb189f31b544f7a96b1b9e9c3c6668074cb3c21e1e31112cc60f604'),
-    'toggle-switch/batch-direct': ('e236c06ce69f07c95499c60724191ec525f73830114904d8d4fcbfcec7873af1', 'f317ec53e849a9274182714343e4527acf9829916470a73cb9b503fb915f1a2e'),
-    'triple-race/fsp': ('8c00067bc4042227ee1a983f1233d5aae53aecdf7ef46bb60aa1b40a4f527ed5', 'e61d619bfd19b7617c8699dc4ff4ff721476ce6c0c158618e4107a53c0b505af'),
-    'triple-race/direct': ('ba45dc227e95fb15f541e964ee554589fbca8f60985b408bc801dd253c459f50', '7912d2da188018cbeacaaa4c79222c73ab2c85aace21af495ebad6e2cd436940'),
-    'triple-race/renamed': ('ba45dc227e95fb15f541e964ee554589fbca8f60985b408bc801dd253c459f50', '0ae6db35b4e31f7b25e373cae658283410ee3b9a77a7d35cae4e45f00ce6b8cc'),
-    'triple-race/callable/direct': ('f3ffb645f6433e358cfb379d4a94d0c4f6666d4ed35d9289ac673faf37975ec7', 'ab8b13cc036d928d30b0fa5e95ef7ac2570d8ea51af20be42a265ba3ef6dabd1'),
-    'triple-race/callable/batch-direct': ('78ef9bd0c1ddc65a7ce9ceb8aa10acd5b18cf2cb0c1091c58bd0e45af44a48ab', 'b5e82ce17ea094af7cd6653545bd5b33fdd8569b41087459a9742dea5b0f30b7'),
+    'example-1/batch-direct': (
+        'bd0bb59ad679e62ec14623fe52c05566f8937cac3b37d908890f8b3833645cdb',
+        'd4f51c6a00a3688251a9d73e5f90977b82e795bf745d27f9d017a02c233c8023',
+        '2e4e9d85edc6e76be6fc66553a9a05a7343ab884eef4d514b6badc0703c0daf1',
+    ),
+    'example-1/ci-half-width': (
+        'a484452fc8f287960a5debe392e1fa13e56e6f0858c78a39141c1195b82fec33',
+        '729355d775d34f7fde94c38e54c7ed545adcad07138757422dd23e7fafcfafee',
+        '076f285082dc591c97523f778149d0a5e1623c099e48e0a74b10e37f1b992856',
+    ),
+    'toggle-switch/direct': (
+        '203e31ad46ca8199bb8945ffe3b5cb7f0f7ef07551bb8dc1f976cac05e5136c4',
+        '3f2bf9ec698911258f086af95cd49b096eefe7a6a1a1b8221e816376b7248a2d',
+        '93191ccb7e797e3cfa13e039a3ab7e989022a355c3f394e5db205c154ec15766',
+    ),
+    'toggle-switch/first-reaction': (
+        '6a4941ff45248121c707b6a27d9f1e8597be2ba47a7f7f1bf2331e3492dfe30b',
+        '0a9a2fc5c2990d96552dd3e4c7f8fb13c2aec57918ccf428c7aaa5b30e0e093c',
+        'b9e72b3ab11b10537b7a8fad7281a7495327814b2176a971f9bfe9ff35d9a86a',
+    ),
+    'toggle-switch/next-reaction': (
+        '73e57cdb7300558f07027f2476365befdd68584cf84e97588a9e30fbc15cb937',
+        '70973bd5beb189f31b544f7a96b1b9e9c3c6668074cb3c21e1e31112cc60f604',
+        '64b7deb4d5603b897a86b9ac942bf4a5647d0333c87cc98e9ca4758a5cae5da4',
+    ),
+    'toggle-switch/batch-direct': (
+        'e236c06ce69f07c95499c60724191ec525f73830114904d8d4fcbfcec7873af1',
+        'f317ec53e849a9274182714343e4527acf9829916470a73cb9b503fb915f1a2e',
+        '730668c1a271af11ec620330fc531884a1d89038a8dcbd256fb4ee01badaacbd',
+    ),
+    'triple-race/fsp': (
+        '8c00067bc4042227ee1a983f1233d5aae53aecdf7ef46bb60aa1b40a4f527ed5',
+        'e61d619bfd19b7617c8699dc4ff4ff721476ce6c0c158618e4107a53c0b505af',
+        'bc0ae5819cc865b5c2022282c8ef8b989d77e178f1a5491bc0db057d132617c1',
+    ),
+    'triple-race/direct': (
+        'ba45dc227e95fb15f541e964ee554589fbca8f60985b408bc801dd253c459f50',
+        '7912d2da188018cbeacaaa4c79222c73ab2c85aace21af495ebad6e2cd436940',
+        '85079fdb8747788364b64e1c202d8d1624829f051d67720e6ca3eb04a80c127a',
+    ),
+    'triple-race/renamed': (
+        'ba45dc227e95fb15f541e964ee554589fbca8f60985b408bc801dd253c459f50',
+        '0ae6db35b4e31f7b25e373cae658283410ee3b9a77a7d35cae4e45f00ce6b8cc',
+        '0b83ce42ea3e084ccb3181ffc86126147561f5f32e710cbe8eb87bdd09c7f080',
+    ),
+    'triple-race/callable/direct': (
+        'f3ffb645f6433e358cfb379d4a94d0c4f6666d4ed35d9289ac673faf37975ec7',
+        'ab8b13cc036d928d30b0fa5e95ef7ac2570d8ea51af20be42a265ba3ef6dabd1',
+        '7422ea34bbba54691cea2b0db40734f35319cf5797a74f80d62a3db4feb2cbe6',
+    ),
+    'triple-race/callable/batch-direct': (
+        '78ef9bd0c1ddc65a7ce9ceb8aa10acd5b18cf2cb0c1091c58bd0e45af44a48ab',
+        'b5e82ce17ea094af7cd6653545bd5b33fdd8569b41087459a9742dea5b0f30b7',
+        'e062e43034acbec102903e59c9ce1a3b39e6668fc2de34f768ea6039c0065edf',
+    ),
 }
 
 
@@ -128,12 +196,15 @@ def test_every_case_is_pinned(cases):
 
 @pytest.mark.parametrize("case", sorted(PINS))
 def test_store_pin(cases, case, tmp_path):
-    """A cold run lands on its pinned key and bytes; a new handle hits them."""
+    """A cold run lands on its pinned key, bytes and envelope; a new handle
+    hits them."""
     from repro.store import ResultStore
 
     experiment, simulate = cases[case]
-    key, digest, cold = cold_pin(ResultStore(tmp_path / "store"), experiment, simulate)
-    assert (key, digest) == PINS[case]
+    key, digest, envelope, cold = cold_pin(
+        ResultStore(tmp_path / "store"), experiment, simulate
+    )
+    assert (key, digest, envelope) == PINS[case]
     warm = experiment.simulate(store=ResultStore(tmp_path / "store"), **simulate)
     assert warm.to_json() == cold.to_json()
 
@@ -143,6 +214,7 @@ def test_renamed_variant_shares_its_original_key():
     renamed = PINS[f"{RACE_MODEL}/renamed"]
     assert renamed[0] == original[0]
     assert renamed[1] != original[1]
+    assert renamed[2] != original[2]
 
 
 def test_callable_campaign_cell_lands_on_the_pinned_key(cases, tmp_path):
@@ -155,7 +227,8 @@ def test_callable_campaign_cell_lands_on_the_pinned_key(cases, tmp_path):
     cell = CampaignCell(name="callable", experiment=experiment, **simulate)
     outcome, = CampaignRunner(store).run(Campaign("pins", [cell])).outcomes
     assert outcome.status == "computed"
-    assert (outcome.key, result_digest(outcome.result)) == PINS[case]
+    assert (outcome.key, result_digest(outcome.result)) == PINS[case][:2]
+    assert envelope_digest(store.root, outcome.key) == PINS[case][2]
     warm = experiment.simulate(store=store, **simulate)
     assert warm.to_json() == outcome.result.to_json()
 
@@ -175,6 +248,7 @@ if __name__ == "__main__":
     print("PINS = {")
     for name, (experiment, simulate) in pinned_cases().items():
         with tempfile.TemporaryDirectory() as root:
-            key, digest, _ = pin_of(ResultStore(root), experiment, simulate)
-        print(f"    {name!r}: ({key!r}, {digest!r}),")
+            key, digest, envelope, _ = pin_of(ResultStore(root), experiment, simulate)
+        print(f"    {name!r}: (\n        {key!r},\n        {digest!r},\n"
+              f"        {envelope!r},\n    ),")
     print("}")
