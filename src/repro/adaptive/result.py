@@ -19,9 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.api.results import RunResult
+from repro.api.results import INTEGER, OBJECT, OBJECT_OR_NULL, RunResult, check_fields
 
 __all__ = ["AdaptiveInfo", "AdaptiveResult"]
+
+#: The types each field of an ``"adaptive"`` payload record allows.
+_FIELDS = {
+    "rule": (str,), "until": OBJECT, "chunks": INTEGER, "rounds": INTEGER,
+    "met": (bool,), "detail": (str,), "achieved": OBJECT_OR_NULL, "rare": OBJECT_OR_NULL,
+}
 
 
 @dataclass
@@ -75,6 +81,7 @@ class AdaptiveInfo:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "AdaptiveInfo":
+        check_fields(payload, _FIELDS, "adaptive")
         return cls(
             rule=str(payload["rule"]),
             until=dict(payload["until"]),

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Mapping
 
 from repro.adaptive.targets import descriptor_field, integral
@@ -51,6 +50,7 @@ from repro.sim.events import (
 )
 from repro.sim.propensity import CompiledNetwork
 from repro.sim.rng import derive_seed
+from repro.sim.stats import normal_quantile
 
 __all__ = [
     "LEVEL_LABEL",
@@ -358,7 +358,7 @@ def run_splitting(
         relative_variance = sum(
             (1.0 - p) / (effort * p) for p in stage_probabilities
         )
-        z = NormalDist().inv_cdf(0.5 + config.confidence / 2.0)
+        z = normal_quantile(config.confidence)
         sigma = math.sqrt(relative_variance)
         ci_low = estimate * math.exp(-z * sigma)
         ci_high = estimate * math.exp(z * sigma)

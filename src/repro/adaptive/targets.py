@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Mapping
 
 from repro.errors import AdaptiveError
 from repro.sim.ensemble import EnsembleResult
+from repro.sim.stats import wilson_bounds
 
 __all__ = [
     "TargetStatus",
@@ -58,11 +58,6 @@ DEFAULT_MAX_TRIALS = 100_000
 #: predict their shortfall.  Version 1 (no key) was plain doubling, whose
 #: artifacts hold larger ensembles for the same declared target.
 SCHEDULE = 2
-
-
-def _z_quantile(confidence: float) -> float:
-    """Two-sided normal critical value for a confidence level in (0, 1)."""
-    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
 def _check_probability(name: str, value: float, open_interval: bool = True) -> float:
@@ -189,14 +184,7 @@ class CiHalfWidthTarget(PrecisionTarget):
         if n <= 0:
             return (0.0, 1.0)
         if self.method == "wilson":
-            z = _z_quantile(self.confidence)
-            p = successes / n
-            denominator = 1.0 + z * z / n
-            center = (p + z * z / (2 * n)) / denominator
-            spread = (
-                z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denominator
-            )
-            return (max(0.0, center - spread), min(1.0, center + spread))
+            return wilson_bounds(successes, n, self.confidence)
         from scipy.stats import beta
 
         alpha = 1.0 - self.confidence

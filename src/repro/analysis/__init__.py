@@ -1,4 +1,8 @@
-"""Analysis toolkit: statistics, distances, curve fitting, sweeps, reporting."""
+"""Analysis toolkit: proportions, distances, curve fitting, latency, reporting.
+
+Outcome frequencies and goodness of fit live on :class:`repro.api.results.RunResult`;
+a grid of experiments is a loop over ``Experiment.simulate`` (or a ``Campaign``).
+"""
 
 from repro.analysis.decision_time import decision_time_vs_gamma
 from repro.analysis.curvefit import (
@@ -14,7 +18,7 @@ from repro.analysis.distance import (
     normalize,
     total_variation,
 )
-from repro.analysis.empirical import EmpiricalDistribution, ProportionEstimate, wilson_interval
+from repro.analysis.empirical import ProportionEstimate, wilson_interval
 from repro.analysis.plotting import ascii_chart
 from repro.analysis.sensitivity import (
     PerturbationResult,
@@ -22,11 +26,9 @@ from repro.analysis.sensitivity import (
     perturb_rates,
     robustness_report,
 )
-from repro.analysis.sweep import ExperimentMeasure, ParameterSweep, SweepResult
 from repro.analysis.tables import format_kv, format_table, write_csv
 
 __all__ = [
-    "EmpiricalDistribution",
     "ProportionEstimate",
     "wilson_interval",
     "normalize",
@@ -39,9 +41,6 @@ __all__ = [
     "fit_log_linear",
     "paper_equation_14",
     "PAPER_EQ14_COEFFICIENTS",
-    "ParameterSweep",
-    "SweepResult",
-    "ExperimentMeasure",
     "format_table",
     "format_kv",
     "write_csv",

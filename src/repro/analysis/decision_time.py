@@ -33,33 +33,29 @@ def decision_time_vs_gamma(
     """Sweep γ and report decision latency and cost at each value.
 
     Returns one row per γ with the latency statistics
-    (:meth:`~repro.api.results.RunResult.decision_times` of one ensemble)
-    plus the measured total-variation distance from the programmed
-    distribution, so the latency/accuracy trade-off is visible in a single
-    table.  ``engine`` and ``workers`` pass through to the per-γ latency
-    ensembles.
+    (:meth:`~repro.api.results.RunResult.decision_times`) and the measured
+    total-variation distance from the programmed distribution, both read
+    from one ensemble, so the latency/accuracy trade-off is visible in a
+    single table.  ``engine`` and ``workers`` apply to every γ's ensemble.
     """
     rows: list[dict[str, float]] = []
     for offset, gamma in enumerate(gammas):
-        experiment = Experiment.from_distribution(
+        result = Experiment.from_distribution(
             dict(probabilities), gamma=gamma, scale=scale
-        )
-        times = experiment.simulate(
+        ).simulate(
             trials=n_trials,
             engine=engine,
             workers=workers,
             seed=None if seed is None else seed + offset,
-        ).decision_times()
-        sampled = experiment.simulate(
-            trials=n_trials, seed=None if seed is None else seed + 1000 + offset
         )
+        times = result.decision_times()
         rows.append(
             {
                 "gamma": float(gamma),
                 "mean_decision_time": times["mean"],
                 "p95_decision_time": times["p95"],
                 "mean_firings": times["mean_firings"],
-                "tv_from_target": sampled.total_variation(dict(probabilities)),
+                "tv_from_target": result.total_variation(dict(probabilities)),
             }
         )
     return rows

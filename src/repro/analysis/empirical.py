@@ -1,23 +1,20 @@
-"""Empirical outcome distributions and their confidence intervals.
+"""Outcome proportions with their confidence intervals.
 
 The paper reports outcome *percentages* estimated from Monte-Carlo trials
-(Figures 3 and 5).  This module provides the small amount of statistics needed
-to treat those numbers carefully: empirical frequencies, Wilson score
-confidence intervals for proportions, and standard errors — so benchmark
-reports can say not just "31%" but "31% ± 2%".
+(Figures 3 and 5); :func:`wilson_interval` returns one as a
+:class:`ProportionEstimate` with the Wilson interval adaptive runs stop on, so
+reports can say not just "31%" but "31% ± 2%".  Whole outcome distributions
+are summarized by :class:`repro.api.results.RunResult`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-from scipy import stats
 
 from repro.errors import AnalysisError
+from repro.sim.stats import wilson_bounds
 
-__all__ = ["ProportionEstimate", "wilson_interval", "EmpiricalDistribution"]
+__all__ = ["ProportionEstimate", "wilson_interval"]
 
 
 @dataclass(frozen=True)
@@ -65,9 +62,8 @@ def wilson_interval(
 ) -> ProportionEstimate:
     """Wilson score confidence interval for a binomial proportion.
 
-    Preferred over the normal approximation because the proportions of
-    interest here (error rates at large γ) can be very close to zero, where
-    the Wald interval collapses.
+    The bounds are :func:`repro.sim.stats.wilson_bounds`, bit for bit the
+    interval a ``CiHalfWidthTarget`` at this confidence stops on.
     """
     if trials <= 0:
         raise AnalysisError(f"trials must be positive, got {trials}")
@@ -75,112 +71,8 @@ def wilson_interval(
         raise AnalysisError(f"successes must be in [0, {trials}], got {successes}")
     if not 0 < confidence < 1:
         raise AnalysisError(f"confidence must be in (0, 1), got {confidence}")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
-    p_hat = successes / trials
-    denominator = 1.0 + z * z / trials
-    center = (p_hat + z * z / (2 * trials)) / denominator
-    margin = (
-        z
-        * math.sqrt(p_hat * (1 - p_hat) / trials + z * z / (4 * trials * trials))
-        / denominator
-    )
+    low, high = wilson_bounds(successes, trials, confidence)
     return ProportionEstimate(
-        successes=successes,
-        trials=trials,
-        estimate=p_hat,
-        low=max(0.0, center - margin),
-        high=min(1.0, center + margin),
-        confidence=confidence,
+        successes=successes, trials=trials, estimate=successes / trials,
+        low=low, high=high, confidence=confidence,
     )
-
-
-class EmpiricalDistribution:
-    """An empirical distribution over categorical outcomes.
-
-    Built from outcome counts (e.g. ``EnsembleResult.outcome_counts``);
-    provides frequencies, per-outcome confidence intervals, and comparisons
-    against a target distribution.
-    """
-
-    def __init__(self, counts: Mapping[str, int]) -> None:
-        cleaned = {str(label): int(count) for label, count in counts.items()}
-        if any(count < 0 for count in cleaned.values()):
-            raise AnalysisError(f"counts must be non-negative: {cleaned}")
-        self._counts = cleaned
-        self._total = sum(cleaned.values())
-        if self._total == 0:
-            raise AnalysisError("empirical distribution needs at least one observation")
-
-    @classmethod
-    def from_labels(cls, labels: Sequence[str]) -> "EmpiricalDistribution":
-        """Build from a raw sequence of observed outcome labels."""
-        counts: dict[str, int] = {}
-        for label in labels:
-            counts[str(label)] = counts.get(str(label), 0) + 1
-        return cls(counts)
-
-    # -- queries -----------------------------------------------------------------
-
-    @property
-    def total(self) -> int:
-        """Number of observations."""
-        return self._total
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """Observed outcome labels (sorted)."""
-        return tuple(sorted(self._counts))
-
-    def count(self, label: str) -> int:
-        """Raw count for one outcome."""
-        return self._counts.get(label, 0)
-
-    def frequency(self, label: str) -> float:
-        """Relative frequency of one outcome."""
-        return self.count(label) / self._total
-
-    def frequencies(self) -> dict[str, float]:
-        """All relative frequencies."""
-        return {label: count / self._total for label, count in sorted(self._counts.items())}
-
-    def interval(self, label: str, confidence: float = 0.95) -> ProportionEstimate:
-        """Wilson interval for one outcome's probability."""
-        return wilson_interval(self.count(label), self._total, confidence)
-
-    # -- comparisons --------------------------------------------------------------
-
-    def total_variation_distance(self, target: Mapping[str, float]) -> float:
-        """Total-variation distance to a target distribution."""
-        labels = set(self._counts) | set(target)
-        return 0.5 * sum(
-            abs(self.frequency(label) - float(target.get(label, 0.0))) for label in labels
-        )
-
-    def chi_square_test(self, target: Mapping[str, float]) -> tuple[float, float]:
-        """Chi-square goodness-of-fit statistic and p-value against ``target``.
-
-        Outcomes with zero target probability are excluded (observing them
-        would be an outright failure better caught by the TV distance).
-        """
-        labels = [label for label in target if target[label] > 0]
-        if len(labels) < 2:
-            raise AnalysisError("chi-square test needs at least two outcomes with mass")
-        observed = [self.count(label) for label in labels]
-        expected = [float(target[label]) for label in labels]
-        scale_factor = sum(observed) / sum(expected)
-        expected = [value * scale_factor for value in expected]
-        result = stats.chisquare(observed, expected)
-        return float(result.statistic), float(result.pvalue)
-
-    def summary(self, target: "Mapping[str, float] | None" = None) -> str:
-        """Readable table of frequencies (and target, when given)."""
-        header = f"{'outcome':<16s} {'count':>7s} {'freq':>8s}"
-        if target is not None:
-            header += f" {'target':>8s}"
-        lines = [header]
-        for label in self.labels:
-            row = f"{label:<16s} {self.count(label):7d} {self.frequency(label):8.4f}"
-            if target is not None:
-                row += f" {float(target.get(label, 0.0)):8.4f}"
-            lines.append(row)
-        return "\n".join(lines)

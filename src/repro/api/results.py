@@ -27,6 +27,7 @@ import binascii
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 from typing import Mapping
 
@@ -44,6 +45,10 @@ __all__ = [
     "ensemble_column",
     "ensemble_to_payload",
     "ensemble_from_payload",
+    "check_fields",
+    "OBJECT",
+    "OBJECT_OR_NULL",
+    "INTEGER",
 ]
 
 _SCHEMA = "repro.run-result/v3"
@@ -57,6 +62,50 @@ _COLUMN_DTYPES = {"final_counts": "<i8", "final_times": "<f8", "n_firings": "<i8
 _WIDTHS = {"<i8": ("<i1", "<i2", "<i4", "<i8"), "<f8": ("<f8",)}
 #: The numpy type each in-memory dtype decodes to.
 _NATIVE = {"<i8": np.int64, "<f8": np.float64}
+
+#: How the types a payload field allows read in error messages.
+_KIND_NAMES = {dict: "an object", Mapping: "an object", int: "an integer", Integral: "an integer",
+               str: "a string", bool: "a boolean", list: "a list", type(None): "null"}
+#: Field kinds; each JSON type comes before its (slower to check) abstract type.
+OBJECT, OBJECT_OR_NULL = (dict, Mapping), (dict, type(None), Mapping)
+INTEGER = (int, Integral)
+#: The types each field of a run-result payload, and of its ensemble, allows.
+#: A field that allows ``None`` may also be missing.
+_RUN_FIELDS = {
+    "ensemble": OBJECT, "engine": (str,), "backend": (str, type(None)),
+    "trials": INTEGER, "seed": (int, type(None), Integral), "workers": INTEGER,
+    "inputs": OBJECT, "target": OBJECT_OR_NULL, "outputs": OBJECT_OR_NULL,
+    "expected_outputs": OBJECT_OR_NULL, "label": (str,), "exact": OBJECT_OR_NULL,
+    "exact_info": OBJECT_OR_NULL, "adaptive": OBJECT_OR_NULL,
+}
+_ENSEMBLE_FIELDS = {"n_trials": INTEGER, "species": (list,), "outcome_counts": OBJECT}
+
+
+def check_fields(raw: object, fields: Mapping[str, tuple], where: str = "") -> Mapping:
+    """``raw``, checked to be an object whose ``fields`` hold the types they allow.
+
+    A field that allows ``None`` may be missing.  Otherwise a missing or
+    ill-typed field — or a ``raw`` that is not an object — raises
+    :class:`~repro.errors.ExperimentError` naming it (``where.field``).
+    """
+    if not isinstance(raw, OBJECT):
+        raise ExperimentError(f"{where or 'payload'}: expected an object, got {type(raw).__name__}")
+    for name, kinds in fields.items():
+        value = raw.get(name)
+        if not isinstance(value, kinds):
+            path = f"{where}.{name}" if where else name
+            if name not in raw:
+                raise ExperimentError(f"{path}: missing field")
+            expected = " or ".join(dict.fromkeys(_KIND_NAMES[kind] for kind in kinds))
+            raise ExperimentError(f"{path}: expected {expected}, got {type(value).__name__}")
+    return raw
+
+
+def _integers(mapping: Mapping, path: str) -> dict[str, int]:
+    """``{label: int}`` from an object whose every value must be an integer."""
+    if not all(isinstance(value, INTEGER) for value in mapping.values()):
+        raise ExperimentError(f"{path}: {dict(mapping)!r} does not map labels to integers")
+    return {str(label): int(value) for label, value in mapping.items()}
 
 
 def column_dtype(values: np.ndarray, dtype: str) -> str:
@@ -145,7 +194,7 @@ def ensemble_to_payload(ensemble: EnsembleResult) -> dict:
 def ensemble_column(raw: Mapping, name: str) -> np.ndarray:
     """One per-trial array of an ensemble payload, from a typed column or a
     v1 list (``ExperimentError`` naming the field when malformed)."""
-    value = raw[name]
+    value = raw.get(name)
     dtype = _COLUMN_DTYPES[name]
     if isinstance(value, list):
         try:
@@ -166,7 +215,10 @@ def ensemble_from_payload(raw: Mapping) -> EnsembleResult:
     Trajectories are not round-tripped; :attr:`EnsembleResult.moments` is
     computed from the final-count matrix when first read.
     """
+    check_fields(raw, _ENSEMBLE_FIELDS, "ensemble")
     n_trials = int(raw["n_trials"])
+    if not all(isinstance(name, str) for name in raw["species"]):
+        raise ExperimentError(f"ensemble.species: {raw['species']!r} is not a list of names")
     species = tuple(as_species(name) for name in raw["species"])
     final_counts = ensemble_column(raw, "final_counts")
     if final_counts.size == 0 and final_counts.ndim < 2:
@@ -187,7 +239,7 @@ def ensemble_from_payload(raw: Mapping) -> EnsembleResult:
             )
     return EnsembleResult(
         n_trials=n_trials,
-        outcome_counts={str(k): int(v) for k, v in raw["outcome_counts"].items()},
+        outcome_counts=_integers(raw["outcome_counts"], "ensemble.outcome_counts"),
         species=species,
         **arrays,
     )
@@ -315,7 +367,8 @@ class RunResult:
 
         Computed over decided trials against the (normalized) target
         probabilities — the statistic the batch-vs-sequential agreement tests
-        use, exposed here so acceptance checks read fluently.
+        and :func:`repro.core.verification.verify_by_sampling` use.  A decided
+        outcome the target gives no mass makes the statistic infinite.
         """
         from repro.analysis.distance import normalize
 
@@ -325,6 +378,8 @@ class RunResult:
         n = sum(counts.values())
         if n == 0:
             raise ExperimentError("no decided trials; cannot compute chi-squared")
+        if any(count and not reference.get(label, 0.0) > 0 for label, count in counts.items()):
+            return math.inf
         return float(
             sum(
                 (counts.get(label, 0) - n * p) ** 2 / (n * p)
@@ -483,24 +538,28 @@ class RunResult:
         Payloads carrying an ``"adaptive"`` stopping record (written by
         ``Experiment.simulate(until=...)``) reconstruct as
         :class:`~repro.adaptive.result.AdaptiveResult`, so store and service
-        cache hits return the same type the cold run produced.
+        cache hits return the same type the cold run produced.  A payload
+        that is not an object, or misses or mistypes a field, raises
+        :class:`~repro.errors.ExperimentError` naming the field.
         """
+        check_fields(payload, {})  # an object, before its schema is read
         if payload.get("schema") not in _ACCEPTED_SCHEMAS:
             raise ExperimentError(
                 f"unrecognized result schema {payload.get('schema')!r}; expected "
                 f"one of {list(_ACCEPTED_SCHEMAS)}"
             )
+        check_fields(payload, _RUN_FIELDS)
         kwargs = dict(
             ensemble=ensemble_from_payload(payload["ensemble"]),
             engine=payload["engine"],
-            backend=str(payload.get("backend", "auto")),
+            backend=payload.get("backend") or "auto",
             trials=int(payload["trials"]),
-            seed=payload["seed"],
+            seed=payload.get("seed"),
             workers=int(payload["workers"]),
-            inputs={str(k): int(v) for k, v in payload["inputs"].items()},
-            target=payload["target"],
-            outputs=payload["outputs"],
-            expected_outputs=payload["expected_outputs"],
+            inputs=_integers(payload["inputs"], "inputs"),
+            target=payload.get("target"),
+            outputs=payload.get("outputs"),
+            expected_outputs=payload.get("expected_outputs"),
             label=payload["label"],
             exact=payload.get("exact"),
             exact_info=payload.get("exact_info"),

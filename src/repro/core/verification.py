@@ -102,25 +102,12 @@ def verify_by_sampling(
         experiment = experiment.program(inputs)
     result = experiment.simulate(trials=n_trials, seed=seed, engine=engine)
     target = result.target
-    measured = result.frequencies
     counts = result.ensemble.outcome_counts
     decided = result.ensemble.n_trials - counts.get(result.ensemble.UNDECIDED, 0)
-
-    labels = list(target)
-    observed = [counts.get(label, 0) for label in labels]
-    expected = [target[label] * decided for label in labels]
-    # Chi-square needs positive expectations; merge vanishing cells into the others.
-    safe_observed, safe_expected = [], []
-    for obs, exp in zip(observed, expected):
-        if exp > 0:
-            safe_observed.append(obs)
-            safe_expected.append(exp)
-    if len(safe_expected) >= 2 and decided > 0:
-        # Rescale expectations to match the observed total exactly (guards the
-        # strict sum check inside scipy when some cells were dropped).
-        scale_factor = sum(safe_observed) / sum(safe_expected)
-        safe_expected = [value * scale_factor for value in safe_expected]
-        chi2_pvalue = float(stats.chisquare(safe_observed, safe_expected).pvalue)
+    # One degree of freedom per target outcome with mass, less one.
+    dof = sum(1 for probability in target.values() if probability > 0) - 1
+    if decided and dof >= 1:
+        chi2_pvalue = float(stats.chi2.sf(result.chi_squared(), dof))
     else:
         chi2_pvalue = float("nan")
 
@@ -128,7 +115,7 @@ def verify_by_sampling(
     tv_distance = result.total_variation() if decided else float("nan")
     return VerificationReport(
         target=dict(target),
-        measured=dict(measured),
+        measured=dict(result.frequencies),
         n_trials=decided,
         tv_distance=tv_distance,
         chi2_pvalue=chi2_pvalue,

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.analysis.curvefit import ResponseFit, paper_equation_14
-from repro.analysis.empirical import ProportionEstimate, wilson_interval
+from repro.analysis.empirical import ProportionEstimate
 from repro.analysis.plotting import ascii_chart
 from repro.analysis.tables import format_table
 from repro.api.experiment import Experiment
 from repro.lambda_phage.fit import PAPER_MOI_VALUES, fit_response_data
-from repro.lambda_phage.natural import LYSIS, LYSOGENY, NaturalLambdaSurrogate
+from repro.lambda_phage.natural import NaturalLambdaSurrogate, lysogeny_estimate
 from repro.lambda_phage.synthetic import SyntheticLambdaModel
 
 __all__ = ["Figure5Point", "Figure5Result", "run_figure5_experiment", "simulate_synthetic_moi"]
@@ -117,9 +117,7 @@ def simulate_synthetic_moi(
             backend=backend,
         )
     )
-    successes = result.ensemble.outcome_counts.get(LYSOGENY, 0)
-    decided = successes + result.ensemble.outcome_counts.get(LYSIS, 0)
-    return wilson_interval(successes, max(decided, 1))
+    return lysogeny_estimate(result)
 
 
 def run_figure5_experiment(

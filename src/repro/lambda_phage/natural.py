@@ -33,13 +33,15 @@ from dataclasses import dataclass
 from repro.analysis.curvefit import paper_equation_14
 from repro.analysis.empirical import ProportionEstimate, wilson_interval
 from repro.api.experiment import Experiment
+from repro.api.results import RunResult
 from repro.core.spec import DistributionSpec, OutcomeSpec
 from repro.core.stochastic_module import build_stochastic_module
 from repro.crn.network import ReactionNetwork
 from repro.errors import SpecificationError
 from repro.sim.events import OutcomeThresholds
 
-__all__ = ["LYSIS", "LYSOGENY", "CRO2_THRESHOLD", "CI2_THRESHOLD", "NaturalLambdaSurrogate"]
+__all__ = ["LYSIS", "LYSOGENY", "CRO2_THRESHOLD", "CI2_THRESHOLD", "NaturalLambdaSurrogate",
+           "lysogeny_estimate"]
 
 
 #: Outcome labels used throughout the lambda-phage application.
@@ -49,6 +51,13 @@ LYSOGENY = "lysogeny"
 #: The outcome thresholds of Section 3.1: 55 molecules of cro2, 145 of ci2.
 CRO2_THRESHOLD = 55
 CI2_THRESHOLD = 145
+
+
+def lysogeny_estimate(result: RunResult) -> ProportionEstimate:
+    """The fraction of a run's decided trials that reached lysogeny (with CI)."""
+    successes = result.ensemble.outcome_counts.get(LYSOGENY, 0)
+    decided = successes + result.ensemble.outcome_counts.get(LYSIS, 0)
+    return wilson_interval(successes, max(decided, 1))
 
 
 @dataclass
@@ -117,9 +126,7 @@ class NaturalLambdaSurrogate:
             engine_options=engine_options,
             backend=backend,
         )
-        successes = result.ensemble.outcome_counts.get(LYSOGENY, 0)
-        decided = successes + result.ensemble.outcome_counts.get(LYSIS, 0)
-        return wilson_interval(successes, max(decided, 1))
+        return lysogeny_estimate(result)
 
     def response_curve(
         self,

@@ -67,8 +67,8 @@ def pool_context():
 
     Prefers ``fork`` where available (cheap worker startup, workers inherit
     the parent's imported modules); falls back to ``spawn`` on platforms
-    without it.  Centralized so the ensemble runner and the parameter sweep
-    cannot silently diverge in start-method policy.
+    without it.  Centralized so the ensemble runner's and ``CampaignRunner``'s
+    process pools cannot silently diverge in start-method policy.
     """
     return multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"

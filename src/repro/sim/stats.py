@@ -1,17 +1,44 @@
-"""Streaming moment accumulation for Monte-Carlo ensembles.
+"""Streaming moments and binomial intervals for Monte-Carlo ensembles.
 
 :class:`RunningMoments` implements Welford's online mean/variance update
 together with the parallel merge of Chan, Golub & LeVeque (1983), vectorized
 over species so one accumulator summarizes a whole ``(n_trials, n_species)``
 final-count matrix.  :attr:`repro.sim.ensemble.EnsembleResult.moments` builds
 one from an ensemble's final counts when first read.
+
+:func:`wilson_bounds` is the package's one Wilson score interval (adaptive
+runs stop on it, :func:`repro.analysis.wilson_interval` reports it) and
+:func:`normal_quantile` its one normal critical value.
 """
 
 from __future__ import annotations
 
+import math
+from statistics import NormalDist
+
 import numpy as np
 
-__all__ = ["RunningMoments"]
+__all__ = ["RunningMoments", "normal_quantile", "wilson_bounds"]
+
+
+def normal_quantile(confidence: float) -> float:
+    """Two-sided standard-normal critical value for a confidence in (0, 1)."""
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
+
+
+def wilson_bounds(successes: int, n: int, confidence: float) -> "tuple[float, float]":
+    """Wilson score interval ``(low, high)`` for ``successes`` out of ``n > 0``.
+
+    Preferred over the normal (Wald) interval because the proportions of
+    interest (error rates at large γ, rare outcomes) can sit at or near
+    zero, where the Wald interval collapses.
+    """
+    z = normal_quantile(confidence)
+    p = successes / n
+    denominator = 1.0 + z * z / n
+    center = (p + z * z / (2 * n)) / denominator
+    spread = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denominator
+    return (max(0.0, center - spread), min(1.0, center + spread))
 
 
 class RunningMoments:

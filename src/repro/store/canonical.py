@@ -467,7 +467,7 @@ def localize_run_payload(
     localized["expected_outputs"] = caller_payload.get("expected_outputs")
 
     ensemble = localized.get("ensemble")
-    if ensemble and ensemble.get("species"):
+    if isinstance(ensemble, Mapping) and isinstance(ensemble.get("species"), list):
         ensemble = dict(ensemble)
         localized["ensemble"] = ensemble
         names = [translate.get(name, name) for name in ensemble["species"]]
@@ -475,24 +475,26 @@ def localize_run_payload(
         ensemble["species"] = [names[i] for i in order]
         if order != list(range(len(names))):  # identity translations skip the
             counts = ensemble_column(ensemble, "final_counts")  # column shuffle
-            permuted = counts.reshape(-1, len(order))[:, order]
-            ensemble["final_counts"] = (
-                permuted.tolist()
-                if isinstance(ensemble["final_counts"], list)
-                else encode_column(permuted, ensemble["final_counts"]["dtype"])
-            )
+            # A misshapen column is left as it is, for from_payload to refuse.
+            if counts.ndim == 2 and counts.shape[1] == len(order):
+                permuted = counts[:, order]
+                ensemble["final_counts"] = (
+                    permuted.tolist()
+                    if isinstance(ensemble["final_counts"], list)
+                    else encode_column(permuted, ensemble["final_counts"]["dtype"])
+                )
 
     adaptive = localized.get("adaptive")
-    if adaptive:
+    if isinstance(adaptive, Mapping):
         adaptive = dict(adaptive)
         localized["adaptive"] = adaptive
         until = adaptive.get("until")
-        if until and until.get("type") == "rel-se" and "species" in until:
+        if isinstance(until, Mapping) and until.get("type") == "rel-se" and "species" in until:
             until = dict(until)
             until["species"] = translate.get(until["species"], until["species"])
             adaptive["until"] = until
         rare = adaptive.get("rare")
-        if rare and "species" in rare:
+        if isinstance(rare, Mapping) and "species" in rare:
             rare = dict(rare)
             rare["species"] = translate.get(rare["species"], rare["species"])
             adaptive["rare"] = rare
@@ -508,7 +510,7 @@ def localize_envelope(
     localized payload and the caller's witness; the stored artifact is not
     modified.
     """
-    from repro.api.results import RunResult
+    from repro.api.results import OBJECT, RunResult, check_fields
 
     if envelope.get("kind") != "run-result":
         raise StoreError(
@@ -516,6 +518,7 @@ def localize_envelope(
             f"{envelope.get('kind')!r}, not a run-result"
         )
     try:
+        check_fields(envelope, {"payload": OBJECT})
         if not canon.exact:
             return RunResult.from_payload(envelope["payload"]), dict(envelope)
         translate = compose_translation(envelope.get("witness"), canon.witness)

@@ -350,10 +350,10 @@ class ResultStore:
         """A cached :class:`~repro.api.results.RunResult`, or ``None`` on a miss.
 
         Raises :class:`StoreError` when the key holds another artifact kind
-        (an older store may hold bare ensembles or FSP solutions) or a
-        malformed payload.
+        (an older store may hold bare ensembles or FSP solutions), no payload
+        object or a malformed payload.
         """
-        from repro.api.results import RunResult
+        from repro.api.results import OBJECT, RunResult, check_fields
 
         envelope = self.get_envelope(key)
         if envelope is None:
@@ -364,6 +364,7 @@ class ResultStore:
                 "not a run-result"
             )
         try:
+            check_fields(envelope, {"payload": OBJECT})
             return RunResult.from_payload(envelope["payload"])
         except ExperimentError as exc:
             raise StoreError(f"corrupt artifact {key[:12]}…: {exc}") from exc

@@ -802,26 +802,18 @@ class TestCampaignIntegration:
 
 
 class TestSweepIntegration:
-    @staticmethod
-    def build(_value):
-        return race_experiment()
-
-    @staticmethod
-    def row(value, result):
-        return {"value": value, "rule": result.stopping_rule, "met": result.met,
-                "trials": result.trials}
-
-    def test_until_threads_through_parameter_sweep(self):
-        from repro.analysis import ParameterSweep
-
+    def test_until_applies_at_every_grid_point(self):
         target = CiHalfWidthTarget(outcome="1", half_width=0.08, max_trials=2048)
-        sweep = ParameterSweep.over_experiments(
-            "x", [1, 2], self.build, row=self.row,
-            seed=5, chunk_size=256, until=target,
+        results = [
+            race_experiment().simulate(seed=seed, chunk_size=256, until=target)
+            for seed in (5, 6)
+        ]
+        assert all(
+            isinstance(result, AdaptiveResult)
+            and result.stopping_rule == "ci-half-width"
+            and result.met
+            for result in results
         )
-        rows = sweep.run().rows
-        assert len(rows) == 2
-        assert all(row["rule"] == "ci-half-width" and row["met"] for row in rows)
 
 
 # -- the HTTP service -------------------------------------------------------------

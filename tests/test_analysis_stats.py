@@ -1,13 +1,14 @@
-"""Tests for empirical statistics and distribution distances (repro.analysis)."""
+"""Tests for proportions, goodness of fit and distribution distances."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from scipy import stats
 
 from repro.analysis import (
-    EmpiricalDistribution,
     hellinger,
     jensen_shannon,
     kl_divergence,
@@ -55,46 +56,83 @@ class TestWilsonInterval:
         assert "30/100" in str(wilson_interval(30, 100))
 
 
-class TestEmpiricalDistribution:
-    def test_frequencies(self):
-        distribution = EmpiricalDistribution({"a": 30, "b": 70})
-        assert distribution.frequency("a") == pytest.approx(0.3)
-        assert distribution.frequencies() == {"a": 0.3, "b": 0.7}
-        assert distribution.total == 100
+def run_of(counts, target):
+    """A RunResult holding only outcome counts (no per-trial columns)."""
+    from repro.api.results import RunResult
+    from repro.sim.ensemble import EnsembleResult
 
-    def test_from_labels(self):
-        distribution = EmpiricalDistribution.from_labels(["x", "y", "x", "x"])
-        assert distribution.count("x") == 3
-        assert distribution.labels == ("x", "y")
+    empty = np.zeros(0)
+    ensemble = EnsembleResult(
+        n_trials=sum(counts.values()),
+        outcome_counts=dict(counts),
+        final_counts=np.zeros((0, 0), dtype=np.int64),
+        species=(),
+        final_times=empty,
+        n_firings=empty.astype(np.int64),
+    )
+    return RunResult(ensemble=ensemble, target=dict(target))
 
-    def test_interval(self):
-        distribution = EmpiricalDistribution({"a": 30, "b": 70})
-        assert distribution.interval("a").estimate == pytest.approx(0.3)
 
-    def test_tv_against_target(self):
-        distribution = EmpiricalDistribution({"a": 30, "b": 70})
-        assert distribution.total_variation_distance({"a": 0.3, "b": 0.7}) == pytest.approx(0.0)
-        assert distribution.total_variation_distance({"a": 0.5, "b": 0.5}) == pytest.approx(0.2)
+class TestChiSquared:
+    """``RunResult.chi_squared`` is the package's goodness-of-fit statistic."""
 
-    def test_chi_square_consistent_data(self):
-        distribution = EmpiricalDistribution({"a": 298, "b": 702})
-        statistic, pvalue = distribution.chi_square_test({"a": 0.3, "b": 0.7})
-        assert pvalue > 0.5
+    CRITICAL_1DOF_999 = stats.chi2.ppf(0.999, 1)
 
-    def test_chi_square_inconsistent_data(self):
-        distribution = EmpiricalDistribution({"a": 500, "b": 500})
-        _, pvalue = distribution.chi_square_test({"a": 0.3, "b": 0.7})
-        assert pvalue < 1e-6
+    def test_consistent_counts_stay_below_the_critical_value(self):
+        run = run_of({"a": 298, "b": 702}, {"a": 0.3, "b": 0.7})
+        assert run.chi_squared() < self.CRITICAL_1DOF_999
 
-    def test_summary_table(self):
-        text = EmpiricalDistribution({"a": 1, "b": 3}).summary(target={"a": 0.25, "b": 0.75})
-        assert "a" in text and "target" in text
+    def test_inconsistent_counts_exceed_the_critical_value(self):
+        run = run_of({"a": 500, "b": 500}, {"a": 0.3, "b": 0.7})
+        assert run.chi_squared() > self.CRITICAL_1DOF_999
 
-    def test_validation(self):
-        with pytest.raises(AnalysisError):
-            EmpiricalDistribution({})
-        with pytest.raises(AnalysisError):
-            EmpiricalDistribution({"a": -1})
+    def test_decided_outcome_outside_the_target_is_infinite(self):
+        from repro.api import Experiment
+        from repro.core import synthesize_distribution
+        from repro.sim.events import CategoryFiringCondition
+
+        system = synthesize_distribution({"a": 0.5, "b": 0.5})
+        run = (
+            Experiment.from_network(
+                system.network, stopping=CategoryFiringCondition("working", 10)
+            )
+            .targeting({"a": 0.5, "b": 0.5})
+            .simulate(trials=200, seed=1)
+        )
+        assert run.ensemble.outcome_counts == {"working[a]": 100, "working[b]": 100}
+        assert run.total_variation() == 1.0
+        assert run.chi_squared() == math.inf
+
+    def test_undecided_trials_are_not_counted(self):
+        run = run_of({"a": 30, "b": 70, "(undecided)": 5}, {"a": 0.3, "b": 0.7})
+        assert run.chi_squared() == pytest.approx(0.0, abs=1e-12)
+
+
+class TestWilsonBounds:
+    """The Wilson interval adaptive runs stop on, pinned bit for bit."""
+
+    PINS = {
+        (0, 1): (0.0, 0.7934506856227626),
+        (3, 10): (0.10779126740630102, 0.6032218525388546),
+        (3877, 9728): (0.3888530153939733, 0.4083076752776965),
+        (512, 512): (0.9925530242771171, 0.9999999999999999),
+    }
+
+    @pytest.mark.parametrize("successes, n", sorted(PINS))
+    def test_ci_half_width_target_interval_is_pinned(self, successes, n):
+        from repro.adaptive import CiHalfWidthTarget
+
+        target = CiHalfWidthTarget(outcome="x", half_width=0.01)
+        assert target.interval(successes, n) == self.PINS[successes, n]
+
+    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("successes, n", sorted(PINS) + [(0, 50)])
+    def test_wilson_interval_equals_the_target_interval(self, successes, n, confidence):
+        from repro.adaptive import CiHalfWidthTarget
+
+        target = CiHalfWidthTarget(outcome="x", half_width=0.01, confidence=confidence)
+        estimate = wilson_interval(successes, n, confidence)
+        assert (estimate.low, estimate.high) == target.interval(successes, n)
 
 
 class TestDistances:

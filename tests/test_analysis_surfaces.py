@@ -1,9 +1,9 @@
 """Surface tests for analysis utilities the bigger suites only touch in passing.
 
-These exercise the inline (single-process) paths of the parameter sweep, the
-trajectory accessors, the rate-ladder queries, the robustness report and the
-``python -m repro`` entry point — thin but load-bearing surfaces that the
-coverage floor (CI ``--cov-fail-under``) keeps honest.
+These exercise the trajectory accessors, the rate-ladder queries, the
+robustness report and the ``python -m repro`` entry point — thin but
+load-bearing surfaces that the coverage floor (CI ``--cov-fail-under``) keeps
+honest.
 """
 
 from __future__ import annotations
@@ -14,92 +14,12 @@ import sys
 import numpy as np
 import pytest
 
-from repro.analysis import ParameterSweep, robustness_report
-from repro.analysis.sweep import ExperimentMeasure, SweepResult
-from repro.api import Experiment
+from repro.analysis import robustness_report
 from repro.core import synthesize_distribution
 from repro.core.rates import STOCHASTIC_CATEGORIES, RateLadder
-from repro.errors import AnalysisError, RateLadderError
-from repro.sim import OutcomeThresholds, make_simulator
+from repro.errors import RateLadderError
+from repro.sim import make_simulator
 from repro.sim.events import SpeciesThreshold
-
-
-class TestParameterSweepInline:
-    @staticmethod
-    def build(scale):
-        from repro.crn import parse_network
-
-        network = parse_network(
-            f"init: ea = {scale}\ninit: eb = {100 - scale}\nea ->{{1}} da\neb ->{{1}} db"
-        )
-        stopping = OutcomeThresholds({"A": ("da", 1), "B": ("db", 1)})
-        return Experiment.from_network(network, stopping=stopping).targeting(
-            {"A": scale / 100, "B": 1 - scale / 100}
-        )
-
-    def test_default_measure_rows(self):
-        sweep = ParameterSweep.over_experiments(
-            "scale", [20, 50], self.build, trials=40, seed=3
-        )
-        result = sweep.run()
-        assert result.columns[0] == "scale"
-        assert result.column("scale") == [20, 50]
-        assert all("tv_distance" in row for row in result.rows)
-        assert all(0.0 <= row["tv_distance"] <= 1.0 for row in result.rows)
-
-    def test_custom_row_and_progress(self):
-        messages = []
-        sweep = ParameterSweep.over_experiments(
-            "scale",
-            [30],
-            self.build,
-            row=lambda value, result: {"decided": result.decided_fraction()},
-            trials=20,
-            seed=1,
-        )
-        result = sweep.run(progress=messages.append)
-        assert messages == ["scale = 30"]
-        assert result.rows[0]["decided"] == 1.0
-
-    def test_exact_engine_measures_are_sweepable(self):
-        """The fsp oracle plugs into sweeps like any sampling engine."""
-        from repro.sim.fsp import DominantSpeciesClassifier
-
-        def build(scale):
-            return TestParameterSweepInline.build(scale).classify_states(
-                DominantSpeciesClassifier({"A": "da", "B": "db"})
-            )
-
-        result = ParameterSweep.over_experiments(
-            "scale", [20, 50], build, engine="fsp"
-        ).run()
-        assert result.rows[0]["p[A]"] == pytest.approx(0.2, abs=1e-12)
-        assert result.rows[1]["p[A]"] == pytest.approx(0.5, abs=1e-12)
-        assert result.rows[0]["tv_distance"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_result_table_csv_and_errors(self, tmp_path):
-        result = SweepResult(parameter="x", rows=[{"x": 1, "y": 2.0}, {"x": 2, "y": 3.0}])
-        assert result.columns == ["x", "y"]
-        text = result.format()
-        assert "x" in text and "y" in text
-        path = result.to_csv(tmp_path / "rows.csv")
-        assert path.read_text().startswith("x,y")
-        with pytest.raises(AnalysisError):
-            result.column("nope")
-        assert SweepResult(parameter="x").columns == ["x"]
-        assert SweepResult(parameter="x").column("anything") == []
-
-    def test_invalid_configuration(self):
-        with pytest.raises(AnalysisError):
-            ParameterSweep("x", [], lambda v: {})
-        sweep = ParameterSweep("x", [1], lambda v: {"y": v})
-        with pytest.raises(AnalysisError):
-            sweep.run(workers=0)
-
-    def test_experiment_measure_is_reusable(self):
-        measure = ExperimentMeasure(self.build, trials=20, seed=2)
-        row = measure(40)
-        assert set(row) == {"p[A]", "p[B]", "tv_distance"}
 
 
 class TestTrajectoryAccessors:

@@ -1,4 +1,4 @@
-"""Tests for curve fitting, sweeps, tables, ASCII plotting and sensitivity analysis."""
+"""Tests for curve fitting, tables, ASCII plotting and sensitivity analysis."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.analysis import (
     PAPER_EQ14_COEFFICIENTS,
-    ParameterSweep,
     ascii_chart,
     fit_log_linear,
     format_kv,
@@ -84,34 +83,7 @@ class TestFitLogLinear:
             fit_log_linear(x, y)
 
 
-class TestSweepAndTables:
-    def test_parameter_sweep_collects_rows(self):
-        sweep = ParameterSweep("n", [1, 2, 3], lambda n: {"square": n * n})
-        result = sweep.run()
-        assert result.column("square") == [1, 4, 9]
-        assert result.column("n") == [1, 2, 3]
-        assert result.columns[0] == "n"
-
-    def test_sweep_progress_callback(self):
-        messages = []
-        ParameterSweep("g", [10], lambda g: {"v": g}).run(progress=messages.append)
-        assert messages == ["g = 10"]
-
-    def test_sweep_unknown_column(self):
-        result = ParameterSweep("n", [1], lambda n: {"v": n}).run()
-        with pytest.raises(AnalysisError):
-            result.column("zzz")
-
-    def test_sweep_requires_values(self):
-        with pytest.raises(AnalysisError):
-            ParameterSweep("n", [], lambda n: {})
-
-    def test_sweep_csv_roundtrip(self, tmp_path):
-        result = ParameterSweep("n", [1, 2], lambda n: {"v": n * 10}).run()
-        path = result.to_csv(tmp_path / "sweep.csv")
-        text = path.read_text()
-        assert "n,v" in text and "2,20" in text
-
+class TestTables:
     def test_format_table_alignment(self):
         text = format_table([{"a": 1, "b": 2.5}, {"a": 10, "b": 0.125}], title="T")
         assert text.splitlines()[0] == "T"

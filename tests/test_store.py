@@ -670,6 +670,80 @@ class TestCorruptArtifacts:
             experiment.simulate(store=ResultStore(store.root), **self.KWARGS)
 
 
+class TestMalformedPayloads:
+    """An envelope whose payload is not an object, or misses or mistypes a
+    field, raises a StoreError naming the key and the field on every read
+    path."""
+
+    KWARGS = dict(trials=20, engine="direct", seed=3)
+
+    REWRITES = {
+        "no-payload": (
+            lambda envelope: envelope.pop("payload"),
+            "payload: missing field",
+        ),
+        "payload-list": (
+            lambda envelope: envelope.update(payload=[1, 2]),
+            "payload: expected an object, got list",
+        ),
+        "no-ensemble": (
+            lambda envelope: envelope["payload"].pop("ensemble"),
+            "ensemble: missing field",
+        ),
+        "no-engine": (
+            lambda envelope: envelope["payload"].pop("engine"),
+            "engine: missing field",
+        ),
+        "no-n-trials": (
+            lambda envelope: envelope["payload"]["ensemble"].pop("n_trials"),
+            "ensemble.n_trials: missing field",
+        ),
+        "outcome-counts-list": (
+            lambda envelope: envelope["payload"]["ensemble"].update(outcome_counts=[1]),
+            "ensemble.outcome_counts: expected an object, got list",
+        ),
+    }
+
+    @pytest.fixture(params=sorted(REWRITES))
+    def rewritten(self, request, store):
+        """``(experiment, key, message)`` after rewriting the key's envelope."""
+        experiment = Experiment.from_zoo("toggle-switch")
+        experiment.simulate(store=store, **self.KWARGS)
+        (key,) = store.keys()
+        path = store._artifact_path(key)
+        envelope = json.loads(gzip.decompress(path.read_bytes()))
+        rewrite, field = self.REWRITES[request.param]
+        rewrite(envelope)
+        path.write_bytes(gzip.compress(json.dumps(envelope).encode(), mtime=0))
+        return experiment, key, f"corrupt artifact {key[:12]}…: {field}"
+
+    def test_load_run(self, store, rewritten):
+        _, key, message = rewritten
+        with pytest.raises(StoreError, match=message):
+            ResultStore(store.root).load_run(key)
+
+    def test_simulate_with_store(self, store, rewritten):
+        experiment, _, message = rewritten
+        with pytest.raises(StoreError, match=message):
+            experiment.simulate(store=ResultStore(store.root), **self.KWARGS)
+
+    def test_renamed_hit_with_a_misshapen_column(self, store):
+        """A warm hit under other species names permutes the count columns;
+        a column that is not one row of counts per species is refused."""
+        from repro.api.results import encode_column
+
+        experiment = Experiment.from_zoo("toggle-switch")
+        experiment.simulate(store=store, **self.KWARGS)
+        (key,) = store.keys()
+        path = store._artifact_path(key)
+        envelope = json.loads(gzip.decompress(path.read_bytes()))
+        envelope["payload"]["ensemble"]["final_counts"] = encode_column(np.arange(7), "<i1")
+        path.write_bytes(gzip.compress(json.dumps(envelope).encode(), mtime=0))
+        renamed = experiment.renamed({"u": "activator", "v": "repressor", "p": "precursor"})
+        with pytest.raises(StoreError, match=r"ensemble.final_counts: shape \[7\]"):
+            renamed.simulate(store=ResultStore(store.root), **self.KWARGS)
+
+
 class TestMomentsOnDemand:
     """``EnsembleResult.moments`` is computed on first read, never eagerly."""
 
@@ -726,17 +800,23 @@ class TestMomentsOnDemand:
 
 
 class TestSweepIntegration:
-    def test_sweep_with_store_caches_points(self, store):
-        from repro.analysis.sweep import ParameterSweep
+    """A grid is a loop over ``Experiment.simulate``; its store serves repeats."""
 
-        def build(gamma):
-            return Experiment.from_distribution({"a": 0.5, "b": 0.5}, gamma=gamma)
+    def test_grid_loop_with_store_caches_points(self, store, monkeypatch):
+        def run_grid():
+            return [
+                Experiment.from_distribution({"a": 0.5, "b": 0.5}, gamma=gamma)
+                .simulate(trials=30, seed=7, store=store)
+                .to_json()
+                for gamma in (10.0, 100.0)
+            ]
 
-        sweep = ParameterSweep.over_experiments(
-            "gamma", [10.0, 100.0], build, store=store, trials=30, seed=7
-        )
-        first = sweep.run()
+        first = run_grid()
         assert len(store.keys()) == 2
-        second = sweep.run()  # all points served from cache
+
+        def recompute(*args, **kwargs):
+            raise AssertionError("a stored grid point was recomputed")
+
+        monkeypatch.setattr("repro.store.serialize.compute_payload", recompute)
+        assert run_grid() == first  # every point served from the store
         assert len(store.keys()) == 2
-        assert first.rows == second.rows
