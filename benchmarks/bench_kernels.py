@@ -30,6 +30,10 @@ section times the per-trial engines (``direct``, ``first-reaction``,
 ``next-reaction``) on numpy over the 12 corpus models, each through its own
 experiment and the default stop-detail classifier — the columnar shard path
 — and reports µs and firings per trial, best of 3 runs of 1,000 trials.
+A third, ``streams``, times what a per-trial chunk spends on its random
+streams at widths 1, 16 and 512: NumPy's per-child ``SeedSequence`` +
+``PCG64`` (before) against :func:`~repro.sim.rng.child_streams` (after),
+in µs per trial, and asserts the two give bit-identical streams.
 
 The harness checks that
 
@@ -41,9 +45,10 @@ The harness checks that
   numba is available) and across worker counts, including under a
   non-default chunk width.
 
-Full-size runs append both sections to ``BENCH_kernels.json`` at the
+Full-size runs append all three sections to ``BENCH_kernels.json`` at the
 repository root so the perf trajectory of the hot path is recorded across
-PRs (smoke runs — one corpus model at 100 trials — skip the file: their
+PRs (smoke runs — one corpus model at 100 trials, streams at widths 1 and
+16 — skip the file: their
 numbers are not comparable and would dirty the tree on every CI-style
 invocation).  Each entry records the host it ran on; numba
 rows carry ``"ci_only": true`` because only the CI job that installs numba
@@ -78,7 +83,12 @@ from _config import report, trials
 from repro.analysis import format_table, total_variation
 from repro.api import Experiment
 from repro.core import synthesize_distribution
-from repro.sim import ParallelEnsembleRunner, SimulationOptions, numba_available
+from repro.sim import (
+    ParallelEnsembleRunner,
+    SimulationOptions,
+    child_streams,
+    numba_available,
+)
 from repro.zoo.corpus import corpus_entries
 
 TARGET = {"1": 0.3, "2": 0.4, "3": 0.3}
@@ -89,6 +99,10 @@ PER_TRIAL_ENGINES = ("direct", "first-reaction", "next-reaction")
 PER_TRIAL_TRIALS = 1_000
 PER_TRIAL_SMOKE_TRIALS = 100
 PER_TRIAL_REPEATS = 3
+STREAM_WIDTHS = (1, 16, 512)
+STREAM_SMOKE_WIDTHS = (1, 16)
+#: The streams section derives the chunk of trials starting here, seeded so.
+STREAM_START, STREAM_SEED = 123_456, 2007
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 
@@ -202,6 +216,50 @@ def measure_per_trial(
     return rows
 
 
+def _numpy_streams(seed: int, start: int, stop: int) -> list[np.random.Generator]:
+    """Trials ``start..stop-1``'s generators as NumPy spawns them, one
+    ``SeedSequence`` and one ``PCG64`` per trial."""
+    children = np.random.SeedSequence(seed, n_children_spawned=start).spawn(stop - start)
+    return [np.random.default_rng(child) for child in children]
+
+
+def measure_streams(
+    widths, seed: int = STREAM_SEED, start: int = STREAM_START
+) -> list[dict[str, object]]:
+    """µs per trial to derive a chunk's streams, before and after; one row
+    per chunk width.
+
+    Each way walks the chunk's generators as ``run_slice`` does; the
+    fastest of :data:`PER_TRIAL_REPEATS` timings of at least 2,048 trials
+    counts.  Both ways must yield the same state and draws for every trial.
+    """
+    rows: list[dict[str, object]] = []
+    for width in widths:
+        stop = start + width
+        got = [(rng.bit_generator.state, rng.random()) for rng in child_streams(seed, start, stop)]
+        expected = [(rng.bit_generator.state, rng.random())
+                    for rng in _numpy_streams(seed, start, stop)]
+        assert got == expected, f"child_streams diverged from NumPy at width {width}"
+        loops = max(1, 2048 // width)
+        timings = {}
+        for label, streams in (("before", _numpy_streams), ("after", child_streams)):
+            best = math.inf
+            for _ in range(PER_TRIAL_REPEATS):
+                begin = time.perf_counter()
+                for _ in range(loops):
+                    for _rng in streams(seed, start, stop):
+                        pass
+                best = min(best, time.perf_counter() - begin)
+            timings[label] = 1e6 * best / (loops * width)
+        rows.append({
+            "width": width,
+            "before_us_per_trial": timings["before"],
+            "after_us_per_trial": timings["after"],
+            "speedup": timings["before"] / timings["after"],
+        })
+    return rows
+
+
 def check_determinism(n_trials: int = 400, seed: int = 97) -> dict[str, bool]:
     """Bit-identity of seeded runs across backends and worker counts."""
     system = synthesize_distribution(TARGET, gamma=1e3, scale=100)
@@ -254,7 +312,7 @@ def check_determinism(n_trials: int = 400, seed: int = 97) -> dict[str, bool]:
     return checks
 
 
-def record(rows, per_trial_rows, checks, n_trials: int) -> None:
+def record(rows, per_trial_rows, stream_rows, checks, n_trials: int) -> None:
     """Append this run to BENCH_kernels.json (the hot-path perf trajectory)."""
     history = []
     if RESULT_PATH.exists():
@@ -299,6 +357,23 @@ def record(rows, per_trial_rows, checks, n_trials: int) -> None:
                     "firings_per_trial": round(float(r["firings_per_trial"]), 2),
                 }
                 for r in per_trial_rows
+            ],
+        },
+        "streams": {
+            "seed": STREAM_SEED,
+            "start": STREAM_START,
+            "timing": f"best of {PER_TRIAL_REPEATS}, >= 2048 trials each",
+            "before": "numpy SeedSequence.spawn + PCG64 per trial",
+            "after": "child_streams",
+            "bit_identical": True,
+            "rows": [
+                {
+                    "width": r["width"],
+                    "before_us_per_trial": round(float(r["before_us_per_trial"]), 2),
+                    "after_us_per_trial": round(float(r["after_us_per_trial"]), 2),
+                    "speedup": round(float(r["speedup"]), 2),
+                }
+                for r in stream_rows
             ],
         },
         "determinism": checks,
@@ -362,9 +437,14 @@ def run_report(
         f"A6: per-trial engines on the corpus (numpy, best of {PER_TRIAL_REPEATS})",
         format_table(per_trial_rows, floatfmt="{:.3g}"),
     )
+    stream_rows = measure_streams(STREAM_SMOKE_WIDTHS if smoke else STREAM_WIDTHS)
+    report(
+        "A6: per-trial streams, µs per trial (NumPy per child before, child_streams after)",
+        format_table(stream_rows, floatfmt="{:.3g}"),
+    )
     checks = check_determinism()
     if full_assertions:
-        record(rows, per_trial_rows, checks, n_trials)
+        record(rows, per_trial_rows, stream_rows, checks, n_trials)
     return rows
 
 

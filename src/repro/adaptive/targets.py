@@ -34,6 +34,7 @@ artifacts computed by the doubling schedule.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -440,7 +441,14 @@ def descriptor_field(data: Mapping, name: str, parse, default=_REQUIRED):
 
 
 def integral(value) -> int:
-    """``value`` as an ``int``, refusing a fractional number (1.5 is not 1)."""
+    """``value`` as an ``int``: an integer or an integral float.
+
+    A fractional number (1.5 is not 1), a bool or a string (``true`` and
+    ``"1"`` are not 1) is refused, so a count read from a payload has one
+    spelling per value.
+    """
+    if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)

@@ -26,7 +26,7 @@ from repro.analysis.sensitivity import (
     perturb_rates,
     robustness_report,
 )
-from repro.analysis.tables import format_kv, format_table, write_csv
+from repro.analysis.tables import format_kv, format_table
 
 __all__ = [
     "ProportionEstimate",
@@ -43,7 +43,6 @@ __all__ = [
     "PAPER_EQ14_COEFFICIENTS",
     "format_table",
     "format_kv",
-    "write_csv",
     "ascii_chart",
     "PerturbationResult",
     "perturb_rates",

@@ -1,20 +1,15 @@
-"""Plain-text tables and CSV helpers for benchmark reports.
+"""Plain-text tables for benchmark reports.
 
 No plotting library is available offline, so benchmark harnesses report their
 figures as aligned text tables (plus the ASCII charts in
-:mod:`repro.analysis.plotting`) and can dump CSV for external plotting.
+:mod:`repro.analysis.plotting`).
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from pathlib import Path
 from typing import Mapping, Sequence
 
-from repro.errors import AnalysisError
-
-__all__ = ["format_table", "write_csv", "format_kv"]
+__all__ = ["format_table", "format_kv"]
 
 
 def _format_cell(value: object, floatfmt: str) -> str:
@@ -74,23 +69,3 @@ def format_kv(mapping: Mapping[str, object], floatfmt: str = "{:.4g}") -> str:
         f"{str(key).ljust(width)} : {_format_cell(value, floatfmt)}"
         for key, value in mapping.items()
     )
-
-
-def write_csv(
-    rows: Sequence[Mapping[str, object]],
-    path: "str | Path | None" = None,
-    columns: "Sequence[str] | None" = None,
-) -> str:
-    """Write rows as CSV; returns the CSV text (and writes ``path`` if given)."""
-    if not rows:
-        raise AnalysisError("cannot write an empty CSV")
-    column_names = list(columns) if columns else list(rows[0])
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=column_names)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({key: row.get(key, "") for key in column_names})
-    text = buffer.getvalue()
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text

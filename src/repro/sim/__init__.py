@@ -67,7 +67,7 @@ from repro.sim.ode import OdeEngine, OdeIntegrator, OdeOptions, OdeResult, simul
 from repro.sim.priority_queue import ArrayHeap
 from repro.sim.registry import EngineInfo, EngineRegistry, register_engine, registry
 from repro.sim.propensity import CompiledNetwork, combinations, reaction_propensity
-from repro.sim.rng import derive_seed, make_rng, spawn_children_range
+from repro.sim.rng import child_streams, derive_seed, make_rng
 from repro.sim.stats import RunningMoments
 from repro.sim.tau_leaping import TauLeapingSimulator, TauLeapOptions
 from repro.sim.trajectory import FiringLog, FiringRecord, StopReason, Trajectory
@@ -130,7 +130,7 @@ __all__ = [
     "resolve_initial_counts",
     "RunningMoments",
     "make_rng",
-    "spawn_children_range",
+    "child_streams",
     "derive_seed",
 ]
 

@@ -16,8 +16,9 @@ own leap loop.
 :meth:`StochasticSimulator.run` simulates one trial and returns a
 :class:`~repro.sim.trajectory.Trajectory`.
 :meth:`StochasticSimulator.run_slice` simulates one trial per given random
-stream — an ensemble chunk — and returns their final states as the columns
-of a :class:`~repro.sim.trajectory.BatchResult`: the setup is paid once per
+stream — an ensemble chunk, whose streams :func:`~repro.sim.rng.child_streams`
+derives in one pass — and returns their final states as the columns of a
+:class:`~repro.sim.trajectory.BatchResult`: the setup is paid once per
 slice, and each trial gets only its own random blocks and kernel call.
 
 Backend selection flows through :attr:`SimulationOptions.backend`
@@ -33,7 +34,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -265,19 +266,22 @@ class StochasticSimulator:
 
     def run_slice(
         self,
-        streams: "Sequence[np.random.Generator]",
+        streams: "Iterable[np.random.Generator]",
         initial_state: "State | dict | None" = None,
         stopping: "StoppingCondition | None" = None,
         options: "SimulationOptions | None" = None,
     ) -> BatchResult:
         """Simulate one trial per random stream, as the rows of a batch.
 
-        Trial ``i`` draws only from ``streams[i]``, exactly as
-        ``run(initial_state, stopping, options, seed=streams[i])`` would, so
-        every row equals that run's final state, time, firing totals and
-        stop.  The options, starting counts, stopping plan and backend are
-        resolved once for the whole slice; no firing log or snapshots are
-        recorded.
+        ``streams`` is any sized iterable of generators: a list, or the
+        :func:`~repro.sim.rng.child_streams` of an ensemble chunk, which
+        yields one generator reseeded per trial.  Trial ``i`` draws only
+        from the ``i``-th generator, and only until the next one is drawn,
+        exactly as ``run(initial_state, stopping, options, seed=rng)``
+        would, so every row equals that run's final state, time, firing
+        totals and stop; nothing keeps a generator past its trial.  The
+        options, starting counts, stopping plan and backend are resolved
+        once for the whole slice; no firing log or snapshots are recorded.
         """
         setup = self._setup(initial_state, stopping, options, {})
         n = len(streams)

@@ -50,7 +50,7 @@ from repro.sim.kernels.batch import group_trials
 from repro.sim.outcomes import UNDECIDED, StopDetailClassifier, count_outcomes
 from repro.sim.propensity import CompiledNetwork
 from repro.sim.registry import registry
-from repro.sim.rng import derive_seed, spawn_children_range
+from repro.sim.rng import child_streams, derive_seed
 from repro.sim.stats import RunningMoments
 from repro.sim.trajectory import BatchResult, Trajectory
 
@@ -261,8 +261,9 @@ class ParallelEnsembleRunner:
     Trials are split into fixed-size chunks of the global trial index space,
     and every chunk derives its randomness from the indices it covers: with
     a per-trial engine each trial runs on its own spawned child stream
-    (:func:`~repro.sim.rng.spawn_children_range`, keyed by the trial's global
-    index), and ``engine="batch-direct"`` advances each chunk in lock-step
+    (:func:`~repro.sim.rng.child_streams`, keyed by the trial's global
+    index and derived for the whole chunk in one pass), and
+    ``engine="batch-direct"`` advances each chunk in lock-step
     vectorized steps from a sub-seed derived from the chunk's bounds.
     Results are therefore *identical* for a given ``(seed, n_trials,
     chunk_size)`` regardless of ``workers``: ``workers=1`` runs the chunks
@@ -413,9 +414,6 @@ class ParallelEnsembleRunner:
                 )
         if not bounds:
             return []
-        # The sequence length forwarded to the shards: per-trial RNG ignores
-        # it beyond bounds checking, the batched engine never reads it.
-        total = max(stop for _, stop in bounds)
         initial = None if initial_state is None else dict(initial_state)
         groups = self._groups(bounds)
 
@@ -423,7 +421,7 @@ class ParallelEnsembleRunner:
             return [
                 shard
                 for group in groups
-                for shard in self._run_group(total, seed, group, initial, keep_trajectories)
+                for shard in self._run_group(seed, group, initial, keep_trajectories)
             ]
 
         payloads = [
@@ -435,7 +433,6 @@ class ParallelEnsembleRunner:
                 self.outcome_classifier,
                 self.engine_options,
                 seed,
-                total,
                 group,
                 initial,
                 keep_trajectories,
@@ -474,18 +471,17 @@ class ParallelEnsembleRunner:
 
     def _run_group(
         self,
-        n_trials: int,
         seed: "int | None",
         bounds: "Sequence[tuple[int, int]]",
         initial_state: "Mapping | None",
         keep_trajectories: bool,
     ) -> "list[EnsembleResult]":
-        """Simulate trial slices of an ``n_trials`` ensemble, one shard each.
+        """Simulate trial slices of the global schedule, one shard each.
 
         The slice abstraction is what :meth:`run_chunks` shards: per-trial
         engines derive each trial's random stream from its global index, and
         the batched engine derives one sub-seed per slice, so results depend
-        only on ``(seed, n_trials, slicing)`` — never on which process runs
+        only on ``(seed, slicing)`` — never on which process runs
         which slice, or which slices share a sweep.  The batched engine
         sweeps the slices together; per-trial engines run them one after
         another.  Either way each run yields the slices' columns as one
@@ -502,27 +498,28 @@ class ParallelEnsembleRunner:
             for start, stop in bounds
             for shard in self._shards(
                 [(start, stop)],
-                self._run_slice(n_trials, seed, start, stop, initial),
+                self._run_slice(seed, start, stop, initial),
                 keep_trajectories,
             )
         ]
 
     def _run_slice(
         self,
-        n_trials: int,
         seed: "int | None",
         start: int,
         stop: int,
         initial_state: "dict | None",
     ) -> BatchResult:
         """Simulate the trial slice ``[start, stop)`` with a per-trial engine,
-        through :meth:`~repro.sim.base.StochasticSimulator.run_slice`."""
+        through :meth:`~repro.sim.base.StochasticSimulator.run_slice`, on the
+        slice's :func:`~repro.sim.rng.child_streams`."""
         if self._simulator is None:
             self._simulator = self.engine_info.create(
                 self.compiled, engine_options=self.engine_options
             )
-        streams = spawn_children_range(seed, n_trials, start, stop)
-        return self._simulator.run_slice(streams, initial_state, self.stopping, self.options)
+        return self._simulator.run_slice(
+            child_streams(seed, start, stop), initial_state, self.stopping, self.options
+        )
 
     def _run_batched(
         self,
@@ -607,7 +604,6 @@ def _ensemble_group(payload: tuple) -> "list[EnsembleResult]":
         classifier,
         engine_options,
         seed,
-        n_trials,
         bounds,
         initial_state,
         keep_trajectories,
@@ -620,4 +616,4 @@ def _ensemble_group(payload: tuple) -> "list[EnsembleResult]":
         outcome_classifier=classifier,
         engine_options=engine_options,
     )
-    return runner._run_group(n_trials, seed, bounds, initial_state, keep_trajectories)
+    return runner._run_group(seed, bounds, initial_state, keep_trajectories)

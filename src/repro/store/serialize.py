@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import math
+import numbers
 from collections.abc import Mapping
 from typing import Any
 
@@ -29,6 +30,7 @@ from repro.errors import FingerprintError, ReproError
 from repro.sim.base import SimulationOptions
 from repro.sim.events import condition_from_descriptor
 from repro.sim.outcomes import WorkingOutcomeClassifier
+from repro.sim.rng import _checked_seed
 
 __all__ = [
     "EXPERIMENT_SCHEMA",
@@ -275,6 +277,20 @@ def _seed(value) -> int:
     return seed
 
 
+def _flag(value) -> bool:
+    """A boolean; ``1`` or ``"false"`` is refused, not read by truthiness."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected a boolean, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    """A number (not a bool or a string) as a ``float``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _options_payload(options: SimulationOptions) -> dict:
     """Encode options; an unbounded ``max_time`` becomes ``None`` (JSON-safe)."""
     return {
@@ -291,10 +307,12 @@ def _options_from_payload(payload: Mapping) -> SimulationOptions:
     """Parse the payload's ``options``: the one reader of that section.
 
     A non-mapping, a key that is not a :class:`SimulationOptions` field, a
-    missing field, a non-numeric ``max_time`` or a non-integer count (a
-    fractional one included) raises :class:`~repro.errors.FingerprintError`
-    naming it.  The payload is hashed whole, so a value the options would
-    drop or round names a run that executing it could not reproduce.
+    missing field, a ``max_time`` that is neither a number nor null, a flag
+    that is not a boolean or a count that is not an integer (a fractional
+    one, a bool or a string included) raises
+    :class:`~repro.errors.FingerprintError` naming it.  The payload is
+    hashed whole, so a value the options would drop or round names a run
+    that executing it could not reproduce.
     """
     data = _field(payload, "experiment", "options", _mapping)
     unknown = sorted(set(data) - _OPTION_FIELDS)
@@ -303,12 +321,12 @@ def _options_from_payload(payload: Mapping) -> SimulationOptions:
             f"unknown simulation option(s) {unknown} in the experiment "
             f"payload; valid fields: {sorted(_OPTION_FIELDS)}"
         )
-    max_time = _field(data, "options", "max_time", float, None)
+    max_time = _field(data, "options", "max_time", _number, None)
     return SimulationOptions(
         max_time=math.inf if max_time is None else max_time,
         max_steps=_field(data, "options", "max_steps", integral),
-        record_firings=_field(data, "options", "record_firings", bool),
-        record_states=_field(data, "options", "record_states", bool),
+        record_firings=_field(data, "options", "record_firings", _flag),
+        record_states=_field(data, "options", "record_states", _flag),
         snapshot_stride=_field(data, "options", "snapshot_stride", integral),
         backend=_field(data, "options", "backend", str),
     )
@@ -319,7 +337,8 @@ def _run_from_payload(payload: Mapping) -> dict:
     arguments (``until`` aside).
 
     ``trials`` is an integer or null, ``seed`` a non-negative integer or
-    null, ``chunk_size`` an integer (fractional values refused), and
+    null, ``chunk_size`` an integer (an integral float is one; a fractional
+    number, a bool or a string is refused), and
     ``engine_options`` null or the engine's typed options, rebuilt through
     their dataclass; a malformed one raises
     :class:`~repro.errors.FingerprintError` naming it.  Other range checks
@@ -446,7 +465,7 @@ def experiment_to_payload(
     simulate: dict = {
         "trials": int(trials),
         "engine": str(engine),
-        "seed": None if seed is None else int(seed),
+        "seed": None if seed is None else int(_checked_seed(seed)),
         "chunk_size": int(chunk_size),
         "backend": str(backend),
         "engine_options": _engine_options_payload(engine_options),

@@ -15,7 +15,6 @@ from repro.analysis import (
     paper_equation_14,
     perturb_initial_quantities,
     perturb_rates,
-    write_csv,
 )
 from repro.errors import AnalysisError, FitError
 
@@ -95,14 +94,6 @@ class TestTables:
     def test_format_kv(self):
         text = format_kv({"gamma": 1000.0, "trials": 5})
         assert "gamma" in text and "1000" in text
-
-    def test_write_csv_text(self):
-        text = write_csv([{"x": 1, "y": 2}])
-        assert text.splitlines()[0] == "x,y"
-
-    def test_write_csv_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            write_csv([])
 
 
 class TestAsciiChart:

@@ -240,8 +240,8 @@ class TestParallelEnsembleRunner:
 class TestEnsembleResultMerge:
     def test_merge_concatenates_in_order(self, two_outcome_network, two_outcome_condition):
         runner = ParallelEnsembleRunner(two_outcome_network, stopping=two_outcome_condition)
-        [a] = runner._run_group(100, 31, [(0, 60)], None, False)
-        [b] = runner._run_group(100, 31, [(60, 100)], None, False)
+        [a] = runner._run_group(31, [(0, 60)], None, False)
+        [b] = runner._run_group(31, [(60, 100)], None, False)
         whole = runner.run(100, seed=31)
         merged = EnsembleResult.merge([a, b])
         assert merged.n_trials == 100

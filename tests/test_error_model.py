@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -19,7 +20,6 @@ from repro.errors import SynthesisError
 from repro.sim import CategoryFiringCondition, SimulationOptions, make_simulator
 from repro.sim.fsp import UNDECIDED, FspEngine, ThresholdStateClassifier
 from repro.sim.outcomes import apportion
-from repro.sim.rng import spawn_children_range
 
 
 # -- the literal protocol, kept as the reference the decomposition answers to --
@@ -48,9 +48,10 @@ def literal_protocol(network, n_trials: int, seed: int, declare_after: int):
     stopping = CategoryFiringCondition("working", declare_after)
     options = SimulationOptions(record_firings=True, max_steps=200_000)
     n_errors = n_decided = 0
-    for rng in spawn_children_range(seed, n_trials, 0, n_trials):
+    for child in np.random.SeedSequence(seed).spawn(n_trials):
         classified = classify_trial(
-            simulator.run(stopping=stopping, options=options, seed=rng), network
+            simulator.run(stopping=stopping, options=options, seed=np.random.default_rng(child)),
+            network,
         )
         if classified is not None:
             n_decided += 1

@@ -102,6 +102,12 @@ class TestEndpoints:
             ({"type": "ci-half-width", "outcome": "1", "half_width": "abc"}, "half_width"),
             ({"type": "ci-half-width", "outcome": "1", "half_width": 0.05,
               "max_trials": 1.5}, "max_trials"),
+            ({"type": "ci-half-width", "outcome": "1", "half_width": 0.05,
+              "max_trials": "20000"}, "max_trials"),
+            ({"type": "ci-half-width", "outcome": "1", "half_width": 0.05,
+              "min_trials": True}, "min_trials"),
+            ({"type": "splitting", "outcome": "1", "trials_per_level": "8"},
+             "trials_per_level"),
         ],
     )
     def test_malformed_until_is_400_naming_the_field(self, service, experiment, until, field):
@@ -138,6 +144,24 @@ class TestEndpoints:
             pytest.param("options", "max_time", "x", id="max_time-text"),
             pytest.param("options", "max_steps", 1_000_000.5, id="max_steps-fractional"),
             pytest.param("options", "snapshot_stride", 1.5, id="snapshot_stride-fractional"),
+            # A bool or a numeric string is not a count, and a number is not
+            # a flag: each would otherwise name a key of its own for a run
+            # that an existing key already names.
+            pytest.param("options", "max_steps", True, id="max_steps-bool"),
+            pytest.param("options", "max_steps", "1000000", id="max_steps-string"),
+            pytest.param("options", "snapshot_stride", True, id="snapshot_stride-bool"),
+            pytest.param("options", "max_time", True, id="max_time-bool"),
+            pytest.param("options", "max_time", "1e9", id="max_time-string"),
+            pytest.param("options", "record_firings", "false", id="record_firings-string"),
+            pytest.param("options", "record_firings", 0, id="record_firings-number"),
+            pytest.param("options", "record_states", 1, id="record_states-number"),
+            pytest.param("simulate", "trials", True, id="trials-bool"),
+            pytest.param("simulate", "trials", "10", id="trials-string"),
+            pytest.param("simulate", "seed", True, id="seed-bool"),
+            pytest.param("simulate", "seed", "1", id="seed-string"),
+            pytest.param("simulate", "seed", " 1 ", id="seed-padded-string"),
+            pytest.param("simulate", "chunk_size", "512", id="chunk_size-string"),
+            pytest.param("simulate", "chunk_size", True, id="chunk_size-bool"),
             pytest.param(None, "simulate", 5, id="simulate-number"),
             pytest.param("simulate", "trials", "x", id="trials-text"),
             pytest.param("simulate", "trials", 50.5, id="trials-fractional"),
