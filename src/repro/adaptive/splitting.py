@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
-from repro.adaptive.targets import descriptor_field, integral
 from repro.errors import AdaptiveError
 from repro.sim.base import SimulationOptions
+from repro.sim.descriptors import descriptor_field, integral, number, sequence, text
 from repro.sim.ensemble import make_simulator
 from repro.sim.events import (
     AnyCondition,
@@ -159,27 +160,31 @@ class SplittingConfig:
             "confidence": float(self.confidence),
         }
 
+    def renamed(self, species: Mapping[str, str], reactions=None) -> "SplittingConfig":
+        """Itself: a splitting configuration names an outcome, not a species."""
+        return self
+
     @classmethod
     def from_descriptor(cls, data: Mapping) -> "SplittingConfig":
         if data.get("type") != cls.rule:
             raise AdaptiveError(
                 f"expected a splitting descriptor, got type {data.get('type')!r}"
             )
-        return cls(
-            outcome=descriptor_field(data, "outcome", str),
-            trials_per_level=descriptor_field(data, "trials_per_level", integral, 512),
-            levels=(
-                None
-                if data.get("levels") is None
-                else descriptor_field(data, "levels", lambda values: tuple(map(integral, values)))
-            ),
-            n_levels=(
-                None
-                if data.get("n_levels") is None
-                else descriptor_field(data, "n_levels", integral)
-            ),
-            confidence=descriptor_field(data, "confidence", float, 0.95),
-        )
+        field = partial(descriptor_field, data)
+        try:
+            return cls(
+                outcome=field("outcome", text),
+                trials_per_level=field("trials_per_level", integral, 512),
+                levels=None if data.get("levels") is None else field("levels", _levels),
+                n_levels=None if data.get("n_levels") is None else field("n_levels", integral),
+                confidence=field("confidence", number, 0.95),
+            )
+        except ValueError as exc:
+            raise AdaptiveError(str(exc)) from exc
+
+
+def _levels(value) -> "tuple[int, ...]":
+    return tuple(integral(level) for level in sequence(value))
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,14 @@ artifacts computed by the doubling schedule.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 from repro.errors import AdaptiveError
+from repro.sim.descriptors import descriptor_field, integral, number, text
 from repro.sim.ensemble import EnsembleResult
 from repro.sim.stats import wilson_bounds
 
@@ -115,6 +117,10 @@ class PrecisionTarget:
     def to_descriptor(self) -> dict:
         """Canonical JSON-compatible description (store/service identity)."""
         raise NotImplementedError
+
+    def renamed(self, species: Mapping[str, str], reactions=None) -> "PrecisionTarget":
+        """This target over renamed species (``{old: new}``); outcome labels stay."""
+        return self
 
     def _outcome_count(self, ensemble: EnsembleResult, outcome: str) -> int:
         """Successes for a binomial target: trials that produced ``outcome``.
@@ -325,6 +331,9 @@ class RelativeSETarget(PrecisionTarget):
             "schedule": SCHEDULE,
         }
 
+    def renamed(self, species, reactions=None) -> "RelativeSETarget":
+        return dataclasses.replace(self, species=species.get(self.species, self.species))
+
 
 @dataclass(frozen=True)
 class SprtTarget(PrecisionTarget):
@@ -416,48 +425,10 @@ class SprtTarget(PrecisionTarget):
         }
 
 
-_REQUIRED = object()
-
-
-def descriptor_field(data: Mapping, name: str, parse, default=_REQUIRED):
-    """``parse(data[name])``, or ``default`` when the field is absent.
-
-    A missing required field or a value ``parse`` refuses raises
-    :class:`AdaptiveError` naming the field, so a malformed descriptor from
-    the wire is a client error, never an internal one.
-    """
-    if name not in data:
-        if default is _REQUIRED:
-            raise AdaptiveError(
-                f"{data.get('type')!r} descriptor is missing field {name!r}"
-            )
-        return default
-    try:
-        return parse(data[name])
-    except (TypeError, ValueError) as exc:
-        raise AdaptiveError(
-            f"{data.get('type')!r} descriptor field {name!r}: {exc}"
-        ) from exc
-
-
-def integral(value) -> int:
-    """``value`` as an ``int``: an integer or an integral float.
-
-    A fractional number (1.5 is not 1), a bool or a string (``true`` and
-    ``"1"`` are not 1) is refused, so a count read from a payload has one
-    spelling per value.
-    """
-    if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _ceilings(data: Mapping) -> dict:
+def _ceilings(field) -> dict:
     return {
-        "max_trials": descriptor_field(data, "max_trials", integral, DEFAULT_MAX_TRIALS),
-        "min_trials": descriptor_field(data, "min_trials", integral, 0),
+        "max_trials": field("max_trials", integral, DEFAULT_MAX_TRIALS),
+        "min_trials": field("min_trials", integral, 0),
     }
 
 
@@ -479,39 +450,49 @@ def target_from_descriptor(data: Mapping):
     a single entry point.  Every descriptor type here is declarative (plain
     data, no callables), so the untrusted wire path accepts them all.
 
-    Absent optional fields take their defaults.  A missing required field, an
-    unparsable or fractional-integer value, or a CI / relative-SE
-    ``"schedule"`` other than :data:`SCHEDULE` raises :class:`AdaptiveError`.
+    Absent optional fields take their defaults.  A missing required field, a
+    label or species that is not a string, a bool, a string or a fraction
+    where a count or a probability goes, or a CI / relative-SE
+    ``"schedule"`` other than :data:`SCHEDULE` raises :class:`AdaptiveError`
+    naming it.
     """
     if not isinstance(data, Mapping):
         raise AdaptiveError(
             f"an adaptive target descriptor is a mapping, got {type(data).__name__}"
         )
+    try:
+        return _target_from_descriptor(data)
+    except ValueError as exc:
+        raise AdaptiveError(str(exc)) from exc
+
+
+def _target_from_descriptor(data: Mapping):
     kind = data.get("type")
+    field = partial(descriptor_field, data)
     if kind == CiHalfWidthTarget.rule:
         _check_schedule(data)
         return CiHalfWidthTarget(
-            outcome=descriptor_field(data, "outcome", str),
-            half_width=descriptor_field(data, "half_width", float),
-            confidence=descriptor_field(data, "confidence", float, 0.95),
-            method=descriptor_field(data, "method", str, "wilson"),
-            **_ceilings(data),
+            outcome=field("outcome", text),
+            half_width=field("half_width", number),
+            confidence=field("confidence", number, 0.95),
+            method=field("method", text, "wilson"),
+            **_ceilings(field),
         )
     if kind == RelativeSETarget.rule:
         _check_schedule(data)
         return RelativeSETarget(
-            species=descriptor_field(data, "species", str),
-            rel_se=descriptor_field(data, "rel_se", float),
-            **_ceilings(data),
+            species=field("species", text),
+            rel_se=field("rel_se", number),
+            **_ceilings(field),
         )
     if kind == SprtTarget.rule:
         return SprtTarget(
-            outcome=descriptor_field(data, "outcome", str),
-            p0=descriptor_field(data, "p0", float),
-            p1=descriptor_field(data, "p1", float),
-            alpha=descriptor_field(data, "alpha", float, 0.05),
-            beta=descriptor_field(data, "beta", float, 0.05),
-            **_ceilings(data),
+            outcome=field("outcome", text),
+            p0=field("p0", number),
+            p1=field("p1", number),
+            alpha=field("alpha", number, 0.05),
+            beta=field("beta", number, 0.05),
+            **_ceilings(field),
         )
     if kind == "splitting":
         from repro.adaptive.splitting import SplittingConfig

@@ -44,8 +44,9 @@ from repro.core.synthesizer import (
     synthesize_distribution,
 )
 from repro.crn.network import ReactionNetwork
-from repro.errors import ExperimentError, FingerprintError
+from repro.errors import ExperimentError, StoppingConditionError
 from repro.sim.base import SimulationOptions, merge_options
+from repro.sim.descriptors import integral
 from repro.sim.ensemble import EnsembleResult, ParallelEnsembleRunner
 from repro.sim.events import StoppingCondition
 from repro.sim.outcomes import apportion
@@ -55,6 +56,14 @@ __all__ = ["Experiment"]
 
 #: max_steps safety bound used when settling modules (settle_module's default).
 _MODULE_MAX_STEPS = 2_000_000
+
+
+def _count(name: str, value) -> int:
+    """A ``simulate`` count as an ``int`` (an integral float is one)."""
+    try:
+        return integral(value)
+    except (TypeError, ValueError) as exc:
+        raise ExperimentError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -249,24 +258,20 @@ class Experiment:
     def renamed(self, mapping: "Mapping[str, str]") -> "Experiment":
         """Rename species across the whole experiment (network kind only).
 
-        Applies ``mapping`` to the network *and* to every species reference
-        the experiment carries — stopping-condition descriptors, classifier
-        catalyst maps, state-classifier thresholds, programmed inputs.
+        Applies ``mapping`` to the network, to programmed inputs and to every
+        species reference of its parts: each stopping condition and
+        declarative classifier renames itself (``renamed``), as
+        :mod:`repro.store.canonical` renames a payload's parsed descriptors.
         Outcome labels are left untouched (including defaulted
         species-threshold labels, which keep embedding the *old* species
-        name): labels are semantic identity, and preserving them means a
-        renamed experiment stays in the same isomorphism class as the
-        original — ``simulate(store=...)`` warm-hits the original's cached
-        result (:mod:`repro.store.canonical`).
-
-        Every species reference is renamed on its store descriptor, as
-        :mod:`repro.store.canonical` renames payloads, and the object is
-        rebuilt from the renamed descriptor.  Renaming is injective
+        name): labels are semantic identity, so a renamed experiment stays in
+        the original's isomorphism class and ``simulate(store=...)`` warm-hits
+        its cached result.  Renaming is injective
         (:class:`~repro.errors.NetworkError` on colliding targets, like
-        :meth:`ReactionNetwork.renamed`); system and module experiments, and
-        callable classifiers, raise :class:`~repro.errors.ExperimentError` —
-        an opaque callable reads the original species names and cannot be
-        relabeled declaratively.
+        :meth:`ReactionNetwork.renamed`); system and module experiments, a
+        stopping condition without a descriptor (``PredicateCondition``) and
+        callable classifiers, which read the original species names, raise
+        :class:`~repro.errors.ExperimentError`.
         """
         if self.network is None:
             raise ExperimentError(
@@ -274,46 +279,28 @@ class Experiment:
                 "module experiments derive their semantics from internal "
                 "species names); extract the network first"
             )
-        from repro.sim.events import condition_from_descriptor
-        from repro.store import canonical, serialize
-
         rename = {str(k): str(v) for k, v in mapping.items()}
         network = self.network.renamed(rename)
 
         stopping = self.stopping
         if stopping is not None:
             try:
-                descriptor = stopping.to_descriptor()
-            except AttributeError as exc:
+                stopping = stopping.renamed(rename)
+            except StoppingConditionError as exc:
                 raise ExperimentError(
-                    f"stopping condition {stopping!r} cannot be renamed: it "
-                    "has no declarative descriptor (to_descriptor)"
+                    f"stopping condition {stopping!r} cannot be renamed: {exc}"
                 ) from exc
-            stopping = condition_from_descriptor(
-                canonical._rename_stopping(descriptor, rename)
-            )
-
-        classifier, state_classifier = self.classifier, self.state_classifier
-        try:
-            if classifier is not None:
-                classifier = serialize._classifier_from_descriptor(
-                    canonical._rename_classifier(
-                        serialize._classifier_descriptor(classifier), rename
-                    )
+        parts = (self.classifier, self.state_classifier)
+        for part in parts:
+            if part is not None and not hasattr(part, "renamed"):
+                raise ExperimentError(
+                    f"cannot rename the callable classifier {part!r}, which reads "
+                    "the original species names; use WorkingOutcomeClassifier / a "
+                    "declarative state classifier, or clear it first"
                 )
-            if state_classifier is not None:
-                state_classifier = serialize._state_classifier_from_descriptor(
-                    canonical._rename_state_classifier(
-                        serialize._state_classifier_descriptor(state_classifier), rename
-                    )
-                )
-        except FingerprintError as exc:
-            raise ExperimentError(
-                f"cannot rename a callable classifier, which reads the original "
-                f"species names; use WorkingOutcomeClassifier / a declarative "
-                f"state classifier, or clear it first ({exc})"
-            ) from exc
-
+        classifier, state_classifier = (
+            None if part is None else part.renamed(rename) for part in parts
+        )
         inputs = tuple(
             sorted((rename.get(species, species), count) for species, count in self.inputs)
         )
@@ -482,7 +469,11 @@ class Experiment:
         projection and returned as a :class:`RunResult` whose ``exact``
         field carries the probabilities (``trials`` only scales the nominal
         outcome counts; ``workers`` / ``seed`` are ignored).
+
+        A ``trials`` or ``chunk_size`` that is a bool, a string or a
+        fraction raises :class:`~repro.errors.ExperimentError` naming it.
         """
+        trials, chunk_size = _count("trials", trials), _count("chunk_size", chunk_size)
         if until is not None:
             self._check_adaptive_arguments(
                 until, engine=engine, seed=seed, keep_trajectories=keep_trajectories

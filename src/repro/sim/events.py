@@ -16,12 +16,14 @@ detail string (stop, recorded as ``Trajectory.stop_detail``).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.crn.species import Species, as_species
 from repro.errors import StoppingConditionError
+from repro.sim.descriptors import descriptor_field, integral, mapping, sequence, text
 from repro.sim.propensity import CompiledNetwork
 
 __all__ = [
@@ -71,6 +73,17 @@ class StoppingCondition:
         raise StoppingConditionError(
             f"{type(self).__name__} has no canonical descriptor; implement "
             "to_descriptor() to make it fingerprintable/servable"
+        )
+
+    def renamed(
+        self, species: Mapping[str, str], reactions: "Mapping[int, int] | None" = None
+    ) -> "StoppingCondition":
+        """This condition over species renamed by ``species`` (``{old: new}``,
+        absent names stay) and reactions moved by ``reactions`` (``{old index:
+        new index}``, ``None`` keeps them); labels stay.  A condition without a
+        descriptor cannot be renamed."""
+        raise StoppingConditionError(
+            f"{type(self).__name__} has no canonical descriptor, so it cannot be renamed"
         )
 
 
@@ -134,6 +147,10 @@ class SpeciesThreshold(StoppingCondition):
             "label": self.label,
         }
 
+    def renamed(self, species, reactions=None) -> "SpeciesThreshold":
+        name = species.get(self.species.name, self.species.name)
+        return SpeciesThreshold(name, self.threshold, self.comparison, self.label)
+
 
 class OutcomeThresholds(StoppingCondition):
     """Stop when any of several labelled species thresholds is reached.
@@ -180,6 +197,12 @@ class OutcomeThresholds(StoppingCondition):
             },
         }
 
+    def renamed(self, species, reactions=None) -> "OutcomeThresholds":
+        return OutcomeThresholds({
+            label: (species.get(watched.name, watched.name), level)
+            for label, (watched, level) in self.thresholds.items()
+        })
+
 
 class FiringCountCondition(StoppingCondition):
     """Stop when specific reactions have fired a total of ``count`` times.
@@ -225,6 +248,18 @@ class FiringCountCondition(StoppingCondition):
             "label": self.label,
         }
 
+    def renamed(self, species, reactions=None) -> "FiringCountCondition":
+        """Over the moved reactions, sorted; an index ``reactions`` lacks raises."""
+        indices = self.reaction_indices
+        if reactions is not None:
+            unknown = sorted(set(indices) - set(reactions))
+            if unknown:
+                raise StoppingConditionError(
+                    f"counts reaction indices {unknown}, which the network does not have"
+                )
+            indices = [reactions[i] for i in indices]
+        return FiringCountCondition(sorted(indices), self.count, self.label)
+
 
 class CategoryFiringCondition(StoppingCondition):
     """Stop when any single reaction in a category has fired ``count`` times.
@@ -268,6 +303,9 @@ class CategoryFiringCondition(StoppingCondition):
             "count": self.count,
         }
 
+    def renamed(self, species, reactions=None) -> "CategoryFiringCondition":
+        return self
+
 
 class PredicateCondition(StoppingCondition):
     """Adapt an arbitrary callable ``f(time, state_dict) -> str | None``.
@@ -285,17 +323,31 @@ class PredicateCondition(StoppingCondition):
         return self.predicate(time, state)
 
 
-class AnyCondition(StoppingCondition):
-    """Stop as soon as any child condition triggers (logical OR)."""
+class _Combination(StoppingCondition):
+    """Child conditions combined under the descriptor type :attr:`kind`."""
+
+    kind = ""
 
     def __init__(self, conditions: Sequence[StoppingCondition]) -> None:
         if not conditions:
-            raise StoppingConditionError("AnyCondition requires at least one child")
+            raise StoppingConditionError(f"{type(self).__name__} requires at least one child")
         self.conditions = list(conditions)
 
     def reset(self, compiled: CompiledNetwork) -> None:
         for condition in self.conditions:
             condition.reset(compiled)
+
+    def to_descriptor(self) -> dict:
+        return {"type": self.kind, "conditions": [c.to_descriptor() for c in self.conditions]}
+
+    def renamed(self, species, reactions=None) -> "_Combination":
+        return type(self)([c.renamed(species, reactions) for c in self.conditions])
+
+
+class AnyCondition(_Combination):
+    """Stop as soon as any child condition triggers (logical OR)."""
+
+    kind = "any"
 
     def check(self, time, counts, compiled, firing_counts):
         for condition in self.conditions:
@@ -304,24 +356,11 @@ class AnyCondition(StoppingCondition):
                 return detail
         return None
 
-    def to_descriptor(self) -> dict:
-        return {
-            "type": "any",
-            "conditions": [c.to_descriptor() for c in self.conditions],
-        }
 
-
-class AllCondition(StoppingCondition):
+class AllCondition(_Combination):
     """Stop only when every child condition triggers simultaneously (logical AND)."""
 
-    def __init__(self, conditions: Sequence[StoppingCondition]) -> None:
-        if not conditions:
-            raise StoppingConditionError("AllCondition requires at least one child")
-        self.conditions = list(conditions)
-
-    def reset(self, compiled: CompiledNetwork) -> None:
-        for condition in self.conditions:
-            condition.reset(compiled)
+    kind = "all"
 
     def check(self, time, counts, compiled, firing_counts):
         details = []
@@ -332,53 +371,50 @@ class AllCondition(StoppingCondition):
             details.append(detail)
         return " & ".join(details)
 
-    def to_descriptor(self) -> dict:
-        return {
-            "type": "all",
-            "conditions": [c.to_descriptor() for c in self.conditions],
-        }
 
-
-def condition_from_descriptor(data: "dict | None") -> "StoppingCondition | None":
+def condition_from_descriptor(data: "Mapping | None") -> "StoppingCondition | None":
     """Rebuild a stopping condition from a :meth:`~StoppingCondition.to_descriptor`.
 
-    ``None`` passes through (no stopping condition).  Unknown ``type`` tags
-    raise :class:`StoppingConditionError` — the inverse of the descriptor
-    protocol only covers the built-in serializable conditions.
+    ``None`` passes through (no stopping condition).  A missing field, or a
+    count, threshold or reaction index that is not an integer, or a label,
+    species or category that is not a string, raises ``ValueError`` naming
+    it; an unknown ``type`` raises :class:`StoppingConditionError`.
     """
     if data is None:
         return None
     kind = data.get("type")
+    field = partial(descriptor_field, data)
     if kind == "species-threshold":
         return SpeciesThreshold(
-            data["species"],
-            int(data["threshold"]),
-            comparison=str(data.get("comparison", ">=")),
-            label=str(data.get("label", "")),
+            field("species", text),
+            field("threshold", integral),
+            comparison=field("comparison", text, ">="),
+            label=field("label", text, ""),
         )
     if kind == "outcome-thresholds":
-        return OutcomeThresholds(
-            {
-                str(label): (str(species), int(level))
-                for label, (species, level) in data["thresholds"].items()
-            }
-        )
+        return OutcomeThresholds(field("thresholds", _thresholds))
     if kind == "firing-count":
         return FiringCountCondition(
-            [int(i) for i in data["reaction_indices"]],
-            int(data["count"]),
-            label=str(data.get("label", "")),
+            field("reaction_indices", lambda value: [integral(i) for i in sequence(value)]),
+            field("count", integral),
+            label=field("label", text, ""),
         )
     if kind == "category-firing":
-        return CategoryFiringCondition(str(data["category"]), int(data["count"]))
-    if kind == "any":
-        return AnyCondition(
-            [condition_from_descriptor(c) for c in data["conditions"]]
-        )
-    if kind == "all":
-        return AllCondition(
-            [condition_from_descriptor(c) for c in data["conditions"]]
-        )
+        return CategoryFiringCondition(field("category", text), field("count", integral))
+    combination = {"any": AnyCondition, "all": AllCondition}.get(kind)
+    if combination is not None:
+        return combination(field("conditions", lambda value: [
+            condition_from_descriptor(mapping(child)) for child in sequence(value)
+        ]))
     raise StoppingConditionError(
         f"unknown stopping-condition descriptor type {kind!r}"
     )
+
+
+def _thresholds(value) -> "dict[str, tuple[str, int]]":
+    """``{label: [species, level]}`` entries of an ``outcome-thresholds`` descriptor."""
+    thresholds = {}
+    for label, entry in mapping(value).items():
+        watched, level = sequence(entry)
+        thresholds[text(label)] = (text(watched), integral(level))
+    return thresholds

@@ -52,6 +52,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -63,6 +64,7 @@ from repro.crn.network import ReactionNetwork
 from repro.crn.species import as_species
 from repro.errors import FspError
 from repro.sim.base import resolve_initial_counts
+from repro.sim.descriptors import descriptor_field, integral, mapping, names, sequence, text
 from repro.sim.outcomes import UNDECIDED
 from repro.sim.propensity import CompiledNetwork
 from repro.sim.registry import register_engine
@@ -76,6 +78,7 @@ __all__ = [
     "FspEngine",
     "DominantSpeciesClassifier",
     "ThresholdStateClassifier",
+    "state_classifier_from_descriptor",
     "enumerate_states",
     "build_generator",
     "absorption_probabilities",
@@ -191,6 +194,14 @@ class DominantSpeciesClassifier:
             raise FspError("species_by_label must not be empty")
         self.species_by_label = {str(k): str(v) for k, v in species_by_label.items()}
 
+    def to_descriptor(self) -> dict:
+        return {"type": "dominant-species", "catalysts": dict(self.species_by_label)}
+
+    def renamed(self, species: Mapping[str, str], reactions=None) -> "DominantSpeciesClassifier":
+        return DominantSpeciesClassifier({
+            label: species.get(name, name) for label, name in self.species_by_label.items()
+        })
+
     def __call__(self, state: Mapping[str, int]) -> "str | None":
         best_label: "str | None" = None
         best_count = 0
@@ -275,6 +286,18 @@ class ThresholdStateClassifier:
             normalized[str(label)] = (str(species), int(count), str(comparison))
         self.thresholds = normalized
 
+    def to_descriptor(self) -> dict:
+        return {
+            "type": "threshold-race",
+            "thresholds": {label: list(entry) for label, entry in self.thresholds.items()},
+        }
+
+    def renamed(self, species: Mapping[str, str], reactions=None) -> "ThresholdStateClassifier":
+        return ThresholdStateClassifier({
+            label: (species.get(name, name), count, comparison)
+            for label, (name, count, comparison) in self.thresholds.items()
+        })
+
     def __call__(self, state: Mapping[str, int]) -> "str | None":
         for label, (name, count, comparison) in self.thresholds.items():
             value = int(state.get(name, 0))
@@ -308,6 +331,29 @@ class ThresholdStateClassifier:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ThresholdStateClassifier({self.thresholds!r})"
+
+
+def state_classifier_from_descriptor(data: "Mapping | None") -> "Callable | None":
+    """The state classifier a ``dominant-species`` or ``threshold-race``
+    descriptor names (``None`` for a null one); a missing field, or a label,
+    species or count of another type, raises ``ValueError`` naming it."""
+    if data is None:
+        return None
+    field = partial(descriptor_field, data)
+    if data.get("type") == "dominant-species":
+        return DominantSpeciesClassifier(field("catalysts", names))
+    if data.get("type") == "threshold-race":
+        return ThresholdStateClassifier(field("thresholds", _race))
+    raise FspError(f"unknown state-classifier descriptor type {data.get('type')!r}")
+
+
+def _race(value) -> dict:
+    """``{label: [species, count(, comparison)]}`` of a ``threshold-race``."""
+    race = {}
+    for label, entry in mapping(value).items():
+        species, count, *comparison = sequence(entry)
+        race[text(label)] = (text(species), integral(count), *map(text, comparison))
+    return race
 
 
 @dataclass

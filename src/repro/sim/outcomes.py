@@ -22,16 +22,20 @@ the per-trial call (the reference the tests compare against) otherwise.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from repro.errors import SimulationError
+from repro.sim.descriptors import descriptor_field, names, sequence, text
 from repro.sim.trajectory import StopReason
 
 __all__ = [
     "UNDECIDED",
     "StopDetailClassifier",
     "WorkingOutcomeClassifier",
+    "classifier_from_descriptor",
     "apportion",
     "count_outcomes",
 ]
@@ -106,6 +110,20 @@ class WorkingOutcomeClassifier:
         self.working = {str(k): str(v) for k, v in working.items()}
         self.catalysts = {str(k): str(v) for k, v in catalysts.items()}
 
+    def to_descriptor(self) -> dict:
+        return {
+            "type": "working-outcome",
+            "labels": list(self.labels),
+            "working": dict(self.working),
+            "catalysts": dict(self.catalysts),
+        }
+
+    def renamed(self, species: Mapping[str, str], reactions=None) -> "WorkingOutcomeClassifier":
+        """The rule over renamed catalyst species; labels and reaction names stay."""
+        return WorkingOutcomeClassifier(self.labels, self.working, {
+            label: species.get(name, name) for label, name in self.catalysts.items()
+        })
+
     def __call__(self, trajectory) -> "str | None":
         detail = trajectory.stop_detail
         for label in self.labels:
@@ -147,3 +165,22 @@ class WorkingOutcomeClassifier:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WorkingOutcomeClassifier(labels={self.labels!r})"
+
+
+def classifier_from_descriptor(data: "Mapping | None") -> "WorkingOutcomeClassifier | None":
+    """The outcome classifier a descriptor names.
+
+    ``stop-detail`` (and a null descriptor) is ``None``, the ensemble's
+    default :class:`StopDetailClassifier`.  A ``working-outcome`` field that
+    is missing or not made of strings raises ``ValueError`` naming it.
+    """
+    if data is None or data.get("type") == "stop-detail":
+        return None
+    if data.get("type") != "working-outcome":
+        raise SimulationError(f"unknown classifier descriptor type {data.get('type')!r}")
+    field = partial(descriptor_field, data)
+    return WorkingOutcomeClassifier(
+        field("labels", lambda value: [text(label) for label in sequence(value)]),
+        field("working", names),
+        field("catalysts", names),
+    )

@@ -2,11 +2,14 @@
 
 :mod:`repro.crn.canonical` maps a network to its canonical representative
 plus a species witness.  This module threads that through the serialized
-experiment payload (:mod:`repro.store.serialize`): every species reference a
-payload carries — the network itself, stopping-condition descriptors,
-classifier catalyst maps, state-classifier thresholds, adaptive ``rel-se``
-targets, ``firing-count`` reaction indices — is rewritten into canonical
-terms, and the store key is the fingerprint of that canonical identity.
+experiment payload (:mod:`repro.store.serialize`).  Each descriptor section
+— stopping condition, classifier, state classifier, adaptive target — is
+read by its class's own reader, the parsed object renames itself into
+canonical species and reaction order (its ``renamed``), and the canonical
+payload carries the renamed object's ``to_descriptor()``.  The store key
+is the fingerprint of that canonical identity: it hashes what runs, so
+every spelling of one descriptor (an omitted default label, a null
+classifier, a short threshold-race entry, an unknown key) shares a key.
 
 The contract this buys:
 
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Mapping
 
-from repro.errors import ExperimentError, FingerprintError, StoreError
+from repro.errors import FingerprintError
 
 __all__ = [
     "EXPERIMENT_UNHASHED_KEYS",
@@ -109,111 +112,6 @@ class CanonicalPayload:
     payload: dict
     witness: "dict[str, str]"
     exact: bool
-
-
-# ---------------------------------------------------------------------------
-# descriptor renaming
-# ---------------------------------------------------------------------------
-
-
-def _rename_stopping(
-    descriptor: "Mapping | None",
-    rename: Mapping[str, str],
-    reaction_position: "Mapping[int, int] | None" = None,
-) -> "dict | None":
-    """Rewrite species / reaction references in a stopping descriptor.
-
-    Labels are preserved verbatim (they are semantic identity).
-    ``reaction_position`` maps original reaction indices to canonical
-    positions (identity when ``None``).
-    """
-    if descriptor is None:
-        return None
-    kind = descriptor.get("type")
-    data = dict(descriptor)
-    if kind == "species-threshold":
-        data["species"] = rename.get(data["species"], data["species"])
-        return data
-    if kind == "outcome-thresholds":
-        data["thresholds"] = {
-            label: [rename.get(species, species), level]
-            for label, (species, level) in descriptor["thresholds"].items()
-        }
-        return data
-    if kind == "firing-count":
-        indices = [int(i) for i in descriptor["reaction_indices"]]
-        if reaction_position is not None:
-            unknown = sorted(set(indices) - set(reaction_position))
-            if unknown:
-                raise FingerprintError(
-                    f"experiment section 'stopping' counts reaction indices "
-                    f"{unknown}, which the network does not have"
-                )
-            indices = [reaction_position[i] for i in indices]
-        data["reaction_indices"] = sorted(indices)
-        return data
-    if kind == "category-firing":
-        return data
-    if kind in ("any", "all"):
-        data["conditions"] = [
-            _rename_stopping(child, rename, reaction_position)
-            for child in descriptor["conditions"]
-        ]
-        return data
-    raise FingerprintError(
-        f"cannot canonicalize stopping descriptor of type {kind!r}"
-    )
-
-
-def _rename_classifier(
-    descriptor: "Mapping | None", rename: Mapping[str, str]
-) -> "dict | None":
-    if descriptor is None or descriptor.get("type") == "stop-detail":
-        return dict(descriptor) if descriptor is not None else None
-    if descriptor.get("type") == "working-outcome":
-        data = dict(descriptor)
-        data["catalysts"] = {
-            label: rename.get(species, species)
-            for label, species in descriptor["catalysts"].items()
-        }
-        return data
-    raise FingerprintError(
-        f"cannot canonicalize classifier descriptor of type "
-        f"{descriptor.get('type')!r}"
-    )
-
-
-def _rename_state_classifier(
-    descriptor: "Mapping | None", rename: Mapping[str, str]
-) -> "dict | None":
-    if descriptor is None:
-        return None
-    kind = descriptor.get("type")
-    data = dict(descriptor)
-    if kind == "dominant-species":
-        data["catalysts"] = {
-            label: rename.get(species, species)
-            for label, species in descriptor["catalysts"].items()
-        }
-        return data
-    if kind == "threshold-race":
-        data["thresholds"] = {
-            label: [rename.get(species, species), count, comparison]
-            for label, (species, count, comparison) in descriptor["thresholds"].items()
-        }
-        return data
-    raise FingerprintError(
-        f"cannot canonicalize state-classifier descriptor of type {kind!r}"
-    )
-
-
-def _rename_until(descriptor: "Mapping | None", rename: Mapping[str, str]) -> "dict | None":
-    if descriptor is None:
-        return None
-    data = dict(descriptor)
-    if data.get("type") == "rel-se" and "species" in data:
-        data["species"] = rename.get(data["species"], data["species"])
-    return data
 
 
 def _is_relabelable(payload: Mapping) -> bool:
@@ -318,37 +216,33 @@ def _fingerprint_identity(identity: Mapping) -> str:
 def canonicalize_payload(payload: Mapping) -> CanonicalPayload:
     """Canonicalize a serialized experiment payload.
 
-    Parses the payload's network, computes its canonical form
-    (:func:`repro.crn.canonical.canonical_form`), rewrites every species /
-    reaction-index reference in the descriptors, and fingerprints the
-    result.  Payloads referencing opaque callables fall back to identity
-    canonicalization (``exact=False``).  An adaptive ``simulate.until``
-    descriptor is first rebuilt through
-    :func:`~repro.adaptive.targets.target_from_descriptor`, which raises
-    :class:`~repro.errors.AdaptiveError` for an invalid one.
+    Parses every section as executing the payload parses it, computes the
+    network's canonical form (:func:`repro.crn.canonical.canonical_form`),
+    renames the parsed descriptor objects into it and fingerprints their
+    descriptors.  Payloads referencing opaque callables fall back to
+    identity canonicalization (``exact=False``).  Engine options are rebuilt
+    through their dataclass and ``simulate.until`` through
+    :func:`~repro.adaptive.targets.target_from_descriptor`, so every
+    spelling of one shares a key.
 
     What the form yields is cached under the network dict's JSON text (128
-    entries), so a network already seen in this process skips the labeling
-    search.  Each call returns its own
-    canonical network dict and witness: mutating them leaves the cache and
-    later calls untouched.  Every section is parsed first, as executing the
-    payload parses it: a non-mapping section, an unknown or missing option,
-    a non-numeric ``max_time``, a non-integer count (``max_steps``,
-    ``snapshot_stride``, ``trials``, ``chunk_size``), a negative or
-    non-integer ``seed``, ``engine_options`` that do not build the
-    engine's options dataclass, or a ``network``, ``stopping``,
-    ``classifier`` or ``state_classifier`` section that does not parse
-    raises :class:`~repro.errors.FingerprintError` naming it, before any
-    lookup.  Engine options are rebuilt through their dataclass, so every
-    spelling of one options object shares a key.
+    entries); each call returns its own canonical network dict and witness.
+    A section that does not parse — a non-mapping, an unknown or missing
+    option, a count or descriptor scalar of another spelling (a bool, a
+    string or a fraction), a negative ``seed``, ``engine_options`` that do
+    not build their dataclass, a ``firing-count`` index the network lacks —
+    raises :class:`~repro.errors.FingerprintError` naming it (an invalid
+    ``until`` :class:`~repro.errors.AdaptiveError`), before any lookup.
     """
     from repro.store.serialize import (
         EXPERIMENT_SCHEMA,
+        _classifier_descriptor,
         _descriptor_sections,
         _engine_options_payload,
         _network_section,
         _options_from_payload,
         _run_from_payload,
+        _section,
         is_experiment_schema,
     )
 
@@ -365,19 +259,20 @@ def canonicalize_payload(payload: Mapping) -> CanonicalPayload:
     # reject it before it names a store entry.
     _options_from_payload(data)
     run = _run_from_payload(data)
-    _descriptor_sections(data, resolve=False)
+    sections = _descriptor_sections(data, resolve=False)
     simulate = data["simulate"]
     if simulate.get("engine_options") is not None:
         simulate = data["simulate"] = {
             **simulate, "engine_options": _engine_options_payload(run["engine_options"])
         }
-    if simulate.get("until") is not None:
+    until = simulate.get("until")
+    if until is not None:
         # Rebuilt through the target, so every spelling of one target (absent
         # defaults included) shares a key and an invalid one fails here.
         from repro.adaptive import target_from_descriptor
 
-        until = target_from_descriptor(simulate["until"]).to_descriptor()
-        data["simulate"] = {**simulate, "until": until}
+        until = target_from_descriptor(until)
+        data["simulate"] = {**simulate, "until": until.to_descriptor()}
 
     if not _is_relabelable(data):
         # Labelled networks are parsed (once) by the form cache below.
@@ -387,21 +282,25 @@ def canonicalize_payload(payload: Mapping) -> CanonicalPayload:
         return CanonicalPayload(key=key, payload=data, witness=witness, exact=False)
 
     form = _network_form(data.get("network"))
-    rename = form.rename
+
+    def canonical_descriptor(name: str) -> "dict | None":
+        """The descriptor of section ``name``'s object, renamed into the form."""
+        part = sections[name]
+        if part is None:
+            return None
+        return _section(
+            name, lambda parsed: parsed.renamed(form.rename, form.reaction_position), part
+        ).to_descriptor()
 
     canonical = dict(data)
     canonical["network"] = json.loads(form.network_json)
-    canonical["stopping"] = _rename_stopping(
-        data.get("stopping"), rename, form.reaction_position
-    )
-    canonical["classifier"] = _rename_classifier(data.get("classifier"), rename)
-    canonical["state_classifier"] = _rename_state_classifier(
-        data.get("state_classifier"), rename
-    )
-    simulate = dict(data["simulate"])
-    if simulate.get("until") is not None:
-        simulate["until"] = _rename_until(simulate["until"], rename)
-    canonical["simulate"] = simulate
+    canonical["stopping"] = canonical_descriptor("stopping")
+    canonical["classifier"] = canonical_descriptor("classifier") or _classifier_descriptor(None)
+    canonical["state_classifier"] = canonical_descriptor("state_classifier")
+    if until is not None:
+        canonical["simulate"] = {
+            **data["simulate"], "until": until.renamed(form.rename).to_descriptor()
+        }
 
     key = _fingerprint_identity(_identity_of(canonical, exact=True))
     return CanonicalPayload(
@@ -510,24 +409,15 @@ def localize_envelope(
     localized payload and the caller's witness; the stored artifact is not
     modified.
     """
-    from repro.api.results import OBJECT, RunResult, check_fields
+    from repro.store.store import run_from_envelope
 
-    if envelope.get("kind") != "run-result":
-        raise StoreError(
-            f"artifact {str(envelope.get('key'))[:12]}… holds a "
-            f"{envelope.get('kind')!r}, not a run-result"
-        )
-    try:
-        check_fields(envelope, {"payload": OBJECT})
-        if not canon.exact:
-            return RunResult.from_payload(envelope["payload"]), dict(envelope)
-        translate = compose_translation(envelope.get("witness"), canon.witness)
-        localized = localize_run_payload(envelope["payload"], translate, caller_payload)
-        result = RunResult.from_payload(localized)
-    except ExperimentError as exc:
-        raise StoreError(
-            f"corrupt artifact {str(envelope.get('key'))[:12]}…: {exc}"
-        ) from exc
+    key = str(envelope.get("key"))
+    if not canon.exact:
+        return run_from_envelope(envelope, key)[0], dict(envelope)
+    translate = compose_translation(envelope.get("witness"), canon.witness)
+    result, localized = run_from_envelope(
+        envelope, key, lambda payload: localize_run_payload(payload, translate, caller_payload)
+    )
     reply = dict(envelope)
     reply["payload"] = localized
     reply["witness"] = dict(canon.witness)

@@ -20,16 +20,16 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import math
-import numbers
 from collections.abc import Mapping
 from typing import Any
 
-from repro.adaptive.targets import integral
 from repro.crn.network import ReactionNetwork
 from repro.errors import FingerprintError, ReproError
 from repro.sim.base import SimulationOptions
+from repro.sim.descriptors import integral, mapping, number
 from repro.sim.events import condition_from_descriptor
-from repro.sim.outcomes import WorkingOutcomeClassifier
+from repro.sim.fsp import state_classifier_from_descriptor
+from repro.sim.outcomes import WorkingOutcomeClassifier, classifier_from_descriptor
 from repro.sim.rng import _checked_seed
 
 __all__ = [
@@ -88,96 +88,38 @@ def _resolve_callable_ref(ref: str) -> Any:
 
 
 def _classifier_descriptor(classifier) -> dict:
-    """Canonical descriptor of a trajectory → outcome classifier."""
+    """A classifier's own descriptor, or a reference to it as a callable;
+    ``None`` is the ensemble's stop-detail default."""
     if classifier is None:
         return {"type": "stop-detail"}
-    if isinstance(classifier, WorkingOutcomeClassifier):
-        return {
-            "type": "working-outcome",
-            "labels": list(classifier.labels),
-            "working": dict(classifier.working),
-            "catalysts": dict(classifier.catalysts),
-        }
+    if hasattr(classifier, "to_descriptor"):
+        return classifier.to_descriptor()
     return {"type": "callable", "ref": _callable_ref(classifier)}
 
 
-def _reject_untrusted_ref(data: Mapping) -> None:
-    raise FingerprintError(
-        f"callable reference {data.get('ref')!r} rejected: this payload comes "
-        "from an untrusted source (the HTTP service), and resolving it would "
-        "import and execute arbitrary installed code — only the declarative "
-        "descriptor types (stop-detail / working-outcome / dominant-species / "
-        "threshold-race) are accepted over the wire"
-    )
+def _or_callable(read, trusted: bool, resolve: bool):
+    """A classifier section's reader: ``read``, except that a ``callable``
+    reference is checked for form, resolved only with ``resolve`` (it is
+    ``None`` while canonicalizing) and refused when not ``trusted``."""
 
+    def parse(data):
+        if data is None or data.get("type") != "callable":
+            return read(data)
+        if not isinstance(data["ref"], str):
+            raise TypeError(f"callable reference must be a string, got {data['ref']!r}")
+        if not resolve:
+            return None
+        if not trusted:
+            raise FingerprintError(
+                f"callable reference {data['ref']!r} rejected: this payload comes "
+                "from an untrusted source (the HTTP service), and resolving it would "
+                "import and execute arbitrary installed code — only the declarative "
+                "descriptor types (stop-detail / working-outcome / dominant-species / "
+                "threshold-race) are accepted over the wire"
+            )
+        return _resolve_callable_ref(data["ref"])
 
-def _callable_from_descriptor(data: Mapping, trusted: bool, resolve: bool):
-    """The callable a ``callable`` descriptor names, or ``None`` unresolved.
-
-    ``resolve=False`` (canonicalization) checks the reference's form and
-    imports nothing; ``trusted=False`` (the HTTP service) refuses it.
-    """
-    if not isinstance(data["ref"], str):
-        raise TypeError(f"callable reference must be a string, got {data['ref']!r}")
-    if not resolve:
-        return None
-    if not trusted:
-        _reject_untrusted_ref(data)
-    return _resolve_callable_ref(data["ref"])
-
-
-def _classifier_from_descriptor(
-    data: "Mapping | None", trusted: bool = True, resolve: bool = True
-):
-    if data is None or data.get("type") == "stop-detail":
-        return None
-    kind = data.get("type")
-    if kind == "working-outcome":
-        return WorkingOutcomeClassifier(
-            data["labels"], data["working"], data["catalysts"]
-        )
-    if kind == "callable":
-        return _callable_from_descriptor(data, trusted, resolve)
-    raise FingerprintError(f"unknown classifier descriptor type {kind!r}")
-
-
-def _state_classifier_descriptor(classifier) -> dict:
-    """Descriptor of a state classifier used by distribution engines."""
-    from repro.sim.fsp import DominantSpeciesClassifier, ThresholdStateClassifier
-
-    if isinstance(classifier, DominantSpeciesClassifier):
-        return {
-            "type": "dominant-species",
-            "catalysts": dict(classifier.species_by_label),
-        }
-    if isinstance(classifier, ThresholdStateClassifier):
-        return {
-            "type": "threshold-race",
-            "thresholds": {
-                label: [species, count, comparison]
-                for label, (species, count, comparison) in classifier.thresholds.items()
-            },
-        }
-    return {"type": "callable", "ref": _callable_ref(classifier)}
-
-
-def _state_classifier_from_descriptor(
-    data: "Mapping | None", trusted: bool = True, resolve: bool = True
-):
-    if data is None:
-        return None
-    kind = data.get("type")
-    if kind == "dominant-species":
-        from repro.sim.fsp import DominantSpeciesClassifier
-
-        return DominantSpeciesClassifier(data["catalysts"])
-    if kind == "threshold-race":
-        from repro.sim.fsp import ThresholdStateClassifier
-
-        return ThresholdStateClassifier(data["thresholds"])
-    if kind == "callable":
-        return _callable_from_descriptor(data, trusted, resolve)
-    raise FingerprintError(f"unknown state-classifier descriptor type {kind!r}")
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +146,7 @@ def _network_section(value) -> ReactionNetwork:
     """Parse the payload's ``network`` section (see :func:`_section`)."""
     from repro.crn.serialize import network_from_dict
 
-    return _section("network", lambda data: network_from_dict(_mapping(data)), value)
+    return _section("network", lambda data: network_from_dict(mapping(data)), value)
 
 
 def _descriptor_sections(
@@ -219,20 +161,15 @@ def _descriptor_sections(
     """
     parsers = {
         "stopping": condition_from_descriptor,
-        "classifier": lambda data: _classifier_from_descriptor(data, trusted, resolve),
-        "state_classifier": lambda data: _state_classifier_from_descriptor(
-            data, trusted, resolve
-        ),
+        "classifier": _or_callable(classifier_from_descriptor, trusted, resolve),
+        "state_classifier": _or_callable(state_classifier_from_descriptor, trusted, resolve),
     }
-    return {
-        name: _section(name, _optional_descriptor(parse), payload.get(name))
+    return {  # each section is a mapping or null
+        name: _section(
+            name, lambda data: parse(None if data is None else mapping(data)), payload.get(name)
+        )
         for name, parse in parsers.items()
     }
-
-
-def _optional_descriptor(parse):
-    """``parse`` of a descriptor that is a mapping or null."""
-    return lambda data: parse(None if data is None else _mapping(data))
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +201,6 @@ def _field(data: Mapping, section: str, name: str, parse, default=_REQUIRED):
         raise FingerprintError(f"{section!r} field {name!r}: {exc}") from exc
 
 
-def _mapping(value) -> Mapping:
-    if not isinstance(value, Mapping):
-        raise TypeError(f"expected a mapping, got {value!r}")
-    return value
-
-
 def _seed(value) -> int:
     seed = integral(value)
     if seed < 0:
@@ -282,13 +213,6 @@ def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected a boolean, got {value!r}")
     return value
-
-
-def _number(value) -> float:
-    """A number (not a bool or a string) as a ``float``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
 
 
 def _options_payload(options: SimulationOptions) -> dict:
@@ -314,14 +238,14 @@ def _options_from_payload(payload: Mapping) -> SimulationOptions:
     hashed whole, so a value the options would drop or round names a run
     that executing it could not reproduce.
     """
-    data = _field(payload, "experiment", "options", _mapping)
+    data = _field(payload, "experiment", "options", mapping)
     unknown = sorted(set(data) - _OPTION_FIELDS)
     if unknown:
         raise FingerprintError(
             f"unknown simulation option(s) {unknown} in the experiment "
             f"payload; valid fields: {sorted(_OPTION_FIELDS)}"
         )
-    max_time = _field(data, "options", "max_time", _number, None)
+    max_time = _field(data, "options", "max_time", number, None)
     return SimulationOptions(
         max_time=math.inf if max_time is None else max_time,
         max_steps=_field(data, "options", "max_steps", integral),
@@ -344,7 +268,7 @@ def _run_from_payload(payload: Mapping) -> dict:
     :class:`~repro.errors.FingerprintError` naming it.  Other range checks
     are left to ``simulate``.
     """
-    data = _field(payload, "experiment", "simulate", _mapping)
+    data = _field(payload, "experiment", "simulate", mapping)
     engine = _field(data, "simulate", "engine", str)
     return {
         "trials": _field(data, "simulate", "trials", integral, None),
@@ -384,7 +308,7 @@ def _engine_options_from_payload(data, engine: str) -> Any:
     """
     from repro.sim.registry import registry
 
-    data = _mapping(data)
+    data = mapping(data)
     options_type = registry.get(engine).options_type
     if options_type is None or options_type.__name__ != data.get("type"):
         raise ValueError(
@@ -392,7 +316,7 @@ def _engine_options_from_payload(data, engine: str) -> Any:
             f"{data.get('type')!r}"
         )
     try:
-        return options_type(**_mapping(data.get("fields")))
+        return options_type(**mapping(data.get("fields")))
     except ReproError as exc:
         raise ValueError(str(exc)) from exc
 
@@ -457,7 +381,7 @@ def experiment_to_payload(
 
     state_classifier = None
     if info.computes_distribution:
-        state_classifier = _state_classifier_descriptor(
+        state_classifier = _classifier_descriptor(
             experiment._resolved_state_classifier(network)
         )
 

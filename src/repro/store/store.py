@@ -353,21 +353,8 @@ class ResultStore:
         (an older store may hold bare ensembles or FSP solutions), no payload
         object or a malformed payload.
         """
-        from repro.api.results import OBJECT, RunResult, check_fields
-
         envelope = self.get_envelope(key)
-        if envelope is None:
-            return None
-        if envelope.get("kind") != "run-result":
-            raise StoreError(
-                f"artifact {key[:12]}… holds a {envelope.get('kind')!r}, "
-                "not a run-result"
-            )
-        try:
-            check_fields(envelope, {"payload": OBJECT})
-            return RunResult.from_payload(envelope["payload"])
-        except ExperimentError as exc:
-            raise StoreError(f"corrupt artifact {key[:12]}…: {exc}") from exc
+        return None if envelope is None else run_from_envelope(envelope, key)[0]
 
     def has(self, key: str) -> bool:
         """Whether ``key`` is present (no access-stamp update, no validation)."""
@@ -488,3 +475,24 @@ class ResultStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResultStore({str(self.root)!r})"
+
+
+def run_from_envelope(envelope: Mapping, key: str, localize=None) -> "tuple[Any, dict]":
+    """``(RunResult, payload)`` of artifact ``key``, its payload rewritten by
+    ``localize`` first when given.  Another artifact kind, a missing payload
+    object or a malformed payload raises :class:`StoreError` naming the key."""
+    from repro.api.results import OBJECT, RunResult, check_fields
+
+    if envelope.get("kind") != "run-result":
+        raise StoreError(
+            f"artifact {key[:12]}… holds a {envelope.get('kind')!r}, "
+            "not a run-result"
+        )
+    try:
+        check_fields(envelope, {"payload": OBJECT})
+        payload = envelope["payload"]
+        if localize is not None:
+            payload = localize(payload)
+        return RunResult.from_payload(payload), payload
+    except ExperimentError as exc:
+        raise StoreError(f"corrupt artifact {key[:12]}…: {exc}") from exc

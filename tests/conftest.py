@@ -65,3 +65,30 @@ def tiny_two_outcome_network() -> ReactionNetwork:
         [0.25, 0.75],
     )
     return build_stochastic_module(spec, gamma=100.0, scale=4)
+
+
+@pytest.fixture
+def growth_payload() -> dict:
+    """A store payload stopping ``x ->{1} x + x; x ->{1} 0`` (x = 3) at
+    ``x >= 10``."""
+    from repro.api import Experiment
+    from repro.sim.events import SpeciesThreshold
+    from repro.store import experiment_to_payload
+
+    network = parse_network("x ->{1} x + x\nx ->{1} 0\ninit: x = 3")
+    experiment = Experiment.from_network(network, SpeciesThreshold("x", 10))
+    return experiment_to_payload(experiment, trials=20, engine="direct", seed=1)
+
+
+@pytest.fixture
+def polya_race_payloads() -> "tuple[dict, dict]":
+    """The polya-urn ``fsp`` payload, and the same with every threshold-race
+    entry in its two-element ``[species, count]`` form."""
+    from repro.api import Experiment
+    from repro.store import experiment_to_payload
+
+    payload = experiment_to_payload(Experiment.from_zoo("polya-urn"), trials=100, engine="fsp")
+    race = payload["state_classifier"]["thresholds"]
+    assert all(comparison == ">=" for _, _, comparison in race.values())
+    short = {"type": "threshold-race", "thresholds": {k: v[:2] for k, v in race.items()}}
+    return payload, {**payload, "state_classifier": short}

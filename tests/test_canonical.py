@@ -190,7 +190,81 @@ def _permuted_variant(experiment: Experiment) -> Experiment:
     return dataclasses.replace(renamed, network=permuted)
 
 
+#: Descriptor kinds that name a species, each on the toggle switch.
+SPECIES_KINDS = (
+    "species-threshold",
+    "outcome-thresholds",
+    "any-all",
+    "working-outcome",
+    "dominant-species",
+    "threshold-race",
+    "rel-se",
+)
+
+
+def _species_kind(kind: str) -> "tuple[Experiment, dict]":
+    """``(experiment, simulate arguments)`` whose ``kind`` descriptor names
+    toggle-switch species."""
+    from repro.adaptive import RelativeSETarget
+    from repro.sim.events import AllCondition, AnyCondition, OutcomeThresholds, SpeciesThreshold
+    from repro.sim.fsp import DominantSpeciesClassifier, ThresholdStateClassifier
+    from repro.sim.outcomes import WorkingOutcomeClassifier
+
+    base = Experiment.from_zoo("toggle-switch")
+    sampled = dict(trials=30, engine="direct", seed=11)
+    exact = dict(trials=30, engine="fsp")
+    race = base.stop_when(OutcomeThresholds({"u-wins": ("u", 12), "v-wins": ("v", 12)}))
+    cases = {
+        "species-threshold": (base.stop_when(SpeciesThreshold("u", 12)), sampled),
+        "outcome-thresholds": (race, sampled),
+        "any-all": (
+            base.stop_when(AnyCondition([
+                AllCondition([SpeciesThreshold("u", 6), SpeciesThreshold("p", 25, "<=")]),
+                SpeciesThreshold("v", 12),
+            ])),
+            sampled,
+        ),
+        "working-outcome": (
+            race.classify_with(WorkingOutcomeClassifier(
+                ["u-side", "v-side"], {}, {"u-side": "u", "v-side": "v"}
+            )),
+            sampled,
+        ),
+        "dominant-species": (
+            base.classify_states(DominantSpeciesClassifier({"u-side": "u", "v-side": "v"})),
+            exact,
+        ),
+        "threshold-race": (
+            base.classify_states(
+                ThresholdStateClassifier({"u-wins": ("u", 12), "v-wins": ("v", 12, ">=")})
+            ),
+            exact,
+        ),
+        "rel-se": (
+            base,
+            dict(engine="direct", seed=11, chunk_size=16,
+                 until=RelativeSETarget(species="u", rel_se=0.5, max_trials=64)),
+        ),
+    }
+    return cases[kind]
+
+
 class TestRenamedWarmHits:
+    @pytest.mark.parametrize("kind", SPECIES_KINDS)
+    def test_renamed_variant_warm_hits_for_every_species_descriptor(self, tmp_path, kind):
+        """Whichever descriptor names the species, a ``renamed()`` variant
+        hits its original's artifact, equal to its own cold run."""
+        experiment, simulate = _species_kind(kind)
+        store = ResultStore(tmp_path / "store")
+        experiment.simulate(store=store, **simulate)
+        variant = experiment.renamed(RENAME)
+        if "until" in simulate:
+            simulate = {**simulate, "until": simulate["until"].renamed(RENAME)}
+        warm = variant.simulate(store=store, **simulate)
+        assert store.stats()["artifacts"] == 1
+        cold = variant.simulate(store=ResultStore(tmp_path / "fresh"), **simulate)
+        assert canonical_json(warm.to_payload()) == canonical_json(cold.to_payload())
+
     @pytest.mark.parametrize("engine", ["direct", "first-reaction", "batch-direct", "fsp"])
     def test_renamed_permuted_variant_warm_hits(self, tmp_path, engine):
         store = ResultStore(tmp_path / "store")
@@ -297,6 +371,17 @@ class TestRenamedWarmHits:
         with pytest.raises(NetworkError, match="allow_merge"):
             base.renamed({"u": "v"})
 
+    def test_experiment_renamed_rejects_a_predicate_condition(self):
+        """A condition without a descriptor cannot rename itself; renaming
+        the experiment says so as an ``ExperimentError``."""
+        from repro.sim.events import PredicateCondition
+
+        base = Experiment.from_zoo("toggle-switch").stop_when(
+            PredicateCondition(opaque_classifier)
+        )
+        with pytest.raises(ExperimentError, match="cannot be renamed"):
+            base.renamed(RENAME)
+
     @pytest.mark.parametrize("attach", ["classify_with", "classify_states"])
     def test_experiment_renamed_rejects_a_callable_classifier(self, attach):
         """A module-level callable has a store reference but no species map
@@ -337,6 +422,63 @@ class TestRenamedWarmHits:
             }
             keys.add(fingerprint_payload(payload))
         assert len(keys) == 1
+
+
+# ---------------------------------------------------------------------------
+# descriptor spellings: the key hashes the parsed, renamed objects
+# ---------------------------------------------------------------------------
+
+class TestDescriptorSpellings:
+    """Every spelling of one descriptor shares its canonical spelling's key."""
+
+    def test_species_threshold_without_label_shares_the_labelled_key(self, growth_payload):
+        labelled = growth_payload
+        unlabelled = json.loads(json.dumps(labelled))
+        del unlabelled["stopping"]["label"]
+        assert labelled["stopping"]["label"] == "x>=10"
+        assert canonicalize_payload(unlabelled).key == canonicalize_payload(labelled).key
+
+    def test_null_classifier_shares_the_stop_detail_key(self, growth_payload):
+        payload = growth_payload
+        assert payload["classifier"] == {"type": "stop-detail"}
+        null = {**payload, "classifier": None}
+        assert canonicalize_payload(null).key == canonicalize_payload(payload).key
+
+    def test_two_element_threshold_race_shares_the_three_element_key(
+        self, polya_race_payloads
+    ):
+        payload, short = polya_race_payloads
+        assert canonicalize_payload(short).key == canonicalize_payload(payload).key
+
+    def test_unknown_descriptor_keys_leave_the_identity(self, growth_payload):
+        payload = growth_payload
+        noted = json.loads(json.dumps(payload))
+        noted["stopping"]["note"] = "an unknown key"
+        noted["classifier"]["note"] = "an unknown key"
+        assert canonicalize_payload(noted).key == canonicalize_payload(payload).key
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("threshold", "10"), ("threshold", 10.5), ("threshold", True), ("species", 5),
+         ("label", 7)],
+    )
+    def test_a_descriptor_scalar_has_one_spelling(self, growth_payload, field, value):
+        from repro.errors import FingerprintError
+
+        payload = growth_payload
+        payload["stopping"][field] = value
+        with pytest.raises(FingerprintError, match=f"'stopping'.*'{field}'"):
+            canonicalize_payload(payload)
+
+    def test_a_reaction_index_is_not_a_bool(self, growth_payload):
+        from repro.errors import FingerprintError
+
+        payload = growth_payload
+        payload["stopping"] = {
+            "type": "firing-count", "reaction_indices": [True], "count": 3, "label": "fired",
+        }
+        with pytest.raises(FingerprintError, match="'stopping'.*'reaction_indices'"):
+            canonicalize_payload(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,24 @@ class TestSimulateEndToEnd:
             experiment.simulate(trials=5, engine="ode")
 
 
+class TestSimulateCounts:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", True), ("trials", "5"), ("trials", 2.5),
+         ("chunk_size", True), ("chunk_size", "512"), ("chunk_size", 100.5)],
+    )
+    def test_a_count_of_another_spelling_is_refused(self, tmp_path, field, value):
+        """A bool, a string or a fraction is not a count: refused before any
+        compute, and before a store key is made."""
+        experiment = Experiment.from_network(parse_network("x ->{1} 0\ninit: x = 3"))
+        arguments = {"trials": 5, "engine": "direct", "seed": 1, field: value}
+        with pytest.raises(ExperimentError, match=field):
+            experiment.simulate(**arguments)
+        with pytest.raises(ExperimentError, match=field):
+            experiment.simulate(store=tmp_path / "store", **arguments)
+        assert not (tmp_path / "store").exists()
+
+
 class TestRunResult:
     @pytest.fixture
     def result(self):

@@ -27,6 +27,21 @@ from repro.store import Campaign, CampaignRunner
 MISSING = object()
 
 
+def post(url: str, payload: dict) -> "tuple[int, dict]":
+    """``POST /simulate`` of ``payload``: ``(status, reply)``, errors included."""
+    request = urllib.request.Request(
+        url + "/simulate",
+        data=json.dumps({"experiment": payload}).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        with error:
+            return error.code, json.loads(error.read())
+
+
 @pytest.fixture
 def experiment() -> Experiment:
     return Experiment.from_distribution({"1": 0.3, "2": 0.7}, gamma=100)
@@ -108,6 +123,19 @@ class TestEndpoints:
               "min_trials": True}, "min_trials"),
             ({"type": "splitting", "outcome": "1", "trials_per_level": "8"},
              "trials_per_level"),
+            # A probability is a number: a string spelling would share the
+            # number's key while a string count beside it is refused.
+            ({"type": "ci-half-width", "outcome": "1", "half_width": "0.05"}, "half_width"),
+            ({"type": "ci-half-width", "outcome": "1", "half_width": 0.05,
+              "confidence": "0.9"}, "confidence"),
+            ({"type": "ci-half-width", "outcome": "1", "half_width": True}, "half_width"),
+            ({"type": "rel-se", "species": "x1", "rel_se": "0.1"}, "rel_se"),
+            ({"type": "sprt", "outcome": "1", "p0": "0.1", "p1": 0.2}, "p0"),
+            ({"type": "sprt", "outcome": "1", "p0": 0.1, "p1": "0.2"}, "p1"),
+            ({"type": "sprt", "outcome": "1", "p0": 0.1, "p1": 0.2, "alpha": "0.05"},
+             "alpha"),
+            ({"type": "sprt", "outcome": "1", "p0": 0.1, "p1": 0.2, "beta": True}, "beta"),
+            ({"type": "splitting", "outcome": "1", "confidence": "0.9"}, "confidence"),
         ],
     )
     def test_malformed_until_is_400_naming_the_field(self, service, experiment, until, field):
@@ -283,6 +311,56 @@ class TestEndpoints:
         with pytest.raises(ServiceError, match="400"):
             ServiceClient(service.url)._request("/simulate", body={"experiment": payload})
         assert ServiceClient(service.url).healthz()["artifacts"] == 0
+
+    @pytest.mark.parametrize(
+        "stopping, field",
+        [
+            ({"threshold": "10"}, "threshold"),
+            ({"threshold": 10.5}, "threshold"),
+            ({"threshold": True}, "threshold"),
+            ({"type": "firing-count", "reaction_indices": [True], "count": 3}, "reaction_indices"),
+        ],
+    )
+    def test_stopping_scalar_of_another_spelling_is_400_naming_it(
+        self, service, growth_payload, stopping, field
+    ):
+        """A count, threshold or reaction index has one spelling: ``"10"``,
+        ``10.5`` and ``true`` each answer 400 naming the field instead of
+        running as 10, 10 and 1 under keys of their own."""
+        payload = growth_payload
+        payload["stopping"].update(stopping)
+        status, reply = post(service.url, payload)
+        assert status == 400
+        assert "'stopping'" in reply["error"] and repr(field) in reply["error"]
+        assert ServiceClient(service.url).healthz()["artifacts"] == 0
+
+    def test_unlabelled_species_threshold_counts_under_the_callers_species(
+        self, service, growth_payload
+    ):
+        """A species threshold without its optional label shares the labelled
+        key, and its reply counts outcomes under the caller's species name."""
+        from repro.store import canonicalize_payload
+
+        labelled = growth_payload
+        unlabelled = json.loads(json.dumps(labelled))
+        del unlabelled["stopping"]["label"]
+        status, reply = post(service.url, unlabelled)
+        assert status == 201
+        assert reply["key"] == canonicalize_payload(labelled).key
+        counts = reply["artifact"]["payload"]["ensemble"]["outcome_counts"]
+        assert set(counts) <= {"x>=10", "(undecided)"} and "x>=10" in counts
+        status, again = post(service.url, labelled)
+        assert status == 200 and again["key"] == reply["key"]
+
+    def test_two_element_threshold_race_is_computed(self, service, polya_race_payloads):
+        """``[species, count]`` is a threshold-race entry's documented short
+        form: it answers 201 under the three-element form's key."""
+        from repro.store import canonicalize_payload
+
+        payload, short = polya_race_payloads
+        status, reply = post(service.url, short)
+        assert status == 201
+        assert reply["key"] == canonicalize_payload(payload).key
 
     def test_malformed_json_is_400(self, service):
         request = urllib.request.Request(

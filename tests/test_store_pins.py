@@ -26,6 +26,11 @@ The callable case is also run as a ``Campaign`` cell, which must land on the
 same key and bytes.  The digests leave out the ``version`` fields a result,
 an envelope and its descriptor record, so a release bump moves no pin.
 
+``KEY_PINS`` pins the store key alone of one small experiment per
+descriptor type: each stopping condition, classifier, state classifier and
+adaptive ``until`` target the store knows.  A key is
+``canonicalize_payload(experiment_to_payload(...)).key``; nothing runs.
+
 To refresh a pin after a *deliberate* change, print the current values with
 ``PYTHONPATH=src python tests/test_store_pins.py`` and name the change in
 CHANGES.md.
@@ -185,6 +190,128 @@ PINS = {
 }
 
 
+def _key_network():
+    """``x`` grows and moves to ``y``; the growth reaction is ``working``."""
+    from repro.crn.network import ReactionNetwork
+    from repro.crn.reaction import Reaction
+
+    return ReactionNetwork(
+        [
+            Reaction({"x": 1}, {"x": 2}, rate=1.0, name="grow", category="working"),
+            Reaction({"x": 1}, {"y": 1}, rate=1.0, name="move"),
+            Reaction({"y": 1}, {}, rate=2.0, name="decay", category="working"),
+        ],
+        initial_state={"x": 3},
+        name="grow-move",
+    )
+
+
+def _key_cases() -> "dict[str, tuple]":
+    """``{descriptor type: (experiment, experiment_to_payload arguments)}``."""
+    from repro.adaptive import (
+        CiHalfWidthTarget,
+        RelativeSETarget,
+        SplittingConfig,
+        SprtTarget,
+    )
+    from repro.api import Experiment
+    from repro.sim.events import (
+        AllCondition,
+        AnyCondition,
+        CategoryFiringCondition,
+        FiringCountCondition,
+        OutcomeThresholds,
+        SpeciesThreshold,
+    )
+    from repro.sim.fsp import DominantSpeciesClassifier, ThresholdStateClassifier
+    from repro.sim.outcomes import WorkingOutcomeClassifier
+
+    network = Experiment.from_network(_key_network())
+    sampled = dict(trials=100, engine="direct", seed=1)
+    threshold = network.stop_when(SpeciesThreshold("x", 10))
+    race = network.stop_when(OutcomeThresholds({"many": ("x", 10), "moved": ("y", 4)}))
+    return {
+        "stopping/species-threshold": (threshold, sampled),
+        "stopping/outcome-thresholds": (race, sampled),
+        "stopping/firing-count": (
+            network.stop_when(FiringCountCondition([2, 0], 5)), sampled
+        ),
+        "stopping/category-firing": (
+            network.stop_when(CategoryFiringCondition("working", 5)), sampled
+        ),
+        "stopping/any": (
+            network.stop_when(
+                AnyCondition([SpeciesThreshold("y", 4), FiringCountCondition([1], 3)])
+            ),
+            sampled,
+        ),
+        "stopping/all": (
+            network.stop_when(
+                AllCondition([SpeciesThreshold("x", 2, "<="), SpeciesThreshold("y", 1)])
+            ),
+            sampled,
+        ),
+        "classifier/stop-detail": (threshold, sampled),
+        "classifier/working-outcome": (
+            threshold.classify_with(
+                WorkingOutcomeClassifier(
+                    ["a", "b"], {"a": "grow"}, {"a": "x", "b": "y"}
+                )
+            ),
+            sampled,
+        ),
+        "state-classifier/dominant-species": (
+            network.classify_states(DominantSpeciesClassifier({"a": "x", "b": "y"})),
+            dict(trials=100, engine="fsp"),
+        ),
+        "state-classifier/threshold-race": (
+            network.classify_states(
+                ThresholdStateClassifier({"many": ("x", 10, ">="), "gone": ("x", 0, "<=")})
+            ),
+            dict(trials=100, engine="fsp"),
+        ),
+        "until/ci-half-width": (
+            race,
+            dict(sampled, until=CiHalfWidthTarget(outcome="many", half_width=0.05)),
+        ),
+        "until/rel-se": (
+            race, dict(sampled, until=RelativeSETarget(species="y", rel_se=0.1))
+        ),
+        "until/sprt": (
+            race, dict(sampled, until=SprtTarget(outcome="many", p0=0.2, p1=0.4))
+        ),
+        "until/splitting": (
+            race, dict(sampled, until=SplittingConfig(outcome="many", levels=(5, 10)))
+        ),
+    }
+
+
+def key_of(experiment, simulate: dict) -> str:
+    from repro.store.canonical import canonicalize_payload
+    from repro.store.serialize import experiment_to_payload
+
+    return canonicalize_payload(experiment_to_payload(experiment, **simulate)).key
+
+
+#: ``{descriptor type: store key}``.
+KEY_PINS = {
+    'stopping/species-threshold': 'ce6e6b100adeba52da24482263212f3cfb8719408b0aa390612875d5e1510790',
+    'stopping/outcome-thresholds': 'c8d58cca12ea9871575c3c3e534a356191e7cd93c7d1f8a4926832a9ea2d4bd8',
+    'stopping/firing-count': '4e2dab45c36096ade313b59ce0be1ea08b103373006b126472a1809ff4d01627',
+    'stopping/category-firing': '93183ca760be6c2d56cd16028c196b31b479e1ad356854a590fe69304953c5e2',
+    'stopping/any': '05985ee049750a2455a75291e67edb896b1043916bfc466b0514f3e697e6b7f9',
+    'stopping/all': 'd849dbc0fe9a177e328e41a62b109f209dd59f10b3c16f882be2083d91aa833a',
+    'classifier/stop-detail': 'ce6e6b100adeba52da24482263212f3cfb8719408b0aa390612875d5e1510790',
+    'classifier/working-outcome': '96087a1cb067aee456186ec5bb5ab04443987bf45e5d9cf31b62edacdacb93b2',
+    'state-classifier/dominant-species': 'c7bf3226f56d8f65062aa90163bcb30d04ff1a38212c87f08cb0726dbf584545',
+    'state-classifier/threshold-race': 'af81dd5d264fbb9af3be3dcd4f269cff1221bddfa2e4fdb196d4fc4cc817c153',
+    'until/ci-half-width': '53632038881b3aa8498c24b7afcb0877ddac3d54d8ae2f1e88d9ca262bc9d658',
+    'until/rel-se': '5b860ca55e7afa4a09e08386e12e217bc4523304e622543f79c906641b0108b0',
+    'until/sprt': 'f6b97024440c373d6b59555bf2a51d3c0a1c0d6d2f56b22a4eed4d82bbdc9d77',
+    'until/splitting': '315a11b75b88ddfdc2e0ba28c415bcd3961010f908eea25002daee86ba08a97c',
+}
+
+
 @pytest.fixture(scope="module")
 def cases():
     return _cases()
@@ -233,6 +360,17 @@ def test_callable_campaign_cell_lands_on_the_pinned_key(cases, tmp_path):
     assert warm.to_json() == outcome.result.to_json()
 
 
+def test_every_descriptor_type_is_key_pinned():
+    assert set(_key_cases()) == set(KEY_PINS)
+
+
+@pytest.mark.parametrize("case", sorted(KEY_PINS))
+def test_descriptor_key_pin(case):
+    """Each descriptor type canonicalizes to its pinned key."""
+    experiment, simulate = _key_cases()[case]
+    assert key_of(experiment, simulate) == KEY_PINS[case]
+
+
 if __name__ == "__main__":
     import sys
     import tempfile
@@ -251,4 +389,8 @@ if __name__ == "__main__":
             key, digest, envelope, _ = pin_of(ResultStore(root), experiment, simulate)
         print(f"    {name!r}: (\n        {key!r},\n        {digest!r},\n"
               f"        {envelope!r},\n    ),")
+    print("}")
+    print("\nKEY_PINS = {")
+    for name, (experiment, simulate) in _key_cases().items():
+        print(f"    {name!r}: {key_of(experiment, simulate)!r},")
     print("}")
