@@ -72,7 +72,7 @@ def test_example1_exact_reduced_instance(benchmark):
 
     options = FspOptions(max_states=150_000)
     result = benchmark.pedantic(
-        lambda: FspEngine(network, fsp_options=options).outcome_probabilities(
+        lambda: FspEngine(network, engine_options=options).outcome_probabilities(
             classify, on_overflow="raise"
         ),
         rounds=1, iterations=1,

@@ -91,7 +91,7 @@ def solve_cascade(caps: dict[str, int], t_final: float) -> list[dict[str, object
     network = parse_network(CASCADE, name="expression-cascade")
     engine = FspEngine(
         network,
-        fsp_options=FspOptions(
+        engine_options=FspOptions(
             count_caps=dict(caps), tolerance=1e-6, expand=False, checkpoints=13
         ),
     )
@@ -152,7 +152,7 @@ def corpus_oracles(repeats: int) -> list[dict[str, object]]:
     rows: list[dict[str, object]] = []
     for entry in corpus_entries():
         model = entry.model
-        engine = FspEngine(model.network(), fsp_options=model.fsp_options())
+        engine = FspEngine(model.network(), engine_options=model.fsp_options())
         classify = model.state_classifier()
         enumerate_s = solve_s = math.inf
         for _ in range(repeats):

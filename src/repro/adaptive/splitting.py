@@ -42,7 +42,7 @@ from typing import Mapping
 from repro.errors import AdaptiveError
 from repro.sim.base import SimulationOptions
 from repro.sim.descriptors import descriptor_field, integral, number, sequence, text
-from repro.sim.ensemble import make_simulator
+from repro.sim.registry import make_simulator
 from repro.sim.events import (
     AnyCondition,
     OutcomeThresholds,

@@ -11,7 +11,7 @@
     print(result.summary())
 
 See :class:`Experiment` (the builder) and :class:`RunResult` (the analysis
-view).  Engine selection is backed by the capability-aware registry in
+view).  Engines are resolved by name through the engine table in
 :mod:`repro.sim.registry`.
 """
 

@@ -23,7 +23,7 @@ that pipeline as one fluent chain over every entry point the library has::
 Every fluent method returns a *new* experiment (the builder is immutable), so
 partially-configured experiments can be shared and forked freely — a sweep
 can hold one base experiment and ``.program()`` each grid point.  Execution
-always flows through the capability-aware engine registry
+always resolves the engine through the engine table
 (:mod:`repro.sim.registry`), so third-party engines and typed
 ``engine_options`` work everywhere the facade does.
 """
@@ -45,10 +45,12 @@ from repro.core.synthesizer import (
 )
 from repro.crn.network import ReactionNetwork
 from repro.errors import ExperimentError, StoppingConditionError
+from repro.sim import registry
 from repro.sim.base import SimulationOptions, merge_options
-from repro.sim.descriptors import integral
+from repro.sim.descriptors import read_count
 from repro.sim.ensemble import EnsembleResult, ParallelEnsembleRunner
 from repro.sim.events import StoppingCondition
+from repro.sim.kernels.backend import validate_backend_request
 from repro.sim.outcomes import apportion
 from repro.api.results import RunResult
 
@@ -56,14 +58,6 @@ __all__ = ["Experiment"]
 
 #: max_steps safety bound used when settling modules (settle_module's default).
 _MODULE_MAX_STEPS = 2_000_000
-
-
-def _count(name: str, value) -> int:
-    """A ``simulate`` count as an ``int`` (an integral float is one)."""
-    try:
-        return integral(value)
-    except (TypeError, ValueError) as exc:
-        raise ExperimentError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -405,7 +399,7 @@ class Experiment:
             Number of independent trajectories.  Ignored when ``until=`` is
             set — the declared target decides how many trials run.
         engine:
-            Engine name from the registry (``repro.sim.registry.registry``);
+            Engine name from the engine table (``repro.sim.registry.names()``);
             ``"batch-direct"`` advances all trials in lock-step vectorized
             steps.
         workers:
@@ -473,7 +467,8 @@ class Experiment:
         A ``trials`` or ``chunk_size`` that is a bool, a string or a
         fraction raises :class:`~repro.errors.ExperimentError` naming it.
         """
-        trials, chunk_size = _count("trials", trials), _count("chunk_size", chunk_size)
+        trials = read_count("trials", trials, ExperimentError)
+        chunk_size = read_count("chunk_size", chunk_size, ExperimentError)
         if until is not None:
             self._check_adaptive_arguments(
                 until, engine=engine, seed=seed, keep_trajectories=keep_trajectories
@@ -531,7 +526,6 @@ class Experiment:
         from repro.adaptive.splitting import SplittingConfig
         from repro.adaptive.targets import PrecisionTarget
         from repro.errors import AdaptiveError
-        from repro.sim.registry import registry
 
         if not isinstance(until, (PrecisionTarget, SplittingConfig)):
             raise AdaptiveError(
@@ -552,14 +546,14 @@ class Experiment:
                 "trajectory list is unbounded and the result could not be "
                 "cached — drop keep_trajectories or run a fixed trial budget"
             )
-        info = registry.get(engine)
-        if info.computes_distribution or info.deterministic:
+        kind = registry.get(engine).kind
+        if kind not in registry.SAMPLING_KINDS:
             raise AdaptiveError(
                 f"engine {engine!r} does not sample, so there is no precision "
                 "to target adaptively; use simulate(engine='fsp') directly for "
                 "exact probabilities"
             )
-        if isinstance(until, SplittingConfig) and info.batched:
+        if isinstance(until, SplittingConfig) and kind == "batched":
             raise AdaptiveError(
                 f"importance splitting restarts individual trajectories from "
                 f"level-crossing states, which the batched engine {engine!r} "
@@ -702,18 +696,10 @@ class Experiment:
         backend: str,
     ) -> RunResult:
         """The uncached simulate path (see :meth:`simulate` for semantics)."""
-        from repro.sim.registry import registry
-
         info = registry.get(engine)
-        if info.computes_distribution:
-            if backend != "auto":
-                raise ExperimentError(
-                    f"engine {engine!r} computes the exact distribution and has "
-                    f"no kernel backends; drop backend={backend!r}"
-                )
-            return self._solve_exact(
-                info, trials=trials, engine=engine, engine_options=engine_options
-            )
+        validate_backend_request(backend, info.backends, engine)
+        if info.kind == "distribution":
+            return self._solve_exact(trials=trials, engine=engine, engine_options=engine_options)
         network, stopping, classifier = self._resolved()
         options = self._resolved_options(backend)
         # Always run the chunked schedule (inline when workers == 1): random
@@ -776,13 +762,11 @@ class Experiment:
             "outcome label (or None)"
         )
 
-    def _solve_exact(
-        self, info, trials: int, engine: str, engine_options: "Any | None"
-    ) -> RunResult:
+    def _solve_exact(self, trials: int, engine: str, engine_options: "Any | None") -> RunResult:
         """Compute the exact outcome distribution via a distribution engine."""
         network, _stopping, _classifier = self._resolved()
         classify = self._resolved_state_classifier(network)
-        solver = info.create(network, engine_options=engine_options)
+        solver = registry.make_simulator(network, engine, engine_options=engine_options)
         absorption = solver.outcome_probabilities(classify)
 
         # Nominal outcome counts, summing to exactly `trials` decided+undecided.
@@ -821,14 +805,9 @@ class Experiment:
         mean-field baseline that ensembles reject.  ``backend`` selects the
         simulation-kernel backend for engines that support one.
         """
-        from repro.sim.ensemble import make_simulator
-        from repro.sim.kernels.backend import validate_backend_request
-        from repro.sim.registry import registry
-
         network, stopping, classifier = self._resolved()
-        if backend != "auto":
-            validate_backend_request(backend, registry.get(engine).backends, engine)
-        simulator = make_simulator(
+        validate_backend_request(backend, registry.get(engine).backends, engine)
+        simulator = registry.make_simulator(
             network, engine=engine, seed=seed, engine_options=engine_options
         )
         return simulator.run(stopping=stopping, options=self._resolved_options(backend))

@@ -3,7 +3,7 @@
 The CLI is a thin shell over the fluent facade (:mod:`repro.api`): every
 subcommand that simulates builds an :class:`~repro.api.Experiment`, runs it,
 and prints the resulting report, so the shell exposes exactly the knobs the
-library has — engine selection (from the live engine registry), worker
+library has — engine selection (from the live engine table), worker
 sharding, and typed engine options such as the tau-leaping tolerances::
 
     repro synthesize --probabilities "lysis=0.15,lysogeny=0.85" --gamma 1e3 -o design.json
@@ -52,7 +52,7 @@ from repro.core.modules import (
 from repro.crn import load_network, save_network
 from repro.errors import ReproError
 from repro.sim import CategoryFiringCondition, FspOptions, TauLeapOptions
-from repro.sim.registry import registry
+from repro.sim import registry
 
 __all__ = ["main", "build_parser"]
 
@@ -89,7 +89,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser, workers: bool = True)
 
     ``--engine`` deliberately has no argparse ``choices``: unknown names are
     resolved (and rejected, with a closest-match suggestion) by the engine
-    registry, so third-party engines registered at import time are usable
+    table, so third-party engines registered at import time are usable
     from the shell without touching this module.
     """
     parser.add_argument(

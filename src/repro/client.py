@@ -31,6 +31,7 @@ from typing import Any
 from repro.api.results import RunResult
 from repro.errors import ServiceError
 from repro.store.serialize import experiment_to_payload
+from repro.store.store import run_from_envelope
 
 __all__ = ["ServiceClient", "SimulateReply"]
 
@@ -102,14 +103,10 @@ class ServiceClient:
         return self._request(f"/results/{key}")
 
     def result(self, key: str) -> RunResult:
-        """A stored :class:`RunResult` by content key."""
-        envelope = self.artifact(key)
-        if envelope.get("kind") != "run-result":
-            raise ServiceError(
-                f"artifact {key[:12]}… holds a {envelope.get('kind')!r}, "
-                "not a run-result"
-            )
-        return RunResult.from_payload(envelope["payload"])
+        """A stored :class:`RunResult` by content key; an artifact of another
+        kind or without a well-formed payload raises
+        :class:`~repro.errors.StoreError` naming the key."""
+        return run_from_envelope(self.artifact(key), key)[0]
 
     def campaigns(self) -> list[str]:
         """Ids of the campaign manifests the store knows."""
@@ -153,10 +150,11 @@ class ServiceClient:
             until=until,
         )
         reply = self._request("/simulate", body={"experiment": payload})
+        key = str(reply["key"])
         return SimulateReply(
-            key=str(reply["key"]),
+            key=key,
             cached=bool(reply["cached"]),
-            result=RunResult.from_payload(reply["artifact"]["payload"]),
+            result=run_from_envelope(reply["artifact"], key)[0],
             artifact=reply["artifact"],
         )
 

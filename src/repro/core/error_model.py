@@ -28,10 +28,10 @@ from repro.core.spec import DistributionSpec, OutcomeSpec
 from repro.core.stochastic_module import build_stochastic_module
 from repro.crn.network import ReactionNetwork
 from repro.errors import SynthesisError
+from repro.sim import registry
 from repro.sim.events import CategoryFiringCondition
 from repro.sim.outcomes import UNDECIDED, apportion
 from repro.sim.propensity import reaction_propensity
-from repro.sim.registry import registry
 from repro.sim.rng import derive_seed
 
 __all__ = [
@@ -169,7 +169,7 @@ def estimate_error_rate(
 
     if n_trials <= 0:
         raise SynthesisError(f"n_trials must be positive, got {n_trials}")
-    if registry.get(engine).deterministic:
+    if registry.get(engine).kind not in registry.SAMPLING_KINDS:
         raise SynthesisError(
             f"the error experiment samples trials; {engine!r} is deterministic"
         )

@@ -10,7 +10,7 @@ popular experiment is computed once and then answered from disk.
 Routes (all JSON)::
 
     GET  /healthz          liveness + version + store/cache statistics
-    GET  /engines          the engine registry's capability matrix
+    GET  /engines          the engine table's capability matrix
     GET  /results/<key>    artifact envelope by content key (404 on miss)
     GET  /campaigns        ids of persisted campaign manifests
     GET  /campaigns/<id>   one campaign manifest (404 on miss)
@@ -209,7 +209,7 @@ class ResultService:
         }
 
     def engines(self) -> dict:
-        from repro.sim.registry import registry
+        from repro.sim import registry
 
         return {"engines": registry.capability_matrix()}
 

@@ -29,11 +29,7 @@ from repro.sim.base import (
 from repro.sim.batch import BatchDirectEngine, BatchResult
 from repro.sim.dependency import DependencyStats, dependency_graph, dependency_stats
 from repro.sim.direct import DirectMethodSimulator
-from repro.sim.ensemble import (
-    EnsembleResult,
-    ParallelEnsembleRunner,
-    make_simulator,
-)
+from repro.sim.ensemble import EnsembleResult, ParallelEnsembleRunner
 from repro.sim.events import (
     AllCondition,
     AnyCondition,
@@ -65,7 +61,8 @@ from repro.sim.fsp import (
 from repro.sim.next_reaction import NextReactionSimulator
 from repro.sim.ode import OdeEngine, OdeIntegrator, OdeOptions, OdeResult, simulate_ode
 from repro.sim.priority_queue import ArrayHeap
-from repro.sim.registry import EngineInfo, EngineRegistry, register_engine, registry
+from repro.sim import registry
+from repro.sim.registry import EngineInfo, make_simulator, register_engine
 from repro.sim.propensity import CompiledNetwork, combinations, reaction_propensity
 from repro.sim.rng import child_streams, derive_seed, make_rng
 from repro.sim.stats import RunningMoments
@@ -92,7 +89,6 @@ __all__ = [
     "StateSpace",
     "DominantSpeciesClassifier",
     "EngineInfo",
-    "EngineRegistry",
     "register_engine",
     "registry",
     "CompiledNetwork",

@@ -198,7 +198,7 @@ class StochasticSimulator:
     method_name = "base"
     #: kernel this engine dispatches to (engines without one override :meth:`_trial`)
     kernel_name: "str | None" = None
-    #: backends this engine supports (mirrored into the registry's EngineInfo)
+    #: backends this engine supports (read by its EngineInfo.backends)
     supported_backends: tuple = ()
 
     def __init__(

@@ -31,7 +31,7 @@ checks statistical agreement (chi-squared) between the two.
 
 The engine quacks like a :class:`~repro.sim.base.StochasticSimulator` for
 single runs (:meth:`BatchDirectEngine.run` simulates a batch of one), so it
-can be registered in the ensemble engine registry and selected with
+is registered as a ``batched`` engine and selected with
 ``engine="batch-direct"`` anywhere the sequential engines are accepted.
 Firing *logs* and state snapshots are not supported — only per-reaction
 totals are kept, which is what ensembles consume.
@@ -73,8 +73,8 @@ __all__ = ["BatchResult", "BatchDirectEngine"]
 
 @register_engine(
     "batch-direct",
+    kind="batched",
     exact=True,
-    batched=True,
     summary="vectorized direct method advancing a whole ensemble in lock-step",
 )
 class BatchDirectEngine:
@@ -93,7 +93,7 @@ class BatchDirectEngine:
     """
 
     method_name = "batch-direct"
-    #: backends this engine supports (mirrored into the registry's EngineInfo)
+    #: backends this engine supports (read by its EngineInfo.backends)
     supported_backends = ("numpy", "numba")
 
     def __init__(

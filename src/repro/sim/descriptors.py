@@ -11,7 +11,9 @@ from __future__ import annotations
 import numbers
 from collections.abc import Mapping
 
-__all__ = ["descriptor_field", "integral", "number", "text", "names", "mapping", "sequence"]
+__all__ = [
+    "descriptor_field", "integral", "read_count", "number", "text", "names", "mapping", "sequence",
+]
 
 _REQUIRED = object()
 
@@ -41,6 +43,18 @@ def integral(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def read_count(name: str, value, error: type) -> int:
+    """``integral(value)``; a refused value raises ``error`` naming ``name``.
+
+    How the facade, the ensemble runner and the payload writer read their
+    ``trials``, ``n_trials`` and ``chunk_size`` arguments.
+    """
+    try:
+        return integral(value)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name}: {exc}") from None
 
 
 def number(value) -> float:

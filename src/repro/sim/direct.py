@@ -22,6 +22,7 @@ __all__ = ["DirectMethodSimulator"]
 
 @register_engine(
     "direct",
+    kind="per-trial",
     exact=True,
     summary="Gillespie direct method with incremental propensity updates",
 )

@@ -43,20 +43,20 @@ import numpy as np
 from repro.crn.network import ReactionNetwork
 from repro.crn.species import Species, as_species
 from repro.errors import EmptyMergeError, EnsembleError
+from repro.sim import registry
 from repro.sim.base import SimulationOptions
+from repro.sim.descriptors import read_count
 from repro.sim.events import StoppingCondition
 from repro.sim.kernels.backend import validate_backend_request
 from repro.sim.kernels.batch import group_trials
 from repro.sim.outcomes import UNDECIDED, StopDetailClassifier, count_outcomes
 from repro.sim.propensity import CompiledNetwork
-from repro.sim.registry import registry
 from repro.sim.rng import child_streams, derive_seed
 from repro.sim.stats import RunningMoments
 from repro.sim.trajectory import BatchResult, Trajectory
 
 __all__ = [
     "pool_context",
-    "make_simulator",
     "EnsembleResult",
     "ParallelEnsembleRunner",
 ]
@@ -73,25 +73,6 @@ def pool_context():
     return multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     )
-
-
-def make_simulator(
-    network: "ReactionNetwork | CompiledNetwork",
-    engine: str = "direct",
-    seed=None,
-    engine_options=None,
-):
-    """Instantiate a simulation engine by name from the default registry.
-
-    Any registered engine is accepted — per-trial, batched (their ``run()``
-    simulates a batch of one, so the returned object is a drop-in for
-    single-trajectory use, minus firing logs and state snapshots) or
-    deterministic.  Unknown names raise with the live engine list and the
-    closest-matching name.  ``engine_options`` delivers the engine's typed
-    options dataclass (e.g. :class:`~repro.sim.tau_leaping.TauLeapOptions`
-    for ``"tau-leaping"``).
-    """
-    return registry.create(network, engine, seed=seed, engine_options=engine_options)
 
 
 @dataclass
@@ -281,9 +262,10 @@ class ParallelEnsembleRunner:
     network:
         The network (or compiled network) to simulate.
     engine:
-        Engine name from the default :data:`~repro.sim.registry.registry`
-        (default ``"direct"``).  Deterministic engines (``"ode"``) are
-        rejected — repeating a deterministic run estimates nothing.
+        Engine name from the engine table (:mod:`repro.sim.registry`),
+        default ``"direct"``.  Only the sampling kinds (``per-trial`` and
+        ``batched``) are accepted: repeating a deterministic run (``"ode"``,
+        ``"fsp"``) estimates nothing.
     stopping:
         Stopping condition applied to every trial.
     options:
@@ -309,7 +291,9 @@ class ParallelEnsembleRunner:
         :func:`~repro.sim.kernels.batch.group_trials` trials of the network
         at a time, so small chunks cost it no sweep efficiency; each group
         is also the unit handed to a worker; a chunk wider than a group is
-        swept alone.
+        swept alone.  It and :meth:`run`'s ``n_trials`` are integers (an
+        integral float is one): a bool, a string or a fraction raises
+        :class:`~repro.errors.EnsembleError` naming it.
     engine_options:
         Typed options dataclass for the selected engine (e.g.
         :class:`~repro.sim.tau_leaping.TauLeapOptions`), validated against
@@ -329,7 +313,7 @@ class ParallelEnsembleRunner:
     ) -> None:
         self.compiled = CompiledNetwork.coerce(network)
         info = registry.get(engine)
-        if info.deterministic:
+        if info.kind not in registry.SAMPLING_KINDS:
             raise EnsembleError(
                 f"engine {engine!r} is deterministic; every ensemble trial would be "
                 "identical — run it once via make_simulator() or simulate_ode()"
@@ -342,6 +326,7 @@ class ParallelEnsembleRunner:
         validate_backend_request(options.backend, info.backends, engine)
         if workers <= 0:
             raise EnsembleError(f"workers must be positive, got {workers}")
+        chunk_size = read_count("chunk_size", chunk_size, EnsembleError)
         if chunk_size <= 0:
             raise EnsembleError(f"chunk_size must be positive, got {chunk_size}")
         self.engine_info = info
@@ -351,19 +336,18 @@ class ParallelEnsembleRunner:
         self.outcome_classifier = outcome_classifier or StopDetailClassifier()
         self.workers = workers
         self.chunk_size = chunk_size
-        # Lazily-created engine instances, kept for the runner's lifetime: the
-        # batched engine's columnar sweep buffers are allocated once and
-        # reused across chunks and adaptive rounds (see BatchBuffers
+        # The engine instance, built on first use and kept for the runner's
+        # lifetime: the batched engine's columnar sweep buffers are allocated
+        # once and reused across chunks and adaptive rounds (see BatchBuffers
         # in kernels/batch.py), and a per-trial simulator's kernel buffers
         # across slices.
-        self._batch_engine = None
-        self._simulator = None
+        self._engine = None
         # A batched group holds whole chunks up to the sweep's cell cap; the
         # engine's buffers are sized for the widest such group on first use,
         # so the adaptive controller's growing rounds never reallocate.
         self._group_trials = group_trials(self.compiled.n_species, self.compiled.n_reactions)
         self._reserve_trials = (
-            self._group_trials // chunk_size * chunk_size if info.batched else 0
+            self._group_trials // chunk_size * chunk_size if info.kind == "batched" else 0
         )
 
     def run(
@@ -374,6 +358,7 @@ class ParallelEnsembleRunner:
         keep_trajectories: bool = False,
     ) -> EnsembleResult:
         """Simulate ``n_trials`` trajectories, chunk by chunk, and merge them."""
+        n_trials = read_count("n_trials", n_trials, EnsembleError)
         if n_trials <= 0:
             raise EnsembleError(f"n_trials must be positive, got {n_trials}")
         bounds = [
@@ -454,7 +439,7 @@ class ParallelEnsembleRunner:
         sweep's cap (at least one slice); per-trial engines run each slice
         on its own.
         """
-        if not self.engine_info.batched:
+        if self.engine_info.kind != "batched":
             return [[bound] for bound in bounds]
         groups: list[list[tuple[int, int]]] = []
         width = 0
@@ -489,7 +474,7 @@ class ParallelEnsembleRunner:
         :meth:`_shards` labels and splits.
         """
         initial = None if initial_state is None else dict(initial_state)
-        if self.engine_info.batched:
+        if self.engine_info.kind == "batched":
             return self._shards(
                 bounds, self._run_batched(seed, bounds, initial), keep_trajectories
             )
@@ -503,6 +488,16 @@ class ParallelEnsembleRunner:
             )
         ]
 
+    def _instance(self):
+        """The runner's engine instance (see ``__init__``), built on first use."""
+        if self._engine is None:
+            self._engine = registry.make_simulator(
+                self.compiled, self.engine, engine_options=self.engine_options
+            )
+            if self._reserve_trials:
+                self._engine.reserve(self._reserve_trials)
+        return self._engine
+
     def _run_slice(
         self,
         seed: "int | None",
@@ -513,11 +508,7 @@ class ParallelEnsembleRunner:
         """Simulate the trial slice ``[start, stop)`` with a per-trial engine,
         through :meth:`~repro.sim.base.StochasticSimulator.run_slice`, on the
         slice's :func:`~repro.sim.rng.child_streams`."""
-        if self._simulator is None:
-            self._simulator = self.engine_info.create(
-                self.compiled, engine_options=self.engine_options
-            )
-        return self._simulator.run_slice(
+        return self._instance().run_slice(
             child_streams(seed, start, stop), initial_state, self.stopping, self.options
         )
 
@@ -536,13 +527,7 @@ class ParallelEnsembleRunner:
             (stop - start, None if seed is None else derive_seed(seed, "batch", start, stop))
             for start, stop in bounds
         ]
-        if self._batch_engine is None:
-            self._batch_engine = self.engine_info.create(
-                self.compiled, engine_options=self.engine_options
-            )
-            if self._reserve_trials:
-                self._batch_engine.reserve(self._reserve_trials)
-        return self._batch_engine.run_group(
+        return self._instance().run_group(
             chunks,
             initial_state=initial_state,
             stopping=self.stopping,

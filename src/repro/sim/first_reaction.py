@@ -18,6 +18,7 @@ __all__ = ["FirstReactionSimulator"]
 
 @register_engine(
     "first-reaction",
+    kind="per-trial",
     exact=True,
     summary="Gillespie first-reaction method (reference cross-check)",
 )

@@ -41,10 +41,11 @@ Two query modes are provided on top of the shared enumeration machinery:
   such as a closed cycle — reports as :data:`UNDECIDED`, as a sampled trial
   there would end.
 
-The ``fsp`` engine registered from this module is *deterministic*, *exact*
-and *non-trajectory*: it computes distributions, not sample paths, so
-ensembles reject it and :meth:`repro.api.Experiment.simulate` dispatches it
-to the absorption solver instead of the Monte-Carlo runners.
+The ``fsp`` engine registered from this module (kind ``distribution``) is
+*deterministic*, *exact* and *non-trajectory*: it computes distributions,
+not sample paths, so ensembles reject it and
+:meth:`repro.api.Experiment.simulate` dispatches it to the absorption solver
+instead of the Monte-Carlo runners.
 """
 
 from __future__ import annotations
@@ -833,15 +834,9 @@ class FspResult:
 
 @register_engine(
     "fsp",
+    kind="distribution",
     exact=True,
-    approximate=False,
-    batched=False,
-    supports_events=False,
-    deterministic=True,
-    computes_distribution=True,
-    backends=(),
     options_type=FspOptions,
-    options_param="fsp_options",
     summary="sparse finite-state-projection exact distribution solver",
 )
 class FspEngine:
@@ -849,10 +844,10 @@ class FspEngine:
 
     Unlike every other engine this one produces no trajectories: it computes
     the full time-dependent distribution (:meth:`solve`) or exact outcome
-    probabilities (:meth:`outcome_probabilities`).  It is registered as
-    deterministic *and* distribution-computing, so Monte-Carlo ensembles
-    reject it while :meth:`repro.api.Experiment.simulate` routes it to the
-    absorption solver and returns an exact :class:`~repro.api.results.RunResult`.
+    probabilities (:meth:`outcome_probabilities`).  Its engine kind is
+    ``distribution``, so Monte-Carlo ensembles reject it while
+    :meth:`repro.api.Experiment.simulate` routes it to the absorption solver
+    and returns an exact :class:`~repro.api.results.RunResult`.
 
     The ``seed`` parameter is accepted (engine-protocol compatibility) and
     ignored — there is nothing random to seed.
@@ -864,10 +859,10 @@ class FspEngine:
         self,
         network: "ReactionNetwork | CompiledNetwork",
         seed=None,
-        fsp_options: "FspOptions | None" = None,
+        engine_options: "FspOptions | None" = None,
     ) -> None:
         self.compiled = CompiledNetwork.coerce(network)
-        self.options = fsp_options or FspOptions()
+        self.options = engine_options or FspOptions()
 
     @property
     def network(self) -> ReactionNetwork:
@@ -1013,5 +1008,5 @@ class FspEngine:
     def with_options(self, **changes) -> "FspEngine":
         """A copy of this engine with :class:`FspOptions` fields replaced."""
         return FspEngine(
-            self.compiled, fsp_options=replace(self.options, **changes)
+            self.compiled, engine_options=replace(self.options, **changes)
         )

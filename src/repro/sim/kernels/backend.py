@@ -222,10 +222,13 @@ def validate_backend_request(
             f"unknown kernel backend {requested!r}; available: {list(BACKEND_NAMES)}"
         )
     if requested not in engine_backends:
-        supported = ", ".join(engine_backends) if engine_backends else "none"
+        supported = (
+            f"supported: {', '.join(engine_backends)}"
+            if engine_backends
+            else "it has no kernel backends"
+        )
         raise SimulationError(
-            f"engine {engine_name!r} does not support backend {requested!r} "
-            f"(supported: {supported})"
+            f"engine {engine_name!r} does not support backend {requested!r} ({supported})"
         )
 
 

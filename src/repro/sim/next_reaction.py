@@ -21,6 +21,7 @@ __all__ = ["NextReactionSimulator"]
 
 @register_engine(
     "next-reaction",
+    kind="per-trial",
     exact=True,
     summary="Gibson-Bruck next-reaction method (indexed priority queue)",
 )

@@ -204,13 +204,9 @@ class OdeOptions:
 
 @register_engine(
     "ode",
+    kind="mean-field",
     exact=False,
-    approximate=True,
-    supports_events=False,
-    deterministic=True,
-    backends=(),
     options_type=OdeOptions,
-    options_param="ode_options",
     summary="deterministic mean-field (reaction-rate equation) integration",
 )
 class OdeEngine:
@@ -233,11 +229,11 @@ class OdeEngine:
         self,
         network: "ReactionNetwork | CompiledNetwork",
         seed=None,
-        ode_options: "OdeOptions | None" = None,
+        engine_options: "OdeOptions | None" = None,
     ) -> None:
         self._integrator = OdeIntegrator(network)
         self.compiled = self._integrator.compiled
-        self.ode_options = ode_options or OdeOptions()
+        self.ode_options = engine_options or OdeOptions()
 
     @property
     def network(self) -> ReactionNetwork:

@@ -1,33 +1,23 @@
-"""Capability-aware simulation-engine registry.
+"""The engine table: one row per simulation engine, keyed by name.
 
-Engines used to live in two hard-coded dictionaries inside
-:mod:`repro.sim.ensemble` (``ENGINES`` for per-trial simulators,
-``BATCH_ENGINES`` for vectorized batch engines), which meant that
+A row (:class:`EngineInfo`) holds the engine's class, whether it samples the
+exact process, its options dataclass, a summary and its **kind**, which says
+which path runs it: ``per-trial`` (a
+:class:`~repro.sim.base.StochasticSimulator`; ensembles run each chunk through
+``run_slice``), ``batched`` (``run_group`` sweeps whole chunks in lock-step),
+``distribution`` (computes the exact outcome distribution; no seed, no
+stopping condition) or ``mean-field`` (one deterministic trajectory;
+ensembles refuse it).  An engine with an options dataclass takes it as the
+constructor keyword ``engine_options``.
 
-* adding an engine required editing the ensemble module,
-* engine-specific options (e.g. :class:`~repro.sim.tau_leaping.TauLeapOptions`)
-  were unreachable once an engine was selected by name, and
-* callers had no way to ask *what an engine can do* (is it exact? batched?
-  does it honour stopping conditions?).
+Engines register next to their class, so this module imports no engine
+module before the first lookup, which imports the built-in ones.  An engine
+defined elsewhere registers the same way and is then selectable by name
+wherever an engine string is accepted::
 
-This module replaces both dictionaries with a single :class:`EngineRegistry`.
-Engines self-register via the :func:`register_engine` decorator together with
-capability metadata (:class:`EngineInfo`), and engine-specific options flow
-through a typed ``engine_options`` channel: each entry declares its options
-dataclass and the constructor keyword it is delivered through.
-
-Third-party engines register without touching this package::
-
-    from repro.sim.registry import register_engine
-    from repro.sim.direct import DirectMethodSimulator
-
-    @register_engine("my-direct", exact=True, summary="custom direct method")
+    @register_engine("my-direct", kind="per-trial", exact=True, summary="custom direct")
     class MyDirect(DirectMethodSimulator):
         ...
-
-and are immediately selectable by name everywhere an engine string is
-accepted (``Experiment.simulate(engine="my-direct")``,
-``ParallelEnsembleRunner``, the CLI ``--engine`` flag, ...).
 """
 
 from __future__ import annotations
@@ -35,84 +25,49 @@ from __future__ import annotations
 import difflib
 import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.errors import EnsembleError
 
 __all__ = [
+    "KINDS",
+    "SAMPLING_KINDS",
     "EngineInfo",
-    "EngineRegistry",
     "register_engine",
-    "registry",
+    "get",
+    "names",
+    "capability_matrix",
+    "make_simulator",
 ]
+
+#: The engine kinds, in the order the module docstring describes them.
+KINDS = ("per-trial", "batched", "distribution", "mean-field")
+
+#: The kinds that sample trajectories: Monte-Carlo ensembles run only these.
+SAMPLING_KINDS = ("per-trial", "batched")
 
 
 @dataclass(frozen=True)
 class EngineInfo:
-    """One registered engine: its class plus capability metadata.
-
-    Attributes
-    ----------
-    name:
-        Selection key (``"direct"``, ``"batch-direct"``, ...).
-    cls:
-        The engine class.  Per-trial engines follow the
-        :class:`~repro.sim.base.StochasticSimulator` protocol; batched engines
-        additionally expose ``run_batch``.
-    exact:
-        Samples the exact SSA process (direct / first-reaction /
-        next-reaction / batch-direct).
-    approximate:
-        Trades exactness for speed (tau-leaping) or models the mean field
-        (ode).
-    batched:
-        Simulates many trials per call via ``run_batch`` — the ensemble
-        runner dispatches these specially.
-    supports_events:
-        Honours stopping conditions (:mod:`repro.sim.events`).
-    deterministic:
-        Produces the same trajectory every run (mean-field ODE); such engines
-        are rejected by Monte-Carlo ensembles, where repetition is pointless.
-    computes_distribution:
-        Computes the exact outcome distribution directly (finite state
-        projection) instead of sampling trajectories;
-        :meth:`repro.api.Experiment.simulate` dispatches such engines to
-        their distribution solver rather than a Monte-Carlo runner.
-    backends:
-        Kernel backends the engine supports (``"numpy"`` array kernels,
-        ``"numba"`` JIT) — the values accepted by
-        ``SimulationOptions.backend`` / ``Experiment.simulate(backend=...)``
-        / the CLI ``--backend`` flag.  Empty for engines the backend layer
-        does not apply to (``ode``, ``fsp``).
-    options_type:
-        Dataclass type accepted through the ``engine_options`` channel, or
-        ``None`` when the engine has no tuning knobs.
-    options_param:
-        Constructor keyword the options object is delivered through.
-    summary:
-        One-line human description (shown in ``--engine`` help and the
-        capability matrix).
-    """
+    """One engine: its name, class, kind, exactness, options type and summary."""
 
     name: str
     cls: type
+    kind: str
     exact: bool
-    approximate: bool = False
-    batched: bool = False
-    supports_events: bool = True
-    deterministic: bool = False
-    computes_distribution: bool = False
-    backends: tuple = ()
     options_type: "type | None" = None
-    options_param: "str | None" = None
     summary: str = ""
 
-    def validate_options(self, engine_options: "Any | None") -> None:
-        """Check an ``engine_options`` payload against the registered type.
+    @property
+    def backends(self) -> "tuple[str, ...]":
+        """The kernel backends the class declares (``supported_backends``)."""
+        return tuple(getattr(self.cls, "supported_backends", ()))
 
-        Passing options to an engine that declares none is an error (they
-        would otherwise be silently dropped — the failure mode this channel
-        exists to eliminate), as is passing the wrong dataclass.
+    def validate_options(self, engine_options: "Any | None") -> None:
+        """Refuse ``engine_options`` the engine does not declare.
+
+        Options passed to an engine without an options type would be
+        silently dropped, and options of another type would not be read.
         """
         if engine_options is None:
             return
@@ -127,204 +82,101 @@ class EngineInfo:
                 f"{self.options_type.__name__}, got {type(engine_options).__name__}"
             )
 
-    def create(self, network, seed=None, engine_options: "Any | None" = None):
-        """Instantiate the engine, threading typed options through."""
-        self.validate_options(engine_options)
-        kwargs: dict[str, Any] = {}
-        if engine_options is not None:
-            kwargs[self.options_param or "options"] = engine_options
-        return self.cls(network, seed=seed, **kwargs)
-
-    def capabilities(self) -> dict[str, object]:
-        """Flat capability row (used by docs and ``repro engines``)."""
+    def capabilities(self) -> "dict[str, object]":
+        """The engine's ``repro engines`` / ``GET /engines`` row."""
         return {
             "engine": self.name,
             "exact": self.exact,
-            "approximate": self.approximate,
-            "batched": self.batched,
-            "events": self.supports_events,
-            "deterministic": self.deterministic,
-            "distribution": self.computes_distribution,
+            "approximate": not self.exact,
+            "batched": self.kind == "batched",
+            "events": self.kind in SAMPLING_KINDS,
+            "deterministic": self.kind not in SAMPLING_KINDS,
+            "distribution": self.kind == "distribution",
             "backends": ",".join(self.backends) if self.backends else "-",
             "options": self.options_type.__name__ if self.options_type else "-",
             "summary": self.summary,
         }
 
 
-class EngineRegistry:
-    """Mutable mapping from engine names to :class:`EngineInfo` entries.
+_ENGINES: "dict[str, EngineInfo]" = {}
 
-    The module-level :data:`registry` instance is the single source of engine
-    names for the whole library; independent instances can be created for
-    testing.  A ``loader`` callable, when given, is invoked once before the
-    first lookup — the default registry uses it to import the built-in engine
-    modules so their decorators run (self-registration keeps this module free
-    of engine imports and therefore free of import cycles).
-    """
-
-    def __init__(self, loader: "Callable[[], None] | None" = None) -> None:
-        self._engines: dict[str, EngineInfo] = {}
-        self._loader = loader
-        self._loaded = loader is None
-
-    # -- registration ------------------------------------------------------------
-
-    def register(
-        self,
-        name: str,
-        *,
-        exact: bool,
-        approximate: bool = False,
-        batched: bool = False,
-        supports_events: bool = True,
-        deterministic: bool = False,
-        computes_distribution: bool = False,
-        backends: "tuple | None" = None,
-        options_type: "type | None" = None,
-        options_param: "str | None" = None,
-        summary: str = "",
-    ) -> "Callable[[type], type]":
-        """Class decorator registering an engine under ``name``.
-
-        ``backends`` defaults to the class's ``supported_backends`` attribute
-        (the convention the kernel-backed engines follow), else none.
-        """
-
-        def decorator(cls: type) -> type:
-            if name in self._engines:
-                raise EnsembleError(
-                    f"engine {name!r} is already registered "
-                    f"(to {self._engines[name].cls.__name__})"
-                )
-            resolved_backends = backends
-            if resolved_backends is None:
-                resolved_backends = getattr(cls, "supported_backends", ())
-            self._engines[name] = EngineInfo(
-                name=name,
-                cls=cls,
-                exact=exact,
-                approximate=approximate,
-                batched=batched,
-                supports_events=supports_events,
-                deterministic=deterministic,
-                computes_distribution=computes_distribution,
-                backends=tuple(resolved_backends),
-                options_type=options_type,
-                options_param=options_param,
-                summary=summary,
-            )
-            return cls
-
-        return decorator
-
-    def unregister(self, name: str) -> None:
-        """Remove an engine (primarily for tests of third-party registration)."""
-        self._ensure_loaded()
-        self._engines.pop(name, None)
-
-    # -- lookup ------------------------------------------------------------------
-
-    def _ensure_loaded(self) -> None:
-        if not self._loaded:
-            self._loaded = True
-            self._loader()
-
-    def get(self, name: str) -> EngineInfo:
-        """Resolve an engine name, or raise with the live list and a suggestion."""
-        self._ensure_loaded()
-        try:
-            return self._engines[name]
-        except KeyError:
-            message = f"unknown engine {name!r}; available: {self.names()}"
-            close = difflib.get_close_matches(name, self.names(), n=1)
-            if close:
-                message += f" — did you mean {close[0]!r}?"
-            raise EnsembleError(message) from None
-
-    def names(self) -> list[str]:
-        """All selectable engine names, sorted."""
-        self._ensure_loaded()
-        return sorted(self._engines)
-
-    def per_trial_names(self) -> list[str]:
-        """Names of engines simulated one trial at a time."""
-        self._ensure_loaded()
-        return sorted(n for n, e in self._engines.items() if not e.batched)
-
-    def batched_names(self) -> list[str]:
-        """Names of engines that vectorize whole batches."""
-        self._ensure_loaded()
-        return sorted(n for n, e in self._engines.items() if e.batched)
-
-    def create(self, network, name: str, seed=None, engine_options=None):
-        """Instantiate the engine registered under ``name``."""
-        return self.get(name).create(network, seed=seed, engine_options=engine_options)
-
-    def capability_matrix(self) -> list[dict[str, object]]:
-        """One capability row per engine, sorted by name (docs / CLI table)."""
-        self._ensure_loaded()
-        return [self._engines[n].capabilities() for n in self.names()]
-
-    # -- mapping protocol --------------------------------------------------------
-
-    def __contains__(self, name: object) -> bool:
-        self._ensure_loaded()
-        return name in self._engines
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
-
-    def __len__(self) -> int:
-        self._ensure_loaded()
-        return len(self._engines)
-
-
-#: Modules whose import registers the built-in engines.
+#: The ``repro.sim`` modules whose import registers the built-in engines.
 _BUILTIN_ENGINE_MODULES = (
-    "repro.sim.direct",
-    "repro.sim.first_reaction",
-    "repro.sim.next_reaction",
-    "repro.sim.tau_leaping",
-    "repro.sim.batch",
-    "repro.sim.ode",
-    "repro.sim.fsp",
+    "direct", "first_reaction", "next_reaction", "tau_leaping", "batch", "ode", "fsp"
 )
-
-
-def _load_builtin_engines() -> None:
-    for module in _BUILTIN_ENGINE_MODULES:
-        importlib.import_module(module)
-
-
-#: The default registry — the single source of engine names for the library.
-registry = EngineRegistry(loader=_load_builtin_engines)
+_loaded = False
 
 
 def register_engine(
     name: str,
     *,
+    kind: str,
     exact: bool,
-    approximate: bool = False,
-    batched: bool = False,
-    supports_events: bool = True,
-    deterministic: bool = False,
-    computes_distribution: bool = False,
-    backends: "tuple | None" = None,
     options_type: "type | None" = None,
-    options_param: "str | None" = None,
     summary: str = "",
 ) -> "Callable[[type], type]":
-    """Register an engine class in the default :data:`registry` (decorator)."""
-    return registry.register(
-        name,
-        exact=exact,
-        approximate=approximate,
-        batched=batched,
-        supports_events=supports_events,
-        deterministic=deterministic,
-        computes_distribution=computes_distribution,
-        backends=backends,
-        options_type=options_type,
-        options_param=options_param,
-        summary=summary,
-    )
+    """Class decorator adding the engine ``name`` to the table.
+
+    An unknown ``kind`` or a name already in the table raises
+    :class:`~repro.errors.EnsembleError`.
+    """
+    if kind not in KINDS:
+        raise EnsembleError(f"unknown engine kind {kind!r}; expected one of {list(KINDS)}")
+
+    def decorator(cls: type) -> type:
+        if name in _ENGINES:
+            raise EnsembleError(
+                f"engine {name!r} is already registered (to {_ENGINES[name].cls.__name__})"
+            )
+        _ENGINES[name] = EngineInfo(name, cls, kind, exact, options_type, summary)
+        return cls
+
+    return decorator
+
+
+def _table() -> "dict[str, EngineInfo]":
+    global _loaded
+    if not _loaded:
+        _loaded = True
+        for module in _BUILTIN_ENGINE_MODULES:
+            importlib.import_module(f"repro.sim.{module}")
+    return _ENGINES
+
+
+def get(name: str) -> EngineInfo:
+    """The row of engine ``name``; an unknown name raises with the live list
+    of engines and the closest match."""
+    try:
+        return _table()[name]
+    except KeyError:
+        message = f"unknown engine {name!r}; available: {names()}"
+        close = difflib.get_close_matches(name, names(), n=1)
+        if close:
+            message += f" — did you mean {close[0]!r}?"
+        raise EnsembleError(message) from None
+
+
+def names() -> "list[str]":
+    """Every engine name, sorted."""
+    return sorted(_table())
+
+
+def capability_matrix() -> "list[dict[str, object]]":
+    """One :meth:`EngineInfo.capabilities` row per engine, sorted by name."""
+    return [_table()[name].capabilities() for name in names()]
+
+
+def make_simulator(network, engine: str = "direct", seed=None, engine_options=None):
+    """An instance of engine ``engine`` over ``network``.
+
+    Any engine is accepted; a batched engine's ``run()`` simulates a batch
+    of one.  ``engine_options`` is the engine's options dataclass (e.g.
+    :class:`~repro.sim.tau_leaping.TauLeapOptions` for ``"tau-leaping"``),
+    checked against its type and passed as the constructor keyword
+    ``engine_options``.
+    """
+    info = get(engine)
+    info.validate_options(engine_options)
+    if engine_options is None:
+        return info.cls(network, seed=seed)
+    return info.cls(network, seed=seed, engine_options=engine_options)

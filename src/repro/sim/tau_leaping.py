@@ -64,10 +64,9 @@ class TauLeapOptions:
 
 @register_engine(
     "tau-leaping",
+    kind="per-trial",
     exact=False,
-    approximate=True,
     options_type=TauLeapOptions,
-    options_param="leap_options",
     summary="explicit tau-leaping (Cao-Gillespie-Petzold step control)",
 )
 class TauLeapingSimulator(StochasticSimulator):
@@ -89,9 +88,9 @@ class TauLeapingSimulator(StochasticSimulator):
     # apply to it.
     supported_backends = ()
 
-    def __init__(self, network, seed=None, leap_options: "TauLeapOptions | None" = None):
+    def __init__(self, network, seed=None, engine_options: "TauLeapOptions | None" = None):
         super().__init__(network, seed=seed)
-        self.leap_options = leap_options or TauLeapOptions()
+        self.leap_options = engine_options or TauLeapOptions()
 
     def _trial(
         self,

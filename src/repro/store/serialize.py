@@ -25,10 +25,12 @@ from typing import Any
 
 from repro.crn.network import ReactionNetwork
 from repro.errors import FingerprintError, ReproError
+from repro.sim import registry
 from repro.sim.base import SimulationOptions
-from repro.sim.descriptors import integral, mapping, number
+from repro.sim.descriptors import integral, mapping, number, read_count
 from repro.sim.events import condition_from_descriptor
 from repro.sim.fsp import state_classifier_from_descriptor
+from repro.sim.kernels.backend import validate_backend_request
 from repro.sim.outcomes import WorkingOutcomeClassifier, classifier_from_descriptor
 from repro.sim.rng import _checked_seed
 
@@ -256,31 +258,69 @@ def _options_from_payload(payload: Mapping) -> SimulationOptions:
     )
 
 
+def _checked_engine(engine: str, seed: "int | None", backend: str) -> "registry.EngineInfo":
+    """The table row of ``engine``, if one stored run of it can be named.
+
+    The rule both payload directions apply, before any lookup: the engine
+    must exist (an unknown name gets the closest match) and not be
+    ``mean-field`` (ensembles refuse it), the backend must be one it
+    declares, and only a ``distribution`` engine, which draws nothing, may
+    go unseeded: with ``seed=None`` every sampling run draws fresh OS
+    entropy, so caching would alias distinct samples to the first result.
+    A refusal raises :class:`~repro.errors.FingerprintError` naming
+    ``simulate.engine``, ``simulate.backend`` or ``simulate.seed``.
+    """
+    try:
+        info = registry.get(engine)
+    except ReproError as exc:
+        raise FingerprintError(f"'simulate' field 'engine': {exc}") from None
+    if info.kind == "mean-field":
+        raise FingerprintError(
+            f"'simulate' field 'engine': engine {engine!r} is a deterministic "
+            "mean field, which ensembles refuse; run it once with run_once()"
+        )
+    try:
+        validate_backend_request(backend, info.backends, engine)
+    except ReproError as exc:
+        raise FingerprintError(f"'simulate' field 'backend': {exc}") from None
+    if seed is None and info.kind != "distribution":
+        raise FingerprintError(
+            "'simulate' field 'seed': cannot fingerprint an unseeded sampling "
+            "run: with seed=None every run draws fresh OS entropy, so repeated "
+            "runs are *distinct* random samples and caching would silently "
+            "alias them all to the first result — pass an explicit seed (exact "
+            "distribution engines like 'fsp' take no seed and are exempt)"
+        )
+    return info
+
+
 def _run_from_payload(payload: Mapping) -> dict:
     """Parse the payload's ``simulate`` section into ``Experiment.simulate``
     arguments (``until`` aside).
 
-    ``trials`` is an integer or null, ``seed`` a non-negative integer or
-    null, ``chunk_size`` an integer (an integral float is one; a fractional
-    number, a bool or a string is refused), and
-    ``engine_options`` null or the engine's typed options, rebuilt through
-    their dataclass; a malformed one raises
+    ``trials`` is an integer or null, ``seed`` a non-negative integer (null
+    only for a ``distribution`` engine), ``chunk_size`` an integer (an
+    integral float is one; a fractional number, a bool or a string is
+    refused), ``engine`` and ``backend`` a run :func:`_checked_engine` accepts,
+    and ``engine_options`` null or the engine's typed options, rebuilt
+    through their dataclass; a malformed one raises
     :class:`~repro.errors.FingerprintError` naming it.  Other range checks
     are left to ``simulate``.
     """
     data = _field(payload, "experiment", "simulate", mapping)
-    engine = _field(data, "simulate", "engine", str)
-    return {
+    run = {
         "trials": _field(data, "simulate", "trials", integral, None),
-        "engine": engine,
+        "engine": _field(data, "simulate", "engine", str),
         "seed": _field(data, "simulate", "seed", _seed, None),
         "chunk_size": _field(data, "simulate", "chunk_size", integral, 512),
         "backend": _field(data, "simulate", "backend", str, "auto"),
-        "engine_options": _field(
-            data, "simulate", "engine_options",
-            lambda value: _engine_options_from_payload(value, engine), None,
-        ),
     }
+    info = _checked_engine(run["engine"], run["seed"], run["backend"])
+    run["engine_options"] = _field(
+        data, "simulate", "engine_options",
+        lambda value: _engine_options_from_payload(value, info), None,
+    )
+    return run
 
 
 def _engine_options_payload(engine_options: Any) -> "dict | None":
@@ -300,19 +340,17 @@ def _engine_options_payload(engine_options: Any) -> "dict | None":
     return {"type": type(engine_options).__name__, "fields": fields}
 
 
-def _engine_options_from_payload(data, engine: str) -> Any:
-    """``engine``'s typed options from their ``{"type", "fields"}`` payload.
+def _engine_options_from_payload(data, info: "registry.EngineInfo") -> Any:
+    """The engine's typed options from their ``{"type", "fields"}`` payload.
 
     The fields go through the engine's options dataclass, whose own checks
     apply; every refusal is a ``TypeError`` / ``ValueError``.
     """
-    from repro.sim.registry import registry
-
     data = mapping(data)
-    options_type = registry.get(engine).options_type
+    options_type = info.options_type
     if options_type is None or options_type.__name__ != data.get("type"):
         raise ValueError(
-            f"engine {engine!r} does not accept engine options of type "
+            f"engine {info.name!r} does not accept engine options of type "
             f"{data.get('type')!r}"
         )
     try:
@@ -356,18 +394,9 @@ def experiment_to_payload(
     """
     from repro import __version__
     from repro.crn.serialize import network_to_dict
-    from repro.sim.registry import registry
 
     network, stopping, classifier = experiment._resolved()
-    info = registry.get(engine)
-    if seed is None and not info.computes_distribution:
-        raise FingerprintError(
-            "cannot fingerprint an unseeded sampling run: with seed=None every "
-            "run draws fresh OS entropy, so repeated runs are *distinct* random "
-            "samples and caching would silently alias them all to the first "
-            "result — pass an explicit seed (exact distribution engines like "
-            "'fsp' take no seed and are exempt)"
-        )
+    info = _checked_engine(engine, seed, backend)
 
     stopping_descriptor = None
     if stopping is not None:
@@ -380,17 +409,17 @@ def experiment_to_payload(
             ) from exc
 
     state_classifier = None
-    if info.computes_distribution:
+    if info.kind == "distribution":
         state_classifier = _classifier_descriptor(
             experiment._resolved_state_classifier(network)
         )
 
     outputs, expected_outputs = experiment._output_ports()
     simulate: dict = {
-        "trials": int(trials),
+        "trials": read_count("trials", trials, FingerprintError),
         "engine": str(engine),
         "seed": None if seed is None else int(_checked_seed(seed)),
-        "chunk_size": int(chunk_size),
+        "chunk_size": read_count("chunk_size", chunk_size, FingerprintError),
         "backend": str(backend),
         "engine_options": _engine_options_payload(engine_options),
     }

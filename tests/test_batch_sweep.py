@@ -163,10 +163,10 @@ class TestBufferReuse:
             race_network, engine="batch-direct", stopping=race_condition
         )
         runner.run(100, seed=3)
-        engine = runner._batch_engine
+        engine = runner._engine
         assert engine is not None
         runner.run(100, seed=4)
-        assert runner._batch_engine is engine
+        assert runner._engine is engine
         assert engine._sweep_buffers.allocations == 1
 
     def test_chunked_inline_run_allocates_once(self, race_network, race_condition):
@@ -178,7 +178,7 @@ class TestBufferReuse:
             chunk_size=64,
         )
         runner.run(512, seed=5)  # 8 chunks through one engine
-        assert runner._batch_engine._sweep_buffers.allocations == 1
+        assert runner._engine._sweep_buffers.allocations == 1
 
     def test_adaptive_doubling_rounds_reuse_buffers(self, race_network, race_condition):
         from repro.adaptive import CiHalfWidthTarget
@@ -194,7 +194,7 @@ class TestBufferReuse:
         target = CiHalfWidthTarget(outcome="A", half_width=0.03, max_trials=8192)
         merged, info = AdaptiveController(runner, target).run(9)
         assert info.rounds >= 2  # doubling actually happened
-        assert runner._batch_engine._sweep_buffers.allocations == 1
+        assert runner._engine._sweep_buffers.allocations == 1
 
     def test_batch_buffers_reset_clears_previous_run(self):
         buffers = BatchBuffers()

@@ -19,11 +19,14 @@ from repro.api import Experiment
 from repro.crn import parse_network
 from repro.errors import ReproError
 from repro.sim import OutcomeThresholds, make_simulator
-from repro.sim.registry import registry
+from repro.sim import registry
 
 
 def stochastic_engines() -> list[str]:
-    return [name for name in registry.names() if not registry.get(name).deterministic]
+    return [
+        name for name in registry.names()
+        if registry.get(name).kind in registry.SAMPLING_KINDS
+    ]
 
 
 @pytest.fixture(scope="module")

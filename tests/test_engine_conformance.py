@@ -26,7 +26,7 @@ from repro.api import Experiment
 from repro.crn import parse_network
 from repro.sim import OutcomeThresholds
 from repro.sim.ensemble import EnsembleResult
-from repro.sim.registry import registry
+from repro.sim import registry
 from repro.store.serialize import experiment_from_payload, experiment_to_payload
 from repro.zoo.corpus import corpus_entries, trial_budget
 
@@ -42,7 +42,10 @@ TRIALS = 300
 
 def stochastic_engines() -> list[str]:
     """Every sampling engine in the registry (exact and approximate)."""
-    return [name for name in registry.names() if not registry.get(name).deterministic]
+    return [
+        name for name in registry.names()
+        if registry.get(name).kind in registry.SAMPLING_KINDS
+    ]
 
 
 def chi_squared_statistic(ensemble: EnsembleResult, probabilities: dict[str, float]):

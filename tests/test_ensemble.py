@@ -111,6 +111,23 @@ class TestRunner:
         with pytest.raises(EnsembleError):
             _simulate(decision_network, 0)
 
+    @pytest.mark.parametrize("value", [True, "64", 64.5])
+    def test_counts_of_another_spelling_name_the_field(self, decision_network, value):
+        """A bool, a string or a fraction is not a count: ``True`` used to
+        run one-trial chunks, and ``run(True)`` one trial."""
+        with pytest.raises(EnsembleError, match="chunk_size: expected an integer"):
+            ParallelEnsembleRunner(decision_network, engine="direct", chunk_size=value)
+        runner = ParallelEnsembleRunner(decision_network, engine="direct")
+        with pytest.raises(EnsembleError, match="n_trials: expected an integer"):
+            runner.run(value, seed=1)
+
+    def test_integral_float_counts_are_integers(self, decision_network, decision_condition):
+        runner = ParallelEnsembleRunner(
+            decision_network, engine="direct", stopping=decision_condition, chunk_size=16.0
+        )
+        result = runner.run(32.0, seed=1)
+        assert runner.chunk_size == 16 and result.n_trials == 32
+
     def test_engine_selection(self, decision_network, decision_condition):
         result = _simulate(
             decision_network, 200, stopping=decision_condition, seed=10, engine="next-reaction"

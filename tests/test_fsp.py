@@ -26,7 +26,7 @@ from repro.sim.fsp import (
     enumerate_states,
 )
 from repro.sim.propensity import CompiledNetwork
-from repro.sim.registry import registry
+from repro.sim import registry
 
 
 @pytest.fixture
@@ -68,7 +68,7 @@ def surviving_catalyst(state):
 
 def complete(network, classify, **options):
     """Absorption probabilities over the complete reachable space."""
-    engine = FspEngine(network, fsp_options=FspOptions(**options))
+    engine = FspEngine(network, engine_options=FspOptions(**options))
     return engine.outcome_probabilities(classify, on_overflow="raise")
 
 
@@ -168,7 +168,7 @@ class TestAbsorption:
             src ->{1} done
             """
         )
-        engine = FspEngine(network, fsp_options=FspOptions(max_states=10, strict=False))
+        engine = FspEngine(network, engine_options=FspOptions(max_states=10, strict=False))
         result = engine.outcome_probabilities(
             lambda s: "done" if s.get("done", 0) else None
         )
@@ -180,7 +180,7 @@ class TestAbsorption:
         assert sum(result.probabilities.values()) == pytest.approx(1.0, abs=1e-9)
         # Under the default strict options the same truncation is an error.
         with pytest.raises(FspError):
-            FspEngine(network, fsp_options=FspOptions(max_states=10)).outcome_probabilities(
+            FspEngine(network, engine_options=FspOptions(max_states=10)).outcome_probabilities(
                 lambda s: "done" if s.get("done", 0) else None
             )
 
@@ -321,7 +321,7 @@ class TestTransient:
         """dx/dt: birth at 5, death at 0.5 → x(t) ~ Poisson(10(1-e^{-t/2}))."""
         engine = FspEngine(
             birth_death_network,
-            fsp_options=FspOptions(count_caps={"x": 60}, tolerance=1e-8),
+            engine_options=FspOptions(count_caps={"x": 60}, tolerance=1e-8),
         )
         result = engine.solve(20.0)
         assert result.error_bound() <= 1e-8
@@ -335,7 +335,7 @@ class TestTransient:
     def test_checkpoint_grid_and_bounds_are_monotone(self, birth_death_network):
         engine = FspEngine(
             birth_death_network,
-            fsp_options=FspOptions(count_caps={"x": 25}, checkpoints=6, strict=False),
+            engine_options=FspOptions(count_caps={"x": 25}, checkpoints=6, strict=False),
         )
         result = engine.solve(10.0)
         assert result.times.shape == (6,)
@@ -352,7 +352,7 @@ class TestTransient:
         # reported bound meets the tolerance.
         engine = FspEngine(
             birth_death_network,
-            fsp_options=FspOptions(count_caps={"x": 4}, tolerance=1e-8),
+            engine_options=FspOptions(count_caps={"x": 4}, tolerance=1e-8),
         )
         result = engine.solve(20.0)
         assert result.error_bound() <= 1e-8
@@ -361,7 +361,7 @@ class TestTransient:
     def test_strict_truncation_raises(self, birth_death_network):
         engine = FspEngine(
             birth_death_network,
-            fsp_options=FspOptions(count_caps={"x": 3}, tolerance=1e-10, expand=False),
+            engine_options=FspOptions(count_caps={"x": 3}, tolerance=1e-10, expand=False),
         )
         with pytest.raises(FspError):
             engine.solve(20.0)
@@ -450,8 +450,7 @@ class TestOptionsAndClassifier:
 class TestEngineProtocol:
     def test_registered_with_distribution_capability(self):
         info = registry.get("fsp")
-        assert info.exact and info.deterministic and info.computes_distribution
-        assert not info.supports_events
+        assert info.exact and info.kind == "distribution"
         assert info.options_type is FspOptions
 
     def test_make_simulator_builds_engine(self, race_to_one):

@@ -79,7 +79,7 @@ def space_digest(space) -> str:
 def measure(case: str, cases: dict) -> "tuple[str, int, dict | None, float | None]":
     """``(digest, n_states, probabilities, truncation_error)`` of one case."""
     network, classifier, options = cases[case]
-    space = FspEngine(network, fsp_options=options).enumerate(classify=classifier)
+    space = FspEngine(network, engine_options=options).enumerate(classify=classifier)
     if classifier is None:
         return space_digest(space), space.n_states, None, None
     absorption = absorption_probabilities(space)

@@ -37,7 +37,7 @@ from repro.sim.kernels import (
     compile_stopping_plan,
 )
 from repro.sim.propensity import CompiledNetwork
-from repro.sim.registry import registry
+from repro.sim import registry
 from repro.sim.trajectory import FiringRecord
 
 import propensity_reference as reference

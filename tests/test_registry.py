@@ -1,15 +1,18 @@
-"""Tests for the capability-aware engine registry (repro.sim.registry)."""
+"""Tests for the engine table (repro.sim.registry)."""
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import pytest
 
 from repro.crn import parse_network
 from repro.errors import EnsembleError
-from repro.sim import ParallelEnsembleRunner, TauLeapOptions, make_simulator
+from repro.sim import ParallelEnsembleRunner, TauLeapOptions, make_simulator, registry
 from repro.sim.direct import DirectMethodSimulator
 from repro.sim.ode import OdeOptions
-from repro.sim.registry import EngineRegistry, register_engine, registry
+from repro.sim.registry import register_engine
 
 
 BUILTIN = {
@@ -21,6 +24,10 @@ BUILTIN = {
     "ode",
 }
 
+#: SHA-256 of ``json.dumps(capability_matrix(), sort_keys=True)`` over the
+#: seven built-in engines.
+CAPABILITY_MATRIX_SHA256 = "9ace69fb308994b28dc393febd9d1291f7dc9f8502f28f6282adb7d1bc1a3c6c"
+
 
 @pytest.fixture
 def race_net():
@@ -31,19 +38,20 @@ class TestRegistryContents:
     def test_builtin_engines_registered(self):
         assert BUILTIN <= set(registry.names())
 
-    def test_per_trial_and_batched_partition(self):
-        per_trial = set(registry.per_trial_names())
-        batched = set(registry.batched_names())
-        assert per_trial | batched == set(registry.names())
-        assert per_trial.isdisjoint(batched)
-        assert "batch-direct" in batched
-        assert "direct" in per_trial
+    def test_builtin_kinds(self):
+        kinds = {name: registry.get(name).kind for name in registry.names()}
+        assert kinds == {
+            "direct": "per-trial",
+            "first-reaction": "per-trial",
+            "next-reaction": "per-trial",
+            "tau-leaping": "per-trial",
+            "batch-direct": "batched",
+            "fsp": "distribution",
+            "ode": "mean-field",
+        }
 
-    def test_mapping_protocol(self):
-        assert "direct" in registry
-        assert "bogus" not in registry
-        assert len(registry) >= len(BUILTIN)
-        assert sorted(registry) == registry.names()
+    def test_names_sorted(self):
+        assert registry.names() == sorted(registry.names())
 
     def test_capability_matrix(self):
         rows = {row["engine"]: row for row in registry.capability_matrix()}
@@ -53,10 +61,18 @@ class TestRegistryContents:
         assert rows["tau-leaping"]["options"] == "TauLeapOptions"
         assert rows["ode"]["deterministic"] and not rows["ode"]["events"]
 
+    def test_capability_matrix_digest(self):
+        # `repro engines` and `GET /engines` print these rows; the digest
+        # holds every key and value of every built-in row.
+        rows = registry.capability_matrix()
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == CAPABILITY_MATRIX_SHA256
+
     def test_info_fields(self):
         info = registry.get("tau-leaping")
         assert info.options_type is TauLeapOptions
-        assert info.options_param == "leap_options"
+        assert info.kind == "per-trial" and not info.exact
+        assert info.backends == ()
         assert info.summary
 
 
@@ -97,39 +113,38 @@ class TestResolution:
 
 
 class TestThirdPartyRegistration:
-    def test_register_run_and_unregister(self, race_net):
-        @register_engine("test-custom-direct", exact=True, summary="test engine")
+    def test_register_run_and_unregister(self, race_net, monkeypatch):
+        # The engine is added to a copy of the table, which teardown drops.
+        monkeypatch.setattr(registry, "_ENGINES", dict(registry._table()))
+
+        @register_engine(
+            "test-custom-direct", kind="per-trial", exact=True, summary="test engine"
+        )
         class CustomDirect(DirectMethodSimulator):
             method_name = "test-custom-direct"
 
-        try:
-            assert "test-custom-direct" in registry
-            # Selectable through the ensemble layer without editing it.
-            result = ParallelEnsembleRunner(race_net, engine="test-custom-direct").run(
-                20, seed=3
-            )
-            assert result.n_trials == 20
-            # And through the facade.
-            from repro.api import Experiment
+        assert "test-custom-direct" in registry.names()
+        assert registry.get("test-custom-direct").backends == ("numpy", "numba")
+        # Selectable through the ensemble layer without editing it.
+        result = ParallelEnsembleRunner(race_net, engine="test-custom-direct").run(
+            20, seed=3
+        )
+        assert result.n_trials == 20
+        # And through the facade.
+        from repro.api import Experiment
 
-            run = Experiment.from_network(race_net).simulate(
-                trials=10, engine="test-custom-direct", seed=4
-            )
-            assert run.ensemble.n_trials == 10
-        finally:
-            registry.unregister("test-custom-direct")
-        assert "test-custom-direct" not in registry
+        run = Experiment.from_network(race_net).simulate(
+            trials=10, engine="test-custom-direct", seed=4
+        )
+        assert run.ensemble.n_trials == 10
+        monkeypatch.undo()
+        assert "test-custom-direct" not in registry.names()
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(EnsembleError, match="already registered"):
-            register_engine("direct", exact=True)(DirectMethodSimulator)
+            register_engine("direct", kind="per-trial", exact=True)(DirectMethodSimulator)
 
-    def test_independent_registry_instances(self):
-        fresh = EngineRegistry()
-
-        @fresh.register("only-here", exact=True)
-        class Local(DirectMethodSimulator):
-            pass
-
-        assert fresh.names() == ["only-here"]
-        assert "only-here" not in registry
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(EnsembleError, match="unknown engine kind 'sampled'"):
+            register_engine("test-unknown-kind", kind="sampled", exact=True)
+        assert "test-unknown-kind" not in registry.names()

@@ -19,7 +19,7 @@ from repro.api import Experiment
 from repro.client import ServiceClient
 from repro.errors import ServiceError
 from repro.service import ResultService
-from repro.sim.registry import registry
+from repro.sim import registry
 from repro.store import Campaign, CampaignRunner
 
 
@@ -94,9 +94,9 @@ class TestEndpoints:
     def test_retired_python_backend_is_400(self, service, experiment):
         from repro.store import experiment_to_payload
 
-        payload = experiment_to_payload(
-            experiment, trials=10, engine="direct", seed=1, backend="python"
-        )
+        # The payload writer refuses the backend too, so it is edited in.
+        payload = experiment_to_payload(experiment, trials=10, engine="direct", seed=1)
+        payload["simulate"]["backend"] = "python"
         request = urllib.request.Request(
             service.url + "/simulate",
             data=json.dumps({"experiment": payload}).encode(),
@@ -444,6 +444,33 @@ class TestSimulateRoundTrip:
         fetched = client.result(entry.key)
         assert fetched.to_json() == entry.result.to_json()
 
+    def test_result_without_payload_names_the_key(self, service, client, experiment):
+        """The client reads an envelope as the store does: a missing payload
+        is a StoreError naming the key, not a bare KeyError."""
+        import gzip
+
+        from repro.errors import StoreError
+        from repro.store import ResultStore
+
+        # Written through another handle, so the service reads the file.
+        writer = ResultStore(service.store.root)
+        experiment.simulate(trials=20, engine="direct", seed=3, store=writer)
+        (key,) = writer.keys()
+        path = writer._artifact_path(key)
+        envelope = json.loads(gzip.decompress(path.read_bytes()))
+        del envelope["payload"]
+        path.write_bytes(gzip.compress(json.dumps(envelope).encode(), mtime=0))
+        with pytest.raises(StoreError, match=f"corrupt artifact {key[:12]}…: payload: missing"):
+            client.result(key)
+
+    @pytest.mark.parametrize("field", ["trials", "chunk_size"])
+    def test_bool_count_refused_before_the_request(self, client, experiment, field):
+        from repro.errors import FingerprintError
+
+        with pytest.raises(FingerprintError, match=f"{field}: expected an integer"):
+            client.simulate_entry(experiment, seed=1, **{field: True})
+        assert client.healthz()["artifacts"] == 0
+
     def test_served_result_matches_local_store_run(self, service, client, experiment):
         served = client.simulate(experiment, trials=50, seed=8, engine="direct")
         local = experiment.simulate(
@@ -503,8 +530,9 @@ class TestKeepAlive:
 
 
 class TestServeCli:
-    def test_serve_round_trip_via_subprocess(self, tmp_path):
-        """End-to-end: `repro serve` on an ephemeral port + client miss→hit."""
+    @pytest.fixture
+    def served_client(self, tmp_path):
+        """A client of `repro serve` running on an ephemeral port."""
         from pathlib import Path
 
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -525,8 +553,7 @@ class TestServeCli:
             line = process.stdout.readline()
             match = re.search(r"listening on (http://[\d.]+:\d+)", line)
             assert match, f"unexpected serve banner: {line!r}"
-            url = match.group(1)
-            client = ServiceClient(url, timeout=120.0)
+            client = ServiceClient(match.group(1), timeout=120.0)
             deadline = time.time() + 30.0
             while True:
                 try:
@@ -536,11 +563,7 @@ class TestServeCli:
                     if time.time() > deadline:
                         raise
                     time.sleep(0.1)
-            experiment = Experiment.from_distribution({"a": 0.5, "b": 0.5}, gamma=50)
-            first = client.simulate_entry(experiment, trials=40, seed=2)
-            second = client.simulate_entry(experiment, trials=40, seed=2)
-            assert not first.cached and second.cached
-            assert first.result.to_json() == second.result.to_json()
+            yield client
         finally:
             process.send_signal(signal.SIGINT)
             try:
@@ -548,3 +571,20 @@ class TestServeCli:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait(timeout=10)
+
+    def test_serve_round_trip_via_subprocess(self, served_client):
+        """End-to-end: `repro serve` on an ephemeral port + client miss→hit."""
+        experiment = Experiment.from_distribution({"a": 0.5, "b": 0.5}, gamma=50)
+        first = served_client.simulate_entry(experiment, trials=40, seed=2)
+        second = served_client.simulate_entry(experiment, trials=40, seed=2)
+        assert not first.cached and second.cached
+        assert first.result.to_json() == second.result.to_json()
+
+    def test_unseeded_sampling_payload_is_400(self, served_client, growth_payload):
+        """A null seed on a sampling engine is refused, not computed once and
+        then served to every later request as its one sample."""
+        growth_payload["simulate"].update(trials=50, seed=None)
+        for _ in range(2):
+            with pytest.raises(ServiceError, match="HTTP 400: 'simulate' field 'seed'"):
+                served_client._request("/simulate", body={"experiment": growth_payload})
+        assert served_client.healthz()["artifacts"] == 0

@@ -111,7 +111,7 @@ class TestRunMechanics:
             SimulationOptions(max_time=-1.0)
 
     def test_engine_registry(self):
-        assert set(EXACT_ENGINES) <= set(registry.per_trial_names())
+        assert all(registry.get(name).kind == "per-trial" for name in EXACT_ENGINES)
         with pytest.raises(Exception):
             make_simulator(parse_network("x ->{1} 0"), engine="bogus")
 

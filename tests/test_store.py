@@ -27,14 +27,16 @@ from repro.sim.events import (
     StoppingCondition,
     condition_from_descriptor,
 )
-from repro.sim.registry import registry
+from repro.sim import registry
 from repro.store import (
     ResultStore,
     canonical_json,
+    canonicalize_payload,
     compute_payload,
     experiment_to_payload,
     fingerprint_payload,
 )
+from repro.store.canonical import cached_run
 
 
 @pytest.fixture
@@ -115,6 +117,12 @@ class TestFingerprint:
         warm = experiment.simulate(trials=100, engine="fsp", store=store)
         assert cold.to_json() == warm.to_json()
 
+    @pytest.mark.parametrize("field", ["trials", "chunk_size"])
+    def test_bool_count_refused_by_the_payload_writer(self, experiment, field):
+        # True used to be written as 1, the key of a well-typed run.
+        with pytest.raises(FingerprintError, match=f"{field}: expected an integer, got True"):
+            payload_of(experiment, **{field: True})
+
     def test_lambda_classifier_rejected(self, race_network):
         experiment = Experiment.from_network(
             race_network, classifier=lambda trajectory: "x"
@@ -129,6 +137,46 @@ class TestFingerprint:
         )
         with pytest.raises(FingerprintError, match="cannot be serialized"):
             payload_of(experiment)
+
+
+class TestStoredRunRule:
+    """What one stored run of an engine needs is checked while the payload
+    is read, before the canonical-form search and the store lookup."""
+
+    def test_unseeded_wire_payload_is_refused_not_cached(self, store, growth_payload):
+        # A null seed draws fresh entropy each run: caching the first sample
+        # used to answer every later request with it.
+        growth_payload["simulate"].update(trials=50, seed=None)
+        for _ in range(2):
+            with pytest.raises(FingerprintError, match="'seed'.*unseeded sampling run"):
+                cached_run(store, growth_payload, trusted=False)
+        assert store.keys() == []
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("engine", "dirct", "unknown engine 'dirct'.*did you mean 'direct'"),
+            ("engine", "ode", "engine 'ode' is a deterministic mean field"),
+            ("backend", "gpu", "unknown kernel backend 'gpu'"),
+            ("backend", "python", "unknown kernel backend 'python'"),
+        ],
+    )
+    def test_unrunnable_engine_or_backend_refused_before_lookup(
+        self, store, growth_payload, monkeypatch, field, value, message
+    ):
+        growth_payload["simulate"][field] = value
+        monkeypatch.setattr(
+            ResultStore, "get_envelope", lambda *args: pytest.fail("looked up")
+        )
+        with pytest.raises(FingerprintError, match=f"'{field}': {message}"):
+            canonicalize_payload(growth_payload)
+        with pytest.raises(FingerprintError, match=f"'{field}': {message}"):
+            cached_run(store, growth_payload, trusted=False)
+
+    def test_backend_the_engine_does_not_declare(self, growth_payload):
+        growth_payload["simulate"].update(engine="tau-leaping", backend="numpy")
+        with pytest.raises(FingerprintError, match="'backend'.*no kernel backends"):
+            canonicalize_payload(growth_payload)
 
 
 class TestConditionDescriptors:
@@ -175,11 +223,11 @@ def engine_backend_matrix():
     combos = []
     for name in registry.names():
         info = registry.get(name)
-        if info.deterministic and not info.computes_distribution:
+        if info.kind == "mean-field":
             continue  # ode: ensembles reject it
         backends = ("auto",) + tuple(info.backends)
         for backend in backends:
-            if info.computes_distribution and backend != "auto":
+            if info.kind == "distribution" and backend != "auto":
                 continue
             combos.append((name, backend))
     return combos

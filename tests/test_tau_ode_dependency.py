@@ -95,7 +95,7 @@ class TestTauLeaping:
     def test_options_dataclass(self):
         options = TauLeapOptions(epsilon=0.01)
         simulator = TauLeapingSimulator(
-            parse_network("x ->{1} 0\ninit: x = 10"), seed=1, leap_options=options
+            parse_network("x ->{1} 0\ninit: x = 10"), seed=1, engine_options=options
         )
         assert simulator.leap_options.epsilon == 0.01
 
