@@ -10,9 +10,13 @@ firings) through ``ParallelEnsembleRunner`` three ways:
 * the vectorized ``batch-direct`` engine, chunks run inline;
 * ``batch-direct`` with its chunk groups sharded across worker processes;
 
-and checks that (a) the batched engine is ≥ 5× faster than the per-trial
+and checks that (a) the batched engine is ≥ 2× faster than the per-trial
 baseline at the full 10,000-trial size, and (b) all paths reproduce the
 programmed (0.3, 0.4, 0.3) distribution within statistical tolerance.
+The per-trial baseline sweeps each chunk in lock-step on numpy, one event
+per trial per step with every trial on its own stream, so bar (a) compares
+two columnar sweeps; it stood at 5× against the interpreted trial-by-trial
+loop those chunks ran on before.
 
 Run directly for a wall-clock report (CI uses ``--quick``)::
 
@@ -95,8 +99,8 @@ def run_report(n_trials: int, full_assertions: bool) -> list[dict[str, object]]:
         assert row["tv_vs_target"] < 0.1, f"{row['path']}: TV {row['tv_vs_target']:.3f}"
     batch_speedup = rows[1]["speedup"]
     if full_assertions:
-        assert batch_speedup >= 5.0, (
-            f"batch-direct speedup {batch_speedup:.1f}× < 5× at {n_trials} trials"
+        assert batch_speedup >= 2.0, (
+            f"batch-direct speedup {batch_speedup:.1f}× < 2× at {n_trials} trials"
         )
     else:
         assert batch_speedup > 1.0, (

@@ -8,7 +8,8 @@ Example-1 stochastic module (γ = 10³, scale 100, outcome declared after 10
 working firings) on the ``direct`` engine across backends — the baseline
 every row's ``speedup`` is relative to is ``direct`` on numpy:
 
-* ``backend="numpy"``  — the interpreted array-kernel reference;
+* ``backend="numpy"``  — the interpreted array-kernel reference, which
+  sweeps each ``direct`` chunk as a lock-step slice;
 * ``backend="numba"``  — the JIT backend, when numba is installed;
 
 plus the other array-kernel engines:
@@ -331,7 +332,7 @@ def record(rows, per_trial_rows, stream_rows, checks, n_trials: int) -> None:
         "trials": n_trials,
         "wide_chunk_trials": WIDE_FACTOR * n_trials,
         "numba_available": numba_available(),
-        "baseline": "direct [numpy]",
+        "baseline": "direct [numpy], its chunks swept as lock-step slices",
         "rows": [
             {
                 "engine": r["engine"],

@@ -19,7 +19,9 @@ own leap loop.
 stream — an ensemble chunk, whose streams :func:`~repro.sim.rng.child_streams`
 derives in one pass — and returns their final states as the columns of a
 :class:`~repro.sim.trajectory.BatchResult`: the setup is paid once per
-slice, and each trial gets only its own random blocks and kernel call.
+slice, and each trial gets only its own random blocks and kernel call
+(the ``direct`` engine on numpy sweeps the slice's trials in lock-step
+instead, see :mod:`repro.sim.direct`).
 
 Backend selection flows through :attr:`SimulationOptions.backend`
 (``"auto"`` prefers the fastest available kernel backend the engine
@@ -276,14 +278,32 @@ class StochasticSimulator:
         ``streams`` is any sized iterable of generators: a list, or the
         :func:`~repro.sim.rng.child_streams` of an ensemble chunk, which
         yields one generator reseeded per trial.  Trial ``i`` draws only
-        from the ``i``-th generator, and only until the next one is drawn,
-        exactly as ``run(initial_state, stopping, options, seed=rng)``
-        would, so every row equals that run's final state, time, firing
-        totals and stop; nothing keeps a generator past its trial.  The
+        from the ``i``-th generator, exactly what
+        ``run(initial_state, stopping, options, seed=rng)`` would draw, so
+        every row equals that run's final state, time, firing totals and
+        stop, and a listed generator ends where that run leaves it.  The
         options, starting counts, stopping plan and backend are resolved
         once for the whole slice; no firing log or snapshots are recorded.
+
+        By default the trials run one after another, each using its
+        generator only until the next one is drawn.  The ``direct`` engine
+        on numpy advances a slice in lock-step instead
+        (:meth:`~repro.sim.direct.DirectMethodSimulator._slice`): every
+        trial's first random blocks are drawn as the streams are iterated,
+        and a trial that outruns them draws its refills later, from its
+        generator in the state those blocks left it (a generator that
+        ``child_streams`` reseeded for a later trial is rebuilt to it).
         """
         setup = self._setup(initial_state, stopping, options, {})
+        return self._slice(setup, stopping, streams)
+
+    def _slice(
+        self,
+        setup: "_TrialSetup",
+        stopping: "StoppingCondition | None",
+        streams: "Iterable[np.random.Generator]",
+    ) -> BatchResult:
+        """The trials of one :meth:`run_slice` call, one :meth:`_trial` each."""
         n = len(streams)
         final_counts = np.tile(setup.start, (n, 1))
         final_times = np.zeros(n, dtype=np.float64)

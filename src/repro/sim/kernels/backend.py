@@ -48,6 +48,7 @@ __all__ = [
     "numba_available",
     "get_backend",
     "resolve_run_backend",
+    "stop_columns",
     "validate_backend_request",
     "STOP_EXHAUSTED",
     "STOP_MAX_TIME",
@@ -112,15 +113,41 @@ class KernelOutcome:
     def stop_reason(self, plan: StoppingPlan, method_name: str) -> "tuple[str, str]":
         """Map the stop code to ``(StopReason, stop_detail)``."""
         if self.stop_code == STOP_INVALID:
-            raise SimulationError(
-                f"{method_name}: invalid (non-finite) waiting time in kernel loop"
-            )
+            raise _invalid_wait(method_name)
         reason = _STOP_REASONS[self.stop_code]
         if self.stop_code != STOP_CONDITION:
             return reason, ""
         if self.detail is not None:
             return reason, self.detail
         return reason, plan.labels[self.clause_index]
+
+
+def _invalid_wait(method_name: str) -> SimulationError:
+    return SimulationError(
+        f"{method_name}: invalid (non-finite) waiting time in kernel loop"
+    )
+
+
+def stop_columns(
+    codes: np.ndarray, clauses: np.ndarray, plan: StoppingPlan, method_name: str
+) -> "tuple[np.ndarray, np.ndarray]":
+    """:meth:`KernelOutcome.stop_reason` for a column of trials.
+
+    ``codes`` and ``clauses`` hold one stop code and clause index per
+    trial; returns the ``stop_reasons`` and ``stop_details`` object columns
+    of a :class:`~repro.sim.trajectory.BatchResult`, and raises as
+    :meth:`~KernelOutcome.stop_reason` does if any trial's wait was invalid.
+    """
+    if (codes == STOP_INVALID).any():
+        raise _invalid_wait(method_name)
+    reasons = np.empty(codes.size, dtype=object)
+    for code, reason in _STOP_REASONS.items():
+        reasons[codes == code] = reason
+    details = np.full(codes.size, "", dtype=object)
+    condition = codes == STOP_CONDITION
+    if condition.any():
+        details[condition] = np.array(plan.labels, dtype=object)[clauses[condition]]
+    return reasons, details
 
 
 class KernelBackend:

@@ -50,6 +50,23 @@ class RandomBlocks:
         self.exponential = rng.standard_exponential(int(initial))
         self.uniform = rng.random(int(initial))
 
+    @classmethod
+    def resumed(
+        cls,
+        rng: np.random.Generator,
+        exponential: np.ndarray,
+        uniform: np.ndarray,
+        maximum: int = MAX_BLOCK,
+    ) -> "RandomBlocks":
+        """Blocks a trial already drew from ``rng``, which is left where
+        those draws left it: nothing is drawn until the next refill."""
+        blocks = cls.__new__(cls)
+        blocks._rng = rng
+        blocks._maximum = int(maximum)
+        blocks.exponential = exponential
+        blocks.uniform = uniform
+        return blocks
+
     def _refill(self, block: np.ndarray, position: int, draw, need: int) -> np.ndarray:
         remaining = block.shape[0] - position
         floor = remaining + max(int(need), 1)  # post-refill guarantee

@@ -693,7 +693,10 @@ class NumbaKernelBackend(KernelBackend):
             dtype=np.float64,
         )
         firing_counts = np.zeros(nr, dtype=np.int64)
-        state_f = np.array([0.0, float(sum(prop.tolist()))], dtype=np.float64)
+        total = 0.0
+        for p in prop.tolist():  # left to right, as the kernels add
+            total += p
+        state_f = np.array([0.0, total], dtype=np.float64)
         state_i = np.zeros(6, dtype=np.int64)
 
         while True:

@@ -72,6 +72,16 @@ class ChildStreams:
     def __len__(self) -> int:
         return len(self._states)
 
+    def state(self, index: int) -> dict:
+        """The PCG64 ``bit_generator.state`` the ``index``-th trial starts from."""
+        pcg_state, inc = self._states[index]
+        return {
+            "bit_generator": "PCG64",
+            "state": {"state": pcg_state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
     def __iter__(self) -> Iterator[np.random.Generator]:
         generator = np.random.default_rng(0)
         bit_generator = generator.bit_generator

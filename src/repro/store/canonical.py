@@ -257,8 +257,7 @@ def canonicalize_payload(payload: Mapping) -> CanonicalPayload:
     data["schema"] = EXPERIMENT_SCHEMA  # v1 payloads hash (and execute) as v2
     # A value the run would drop or round is hashed but never executed:
     # reject it before it names a store entry.
-    _options_from_payload(data)
-    run = _run_from_payload(data)
+    run = _run_from_payload(data, _options_from_payload(data))
     sections = _descriptor_sections(data, resolve=False)
     simulate = data["simulate"]
     if simulate.get("engine_options") is not None:

@@ -258,7 +258,9 @@ def _options_from_payload(payload: Mapping) -> SimulationOptions:
     )
 
 
-def _checked_engine(engine: str, seed: "int | None", backend: str) -> "registry.EngineInfo":
+def _checked_engine(
+    engine: str, seed: "int | None", backend: str, options_backend: str
+) -> "registry.EngineInfo":
     """The table row of ``engine``, if one stored run of it can be named.
 
     The rule both payload directions apply, before any lookup: the engine
@@ -267,8 +269,11 @@ def _checked_engine(engine: str, seed: "int | None", backend: str) -> "registry.
     declares, and only a ``distribution`` engine, which draws nothing, may
     go unseeded: with ``seed=None`` every sampling run draws fresh OS
     entropy, so caching would alias distinct samples to the first result.
-    A refusal raises :class:`~repro.errors.FingerprintError` naming
-    ``simulate.engine``, ``simulate.backend`` or ``simulate.seed``.
+    The backend is ``simulate.backend``, or the options' ``backend``
+    (``options_backend``) when that is ``"auto"``, except on a
+    ``distribution`` engine, which runs no kernel.  A refusal raises
+    :class:`~repro.errors.FingerprintError` naming ``simulate.engine``,
+    ``simulate.backend``, ``options.backend`` or ``simulate.seed``.
     """
     try:
         info = registry.get(engine)
@@ -283,6 +288,11 @@ def _checked_engine(engine: str, seed: "int | None", backend: str) -> "registry.
         validate_backend_request(backend, info.backends, engine)
     except ReproError as exc:
         raise FingerprintError(f"'simulate' field 'backend': {exc}") from None
+    if backend == "auto" and info.kind != "distribution":
+        try:
+            validate_backend_request(options_backend, info.backends, engine)
+        except ReproError as exc:
+            raise FingerprintError(f"'options' field 'backend': {exc}") from None
     if seed is None and info.kind != "distribution":
         raise FingerprintError(
             "'simulate' field 'seed': cannot fingerprint an unseeded sampling "
@@ -294,14 +304,15 @@ def _checked_engine(engine: str, seed: "int | None", backend: str) -> "registry.
     return info
 
 
-def _run_from_payload(payload: Mapping) -> dict:
+def _run_from_payload(payload: Mapping, options: SimulationOptions) -> dict:
     """Parse the payload's ``simulate`` section into ``Experiment.simulate``
     arguments (``until`` aside).
 
     ``trials`` is an integer or null, ``seed`` a non-negative integer (null
     only for a ``distribution`` engine), ``chunk_size`` an integer (an
     integral float is one; a fractional number, a bool or a string is
-    refused), ``engine`` and ``backend`` a run :func:`_checked_engine` accepts,
+    refused), ``engine`` and ``backend`` a run :func:`_checked_engine` accepts
+    with the payload's parsed ``options``,
     and ``engine_options`` null or the engine's typed options, rebuilt
     through their dataclass; a malformed one raises
     :class:`~repro.errors.FingerprintError` naming it.  Other range checks
@@ -315,7 +326,7 @@ def _run_from_payload(payload: Mapping) -> dict:
         "chunk_size": _field(data, "simulate", "chunk_size", integral, 512),
         "backend": _field(data, "simulate", "backend", str, "auto"),
     }
-    info = _checked_engine(run["engine"], run["seed"], run["backend"])
+    info = _checked_engine(run["engine"], run["seed"], run["backend"], options.backend)
     run["engine_options"] = _field(
         data, "simulate", "engine_options",
         lambda value: _engine_options_from_payload(value, info), None,
@@ -396,7 +407,8 @@ def experiment_to_payload(
     from repro.crn.serialize import network_to_dict
 
     network, stopping, classifier = experiment._resolved()
-    info = _checked_engine(engine, seed, backend)
+    options = experiment._resolved_options()
+    info = _checked_engine(engine, seed, backend, options.backend)
 
     stopping_descriptor = None
     if stopping is not None:
@@ -455,7 +467,7 @@ def experiment_to_payload(
         "target": experiment._resolved_target(),
         "outputs": outputs,
         "expected_outputs": expected_outputs,
-        "options": _options_payload(experiment._resolved_options()),
+        "options": _options_payload(options),
         "simulate": simulate,
     }
 
@@ -499,7 +511,7 @@ def compute_payload(payload: Mapping, workers: int = 1, trusted: bool = True):
     :func:`experiment_from_payload`.
     """
     experiment = experiment_from_payload(payload, trusted=trusted)
-    run = _run_from_payload(payload)
+    run = _run_from_payload(payload, experiment._resolved_options())
     sim = payload["simulate"]
     until = None
     if sim.get("until") is not None:

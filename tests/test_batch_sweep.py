@@ -548,3 +548,24 @@ class TestNumbaSourceIdentity:
         )
         for batch in batches.values():
             assert set(batch.stop_reasons) == {StopReason.CONDITION, StopReason.MAX_STEPS}
+
+    def test_lockstep_direct_slice_mixed_stops(self, monkeypatch, numba_source_backend):
+        # 100 trials with a clause plan: numpy's direct sweeps them in
+        # lock-step and hands the last to its scalar kernel; numba runs
+        # each trial through its own kernel.
+        network = parse_network(
+            """
+            init: ea = 70
+            init: eb = 30
+            ea ->{1.1} wa
+            eb ->{0.9} wb
+            ea + eb ->{0.03} 0
+            """
+        )
+        batches = self._assert_slices_identical(
+            monkeypatch, numba_source_backend, network, 100,
+            stopping=SpeciesThreshold("wa", 54), max_time=4.5, max_steps=86,
+        )
+        assert set(batches["direct"].stop_reasons) == {
+            StopReason.CONDITION, StopReason.EXHAUSTED, StopReason.MAX_TIME
+        }

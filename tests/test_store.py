@@ -178,6 +178,42 @@ class TestStoredRunRule:
         with pytest.raises(FingerprintError, match="'backend'.*no kernel backends"):
             canonicalize_payload(growth_payload)
 
+    def test_options_backend_the_engine_does_not_declare(self, store, monkeypatch):
+        # With simulate.backend "auto" the run uses the options' backend,
+        # which tau-leaping cannot run: refused before any lookup, not hashed
+        # and then failed at compute.
+        payload = experiment_to_payload(
+            Experiment.from_zoo("toggle-switch"), trials=20, engine="tau-leaping", seed=3
+        )
+        payload["options"]["backend"] = "numpy"
+        monkeypatch.setattr(
+            ResultStore, "get_envelope", lambda *args: pytest.fail("looked up")
+        )
+        message = "'options' field 'backend': engine 'tau-leaping' does not support"
+        with pytest.raises(FingerprintError, match=message):
+            canonicalize_payload(payload)
+        with pytest.raises(FingerprintError, match=message):
+            cached_run(store, payload, trusted=False)
+        with pytest.raises(FingerprintError, match=message):
+            experiment_to_payload(
+                Experiment.from_zoo("toggle-switch").configure(backend="numpy"),
+                trials=20, engine="tau-leaping", seed=3,
+            )
+
+    def test_options_backend_a_run_does_not_use_is_accepted(self):
+        # A simulate.backend other than "auto" overrides the options' one,
+        # and a distribution engine runs no kernel.
+        experiment = Experiment.from_zoo("toggle-switch").configure(backend="numba")
+        payload = experiment_to_payload(
+            experiment, trials=20, engine="direct", seed=3, backend="numpy"
+        )
+        assert canonicalize_payload(payload).key
+        exact = experiment_to_payload(
+            Experiment.from_zoo("toggle-switch").configure(backend="numpy"),
+            trials=20, engine="fsp",
+        )
+        assert canonicalize_payload(exact).key
+
 
 class TestConditionDescriptors:
     @pytest.mark.parametrize(

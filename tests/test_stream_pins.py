@@ -552,6 +552,40 @@ def test_tau_ensemble_pin(per_trial_ensemble_cases, case):
     assert digest == TAU_ENSEMBLE_EXPECTED[case]
 
 
+# ---------------------------------------------------------------------------
+# the direct pins under CPython 3.12's sum()
+# ---------------------------------------------------------------------------
+
+DIRECT_PINS = sorted(key for key in EXPECTED if key[1] == "direct")
+DIRECT_ENSEMBLE_PINS = sorted(key for key in PER_TRIAL_ENSEMBLE_EXPECTED if key[1] == "direct")
+
+
+@pytest.fixture
+def compensated_builtin_sum(monkeypatch):
+    """The kernel modules see CPython 3.12's compensated ``sum()``."""
+    from compensated_sum import compensated_sum
+
+    from repro.sim.kernels import numba_backend, numpy_backend
+
+    for module in (numpy_backend, numba_backend):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+
+
+@pytest.mark.parametrize("model,engine", DIRECT_PINS)
+def test_direct_pin_under_compensated_sum(models, compensated_builtin_sum, model, engine):
+    # The direct kernels add propensities left to right themselves, so the
+    # pins hold on every Python version.
+    assert run_digest(model, engine, models) == EXPECTED[(model, engine)]
+
+
+@pytest.mark.parametrize("case,engine", DIRECT_ENSEMBLE_PINS)
+def test_direct_ensemble_pin_under_compensated_sum(
+    per_trial_ensemble_cases, compensated_builtin_sum, case, engine
+):
+    digest = per_trial_ensemble_digest(case, engine, per_trial_ensemble_cases)
+    assert digest == PER_TRIAL_ENSEMBLE_EXPECTED[(case, engine)]
+
+
 if __name__ == "__main__":
     all_models = _models()
     for key in pin_keys(all_models):
